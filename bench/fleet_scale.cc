@@ -10,8 +10,9 @@
 // fleet-style coalescing across sessions — auditing that all three agree
 // bit for bit before timing them. Part 2 runs a (sharded) fleet trial and
 // reports sessions/sec, chunks/sec and the concurrency profile next to the
-// session-sequential baseline, auditing that the merged trial is
-// bit-identical to it. Part 3 sweeps the sharded engine over a
+// back-to-back baseline — run_trial, i.e. the same fleet path with arrivals
+// so sparse that sessions never overlap — auditing that the merged trial
+// is bit-identical to it. Part 3 sweeps the sharded engine over a
 // sessions-scale curve (10^2 -> 10^6 synthetic sessions), auditing at each
 // point that the sharded run's merged load series matches the single-queue
 // run bit for bit. Results land in BENCH_fleet.json (override with --json)
@@ -24,7 +25,7 @@
 // --faults adds Part 5: the same fleet population with the fault plane on
 // (injected TTP inference failures and session aborts), reporting
 // degraded-mode throughput and the harmonic-mean fallback rate, audited
-// bitwise 2-shard-vs-sequential including the faults.* counters.
+// bitwise 2-shard-vs-1-shard including the faults.* counters.
 //
 // --smoke shrinks everything to seconds and exits non-zero on any mismatch,
 // which is what CI runs (with --shards 2 to keep the sharded path covered).
@@ -397,7 +398,7 @@ struct FaultsPoint {
   int64_t fallback_decisions = 0;
   int64_t session_aborts = 0;
   int64_t degraded_sessions = 0;
-  bool shard_identical = false;  ///< 2-shard == sequential, bitwise
+  bool shard_identical = false;  ///< 2-shard == 1-shard, bitwise
 };
 
 int64_t metric_value(const obs::MetricSnapshot& snapshot,
@@ -555,7 +556,7 @@ int main(int argc, char** argv) {
   std::printf("  bitwise identical  : %s\n",
               inference.identical ? "yes" : "NO — MISMATCH");
 
-  // Part 2: fleet trial vs the session-sequential baseline.
+  // Part 2: fleet trial vs the back-to-back baseline (run_trial).
   exp::FleetTrialConfig config;
   config.trial.schemes = {"Fugu", "MPC-HM", "BBA"};
   config.trial.sessions_per_scheme = sessions / 3;
@@ -597,7 +598,7 @@ int main(int argc, char** argv) {
   // show several percent of run-to-run wall variance, so the overhead
   // ratio compares the best-of-two walls per mode rather than one sample
   // each. The perf plane is reset before each profiled run (Part 1 and
-  // the sequential baseline also hit the profiled scopes), so the
+  // the back-to-back baseline also hit the profiled scopes), so the
   // per-phase wall times reported below describe exactly one fleet run.
   // With PUFFER_PROFILING=OFF both modes are no-ops and the ratio
   // sits at ~1.
@@ -655,7 +656,7 @@ int main(int argc, char** argv) {
       static_cast<double>(fleet.fleet.decisions) / fleet_off_s;
   const double overhead_ratio =
       chunks_per_s > 0.0 ? off_chunks_per_s / chunks_per_s : 0.0;
-  std::printf("  sequential baseline : %8.2f s\n", sequential_s);
+  std::printf("  back-to-back run    : %8.2f s\n", sequential_s);
   std::printf("  fleet run           : %8.2f s  (%.0f sessions/s, "
               "%.0f chunks/s wall)\n",
               fleet_s, sessions_per_s, chunks_per_s);
@@ -793,7 +794,7 @@ int main(int argc, char** argv) {
   }
 
   // Part 5 (--faults): degraded-mode throughput with the fault plane on,
-  // audited bitwise 2-shard-vs-sequential (figures and faults.* counters).
+  // audited bitwise 2-shard-vs-1-shard (figures and faults.* counters).
   FaultsPoint faults_point;
   bool faults_identical = true;
   if (faults) {

@@ -58,9 +58,9 @@ struct CampaignConfig {
   /// Fresh held-out sessions per day for evaluate_ttp (TTP cross-entropy).
   int holdout_sessions_per_day = 8;
   uint64_t seed = 1;
-  /// Worker threads for every inner session loop (0 = all cores). Results
-  /// are bit-identical at any value — the campaign inherits the parallel
-  /// trial runner's merge discipline.
+  /// Worker threads for every inner trial (0 = all cores). Results are
+  /// bit-identical at any value — every day trial runs on the fleet engine
+  /// and inherits its merge discipline.
   int num_threads = 0;
   /// Directory for the resumable checkpoint + per-day reports. Empty: the
   /// campaign runs in memory only.

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "exp/parallel_trial.hh"
 #include "exp/session_task.hh"
 #include "net/scenario.hh"
 #include "util/object_pool.hh"
@@ -18,6 +18,57 @@
 namespace puffer::exp {
 
 namespace {
+
+/// Number of session plans the trial draws (paired mode replays each plan
+/// for every scheme; RCT mode assigns each plan to exactly one scheme).
+int64_t num_session_plans(const TrialConfig& config) {
+  // Clamped so a negative sessions_per_scheme yields an empty trial instead
+  // of a negative task count.
+  return std::max<int64_t>(0, config.sessions_per_scheme) *
+         (config.paired_paths ? 1
+                              : static_cast<int64_t>(config.schemes.size()));
+}
+
+// Tripwire for the field-by-field merge in append_scheme_result: if
+// ConsortCounts grows a field, this forces whoever adds it to extend the
+// merge (a missed field would silently zero it on partial-result runs only,
+// breaking the bit-identity guarantee). SchemeResult's container members
+// have platform-dependent sizes, so keep its member list in sync by hand:
+// scheme, considered, session_durations_s, consort, logs.
+static_assert(sizeof(ConsortCounts) == 7 * sizeof(int64_t),
+              "ConsortCounts changed: update append_scheme_result and "
+              "test::expect_identical in tests/test_helpers.hh accordingly");
+
+/// Fresh per-scheme accumulators in config.schemes order.
+std::vector<SchemeResult> empty_scheme_results(const TrialConfig& config) {
+  std::vector<SchemeResult> results;
+  results.reserve(config.schemes.size());
+  for (const auto& name : config.schemes) {
+    results.push_back(SchemeResult{});
+    results.back().scheme = name;
+  }
+  return results;
+}
+
+/// Merge one partial per-scheme accumulator into `into`, preserving the
+/// order of `from`'s entries.
+void append_scheme_result(SchemeResult& into, SchemeResult& from) {
+  into.considered.insert(into.considered.end(),
+                         std::make_move_iterator(from.considered.begin()),
+                         std::make_move_iterator(from.considered.end()));
+  into.session_durations_s.insert(into.session_durations_s.end(),
+                                  from.session_durations_s.begin(),
+                                  from.session_durations_s.end());
+  into.logs.insert(into.logs.end(), std::make_move_iterator(from.logs.begin()),
+                   std::make_move_iterator(from.logs.end()));
+  into.consort.sessions += from.consort.sessions;
+  into.consort.streams += from.consort.streams;
+  into.consort.never_began += from.consort.never_began;
+  into.consort.under_min_watch += from.consort.under_min_watch;
+  into.consort.decoder_failure += from.consort.decoder_failure;
+  into.consort.truncated += from.consort.truncated;
+  into.consort.considered += from.consort.considered;
+}
 
 /// Session tasks churn at fleet scale (one per arrival, up to 10^6 per
 /// run), so allocation is routed through a BlockArena that turns that churn
@@ -104,8 +155,8 @@ struct TrialMetrics {
 /// time, so each active session needs its own algorithm instance; returning
 /// the instance to a per-scheme free list on completion keeps the number of
 /// live instances at the peak concurrency instead of the session count.
-/// (SessionTask resets the algorithm at session start, exactly like the
-/// sequential loop's reuse, so pooling cannot change results.)
+/// (SessionTask resets the algorithm at session start, so pooling cannot
+/// change results.)
 class PooledSessionTask final : public sim::FleetTask {
  public:
   // Route the per-arrival task churn through the owning shard's arena (the
@@ -251,14 +302,33 @@ struct ShardState {
   std::shared_ptr<const SessionPlan> cached_plan;
   BlockArena arena;  ///< PooledSessionTask storage; see current_task_arena()
   TrialMetrics metrics;
+
+  /// An instance of `config.schemes[scheme]` for a new session: recycled
+  /// from the scheme's free list when one is idle, else built by `factory`.
+  std::unique_ptr<abr::AbrAlgorithm> take_algorithm(
+      const TrialConfig& config, const SchemeFactory& factory,
+      const size_t scheme) {
+    auto& pool = pools[scheme];
+    if (!pool.empty()) {
+      std::unique_ptr<abr::AbrAlgorithm> algo = std::move(pool.back());
+      pool.pop_back();
+      metrics.registry.add(metrics.algo_pool_hits);
+      return algo;
+    }
+    std::unique_ptr<abr::AbrAlgorithm> algo = factory(config.schemes[scheme]);
+    require(algo != nullptr, "run_fleet_trial: factory returned null for '" +
+                                 config.schemes[scheme] + "'");
+    metrics.registry.add(metrics.algo_pool_misses);
+    return algo;
+  }
 };
 
 /// Streaming ascending-order merge: shards complete sessions out of global
 /// order, but partials must fold into the TrialResult in session-index
-/// order to stay bit-identical to the sequential loop. The frontier tracks
-/// which sessions have completed and folds+frees every partial up to the
-/// first incomplete one, so unmerged partials are bounded by the frontier
-/// lag (≈ peak concurrency), not the session count.
+/// order to stay bit-identical to running them one by one. The frontier
+/// tracks which sessions have completed and folds+frees every partial up to
+/// the first incomplete one, so unmerged partials are bounded by the
+/// frontier lag (≈ peak concurrency), not the session count.
 struct MergeFrontier {
   Mutex mutex GUARDS(completed, next_to_merge, unmerged, unmerged_high_water);
   std::vector<char> completed GUARDED_BY(mutex);
@@ -274,8 +344,8 @@ struct MergeFrontier {
 
 FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
                                  const SchemeArtifacts& artifacts) {
-  // Wire an enabled fault plan into scheme assembly (resilient Fugu), as
-  // run_trial does — the two paths must build identical schemes.
+  // Wire an enabled fault plan into scheme assembly (resilient Fugu). The
+  // copied artifacts keep the plan pointer valid for the factory's life.
   SchemeArtifacts wired = artifacts;
   if (config.trial.faults.enabled && wired.faults == nullptr) {
     wired.faults = &config.trial.faults;
@@ -292,7 +362,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
           "run_fleet_trial: need at least one scheme");
   const auto num_schemes =
       static_cast<int64_t>(trial_config.schemes.size());
-  const int64_t num_plans = detail::num_session_plans(trial_config);
+  const int64_t num_plans = num_session_plans(trial_config);
   // Paired mode replays each plan once per scheme — each replay is its own
   // fleet session, arriving at the plan's arrival time.
   const int64_t num_tasks =
@@ -347,8 +417,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   }
 
   sim::FleetConfig engine_config;
-  engine_config.num_threads =
-      ParallelTrialRunner::resolve_num_threads(trial_config.num_threads);
+  engine_config.num_threads = trial_config.num_threads;
   engine_config.num_shards = config.num_shards;
   // Colocate a paired plan's per-scheme task copies on one shard: they
   // share an immutable plan, and the cache hit needs them back-to-back.
@@ -361,8 +430,8 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   const int num_shards = engine.resolved_num_shards();
 
   // Per-task partial results, folded into the TrialResult in ascending
-  // task order by the streaming frontier below — the same merge order that
-  // makes the parallel runner bit-identical to the serial loop. scheme_of
+  // task order by the streaming frontier below — the merge order that makes
+  // the result bit-identical to running the sessions one by one. scheme_of
   // and each partial are written by the owning shard's worker before it
   // reports the completion under the frontier mutex, which is what makes
   // them safe to read on whichever worker advances the frontier past them.
@@ -375,7 +444,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   }
 
   FleetTrialResult result;
-  result.trial.schemes = detail::empty_scheme_results(trial_config);
+  result.trial.schemes = empty_scheme_results(trial_config);
   if (grouped) {
     // Pre-indexed per-group slots; each group's destructor (on its owning
     // shard worker) writes exactly one.
@@ -406,33 +475,23 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     } else {
       plan = std::make_shared<const SessionPlan>(
           make_session_plan(session_rng, users, *paths));
-      // RCT: blinded random assignment, drawn exactly as the serial loop
-      // draws it (same RNG, same position in the stream).
+      // RCT: blinded random assignment, drawn from the session's own RNG
+      // right after its plan (same position at any shard count).
       scheme = static_cast<size_t>(
           session_rng.uniform_int(0, num_schemes - 1));
     }
     scheme_of[static_cast<size_t>(task_index)] = scheme;
 
-    std::unique_ptr<abr::AbrAlgorithm> algo;
-    auto& pool = shard.pools[scheme];
-    if (!pool.empty()) {
-      algo = std::move(pool.back());
-      pool.pop_back();
-      shard.metrics.registry.add(shard.metrics.algo_pool_hits);
-    } else {
-      algo = factory(trial_config.schemes[scheme]);
-      require(algo != nullptr, "run_fleet_trial: factory returned null for '" +
-                                   trial_config.schemes[scheme] + "'");
-      shard.metrics.registry.add(shard.metrics.algo_pool_misses);
-    }
+    std::unique_ptr<abr::AbrAlgorithm> algo =
+        shard.take_algorithm(trial_config, factory, scheme);
     auto& partial = partials[static_cast<size_t>(task_index)];
     partial = std::make_unique<SchemeResult>();
     shard.metrics.registry.add(shard.metrics.tasks_created);
     current_task_arena() = &shard.arena;
     const int64_t blocks_before = shard.arena.blocks_created();
     auto task = std::make_unique<PooledSessionTask>(
-        std::move(plan), std::move(algo), trial_config, *partial, pool,
-        &shard.metrics);
+        std::move(plan), std::move(algo), trial_config, *partial,
+        shard.pools[scheme], &shard.metrics);
     const int64_t blocks_after = shard.arena.blocks_created();
     if (blocks_after > blocks_before) {
       shard.metrics.registry.add(shard.metrics.arena_blocks_created,
@@ -466,25 +525,12 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
           static_cast<size_t>(session_rng.uniform_int(0, num_schemes - 1));
       scheme_of[static_cast<size_t>(p)] = scheme;
       member_schemes.push_back(scheme);
-      std::unique_ptr<abr::AbrAlgorithm> algo;
-      auto& pool = shard.pools[scheme];
-      if (!pool.empty()) {
-        algo = std::move(pool.back());
-        pool.pop_back();
-        shard.metrics.registry.add(shard.metrics.algo_pool_hits);
-      } else {
-        algo = factory(trial_config.schemes[scheme]);
-        require(algo != nullptr,
-                "run_fleet_trial: factory returned null for '" +
-                    trial_config.schemes[scheme] + "'");
-        shard.metrics.registry.add(shard.metrics.algo_pool_misses);
-      }
       auto& partial = partials[static_cast<size_t>(p)];
       partial = std::make_unique<SchemeResult>();
       max_trace_s = std::max(max_trace_s, plan->path->trace.duration());
       ContentionGroupTask::Member member;
       member.plan = std::move(plan);
-      member.algo = std::move(algo);
+      member.algo = shard.take_algorithm(trial_config, factory, scheme);
       member.result = partial.get();
       member.arrival_offset_s = plan_arrivals[static_cast<size_t>(p)] -
                                 plan_arrivals[static_cast<size_t>(begin)];
@@ -562,7 +608,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
            frontier.completed[static_cast<size_t>(frontier.next_to_merge)] !=
                0) {
       const auto t = static_cast<size_t>(frontier.next_to_merge);
-      detail::append_scheme_result(result.trial.schemes[scheme_of[t]],
+      append_scheme_result(result.trial.schemes[scheme_of[t]],
                                    *partials[t]);
       partials[t].reset();  // frees the partial at the frontier
       frontier.next_to_merge++;

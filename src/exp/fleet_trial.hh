@@ -10,16 +10,17 @@
 
 namespace puffer::exp {
 
-/// A randomized trial executed as a fleet: the same schemes, scenario, RCT
-/// assignment and session plans as run_trial(config.trial), but with
-/// sessions arriving per `arrivals` and interleaved concurrently on one
-/// virtual timeline by sim::FleetEngine.
+/// A randomized trial executed as a fleet: sessions arrive per `arrivals`
+/// and are interleaved concurrently on one virtual timeline by
+/// sim::FleetEngine. run_trial(config) is this with arrivals so sparse that
+/// sessions run back to back.
 ///
 /// Determinism contract: sessions are mutually independent (each has its
 /// own path, TCP connection, viewer and per-session RNG), so the fleet's
 /// interleaving cannot change any session's results — the merged
-/// TrialResult is bit-identical to the session-sequential run_trial at any
-/// thread count AND any shard count, with or without coalesced inference.
+/// TrialResult is bit-identical to driving each session to completion with
+/// run_session in session-index order, at any arrival process, thread
+/// count AND shard count, with or without coalesced inference.
 /// Partial results are appended to the merged TrialResult in ascending
 /// session-index order as a streaming frontier (a completed session's
 /// partial is folded in and freed as soon as every earlier session has
@@ -28,7 +29,7 @@ namespace puffer::exp {
 /// time series and fused-GEMM batched inference across
 /// concurrently-deciding sessions.
 struct FleetTrialConfig {
-  TrialConfig trial;           ///< trial.num_threads drives the engine too
+  TrialConfig trial;           ///< trial.num_threads: engine worker threads
   sim::ArrivalSpec arrivals;   ///< session-arrival process on virtual time
   /// Event-queue shards (0 = one per worker thread). Per-session results
   /// and the merged trial are bit-identical at any value; only the

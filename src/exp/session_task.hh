@@ -35,24 +35,22 @@ namespace detail {
 /// CONSORT bucketing + telemetry folding for one finished stream — shared by
 /// SessionTask (private paths) and ContentionGroupTask members so the two
 /// drivers cannot drift. Draws the 1.1% loss-of-contact bernoulli from
-/// `run_rng` at exactly the position the serial loop draws it.
+/// `run_rng` at the same position for either kind of session.
 void fold_stream_outcome(const sim::StreamOutcome& outcome, Rng& run_rng,
                          const TrialConfig& config, SchemeResult& result,
                          double& session_duration_s, bool& any_considered);
 
 }  // namespace detail
 
-/// One trial session as a resumable task: the session loop the serial trial
-/// path used to run in one call (streams, CONSORT accounting, telemetry
-/// logs), cut at its ABR decision points so the fleet engine can interleave
-/// thousands of sessions on one virtual timeline. The sequential path
-/// drives a task straight to completion (run_session below), so both paths
-/// share one implementation and stay bit-identical by construction.
+/// One trial session as a resumable task (streams, CONSORT accounting,
+/// telemetry logs), cut at its ABR decision points so the fleet engine can
+/// interleave thousands of sessions on one virtual timeline. run_session
+/// below drives a task straight to completion; it is the reference the
+/// fleet is checked against, and both share this one implementation.
 ///
 /// Non-owning throughout: the plan, algorithm, config and result
-/// accumulator must all outlive the task (the serial driver completes
-/// within the caller's scope; the fleet wrapper owns the plan alongside
-/// the task).
+/// accumulator must all outlive the task (run_session completes within the
+/// caller's scope; the fleet wrapper owns the plan alongside the task).
 class SessionTask final : public sim::FleetTask {
  public:
   SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
@@ -108,7 +106,8 @@ class SessionTask final : public sim::FleetTask {
   bool finished_ = false;
 };
 
-/// Drive one session to completion — the serial trial path.
+/// Drive one session to completion on the calling thread, with no engine —
+/// the reference every engine run is checked against.
 void run_session(const SessionPlan& plan, abr::AbrAlgorithm& algo,
                  const TrialConfig& config, SchemeResult& result);
 

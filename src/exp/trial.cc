@@ -1,11 +1,6 @@
 #include "exp/trial.hh"
 
-#include <algorithm>
-#include <iterator>
-
-#include "exp/parallel_trial.hh"
-#include "exp/session_task.hh"
-#include "net/scenario.hh"
+#include "exp/fleet_trial.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -31,132 +26,29 @@ const SchemeResult& TrialResult::result_for(const std::string& name) const {
   throw RequirementError("TrialResult: no scheme named '" + name + "'");
 }
 
-namespace detail {
+namespace {
 
-int64_t num_session_plans(const TrialConfig& config) {
-  // Clamped so a negative sessions_per_scheme yields an empty trial on the
-  // serial and parallel paths alike (unclamped, the parallel runner would
-  // compute a negative chunk count).
-  return std::max<int64_t>(0, config.sessions_per_scheme) *
-         (config.paired_paths ? 1
-                              : static_cast<int64_t>(config.schemes.size()));
+/// run_trial's arrival rate: a mean gap of ~30 years, so a shard's next
+/// session arrives long after the previous one ended and sessions run back
+/// to back, one live session (and one sampled path) per shard at a time.
+constexpr double kBackToBackArrivalsPerS = 1e-9;
+
+FleetTrialConfig back_to_back(const TrialConfig& config) {
+  FleetTrialConfig fleet;
+  fleet.trial = config;
+  fleet.arrivals.rate_per_s = kBackToBackArrivalsPerS;
+  return fleet;
 }
 
-// Tripwire for the field-by-field merge in append_scheme_result: if
-// ConsortCounts grows a field, this forces whoever adds it to extend the
-// merge (a missed field would silently zero it on partial-result runs only,
-// breaking the bit-identity guarantee). SchemeResult's container members
-// have platform-dependent sizes, so keep its member list in sync by hand:
-// scheme, considered, session_durations_s, consort, logs.
-static_assert(sizeof(ConsortCounts) == 7 * sizeof(int64_t),
-              "ConsortCounts changed: update append_scheme_result and "
-              "tests/test_parallel_trial.cc accordingly");
-
-std::vector<SchemeResult> empty_scheme_results(const TrialConfig& config) {
-  std::vector<SchemeResult> results;
-  results.reserve(config.schemes.size());
-  for (const auto& name : config.schemes) {
-    results.push_back(SchemeResult{});
-    results.back().scheme = name;
-  }
-  return results;
-}
-
-std::vector<std::unique_ptr<abr::AbrAlgorithm>> make_algorithms(
-    const TrialConfig& config, const SchemeFactory& factory) {
-  std::vector<std::unique_ptr<abr::AbrAlgorithm>> algorithms;
-  algorithms.reserve(config.schemes.size());
-  for (const auto& name : config.schemes) {
-    algorithms.push_back(factory(name));
-    require(algorithms.back() != nullptr,
-            "run_trial: factory returned null for '" + name + "'");
-  }
-  return algorithms;
-}
-
-void run_session_range(
-    const TrialConfig& config, const net::PathGenerator& paths,
-    const Rng& master, const sim::UserModel& users,
-    const std::span<const std::unique_ptr<abr::AbrAlgorithm>> algorithms,
-    const int64_t begin, const int64_t end,
-    std::vector<SchemeResult>& results) {
-  const auto num_schemes = config.schemes.size();
-  require(algorithms.size() == num_schemes && results.size() == num_schemes,
-          "run_session_range: algorithms/results must match config.schemes");
-
-  for (int64_t s = begin; s < end; s++) {
-    Rng session_rng = master.split(static_cast<uint64_t>(s));
-    SessionPlan plan = make_session_plan(session_rng, users, paths);
-
-    if (config.paired_paths) {
-      // Emulation-style: every scheme experiences the identical session.
-      for (size_t a = 0; a < num_schemes; a++) {
-        run_session(plan, *algorithms[a], config, results[a]);
-      }
-    } else {
-      // RCT: blinded random assignment of the session to one scheme.
-      const auto a = static_cast<size_t>(session_rng.uniform_int(
-          0, static_cast<int64_t>(num_schemes) - 1));
-      run_session(plan, *algorithms[a], config, results[a]);
-    }
-  }
-}
-
-void append_scheme_result(SchemeResult& into, SchemeResult& from) {
-  into.considered.insert(into.considered.end(),
-                         std::make_move_iterator(from.considered.begin()),
-                         std::make_move_iterator(from.considered.end()));
-  into.session_durations_s.insert(into.session_durations_s.end(),
-                                  from.session_durations_s.begin(),
-                                  from.session_durations_s.end());
-  into.logs.insert(into.logs.end(), std::make_move_iterator(from.logs.begin()),
-                   std::make_move_iterator(from.logs.end()));
-  into.consort.sessions += from.consort.sessions;
-  into.consort.streams += from.consort.streams;
-  into.consort.never_began += from.consort.never_began;
-  into.consort.under_min_watch += from.consort.under_min_watch;
-  into.consort.decoder_failure += from.consort.decoder_failure;
-  into.consort.truncated += from.consort.truncated;
-  into.consort.considered += from.consort.considered;
-}
-
-}  // namespace detail
+}  // namespace
 
 TrialResult run_trial(const TrialConfig& config,
                       const SchemeArtifacts& artifacts) {
-  // Wire an enabled fault plan into scheme assembly (resilient Fugu). The
-  // copied artifacts keep the plan pointer valid for the factory's life.
-  SchemeArtifacts wired = artifacts;
-  if (config.faults.enabled && wired.faults == nullptr) {
-    wired.faults = &config.faults;
-  }
-  return run_trial(config, [wired](const std::string& name) {
-    return make_scheme(name, wired);
-  });
+  return run_fleet_trial(back_to_back(config), artifacts).trial;
 }
 
 TrialResult run_trial(const TrialConfig& config, const SchemeFactory& factory) {
-  require(!config.schemes.empty(), "run_trial: need at least one scheme");
-
-  const int num_threads =
-      ParallelTrialRunner::resolve_num_threads(config.num_threads);
-  if (num_threads > 1) {
-    return ParallelTrialRunner{num_threads}.run(config, factory);
-  }
-
-  const std::vector<std::unique_ptr<abr::AbrAlgorithm>> algorithms =
-      detail::make_algorithms(config, factory);
-
-  const std::unique_ptr<net::PathGenerator> paths =
-      net::make_path_generator(config.scenario);
-  const sim::UserModel users{config.seed};
-  const Rng master{config.seed};
-
-  TrialResult trial;
-  trial.schemes = detail::empty_scheme_results(config);
-  detail::run_session_range(config, *paths, master, users, algorithms, 0,
-                            detail::num_session_plans(config), trial.schemes);
-  return trial;
+  return run_fleet_trial(back_to_back(config), factory).trial;
 }
 
 }  // namespace puffer::exp

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -36,12 +35,12 @@ struct TrialConfig {
   int day = 0;  ///< day tag for collected logs
   sim::StreamRunConfig stream;
   double min_watch_time_s = 4.0;  ///< exclusion threshold (Figure A1)
-  /// Worker threads for the session loop. 0 means "use all hardware
-  /// threads"; 1 forces the serial path. Any value yields bit-identical
-  /// TrialResult contents: sessions are independent given their plan
-  /// (each derives from master.split(session_index) and every scheme fully
-  /// resets per session), and partial results are merged in session-index
-  /// order.
+  /// Worker threads of the fleet engine that runs the trial. 0 means "use
+  /// all hardware threads"; 1 runs every session on the calling thread. Any
+  /// value yields bit-identical TrialResult contents: sessions are
+  /// independent given their plan (each derives from
+  /// master.split(session_index) and every scheme fully resets per
+  /// session), and partial results are merged in session-index order.
   int num_threads = 0;
   /// Fault-injection plan (disabled by default — the zero-fault contract:
   /// a disabled plan leaves every result byte identical to pre-fault
@@ -82,7 +81,8 @@ struct TrialResult {
 
 /// Run a randomized controlled trial: sessions are blindly assigned to
 /// schemes, streamed over sampled paths with sampled viewer behaviour, and
-/// accounted per Figure A1.
+/// accounted per Figure A1. Runs on the fleet engine (run_fleet_trial) with
+/// arrivals so sparse that each shard streams its sessions back to back.
 TrialResult run_trial(const TrialConfig& config,
                       const SchemeArtifacts& artifacts);
 
@@ -91,46 +91,6 @@ TrialResult run_trial(const TrialConfig& config,
 using SchemeFactory =
     std::function<std::unique_ptr<abr::AbrAlgorithm>(const std::string&)>;
 TrialResult run_trial(const TrialConfig& config, const SchemeFactory& factory);
-
-namespace detail {
-
-/// Internal plumbing shared between the serial path, ParallelTrialRunner
-/// and the fleet trial runner.
-
-/// Number of session plans the trial draws (paired mode replays each plan
-/// for every scheme; RCT mode assigns each plan to exactly one scheme).
-[[nodiscard]] int64_t num_session_plans(const TrialConfig& config);
-
-/// Fresh per-scheme accumulators in config.schemes order.
-[[nodiscard]] std::vector<SchemeResult> empty_scheme_results(
-    const TrialConfig& config);
-
-/// One algorithm instance per scheme, in config.schemes order; throws if the
-/// factory returns null. Both the serial path and each parallel worker build
-/// their scheme set through this.
-[[nodiscard]] std::vector<std::unique_ptr<abr::AbrAlgorithm>> make_algorithms(
-    const TrialConfig& config, const SchemeFactory& factory);
-
-/// Run session plans [begin, end), appending into `results` (one entry per
-/// scheme, config.schemes order). Pure function of (config, paths, master,
-/// users, begin, end) provided every algorithm honours reset_session(): the
-/// serial path is one call over [0, N) and the parallel runner stitches
-/// together consecutive ranges. `paths` is the generator resolved from
-/// config.scenario — built once per trial and shared across workers
-/// (PathGenerator implementations are stateless).
-void run_session_range(
-    const TrialConfig& config, const net::PathGenerator& paths,
-    const Rng& master, const sim::UserModel& users,
-    std::span<const std::unique_ptr<abr::AbrAlgorithm>> algorithms,
-    int64_t begin, int64_t end, std::vector<SchemeResult>& results);
-
-/// Merge one partial per-scheme accumulator into `into`, preserving the
-/// order of `from`'s entries. Partial-result runners (parallel chunks,
-/// fleet sessions) merge in ascending session order so the combined result
-/// is bit-identical to the serial loop.
-void append_scheme_result(SchemeResult& into, SchemeResult& from);
-
-}  // namespace detail
 
 }  // namespace puffer::exp
 

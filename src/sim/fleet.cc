@@ -92,9 +92,7 @@ using EventQueue =
 
 /// Drive one shard's sessions to completion on the calling thread.
 /// `sessions` holds the shard's global session indices in ascending order;
-/// `arrivals` is the full (global) arrival-time array. `phase_c_pool` (only
-/// non-null in the single-shard configuration) stripes each decision batch
-/// across `phase_c_workers` threads, the PR 4 scheme. The shard's stats —
+/// `arrivals` is the full (global) arrival-time array. The shard's stats —
 /// including its share of the load-series deltas — accumulate into `stats`,
 /// which the caller owns exclusively for this shard; stats.load is left
 /// un-finalized so the caller can merge shards before folding.
@@ -103,7 +101,6 @@ void run_shard(const FleetConfig& config,
                const std::span<const int64_t> sessions,
                const FleetEngine::TaskFactory& factory,
                const FleetEngine::CompletionSink& on_complete, const int shard,
-               const int phase_c_workers, ThreadPool* phase_c_pool,
                obs::TraceWriter* const trace, FleetRunStats& stats) {
   const obs::ProfScope shard_scope{"fleet.shard"};
   std::vector<std::unique_ptr<FleetTask>> tasks(sessions.size());
@@ -229,32 +226,15 @@ void run_shard(const FleetConfig& config,
     }
 
     // Phase C: complete each decision and advance its session to the next
-    // decision point. Tasks only touch their own state and read the shared
-    // batch, so any thread assignment is bit-identical. Striped across the
-    // pool in the single-shard configuration; serial on this shard's worker
-    // otherwise (shards, not stripes, are the parallelism then).
+    // decision point, serially on this shard's worker (shards are the
+    // engine's only parallelism).
     completed.assign(batch.size(), 0);
     {
       const obs::ProfScope finish_scope{"fleet.finish"};
-      const auto process = [&](const size_t i) {
+      for (size_t i = 0; i < batch.size(); i++) {
         FleetTask& task = *tasks[static_cast<size_t>(batch[i].slot)];
         task.finish_chunk();
         completed[i] = task.prepare() == FleetTask::Step::kDone ? 1 : 0;
-      };
-      if (phase_c_pool != nullptr && batch.size() > 1) {
-        for (int w = 0; w < phase_c_workers; w++) {
-          phase_c_pool->submit([&, w] {
-            for (size_t i = static_cast<size_t>(w); i < batch.size();
-                 i += static_cast<size_t>(phase_c_workers)) {
-              process(i);
-            }
-          });
-        }
-        phase_c_pool->wait();
-      } else {
-        for (size_t i = 0; i < batch.size(); i++) {
-          process(i);
-        }
       }
     }
 
@@ -354,41 +334,11 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
     require(arrivals[i] <= arrivals[i + 1],
             "FleetEngine: arrivals must be sorted ascending");
   }
-  const int workers = resolved_num_threads();
   const int shards = resolved_num_shards();
+  const int workers = std::min(resolved_num_threads(), shards);
 
-  if (shards == 1) {
-    // Single queue: workers stripe within each decision batch (PR 4 path).
-    std::vector<int64_t> all(arrivals.size());
-    for (size_t i = 0; i < all.size(); i++) {
-      all[i] = static_cast<int64_t>(i);
-    }
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 1) {
-      pool = std::make_unique<ThreadPool>(workers);
-    }
-    obs::TraceWriter shard_trace;
-    FleetRunStats stats;
-    run_shard(config_, arrivals, all, factory, on_complete, /*shard=*/0,
-              workers, pool.get(),
-              config_.trace != nullptr ? &shard_trace : nullptr, stats);
-    stats.num_shards = 1;
-    stats.num_workers = workers;
-    stats.load.finalize();
-    stats.shard_metrics.push_back(stats.metrics);
-    if (config_.trace != nullptr) {
-      config_.trace->process_name(obs::kSimTracePid, "virtual time (sim)");
-      config_.trace->thread_name(obs::kSimTracePid, 0, "shard 0");
-      config_.trace->append_from(shard_trace);
-    }
-    return stats;
-  }
-
-  // Sharded: partition sessions by index, one independent event queue per
-  // shard, one ThreadPool job per shard submitted in ascending shard order
-  // (so the lowest failing shard's exception is the one wait() rethrows).
-  // Each job writes only its own pre-indexed shard_stats slot; the pool's
-  // wait() provides the happens-before for the serial merge below.
+  // Partition sessions by index, one independent event queue per shard.
+  // Each shard writes only its own pre-indexed shard_stats slot.
   std::vector<std::vector<int64_t>> members(static_cast<size_t>(shards));
   for (size_t i = 0; i < arrivals.size(); i++) {
     members[static_cast<size_t>(shard_of(static_cast<int64_t>(i)))]
@@ -400,28 +350,35 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
   // merged virtual plane is independent of which shard finished first.
   std::vector<obs::TraceWriter> shard_traces(
       config_.trace != nullptr ? static_cast<size_t>(shards) : 0);
-  {
-    ThreadPool pool{std::min(workers, shards)};
+  const auto drive = [&](const int s) {
+    run_shard(config_, arrivals, members[static_cast<size_t>(s)], factory,
+              on_complete, s,
+              shard_traces.empty() ? nullptr
+                                   : &shard_traces[static_cast<size_t>(s)],
+              shard_stats[static_cast<size_t>(s)]);
+  };
+  // Shards run in ascending order — on the calling thread with one worker,
+  // else one ThreadPool job each — so the lowest failing shard's exception
+  // is the one that propagates (the pool rethrows by submission index).
+  // The pool's wait() provides the happens-before for the merge below.
+  if (workers == 1) {
     for (int s = 0; s < shards; s++) {
-      pool.submit([this, s, arrivals, &members, &factory, &on_complete,
-                   &shard_stats, &shard_traces] {
-        run_shard(config_, arrivals, members[static_cast<size_t>(s)], factory,
-                  on_complete, s, /*phase_c_workers=*/1,
-                  /*phase_c_pool=*/nullptr,
-                  shard_traces.empty() ? nullptr
-                                       : &shard_traces[static_cast<size_t>(s)],
-                  shard_stats[static_cast<size_t>(s)]);
-      });
+      drive(s);
+    }
+  } else {
+    ThreadPool pool{workers};
+    for (int s = 0; s < shards; s++) {
+      pool.submit([&drive, s] { drive(s); });
     }
     pool.wait();
   }
 
   // Merge in ascending shard order. Counter sums and the load-series delta
   // multiset are partition-invariant, so everything except the shard-local
-  // batching counters is bit-identical to the single-queue run.
+  // batching counters is bit-identical at any shard count.
   FleetRunStats stats;
   stats.num_shards = shards;
-  stats.num_workers = std::min(workers, shards);
+  stats.num_workers = workers;
   for (FleetRunStats& shard : shard_stats) {
     stats.sessions += shard.sessions;
     stats.decisions += shard.decisions;

@@ -90,10 +90,11 @@ class FleetTask {
 };
 
 struct FleetConfig {
-  /// Worker threads. 0 = all hardware threads. With one shard, workers
-  /// stripe each decision batch (the PR 4 scheme); with more shards each
-  /// worker drives whole shards. Any value yields bit-identical per-session
-  /// results: tasks are independent and results land in pre-indexed slots.
+  /// Worker threads. 0 = all hardware threads. Each worker drives whole
+  /// shards, so at most num_shards workers are used; with one worker the
+  /// shards run in order on the calling thread. Any value yields
+  /// bit-identical per-session results: tasks are independent and results
+  /// land in pre-indexed slots.
   int num_threads = 1;
   /// Event-queue shards. Sessions are assigned to shards by session index
   /// (see shard_group); each shard owns its own event queue, virtual clock,
@@ -150,23 +151,24 @@ struct FleetRunStats {
 
 /// Discrete-event fleet scheduler: interleaves thousands of concurrent
 /// sessions on one virtual timeline — the simulated counterpart of Puffer's
-/// ~100-sessions-day-and-night deployment (Figure 2) instead of the
-/// one-stream-at-a-time trial loop. Sessions arrive per an
+/// ~100-sessions-day-and-night deployment (Figure 2). Sessions arrive per an
 /// ArrivalProcess-sampled schedule, progress one chunk decision per event,
 /// and (when coalescing is on) have the TTP inference of near-simultaneous
-/// decisions fused into single GEMMs.
+/// decisions fused into single GEMMs. Every trial runs on it: run_trial is
+/// a fleet run with arrivals so sparse that each shard streams its sessions
+/// back to back.
 ///
-/// Sharding: with num_shards > 1 the session population is partitioned by
-/// session index and each shard runs its own event queue, virtual clock and
-/// coalescing window on a dedicated ThreadPool worker. Sessions never
-/// interact, so a shard's event interleaving is exactly the interleaving
-/// the single queue would have produced restricted to that shard's
-/// sessions — per-session results, the merged load series (shards merge
-/// their +1/-1 delta multisets), sessions/decisions counts and the virtual
-/// duration are all bit-identical to the sequential single-queue run at any
-/// shard count. Shard jobs are submitted in ascending shard order, so a
-/// failure surfaces deterministically as the lowest failing shard's
-/// exception (ThreadPool rethrows by submission index).
+/// Sharding: the session population is partitioned by session index and
+/// each shard runs its own event queue, virtual clock and coalescing window
+/// serially on one worker; shards are the engine's only parallelism.
+/// Sessions never interact, so a shard's event interleaving is exactly the
+/// interleaving a single queue would have produced restricted to that
+/// shard's sessions — per-session results, the merged load series (shards
+/// merge their +1/-1 delta multisets), sessions/decisions counts and the
+/// virtual duration are all bit-identical at any shard count. Shards start
+/// in ascending shard order, so a failure surfaces deterministically as the
+/// lowest failing shard's exception (ThreadPool rethrows by submission
+/// index).
 class FleetEngine {
  public:
   /// Invoked once per arrival to build session `session_index`'s task, on

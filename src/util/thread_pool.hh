@@ -15,10 +15,9 @@ namespace puffer {
 
 /// A small fixed-size worker pool. Jobs are run in FIFO submission order by
 /// whichever worker frees up first; wait() blocks until every submitted job
-/// has finished. Used by the experiment layer to shard embarrassingly
-/// parallel session loops across cores — determinism is the caller's
-/// responsibility (jobs must write to disjoint, pre-indexed slots rather
-/// than to shared accumulators).
+/// has finished. The fleet engine runs one job per event-queue shard on it
+/// — determinism is the caller's responsibility (jobs must write to
+/// disjoint, pre-indexed slots rather than to shared accumulators).
 ///
 /// Jobs may throw: the exception of the *lowest-submission-index* failing
 /// job is captured and rethrown by the next wait() on the calling thread
@@ -29,7 +28,7 @@ namespace puffer {
 /// submits one job per shard, in shard order) surface the same error no
 /// matter how the OS schedules the workers. Callers that need every error,
 /// or want to cancel outstanding work on the first failure, should catch
-/// inside the job instead (see ParallelTrialRunner).
+/// inside the job instead.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (values < 1 are clamped to 1).

@@ -172,6 +172,37 @@ TEST(Detlint, ProfPlaneClockAllowlistIsScopedToProfFiles) {
   EXPECT_EQ(elsewhere.findings.front().rule, "R1");
 }
 
+/// An entry whose path names nothing under the root is stale (the CLI exits
+/// 2 naming it and its line); the shipped config has none.
+TEST(Detlint, StaleAllowlistEntriesAreReported) {
+  const std::string root =
+      std::string{PUFFER_DETLINT_FIXTURES_DIR} + "/../..";
+  const detlint::Config config = detlint::parse_config(
+      "R1 bench/fleet_scale.cc wall-clock timing\n"
+      "R1 bench/ wall-clock timing\n"
+      "# a comment line still counts\n"
+      "R1 bench/removed_bench.cc wall-clock timing\n"
+      "R1 bench/fleet_scale.cc/ a file is not a directory\n"
+      "R5 no_such_dir/ gone\n");
+  const std::vector<detlint::AllowEntry> stale =
+      detlint::stale_entries(config, root);
+  ASSERT_EQ(stale.size(), 3u);
+  EXPECT_EQ(stale[0].path, "bench/removed_bench.cc");
+  EXPECT_EQ(stale[0].line, 4);
+  EXPECT_EQ(stale[1].path, "bench/fleet_scale.cc/");
+  EXPECT_EQ(stale[1].line, 5);
+  EXPECT_EQ(stale[2].rule, "R5");
+  EXPECT_EQ(stale[2].line, 6);
+
+  std::ifstream conf_in{root + "/tools/detlint/detlint.conf"};
+  ASSERT_TRUE(conf_in.is_open());
+  std::ostringstream conf_body;
+  conf_body << conf_in.rdbuf();
+  EXPECT_TRUE(
+      detlint::stale_entries(detlint::parse_config(conf_body.str()), root)
+          .empty());
+}
+
 TEST(Detlint, DirectoryPrefixAllowlisting) {
   const detlint::Config config =
       detlint::parse_config("R1 bench/ wall-clock timing\n");

@@ -68,8 +68,8 @@ TrialConfig small_trial_config() {
   config.schemes = {"BBA", "MPC-HM"};
   config.sessions_per_scheme = 24;
   config.seed = 7;
-  // Route through the parallel runner on every machine (run_trial shards
-  // across 4 workers); results are bit-identical to serial regardless.
+  // Four workers, so the fleet engine runs four shards in parallel on every
+  // machine; results are bit-identical to one thread regardless.
   config.num_threads = 4;
   return config;
 }
@@ -118,9 +118,9 @@ TEST(Trial, ExclusionBucketsArePopulated) {
 }
 
 TEST(Trial, DeterministicForSeed) {
-  // The shared trial ran through the parallel runner (4 workers); this
-  // fresh run forces the serial path. Equality checks both determinism
-  // across runs and serial/parallel equivalence.
+  // The shared trial ran on 4 workers; this fresh run uses one thread (one
+  // shard on the caller). Equality checks both determinism across runs and
+  // thread-count invariance.
   const SchemeArtifacts none;
   TrialConfig serial_config = small_trial_config();
   serial_config.num_threads = 1;

@@ -26,6 +26,7 @@
 #include "fugu/resilient.hh"
 #include "obs/trace.hh"
 #include "sim/faults.hh"
+#include "test_helpers.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 
@@ -264,44 +265,8 @@ TEST(ResilientPredictor, StatsInvariantsOverManySeeds) {
 // Zero-fault contract and the faulted shard×thread matrix
 // ---------------------------------------------------------------------------
 
-void expect_same_bits(const double a, const double b) {
-  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b));
-}
-
-void expect_identical(const exp::TrialResult& a, const exp::TrialResult& b) {
-  ASSERT_EQ(a.schemes.size(), b.schemes.size());
-  for (size_t s = 0; s < a.schemes.size(); s++) {
-    const exp::SchemeResult& x = a.schemes[s];
-    const exp::SchemeResult& y = b.schemes[s];
-    EXPECT_EQ(x.scheme, y.scheme);
-    EXPECT_EQ(x.consort.sessions, y.consort.sessions);
-    EXPECT_EQ(x.consort.streams, y.consort.streams);
-    EXPECT_EQ(x.consort.never_began, y.consort.never_began);
-    EXPECT_EQ(x.consort.under_min_watch, y.consort.under_min_watch);
-    EXPECT_EQ(x.consort.decoder_failure, y.consort.decoder_failure);
-    EXPECT_EQ(x.consort.truncated, y.consort.truncated);
-    EXPECT_EQ(x.consort.considered, y.consort.considered);
-    ASSERT_EQ(x.considered.size(), y.considered.size());
-    for (size_t i = 0; i < x.considered.size(); i++) {
-      expect_same_bits(x.considered[i].watch_time_s,
-                       y.considered[i].watch_time_s);
-      expect_same_bits(x.considered[i].stall_time_s,
-                       y.considered[i].stall_time_s);
-      expect_same_bits(x.considered[i].startup_delay_s,
-                       y.considered[i].startup_delay_s);
-      expect_same_bits(x.considered[i].ssim_mean_db,
-                       y.considered[i].ssim_mean_db);
-      expect_same_bits(x.considered[i].mean_bitrate_mbps,
-                       y.considered[i].mean_bitrate_mbps);
-      expect_same_bits(x.considered[i].mean_delivery_rate_mbps,
-                       y.considered[i].mean_delivery_rate_mbps);
-    }
-    ASSERT_EQ(x.session_durations_s.size(), y.session_durations_s.size());
-    for (size_t i = 0; i < x.session_durations_s.size(); i++) {
-      expect_same_bits(x.session_durations_s[i], y.session_durations_s[i]);
-    }
-  }
-}
+using test::expect_identical;
+using test::expect_same_bits;
 
 int64_t metric_value(const obs::MetricSnapshot& snapshot,
                      const std::string& name) {
@@ -353,7 +318,8 @@ TEST(ZeroFault, DisabledPlanBitIdenticalToUnwiredFactory) {
     }
     return exp::make_scheme(name, exp::SchemeArtifacts{});
   };
-  const exp::TrialResult baseline = exp::run_trial(config.trial, unwired);
+  const exp::TrialResult baseline =
+      test::run_sessions_in_order(config.trial, unwired);
 
   config.trial.faults.add(sim::kFaultTtpInference, 0.9);  // disabled: inert
   const exp::SchemeArtifacts artifacts = fault_artifacts(&config.trial.faults);
@@ -404,6 +370,15 @@ TEST(FaultMatrix, BitIdenticalAcrossShardsAndThreads) {
   config.trial.num_threads = 1;
   const exp::FleetTrialResult baseline =
       exp::run_fleet_trial(config, artifacts);
+
+  // The engine reproduces the serial oracle with faults on, too.
+  expect_identical(
+      test::run_sessions_in_order(
+          config.trial,
+          [&artifacts](const std::string& name) {
+            return exp::make_scheme(name, artifacts);
+          }),
+      baseline.trial);
 
   // The schedule actually fired: faults are being exercised, not parsed.
   EXPECT_GT(metric_value(baseline.metrics, "faults.ttp_failures"), 0);

@@ -18,6 +18,7 @@
 #include "sim/arrivals.hh"
 #include "sim/fleet.hh"
 #include "stats/load_series.hh"
+#include "test_helpers.hh"
 #include "util/require.hh"
 
 namespace puffer {
@@ -375,63 +376,9 @@ TEST(BatchTtp, SharedBatchCoalescesAcrossSessionsExactly) {
 // Fleet trials
 // ---------------------------------------------------------------------------
 
-void expect_same_bits(const double a, const double b) {
-  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b));
-}
-
-void expect_identical(const exp::TrialResult& a, const exp::TrialResult& b) {
-  ASSERT_EQ(a.schemes.size(), b.schemes.size());
-  for (size_t s = 0; s < a.schemes.size(); s++) {
-    const exp::SchemeResult& x = a.schemes[s];
-    const exp::SchemeResult& y = b.schemes[s];
-    EXPECT_EQ(x.scheme, y.scheme);
-
-    EXPECT_EQ(x.consort.sessions, y.consort.sessions);
-    EXPECT_EQ(x.consort.streams, y.consort.streams);
-    EXPECT_EQ(x.consort.never_began, y.consort.never_began);
-    EXPECT_EQ(x.consort.under_min_watch, y.consort.under_min_watch);
-    EXPECT_EQ(x.consort.decoder_failure, y.consort.decoder_failure);
-    EXPECT_EQ(x.consort.truncated, y.consort.truncated);
-    EXPECT_EQ(x.consort.considered, y.consort.considered);
-
-    ASSERT_EQ(x.considered.size(), y.considered.size());
-    for (size_t i = 0; i < x.considered.size(); i++) {
-      expect_same_bits(x.considered[i].watch_time_s,
-                       y.considered[i].watch_time_s);
-      expect_same_bits(x.considered[i].stall_time_s,
-                       y.considered[i].stall_time_s);
-      expect_same_bits(x.considered[i].startup_delay_s,
-                       y.considered[i].startup_delay_s);
-      expect_same_bits(x.considered[i].ssim_mean_db,
-                       y.considered[i].ssim_mean_db);
-      expect_same_bits(x.considered[i].ssim_variation_db,
-                       y.considered[i].ssim_variation_db);
-      expect_same_bits(x.considered[i].first_chunk_ssim_db,
-                       y.considered[i].first_chunk_ssim_db);
-      expect_same_bits(x.considered[i].mean_bitrate_mbps,
-                       y.considered[i].mean_bitrate_mbps);
-      expect_same_bits(x.considered[i].mean_delivery_rate_mbps,
-                       y.considered[i].mean_delivery_rate_mbps);
-    }
-
-    ASSERT_EQ(x.session_durations_s.size(), y.session_durations_s.size());
-    for (size_t i = 0; i < x.session_durations_s.size(); i++) {
-      expect_same_bits(x.session_durations_s[i], y.session_durations_s[i]);
-    }
-
-    ASSERT_EQ(x.logs.size(), y.logs.size());
-    for (size_t i = 0; i < x.logs.size(); i++) {
-      EXPECT_EQ(x.logs[i].day, y.logs[i].day);
-      ASSERT_EQ(x.logs[i].chunks.size(), y.logs[i].chunks.size());
-      for (size_t c = 0; c < x.logs[i].chunks.size(); c++) {
-        expect_same_bits(x.logs[i].chunks[c].size_mb,
-                         y.logs[i].chunks[c].size_mb);
-        expect_same_bits(x.logs[i].chunks[c].tx_time_s,
-                         y.logs[i].chunks[c].tx_time_s);
-      }
-    }
-  }
-}
+using test::expect_identical;
+using test::expect_same_bits;
+using test::run_sessions_in_order;
 
 /// Schemes exercising all three decision paths: coalesced learned inference
 /// (Fugu via BatchTtpPredictor), classical MPC (default predict_batch) and
@@ -462,14 +409,19 @@ exp::FleetTrialConfig fleet_config() {
 }
 
 /// Acceptance criterion (a): the fleet interleaving of non-interacting
-/// sessions is figure-identical to the session-sequential baseline.
+/// sessions is figure-identical to the serial oracle — and so is run_trial,
+/// the back-to-back fleet run, at any thread count.
 TEST(FleetTrial, MatchesSequentialBaselineInRctMode) {
-  const exp::FleetTrialConfig config = fleet_config();
+  exp::FleetTrialConfig config = fleet_config();
   const exp::TrialResult sequential =
-      exp::run_trial(config.trial, fleet_factory());
+      run_sessions_in_order(config.trial, fleet_factory());
   const exp::FleetTrialResult fleet =
       exp::run_fleet_trial(config, fleet_factory());
   expect_identical(sequential, fleet.trial);
+  for (const int threads : {1, 3}) {
+    config.trial.num_threads = threads;
+    expect_identical(sequential, exp::run_trial(config.trial, fleet_factory()));
+  }
 
   const int64_t total =
       static_cast<int64_t>(config.trial.schemes.size()) *
@@ -489,26 +441,34 @@ TEST(FleetTrial, MatchesSequentialBaselineInPairedMode) {
   config.trial.paired_paths = true;
   config.trial.sessions_per_scheme = 4;
   const exp::TrialResult sequential =
-      exp::run_trial(config.trial, fleet_factory());
+      run_sessions_in_order(config.trial, fleet_factory());
   const exp::FleetTrialResult fleet =
       exp::run_fleet_trial(config, fleet_factory());
   expect_identical(sequential, fleet.trial);
+  for (const int threads : {1, 3}) {
+    config.trial.num_threads = threads;
+    expect_identical(sequential, exp::run_trial(config.trial, fleet_factory()));
+  }
 }
 
 /// Acceptance criterion (b): bit-identical results at any thread count —
-/// including the load series the engine records. Pinned to one shard so the
-/// batching counters are comparable too: with a single queue, batch
-/// membership is thread-count-invariant (threads stripe within batches).
+/// including the load series the engine records. Pinned to four shards so
+/// the runs really are threaded and the batching counters are comparable
+/// too: at a fixed shard count, batch membership is thread-count-invariant
+/// (each shard runs serially on whichever worker drives it).
 TEST(FleetTrial, BitIdenticalAcrossThreadCounts) {
   exp::FleetTrialConfig config = fleet_config();
-  config.num_shards = 1;
+  config.num_shards = 4;
   const exp::FleetTrialResult one = exp::run_fleet_trial(config, fleet_factory());
+  EXPECT_EQ(one.fleet.num_workers, 1);
   for (const int threads : {2, 4}) {
     config.trial.num_threads = threads;
     const exp::FleetTrialResult many =
         exp::run_fleet_trial(config, fleet_factory());
+    EXPECT_EQ(many.fleet.num_workers, threads);
     expect_identical(one.trial, many.trial);
     EXPECT_EQ(one.fleet.decisions, many.fleet.decisions);
+    EXPECT_EQ(one.fleet.inline_decisions, many.fleet.inline_decisions);
     EXPECT_EQ(one.fleet.coalesced_rows, many.fleet.coalesced_rows);
     EXPECT_EQ(one.fleet.gemm_calls, many.fleet.gemm_calls);
     ASSERT_EQ(one.fleet.load.points().size(), many.fleet.load.points().size());
@@ -528,7 +488,7 @@ TEST(FleetTrial, BitIdenticalAcrossThreadCounts) {
 /// batch membership is shard-local by design.)
 TEST(FleetTrial, BitIdenticalAcrossShardCounts) {
   const exp::TrialResult sequential =
-      exp::run_trial(fleet_config().trial, fleet_factory());
+      run_sessions_in_order(fleet_config().trial, fleet_factory());
   for (const bool coalesce : {true, false}) {
     exp::FleetTrialConfig config = fleet_config();
     config.coalesce_inference = coalesce;
@@ -564,19 +524,22 @@ TEST(FleetTrial, BitIdenticalAcrossShardCounts) {
 
 /// Paired mode under sharding: shard_group colocates a plan's per-scheme
 /// task copies on one shard (they share an immutable plan), and the merged
-/// trial stays bit-identical to the sequential baseline.
+/// trial stays bit-identical to the serial oracle — also with fewer plans
+/// than shards or workers, which leaves some shards empty.
 TEST(FleetTrial, PairedModeBitIdenticalAcrossShardCounts) {
   exp::FleetTrialConfig config = fleet_config();
   config.trial.paired_paths = true;
-  config.trial.sessions_per_scheme = 4;
   config.trial.num_threads = 4;
-  const exp::TrialResult sequential =
-      exp::run_trial(config.trial, fleet_factory());
-  for (const int shards : {1, 2, 4, 8}) {
-    config.num_shards = shards;
-    const exp::FleetTrialResult fleet =
-        exp::run_fleet_trial(config, fleet_factory());
-    expect_identical(sequential, fleet.trial);
+  for (const int plans : {4, 1}) {
+    config.trial.sessions_per_scheme = plans;
+    const exp::TrialResult sequential =
+        run_sessions_in_order(config.trial, fleet_factory());
+    for (const int shards : {1, 2, 4, 8}) {
+      config.num_shards = shards;
+      const exp::FleetTrialResult fleet =
+          exp::run_fleet_trial(config, fleet_factory());
+      expect_identical(sequential, fleet.trial);
+    }
   }
 }
 
@@ -597,6 +560,14 @@ TEST(FleetTrial, FactoryFailureMidRunPropagates) {
   };
   EXPECT_THROW(static_cast<void>(exp::run_fleet_trial(config, broken)),
                RequirementError);
+
+  // An unknown scheme makes the registry factory throw on a shard worker;
+  // run_trial surfaces it too.
+  config.trial.schemes = {"HAL9000"};
+  config.trial.num_threads = 4;
+  EXPECT_THROW(
+      static_cast<void>(exp::run_trial(config.trial, exp::SchemeArtifacts{})),
+      RequirementError);
 }
 
 /// Exception-propagation determinism: the engine submits shard jobs in
@@ -835,15 +806,26 @@ TEST(FleetTrial, VirtualTimeTraceByteIdenticalAcrossRepeatRuns) {
   EXPECT_EQ(first, traced_run(4));
 }
 
+/// Zero or negative sessions_per_scheme yields an empty trial (every
+/// scheme present, no sessions) on the fleet and run_trial alike.
 TEST(FleetTrial, EmptyTrialIsFine) {
   exp::FleetTrialConfig config = fleet_config();
-  config.trial.sessions_per_scheme = 0;
-  const exp::FleetTrialResult result =
-      exp::run_fleet_trial(config, fleet_factory());
-  EXPECT_EQ(result.fleet.sessions, 0);
-  EXPECT_EQ(result.fleet.decisions, 0);
-  for (const auto& scheme : result.trial.schemes) {
-    EXPECT_EQ(scheme.consort.sessions, 0);
+  for (const int sessions : {0, -3}) {
+    config.trial.sessions_per_scheme = sessions;
+    const exp::FleetTrialResult result =
+        exp::run_fleet_trial(config, fleet_factory());
+    EXPECT_EQ(result.fleet.sessions, 0);
+    EXPECT_EQ(result.fleet.decisions, 0);
+    const exp::TrialResult trial =
+        exp::run_trial(config.trial, fleet_factory());
+    ASSERT_EQ(trial.schemes.size(), config.trial.schemes.size());
+    for (const auto& scheme : trial.schemes) {
+      EXPECT_EQ(scheme.consort.sessions, 0);
+      EXPECT_TRUE(scheme.considered.empty());
+    }
+    for (const auto& scheme : result.trial.schemes) {
+      EXPECT_EQ(scheme.consort.sessions, 0);
+    }
   }
 }
 

@@ -34,7 +34,7 @@ struct GoldenRow {
 
 // Pinned with PUFFER_UPDATE_GOLDEN=1 at the introduction of the scenario
 // engine. Each row aggregates one 2-scheme x 6-session RCT (seed 20190119)
-// over the named family, run through the parallel runner (3 workers).
+// over the named family, run on three shards and workers.
 //
 // Regenerated when the contention families landed, for two reasons: three
 // new rows (cell-shared, edge-contention, wifi-home), and two
@@ -88,7 +88,7 @@ Aggregates run_family(const std::string& family) {
   config.schemes = {"BBA", "MPC-HM"};
   config.sessions_per_scheme = 6;
   config.seed = 20190119;
-  config.num_threads = 3;  // pin through the parallel runner
+  config.num_threads = 3;  // pin to three shards on three workers
   config.scenario = net::ScenarioSpec{family};
   if (family == "trace-replay") {
     config.scenario.trace_path = golden_trace_path();
@@ -163,8 +163,8 @@ TEST(GoldenTrial, EveryFamilyMatchesPinnedStatistics) {
 }
 
 TEST(GoldenTrial, GoldenRunIsThreadCountInvariant) {
-  // The pinned values came from a 3-worker run; the serial path must agree
-  // exactly (the parallel runner's core guarantee, re-checked here on the
+  // The pinned values came from a 3-worker run; one thread must agree
+  // exactly (the fleet engine's core guarantee, re-checked here on the
   // golden config so the goldens stay meaningful on any machine).
   TrialConfig parallel_config;
   parallel_config.schemes = {"BBA", "MPC-HM"};

@@ -1,11 +1,20 @@
 #ifndef PUFFER_TESTS_TEST_HELPERS_HH
 #define PUFFER_TESTS_TEST_HELPERS_HH
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "abr/abr.hh"
+#include "exp/session_task.hh"
+#include "exp/trial.hh"
 #include "media/ladder.hh"
 #include "media/vbr_source.hh"
+#include "net/scenario.hh"
 
 namespace puffer::test {
 
@@ -49,6 +58,108 @@ inline abr::ChunkRecord record_at_throughput(const int64_t index,
   record.ssim_db = 14.0;
   record.transmission_time_s = size_bytes / throughput_bps;
   return record;
+}
+
+/// Bitwise double equality: trial runs promise *bit-identical* results,
+/// stronger than operator== (which, e.g., treats -0.0 == 0.0).
+inline void expect_same_bits(const double a, const double b) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b));
+}
+
+/// Every figure, CONSORT count, session duration and telemetry log of two
+/// trials, compared bit for bit.
+inline void expect_identical(const exp::TrialResult& a,
+                             const exp::TrialResult& b) {
+  ASSERT_EQ(a.schemes.size(), b.schemes.size());
+  for (size_t s = 0; s < a.schemes.size(); s++) {
+    const exp::SchemeResult& x = a.schemes[s];
+    const exp::SchemeResult& y = b.schemes[s];
+    EXPECT_EQ(x.scheme, y.scheme);
+
+    EXPECT_EQ(x.consort.sessions, y.consort.sessions);
+    EXPECT_EQ(x.consort.streams, y.consort.streams);
+    EXPECT_EQ(x.consort.never_began, y.consort.never_began);
+    EXPECT_EQ(x.consort.under_min_watch, y.consort.under_min_watch);
+    EXPECT_EQ(x.consort.decoder_failure, y.consort.decoder_failure);
+    EXPECT_EQ(x.consort.truncated, y.consort.truncated);
+    EXPECT_EQ(x.consort.considered, y.consort.considered);
+
+    ASSERT_EQ(x.considered.size(), y.considered.size());
+    for (size_t i = 0; i < x.considered.size(); i++) {
+      const stats::StreamFigures& p = x.considered[i];
+      const stats::StreamFigures& q = y.considered[i];
+      expect_same_bits(p.watch_time_s, q.watch_time_s);
+      expect_same_bits(p.stall_time_s, q.stall_time_s);
+      expect_same_bits(p.startup_delay_s, q.startup_delay_s);
+      expect_same_bits(p.ssim_mean_db, q.ssim_mean_db);
+      expect_same_bits(p.ssim_variation_db, q.ssim_variation_db);
+      expect_same_bits(p.first_chunk_ssim_db, q.first_chunk_ssim_db);
+      expect_same_bits(p.mean_bitrate_mbps, q.mean_bitrate_mbps);
+      expect_same_bits(p.mean_delivery_rate_mbps, q.mean_delivery_rate_mbps);
+    }
+
+    ASSERT_EQ(x.session_durations_s.size(), y.session_durations_s.size());
+    for (size_t i = 0; i < x.session_durations_s.size(); i++) {
+      expect_same_bits(x.session_durations_s[i], y.session_durations_s[i]);
+    }
+
+    ASSERT_EQ(x.logs.size(), y.logs.size());
+    for (size_t i = 0; i < x.logs.size(); i++) {
+      EXPECT_EQ(x.logs[i].day, y.logs[i].day);
+      ASSERT_EQ(x.logs[i].chunks.size(), y.logs[i].chunks.size());
+      for (size_t c = 0; c < x.logs[i].chunks.size(); c++) {
+        const fugu::ChunkLog& p = x.logs[i].chunks[c];
+        const fugu::ChunkLog& q = y.logs[i].chunks[c];
+        expect_same_bits(p.size_mb, q.size_mb);
+        expect_same_bits(p.tx_time_s, q.tx_time_s);
+        expect_same_bits(p.tcp_at_send.cwnd_pkts, q.tcp_at_send.cwnd_pkts);
+        expect_same_bits(p.tcp_at_send.in_flight_pkts,
+                         q.tcp_at_send.in_flight_pkts);
+        expect_same_bits(p.tcp_at_send.min_rtt_s, q.tcp_at_send.min_rtt_s);
+        expect_same_bits(p.tcp_at_send.srtt_s, q.tcp_at_send.srtt_s);
+        expect_same_bits(p.tcp_at_send.delivery_rate_bps,
+                         q.tcp_at_send.delivery_rate_bps);
+      }
+    }
+  }
+}
+
+/// Serial oracle for the trial engine: draws each session plan in
+/// session-index order and drives it to completion with exp::run_session
+/// on the calling thread — no fleet engine, shards, pools or merge. RCT
+/// mode hands each plan to one blindly drawn scheme; paired mode replays it
+/// for every scheme.
+inline exp::TrialResult run_sessions_in_order(
+    const exp::TrialConfig& config, const exp::SchemeFactory& factory) {
+  const auto num_schemes = static_cast<int64_t>(config.schemes.size());
+  exp::TrialResult trial;
+  std::vector<std::unique_ptr<abr::AbrAlgorithm>> algorithms;
+  for (const std::string& name : config.schemes) {
+    trial.schemes.emplace_back().scheme = name;
+    algorithms.push_back(factory(name));
+  }
+  const std::unique_ptr<net::PathGenerator> paths =
+      net::make_path_generator(config.scenario);
+  const sim::UserModel users{config.seed};
+  const Rng master{config.seed};
+  const int64_t plans = std::max(0, config.sessions_per_scheme) *
+                        (config.paired_paths ? 1 : num_schemes);
+  for (int64_t p = 0; p < plans; p++) {
+    Rng rng = master.split(static_cast<uint64_t>(p));
+    const exp::SessionPlan plan = exp::make_session_plan(rng, users, *paths);
+    const auto run = [&](const int64_t a) {
+      exp::run_session(plan, *algorithms[static_cast<size_t>(a)], config,
+                       trial.schemes[static_cast<size_t>(a)]);
+    };
+    if (!config.paired_paths) {
+      run(rng.uniform_int(0, num_schemes - 1));
+      continue;
+    }
+    for (int64_t a = 0; a < num_schemes; a++) {
+      run(a);
+    }
+  }
+  return trial;
 }
 
 }  // namespace puffer::test

@@ -840,9 +840,25 @@ Config parse_config(const std::string& text) {
                                ": allowlist entry for '" + path +
                                "' needs a reason");
     }
-    config.allow.push_back({rule, path, reason});
+    config.allow.push_back({rule, path, reason, line_no});
   }
   return config;
+}
+
+std::vector<AllowEntry> stale_entries(const Config& config,
+                                      const std::filesystem::path& root) {
+  std::vector<AllowEntry> stale;
+  for (const AllowEntry& entry : config.allow) {
+    const std::filesystem::path target = root / entry.path;
+    std::error_code ec;
+    const bool found = entry.path.back() == '/'
+                           ? std::filesystem::is_directory(target, ec)
+                           : std::filesystem::is_regular_file(target, ec);
+    if (!found) {
+      stale.push_back(entry);
+    }
+  }
+  return stale;
 }
 
 FileReport lint_file(const std::string& path, const std::string& content,

@@ -1,6 +1,7 @@
 #ifndef PUFFER_TOOLS_DETLINT_HH
 #define PUFFER_TOOLS_DETLINT_HH
 
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,8 +38,8 @@
 ///
 /// File-level exemptions come from an allowlist config (detlint.conf):
 ///   R1 bench/fleet_scale.cc   wall-clock timing of the bench itself
-/// Each entry names a rule, a repo-relative file (or "dir/" prefix) and a
-/// mandatory reason.
+/// Each entry names a rule, a repo-relative file (or "dir/" prefix) that
+/// must exist, and a mandatory reason.
 namespace detlint {
 
 struct Finding {
@@ -56,6 +57,7 @@ struct AllowEntry {
   std::string rule;    ///< "R1".."R6" (normalized from id or tag name)
   std::string path;    ///< exact file, or prefix when it ends with '/'
   std::string reason;  ///< mandatory free text
+  int line = 0;        ///< 1-based line in the config text
 };
 
 struct Config {
@@ -69,6 +71,13 @@ struct Config {
 /// comments and blank lines ignored. Throws std::runtime_error on a
 /// malformed line (unknown rule, missing path or reason).
 Config parse_config(const std::string& text);
+
+/// Allowlist entries whose path names nothing under `root` (an exact entry
+/// needs that file, a "dir/" entry that directory), in config order. Such
+/// an entry is stale — the code it exempted moved or was deleted — and the
+/// CLI rejects the config.
+std::vector<AllowEntry> stale_entries(const Config& config,
+                                      const std::filesystem::path& root);
 
 struct FileReport {
   std::vector<Finding> findings;    ///< unsuppressed — these fail the build

@@ -4,7 +4,9 @@
 /// Usage:
 ///   detlint [--root DIR] [--config FILE] [--exclude PREFIX]... [-v] PATH...
 ///
-/// PATHs are files or directories relative to --root (default: cwd).
+/// PATHs are files or directories relative to --root (default: cwd). Exit
+/// 2 on a usage or config error, including an allowlist entry whose path
+/// names nothing under --root.
 /// Registered in CTest as the `detlint` suite over src/ bench/ tests/
 /// examples/ tools/, so the tree stays clean by construction.
 
@@ -97,6 +99,18 @@ int main(int argc, char** argv) {
       config = detlint::parse_config(read_file(config_path));
     } catch (const std::exception& error) {
       std::fprintf(stderr, "detlint: %s\n", error.what());
+      return 2;
+    }
+    const std::vector<detlint::AllowEntry> stale =
+        detlint::stale_entries(config, root);
+    for (const detlint::AllowEntry& entry : stale) {
+      std::fprintf(stderr,
+                   "detlint: %s:%d: stale allowlist entry '%s %s': no such "
+                   "path under %s\n",
+                   config_path.c_str(), entry.line, entry.rule.c_str(),
+                   entry.path.c_str(), root.string().c_str());
+    }
+    if (!stale.empty()) {
       return 2;
     }
   }
