@@ -16,7 +16,8 @@ namespace puffer::exp {
 /// How a fleet trial groups sessions behind shared bottlenecks. The default
 /// (group_size == 1) is the historical private-path fleet; group_size > 1
 /// co-simulates that many consecutive sessions over one SharedLinkSimulator
-/// per group.
+/// per group. Of the fault plane's families, grouped trials accept only
+/// link-outage; run_fleet_trial rejects ttp-inference and session-abort.
 struct ContentionSpec {
   /// Sessions per shared bottleneck. 1 = private links (historical path).
   int group_size = 1;
@@ -38,9 +39,9 @@ struct ContentionSpec {
 };
 
 /// Topology presets used by the contention scenario families and the
-/// fleet_scale --contention bench: "edge" (CDN edge, FIFO, mild
-/// oversubscription), "tower" (cell tower, FIFO, heavier oversubscription,
-/// mixed CC), "wifi" (home AP, per-flow fair queuing).
+/// tab_contention bench: "edge" (CDN edge, FIFO, mild oversubscription),
+/// "tower" (cell tower, FIFO, heavier oversubscription, mixed CC), "wifi"
+/// (home AP, per-flow fair queuing).
 ContentionSpec make_contention_spec(const std::string& topology,
                                     int group_size);
 

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <iterator>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "exp/session_task.hh"
 #include "net/scenario.hh"
-#include "util/object_pool.hh"
 #include "util/require.hh"
 #include "util/sync.hh"
 #include "util/thread_annotations.hh"
@@ -70,22 +70,6 @@ void append_scheme_result(SchemeResult& into, SchemeResult& from) {
   into.consort.considered += from.consort.considered;
 }
 
-/// Session tasks churn at fleet scale (one per arrival, up to 10^6 per
-/// run), so allocation is routed through a BlockArena that turns that churn
-/// into free-list recycling: heap traffic is bounded by peak concurrency.
-/// The arena is per *shard* (not per worker thread): a worker drains one
-/// shard at a time and every task is allocated and freed while its shard is
-/// being driven, so shard ownership still makes the arena single-threaded —
-/// and unlike a per-worker arena, its created/recycled counts no longer
-/// depend on which shards the pool happened to co-locate on a worker, which
-/// is what lets the arena metrics join the sim-plane determinism contract.
-/// The factory installs the owning shard's arena here before constructing
-/// each task.
-BlockArena*& current_task_arena() {
-  thread_local BlockArena* arena = nullptr;
-  return arena;
-}
-
 /// Trial-layer sim-plane metrics, one set per shard (identical schema →
 /// positional merge in ascending shard order, like the engine's).
 struct TrialMetrics {
@@ -95,8 +79,6 @@ struct TrialMetrics {
   obs::MetricRegistry::Id algo_pool_misses;
   obs::MetricRegistry::Id plan_cache_hits;
   obs::MetricRegistry::Id plan_cache_misses;
-  obs::MetricRegistry::Id arena_blocks_created;
-  obs::MetricRegistry::Id arena_recycled_tasks;
   obs::MetricRegistry::Id contention_groups;
   obs::MetricRegistry::Id contention_offered_bytes;
   obs::MetricRegistry::Id contention_delivered_bytes;
@@ -114,7 +96,7 @@ struct TrialMetrics {
   TrialMetrics() {
     const obs::MetricOptions local{.shard_local = true};
     tasks_created = registry.counter("trial.tasks_created");
-    // Pool/arena reuse depends on how the shard partition groups sessions,
+    // Pool reuse depends on how the shard partition groups sessions,
     // exactly like the engine's batching counters.
     algo_pool_hits = registry.counter("trial.algo_pool_hits", local);
     algo_pool_misses = registry.counter("trial.algo_pool_misses", local);
@@ -122,10 +104,6 @@ struct TrialMetrics {
     // per-plan property: 1 miss + (schemes-1) hits at any shard count.
     plan_cache_hits = registry.counter("trial.plan_cache_hits");
     plan_cache_misses = registry.counter("trial.plan_cache_misses");
-    arena_blocks_created = registry.counter("trial.arena_blocks_created",
-                                            local);
-    arena_recycled_tasks = registry.counter("trial.arena_recycled_tasks",
-                                            local);
     // Per-group byte totals and fairness are properties of the groups
     // themselves — sums and multisets are partition-invariant.
     contention_groups = registry.counter("contention.groups");
@@ -159,18 +137,6 @@ struct TrialMetrics {
 /// change results.)
 class PooledSessionTask final : public sim::FleetTask {
  public:
-  // Route the per-arrival task churn through the owning shard's arena (the
-  // factory installs it; tasks are freed while their shard is still being
-  // driven, so the same arena is installed at delete time).
-  static void* operator new(const std::size_t size) {
-    require(current_task_arena() != nullptr,
-            "PooledSessionTask: no shard arena installed");
-    return current_task_arena()->allocate(size);
-  }
-  static void operator delete(void* const ptr, const std::size_t size) {
-    current_task_arena()->deallocate(ptr, size);
-  }
-
   PooledSessionTask(std::shared_ptr<const SessionPlan> plan,
                     std::unique_ptr<abr::AbrAlgorithm> algo,
                     const TrialConfig& config, SchemeResult& result,
@@ -300,7 +266,6 @@ struct ShardState {
   std::vector<std::vector<std::unique_ptr<abr::AbrAlgorithm>>> pools;
   int64_t cached_plan_index = -1;
   std::shared_ptr<const SessionPlan> cached_plan;
-  BlockArena arena;  ///< PooledSessionTask storage; see current_task_arena()
   TrialMetrics metrics;
 
   /// An instance of `config.schemes[scheme]` for a new session: recycled
@@ -381,6 +346,15 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     require(!trial_config.paired_paths,
             "run_fleet_trial: contention groups require an unpaired (RCT) "
             "trial");
+    // ContentionGroupTask drives its members without the per-session fault
+    // hooks, so these families would silently inject nothing.
+    for (const std::string_view family :
+         {sim::kFaultTtpInference, sim::kFaultSessionAbort}) {
+      require(trial_config.faults.probability(family) == 0.0,
+              "run_fleet_trial: fault family '" + std::string{family} +
+                  "' is not supported on contention groups (only " +
+                  std::string{sim::kFaultLinkOutage} + " is)");
+    }
   }
   const int64_t num_groups =
       grouped ? (num_plans + group_size - 1) / group_size : 0;
@@ -487,19 +461,9 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     auto& partial = partials[static_cast<size_t>(task_index)];
     partial = std::make_unique<SchemeResult>();
     shard.metrics.registry.add(shard.metrics.tasks_created);
-    current_task_arena() = &shard.arena;
-    const int64_t blocks_before = shard.arena.blocks_created();
-    auto task = std::make_unique<PooledSessionTask>(
+    return std::make_unique<PooledSessionTask>(
         std::move(plan), std::move(algo), trial_config, *partial,
         shard.pools[scheme], &shard.metrics);
-    const int64_t blocks_after = shard.arena.blocks_created();
-    if (blocks_after > blocks_before) {
-      shard.metrics.registry.add(shard.metrics.arena_blocks_created,
-                                 blocks_after - blocks_before);
-    } else {
-      shard.metrics.registry.add(shard.metrics.arena_recycled_tasks);
-    }
-    return task;
   };
 
   // Contention factory: builds group `group_index` from its member plans.

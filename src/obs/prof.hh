@@ -18,7 +18,8 @@
 // Configure with -DPUFFER_PROFILING=OFF to compile every scope to a no-op
 // (the query API below still links and returns empty data). With profiling
 // compiled in, set_prof_enabled(false) skips the clock reads at runtime so
-// one binary can measure its own overhead (bench/fleet_scale.cc does).
+// one binary can measure its own overhead (the repo benchmark's traced runs
+// report it as trace.overhead_ratio).
 
 namespace puffer::obs {
 

@@ -178,18 +178,18 @@ TEST(Detlint, StaleAllowlistEntriesAreReported) {
   const std::string root =
       std::string{PUFFER_DETLINT_FIXTURES_DIR} + "/../..";
   const detlint::Config config = detlint::parse_config(
-      "R1 bench/fleet_scale.cc wall-clock timing\n"
+      "R1 bench/nn_kernels.cc wall-clock timing\n"
       "R1 bench/ wall-clock timing\n"
       "# a comment line still counts\n"
       "R1 bench/removed_bench.cc wall-clock timing\n"
-      "R1 bench/fleet_scale.cc/ a file is not a directory\n"
+      "R1 bench/nn_kernels.cc/ a file is not a directory\n"
       "R5 no_such_dir/ gone\n");
   const std::vector<detlint::AllowEntry> stale =
       detlint::stale_entries(config, root);
   ASSERT_EQ(stale.size(), 3u);
   EXPECT_EQ(stale[0].path, "bench/removed_bench.cc");
   EXPECT_EQ(stale[0].line, 4);
-  EXPECT_EQ(stale[1].path, "bench/fleet_scale.cc/");
+  EXPECT_EQ(stale[1].path, "bench/nn_kernels.cc/");
   EXPECT_EQ(stale[1].line, 5);
   EXPECT_EQ(stale[2].rule, "R5");
   EXPECT_EQ(stale[2].line, 6);
@@ -206,9 +206,9 @@ TEST(Detlint, StaleAllowlistEntriesAreReported) {
 TEST(Detlint, DirectoryPrefixAllowlisting) {
   const detlint::Config config =
       detlint::parse_config("R1 bench/ wall-clock timing\n");
-  EXPECT_TRUE(config.allows("R1", "bench/fleet_scale.cc"));
+  EXPECT_TRUE(config.allows("R1", "bench/nn_kernels.cc"));
   EXPECT_FALSE(config.allows("R1", "src/sim/fleet.cc"));
-  EXPECT_FALSE(config.allows("R2", "bench/fleet_scale.cc"));
+  EXPECT_FALSE(config.allows("R2", "bench/nn_kernels.cc"));
 }
 
 TEST(Detlint, CleanFixtureHasNoFindings) {

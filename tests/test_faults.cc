@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "abr/mpc_abr.hh"
@@ -426,6 +427,30 @@ TEST(FaultMatrix, LinkOutageShardInvariantUnderContention) {
   expect_identical(one.trial, two.trial);
   EXPECT_EQ(metric_value(one.metrics, "faults.link_outages"),
             metric_value(two.metrics, "faults.link_outages"));
+}
+
+/// Contention groups drive their members without the per-session TTP and
+/// abort hooks, so a plan with those families would inject nothing and
+/// report all zeros; the trial refuses it instead, naming the family.
+TEST(FaultMatrix, ContentionRejectsPerSessionFamilies) {
+  for (const std::string_view family :
+       {sim::kFaultTtpInference, sim::kFaultSessionAbort}) {
+    exp::FleetTrialConfig config = small_fleet_config();
+    config.trial.scenario = net::ScenarioSpec{"edge-contention"};
+    config.contention = exp::make_contention_spec("edge", 2);
+    config.trial.faults.enabled = true;
+    config.trial.faults.add(family, 0.5);
+    try {
+      static_cast<void>(exp::run_fleet_trial(
+          config, fault_artifacts(&config.trial.faults)));
+      ADD_FAILURE() << "accepted " << family << " on contention groups";
+    } catch (const RequirementError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(family), std::string::npos) << message;
+      EXPECT_NE(message.find(sim::kFaultLinkOutage), std::string::npos)
+          << message;
+    }
+  }
 }
 
 /// Injected faults appear as instant events on the virtual-time trace

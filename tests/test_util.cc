@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "util/object_pool.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 #include "util/running_stats.hh"
@@ -410,29 +409,6 @@ TEST(JsonWriter, EmitsArrayFields) {
             "  \"doubles\": [0.5, null],\n"
             "  \"empty\": []\n"
             "}\n");
-}
-
-TEST(BlockArena, RecyclesBlocksOfOneSize) {
-  BlockArena arena;
-  void* first = arena.allocate(64);
-  EXPECT_EQ(arena.blocks_created(), 1);
-  arena.deallocate(first, 64);
-  EXPECT_EQ(arena.blocks_free(), 1);
-  void* second = arena.allocate(64);
-  EXPECT_EQ(second, first);  // free-listed block handed back verbatim
-  EXPECT_EQ(arena.blocks_created(), 1);
-  void* third = arena.allocate(64);
-  EXPECT_NE(third, nullptr);
-  EXPECT_EQ(arena.blocks_created(), 2);
-  arena.deallocate(second, 64);
-  arena.deallocate(third, 64);
-}
-
-TEST(BlockArena, RejectsMismatchedSize) {
-  BlockArena arena;
-  void* block = arena.allocate(32);
-  EXPECT_THROW(static_cast<void>(arena.allocate(64)), RequirementError);
-  arena.deallocate(block, 32);
 }
 
 }  // namespace

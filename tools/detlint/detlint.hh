@@ -37,7 +37,7 @@
 /// names ("ordered-sink").
 ///
 /// File-level exemptions come from an allowlist config (detlint.conf):
-///   R1 bench/fleet_scale.cc   wall-clock timing of the bench itself
+///   R1 bench/nn_kernels.cc    wall-clock timing of the bench itself
 /// Each entry names a rule, a repo-relative file (or "dir/" prefix) that
 /// must exist, and a mandatory reason.
 namespace detlint {
