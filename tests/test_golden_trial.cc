@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exp/fleet_trial.hh"
 #include "exp/trial.hh"
 #include "net/scenario.hh"
 #include "net/trace_file.hh"
@@ -83,7 +85,7 @@ struct Aggregates {
   double startup_delay_s = 0.0;
 };
 
-Aggregates run_family(const std::string& family) {
+TrialConfig golden_config(const std::string& family) {
   TrialConfig config;
   config.schemes = {"BBA", "MPC-HM"};
   config.sessions_per_scheme = 6;
@@ -93,9 +95,10 @@ Aggregates run_family(const std::string& family) {
   if (family == "trace-replay") {
     config.scenario.trace_path = golden_trace_path();
   }
-  const SchemeArtifacts none;
-  const TrialResult trial = run_trial(config, none);
+  return config;
+}
 
+Aggregates aggregate(const TrialResult& trial) {
   Aggregates agg;
   double ssim_sum = 0.0, startup_sum = 0.0, stall_sum = 0.0, watch_sum = 0.0;
   for (const auto& scheme : trial.schemes) {
@@ -115,6 +118,10 @@ Aggregates run_family(const std::string& family) {
     agg.stall_ratio = stall_sum / watch_sum;
   }
   return agg;
+}
+
+Aggregates run_family(const std::string& family) {
+  return aggregate(run_trial(golden_config(family), SchemeArtifacts{}));
 }
 
 bool update_mode() {
@@ -159,6 +166,75 @@ TEST(GoldenTrial, EveryFamilyMatchesPinnedStatistics) {
     check_pinned(agg.stall_ratio, row.stall_ratio, row.family, "stall ratio");
     check_pinned(agg.startup_delay_s, row.startup_delay_s, row.family,
                  "startup delay");
+  }
+}
+
+// Contention groups: the golden trial's 2-scheme x 6-session RCT (seed
+// 20190119) through run_fleet_trial, in groups of four sessions behind one
+// shared bottleneck per topology preset, on three shards and workers.
+// Pins the aggregates above plus every group's Jain fairness index, so a
+// change to the group life cycle (session accounting, lockstep stepping,
+// arrival/wake boundaries) shows digit for digit.
+struct GroupedGoldenRow {
+  const char* topology;
+  const char* family;
+  int64_t considered;
+  double ssim_mean_db;
+  double stall_ratio;
+  double startup_delay_s;
+  std::vector<double> fairness;  ///< one Jain index per group
+};
+
+const std::vector<GroupedGoldenRow> kGroupedGolden = {
+    // clang-format off
+    {"edge", "edge-contention", 18, 16.748239159676928, 0, 0.46318701517916849, {0.49802308339441048, 0.25811525413536218, 0.25622043602286826}},
+    {"tower", "cell-shared", 16, 15.994865641230051, 0.02341940686906464, 0.70364835104768586, {0.28458376592148238, 0.25743342458949692, 0.26833416950640138}},
+    {"wifi", "wifi-home", 20, 16.819795984970813, 0, 0.48775266933183065, {0.50058574655339727, 0.25958448983346827, 0.2564633194325413}},
+    // clang-format on
+};
+
+constexpr int kGoldenGroupSize = 4;
+
+FleetTrialResult run_grouped(const char* topology, const char* family) {
+  FleetTrialConfig config;
+  config.trial = golden_config(family);
+  config.arrivals.kind = "poisson";
+  config.arrivals.rate_per_s = 0.5;  // members overlap inside each group
+  config.num_shards = 3;
+  config.contention = make_contention_spec(topology, kGoldenGroupSize);
+  return run_fleet_trial(config, SchemeArtifacts{});
+}
+
+TEST(GoldenTrial, ContentionGroupsMatchPinnedStatistics) {
+  if (update_mode()) {
+    std::printf("// paste into kGroupedGolden:\n");
+    for (const auto& [topology, family] :
+         {std::pair{"edge", "edge-contention"}, std::pair{"tower", "cell-shared"},
+          std::pair{"wifi", "wifi-home"}}) {
+      const FleetTrialResult run = run_grouped(topology, family);
+      const Aggregates agg = aggregate(run.trial);
+      std::printf("    {\"%s\", \"%s\", %lld, %.17g, %.17g, %.17g, {", topology,
+                  family, static_cast<long long>(agg.considered),
+                  agg.ssim_mean_db, agg.stall_ratio, agg.startup_delay_s);
+      for (size_t g = 0; g < run.group_fairness.size(); g++) {
+        std::printf("%s%.17g", g == 0 ? "" : ", ", run.group_fairness[g]);
+      }
+      std::printf("}},\n");
+    }
+    return;
+  }
+
+  ASSERT_EQ(kGroupedGolden.size(), 3u);
+  for (const GroupedGoldenRow& row : kGroupedGolden) {
+    const FleetTrialResult run = run_grouped(row.topology, row.family);
+    const Aggregates agg = aggregate(run.trial);
+    // %.17g round-trips a double exactly, so these compare bit for bit.
+    EXPECT_EQ(agg.considered, row.considered) << row.family << ": considered";
+    EXPECT_EQ(agg.ssim_mean_db, row.ssim_mean_db) << row.family << ": ssim";
+    EXPECT_EQ(agg.stall_ratio, row.stall_ratio) << row.family << ": stall";
+    EXPECT_EQ(agg.startup_delay_s, row.startup_delay_s)
+        << row.family << ": startup delay";
+    EXPECT_EQ(run.group_fairness, row.fairness) << row.family << ": fairness";
   }
 }
 
