@@ -4,11 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "abr/mpc_abr.hh"
-#include "fugu/batch_ttp.hh"
-#include "media/channel.hh"
-#include "net/bbr.hh"
-#include "net/cubic.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -20,16 +15,6 @@ namespace {
 /// error; treating anything this close as "due" keeps the loop from taking
 /// denormal-sized steps. Deterministic — purely a function of the FP values.
 constexpr double kBoundaryEpsS = 1e-9;
-
-/// Same preamble the private-path sessions send (sim::send_preamble).
-constexpr double kPreambleBytes = 192.0 * 1024.0;
-
-std::unique_ptr<net::CongestionControl> make_cc(const bool use_cubic) {
-  if (use_cubic) {
-    return std::make_unique<net::CubicModel>();
-  }
-  return std::make_unique<net::BbrModel>();
-}
 
 net::ThroughputTrace scale_trace(const net::ThroughputTrace& trace,
                                  const double scale) {
@@ -75,25 +60,19 @@ ContentionSpec make_contention_spec(const std::string& topology,
 
 ContentionGroupTask::ContentionGroupTask(std::vector<Member> members,
                                          const ContentionSpec& spec,
-                                         net::NetworkPath shared_sample,
-                                         const TrialConfig& config)
-    : spec_(spec),
-      config_(config),
-      shared_trace_(scale_trace(
+                                         net::NetworkPath shared_sample)
+    : shared_trace_(scale_trace(
           shared_sample.trace,
           spec.capacity_scale * static_cast<double>(members.size()))) {
   require(!members.empty(), "ContentionGroupTask: empty group");
-  require(spec.cc == "bbr" || spec.cc == "cubic" || spec.cc == "mixed",
-          "ContentionGroupTask: cc must be bbr|cubic|mixed");
 
   // Shared drop-tail buffer: queue_bdp bandwidth-delay products at the
   // scaled mean rate and the group's mean propagation RTT.
   double mean_rtt_s = 0.0;
   for (const Member& m : members) {
-    require(m.plan != nullptr && m.plan->path.has_value(),
+    require(m.session != nullptr && m.session->plan().path.has_value(),
             "ContentionGroupTask: member without a path");
-    require(m.result != nullptr, "ContentionGroupTask: member without result");
-    mean_rtt_s += m.plan->path->min_rtt_s;
+    mean_rtt_s += m.session->plan().path->min_rtt_s;
   }
   mean_rtt_s /= static_cast<double>(members.size());
   net::SharedLinkConfig link_config;
@@ -103,32 +82,26 @@ ContentionGroupTask::ContentionGroupTask(std::vector<Member> members,
       spec.queue_bdp * shared_trace_.mean_rate() * mean_rtt_s, 64.0 * 1024.0);
   link_.emplace(shared_trace_, link_config);
 
-  states_.reserve(members.size());
+  members_.reserve(members.size());
   double prev_offset = 0.0;
   for (Member& m : members) {
     require(m.arrival_offset_s >= prev_offset,
             "ContentionGroupTask: member offsets must ascend");
     prev_offset = m.arrival_offset_s;
     MemberState s;
+    s.wake_at_w = m.arrival_offset_s;
     s.m = std::move(m);
     s.flow = link_->add_flow();
-    if (auto* mpc = dynamic_cast<abr::MpcAbr*>(s.m.algo.get())) {
-      if (auto* batched =
-              dynamic_cast<fugu::BatchTtpPredictor*>(&mpc->predictor())) {
-        s.batch_predictor = batched;
-        s.mpc_horizon = mpc->controller().config().horizon;
-      }
-    }
-    states_.push_back(std::move(s));
+    members_.push_back(std::move(s));
   }
-  offered_.assign(states_.size(), 0.0);
-  results_.assign(states_.size(), net::LinkStepResult{});
+  offered_.assign(members_.size(), 0.0);
+  results_.assign(members_.size(), net::LinkStepResult{});
 }
 
 ContentionGroupTask::Step ContentionGroupTask::prepare() {
   for (;;) {
-    for (size_t i = 0; i < states_.size(); i++) {
-      if (states_[i].phase == Phase::kAtDecision) {
+    for (size_t i = 0; i < members_.size(); i++) {
+      if (members_[i].need == SessionTask::Need::kDecision) {
         current_ = i;
         return Step::kDecision;
       }
@@ -140,140 +113,54 @@ ContentionGroupTask::Step ContentionGroupTask::prepare() {
 }
 
 bool ContentionGroupTask::stage(fugu::TtpInferenceBatch& batch) {
-  MemberState& s = states_[current_];
-  require(s.phase == Phase::kAtDecision, "ContentionGroupTask: no decision");
-  if (s.batch_predictor == nullptr) {
-    return false;
-  }
-  s.batch_predictor->stage(s.stream->observation(), s.stream->lookahead(),
-                           s.mpc_horizon, batch);
-  return true;
+  return members_[current_].m.session->stage(batch);
 }
 
 void ContentionGroupTask::finish_chunk() {
-  MemberState& s = states_[current_];
-  require(s.phase == Phase::kAtDecision, "ContentionGroupTask: no decision");
-  const double bytes = s.stream->begin_chunk();
-  s.sender->start_transfer(bytes);
-  s.phase = Phase::kChunk;
-  if (!s.sender->transfer_in_flight()) {
-    // Pre-satisfied by the fluid slack — same immediate-completion path the
-    // private sender takes.
-    on_transfer_done(s);
+  MemberState& s = members_[current_];
+  s.m.session->finish_chunk();
+  // A transfer within the fluid slack completes at once — the same
+  // immediate-completion path the private sender takes.
+  advance_member(s);
+}
+
+void ContentionGroupTask::drain_fault_events(std::vector<FaultEvent>& out) {
+  for (MemberState& s : members_) {
+    const size_t first = out.size();
+    s.m.session->drain_fault_events(out);
+    for (size_t k = first; k < out.size(); k++) {
+      out[k].time_s += s.m.arrival_offset_s;
+    }
   }
 }
 
-void ContentionGroupTask::arrive(MemberState& s) {
-  s.m.result->consort.sessions++;
-  if (s.m.plan->session.incompatible_or_bounce) {
-    // Page loaded but video never played (incompatible browser / bounce).
-    s.m.result->consort.streams++;
-    s.m.result->consort.never_began++;
-    s.phase = Phase::kDone;
+void ContentionGroupTask::advance_member(MemberState& s) {
+  double wait_s = 0.0;
+  s.need = s.m.session->advance(wait_s);
+  if (s.need == SessionTask::Need::kWait) {
+    s.wake_at_w = world_s_ + wait_s;
+  } else if (s.need == SessionTask::Need::kDone) {
     s.end_w = world_s_;
-    return;
-  }
-  s.run_rng = Rng{s.m.plan->run_seed};
-  s.m.algo->reset_session();
-  s.sender.emplace(s.m.plan->path->min_rtt_s, make_cc(s.m.use_cubic));
-  s.sender->start_transfer(kPreambleBytes);
-  s.phase = Phase::kPreamble;
-}
-
-void ContentionGroupTask::advance_stream(MemberState& s) {
-  const SessionPlan& plan = *s.m.plan;
-  for (;;) {
-    if (s.stream_index >= plan.session.num_streams) {
-      if (s.any_considered) {
-        s.m.result->session_durations_s.push_back(s.session_duration_s);
-      }
-      s.phase = Phase::kDone;
-      s.end_w = world_s_;
-      return;
-    }
-    if (!s.stream) {
-      s.video.emplace(
-          media::default_channels()[static_cast<size_t>(
-              plan.channels[static_cast<size_t>(s.stream_index)])],
-          plan.video_seeds[static_cast<size_t>(s.stream_index)]);
-      s.stream.emplace(
-          *s.sender, *s.m.algo, *s.video, /*first_chunk=*/0,
-          plan.stream_behaviors[static_cast<size_t>(s.stream_index)],
-          s.run_rng, config_.stream, nullptr);
-    }
-    double wait_s = 0.0;
-    switch (s.stream->prepare_chunk_async(wait_s)) {
-      case sim::StreamSession::PrepareStep::kDecision:
-        s.phase = Phase::kAtDecision;
-        return;
-      case sim::StreamSession::PrepareStep::kWait:
-        s.wake_at_w = world_s_ + wait_s;
-        s.phase = Phase::kIdleWait;
-        return;
-      case sim::StreamSession::PrepareStep::kDone:
-        finish_member_stream(s);
-        break;  // next stream (or session end) on the next loop pass
-    }
   }
 }
 
-void ContentionGroupTask::finish_member_stream(MemberState& s) {
-  const sim::StreamOutcome outcome = s.stream->take_outcome();
-  detail::fold_stream_outcome(outcome, s.run_rng, config_, *s.m.result,
-                              s.session_duration_s, s.any_considered);
-  s.stream.reset();
-  s.video.reset();
-  s.stream_index++;
-}
-
-void ContentionGroupTask::on_transfer_done(MemberState& s) {
-  const net::TransferResult transfer = s.sender->take_completion();
-  if (s.phase == Phase::kChunk) {
-    s.stream->complete_chunk(transfer);
-  }
-  // Preamble done, or chunk accounted: park at the next decision point.
-  advance_stream(s);
+net::TcpSender* ContentionGroupTask::live_sender(MemberState& s) {
+  return s.need == SessionTask::Need::kDone ? nullptr : s.m.session->sender();
 }
 
 bool ContentionGroupTask::advance_world() {
+  using Need = SessionTask::Need;
   // Phase 1: process everything due *now* (arrivals, wake-ups), in member
   // order; if anything fired, let prepare() re-scan for parked decisions.
   bool activity = false;
-  for (MemberState& s : states_) {
-    if (s.phase == Phase::kUnarrived &&
-        s.m.arrival_offset_s <= world_s_ + kBoundaryEpsS) {
-      arrive(s);
-      if (s.phase == Phase::kPreamble && !s.sender->transfer_in_flight()) {
-        on_transfer_done(s);
-      }
-      activity = true;
-    } else if (s.phase == Phase::kIdleWait &&
-               s.wake_at_w <= world_s_ + kBoundaryEpsS) {
-      switch (s.stream->finish_wait()) {
-        case sim::StreamSession::PrepareStep::kDecision:
-          s.phase = Phase::kAtDecision;
-          break;
-        case sim::StreamSession::PrepareStep::kDone:
-          finish_member_stream(s);
-          advance_stream(s);
-          break;
-        case sim::StreamSession::PrepareStep::kWait:
-          require(false, "ContentionGroupTask: finish_wait returned kWait");
-      }
+  for (MemberState& s : members_) {
+    if (s.need == Need::kWait && s.wake_at_w <= world_s_ + kBoundaryEpsS) {
+      advance_member(s);
       activity = true;
     }
   }
   if (activity) {
     return true;
-  }
-  bool any_live = false;
-  for (const MemberState& s : states_) {
-    if (s.phase != Phase::kDone) {
-      any_live = true;
-    }
-  }
-  if (!any_live) {
-    return false;
   }
 
   // Phase 2: pick the lockstep dt — the finest transferring connection's
@@ -282,17 +169,19 @@ bool ContentionGroupTask::advance_world() {
   // private path's idle_until cadence).
   double boundary = std::numeric_limits<double>::infinity();
   double dt = std::numeric_limits<double>::infinity();
+  bool any_live = false;
   bool any_transfer = false;
-  for (const MemberState& s : states_) {
-    if (s.phase == Phase::kUnarrived) {
-      boundary = std::min(boundary, s.m.arrival_offset_s);
-    } else if (s.phase == Phase::kIdleWait) {
+  for (MemberState& s : members_) {
+    any_live = any_live || s.need != Need::kDone;
+    if (s.need == Need::kWait) {
       boundary = std::min(boundary, s.wake_at_w);
-    }
-    if (s.phase == Phase::kPreamble || s.phase == Phase::kChunk) {
+    } else if (s.need == Need::kTransfer) {
       any_transfer = true;
-      dt = std::min(dt, s.sender->preferred_dt());
+      dt = std::min(dt, s.m.session->sender()->preferred_dt());
     }
+  }
+  if (!any_live) {
+    return false;
   }
   if (!any_transfer) {
     require(boundary < std::numeric_limits<double>::infinity(),
@@ -310,24 +199,24 @@ bool ContentionGroupTask::advance_world() {
   // contract); members without a connection yet (or already done) offer 0,
   // and a done member's residual queue keeps draining.
   std::fill(offered_.begin(), offered_.end(), 0.0);
-  for (MemberState& s : states_) {
-    if (s.sender.has_value() && s.phase != Phase::kDone) {
-      offered_[static_cast<size_t>(s.flow)] = s.sender->offered_step(dt);
+  for (MemberState& s : members_) {
+    if (net::TcpSender* sender = live_sender(s)) {
+      offered_[static_cast<size_t>(s.flow)] = sender->offered_step(dt);
     }
   }
   link_->step(world_s_, dt, offered_, results_);
-  for (MemberState& s : states_) {
-    if (s.sender.has_value() && s.phase != Phase::kDone) {
-      s.sender->absorb_step(dt, results_[static_cast<size_t>(s.flow)]);
+  for (MemberState& s : members_) {
+    if (net::TcpSender* sender = live_sender(s)) {
+      sender->absorb_step(dt, results_[static_cast<size_t>(s.flow)]);
     }
   }
   world_s_ += dt;
 
   // Phase 4: collect transfer completions, in member order.
-  for (MemberState& s : states_) {
-    if ((s.phase == Phase::kPreamble || s.phase == Phase::kChunk) &&
-        !s.sender->transfer_in_flight()) {
-      on_transfer_done(s);
+  for (MemberState& s : members_) {
+    if (s.need == Need::kTransfer &&
+        !s.m.session->sender()->transfer_in_flight()) {
+      advance_member(s);
     }
   }
   return true;
@@ -336,22 +225,17 @@ bool ContentionGroupTask::advance_world() {
 void ContentionGroupTask::record_load(stats::LoadSeries& load,
                                       const double arrival_s,
                                       const double /*end_s*/) const {
-  for (const MemberState& s : states_) {
+  for (const MemberState& s : members_) {
     load.add(arrival_s + s.m.arrival_offset_s, +1);
     load.add(arrival_s + s.end_w, -1);
   }
 }
 
-std::unique_ptr<abr::AbrAlgorithm> ContentionGroupTask::take_algorithm(
-    const size_t i) {
-  return std::move(states_[i].m.algo);
-}
-
 double ContentionGroupTask::fairness_index() const {
   std::vector<double> delivered;
-  delivered.reserve(states_.size());
-  for (const MemberState& s : states_) {
-    if (s.sender.has_value()) {
+  delivered.reserve(members_.size());
+  for (const MemberState& s : members_) {
+    if (s.m.session->sender() != nullptr) {
       delivered.push_back(link_->delivered_total(s.flow));
     }
   }
@@ -361,18 +245,18 @@ double ContentionGroupTask::fairness_index() const {
   return net::jain_fairness_index(delivered);
 }
 
-double ContentionGroupTask::shared_delivered_bytes() const {
-  double total = 0.0;
-  for (int flow = 0; flow < link_->num_flows(); flow++) {
-    total += link_->delivered_total(flow);
-  }
-  return total;
-}
-
 double ContentionGroupTask::shared_offered_bytes() const {
   double total = 0.0;
   for (int flow = 0; flow < link_->num_flows(); flow++) {
     total += link_->offered_total(flow);
+  }
+  return total;
+}
+
+double ContentionGroupTask::shared_delivered_bytes() const {
+  double total = 0.0;
+  for (int flow = 0; flow < link_->num_flows(); flow++) {
+    total += link_->delivered_total(flow);
   }
   return total;
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "exp/session_task.hh"
-#include "exp/trial.hh"
 #include "net/shared_link.hh"
 #include "sim/fleet.hh"
 
@@ -16,8 +15,9 @@ namespace puffer::exp {
 /// How a fleet trial groups sessions behind shared bottlenecks. The default
 /// (group_size == 1) is the historical private-path fleet; group_size > 1
 /// co-simulates that many consecutive sessions over one SharedLinkSimulator
-/// per group. Of the fault plane's families, grouped trials accept only
-/// link-outage; run_fleet_trial rejects ttp-inference and session-abort.
+/// per group. Every fault family applies: link-outage darkens a group's
+/// shared link, and each member session carries SessionTask's ttp-inference
+/// and session-abort hooks exactly as a private-path session does.
 struct ContentionSpec {
   /// Sessions per shared bottleneck. 1 = private links (historical path).
   int group_size = 1;
@@ -52,104 +52,79 @@ ContentionSpec make_contention_spec(const std::string& topology,
 /// bitwise contract therefore survives any shard or thread count without the
 /// engine knowing contention exists, and colocation of a group is automatic.
 ///
-/// Each member runs the exact SessionTask life cycle (CONSORT accounting,
-/// preamble, streams, telemetry) against an externally-driven TcpSender; the
-/// group loop advances every live connection by the same dt and feeds the
-/// shared link's per-flow step results back. Members park at ABR decisions;
+/// Each member is a SessionTask over an externally driven TcpSender, so the
+/// whole session life cycle (CONSORT accounting, fault hooks, preamble,
+/// streams, telemetry) is the private-path one. The group owns only what is
+/// about the group: the shared link, the lockstep dt, the arrival and wake
+/// boundaries, fairness and byte accounting. Members park at ABR decisions;
 /// prepare() surfaces the lowest-indexed parked member to the engine, so
 /// batched TTP staging and finish_chunk() route to one member at a time and
 /// the engine's prepare/stage/finish protocol is unchanged.
-class ContentionGroupTask final : public sim::FleetTask {
+class ContentionGroupTask : public sim::FleetTask {
  public:
-  /// What the trial layer supplies per member session. `arrival_offset_s` is
-  /// the member's fleet arrival relative to the group's (= first member's)
-  /// arrival; offsets are ascending with member index.
+  /// One member session. `session` runs on a shared connection
+  /// (SessionTask::Connection::kShared*); `arrival_offset_s` is its fleet
+  /// arrival relative to the group's (= first member's) arrival; offsets
+  /// are ascending with member index.
   struct Member {
-    std::shared_ptr<const SessionPlan> plan;
-    std::unique_ptr<abr::AbrAlgorithm> algo;
-    SchemeResult* result = nullptr;
+    std::unique_ptr<SessionTask> session;
     double arrival_offset_s = 0.0;
-    bool use_cubic = false;
   };
 
   /// `shared_sample` is one access-path sample from the scenario generator;
   /// its trace is rescaled by capacity_scale * group_size to become the
-  /// shared bottleneck. `config` and each member's result must outlive the
-  /// task.
+  /// shared bottleneck.
   ContentionGroupTask(std::vector<Member> members, const ContentionSpec& spec,
-                      net::NetworkPath shared_sample,
-                      const TrialConfig& config);
+                      net::NetworkPath shared_sample);
 
   Step prepare() override;
   bool stage(fugu::TtpInferenceBatch& batch) override;
   void finish_chunk() override;
   [[nodiscard]] double elapsed_s() const override { return world_s_; }
   [[nodiscard]] int64_t session_count() const override {
-    return static_cast<int64_t>(states_.size());
+    return static_cast<int64_t>(members_.size());
   }
   void record_load(stats::LoadSeries& load, double arrival_s,
                    double end_s) const override;
-
-  [[nodiscard]] size_t member_count() const { return states_.size(); }
-  /// Reclaim member `i`'s algorithm instance (for per-scheme pooling);
-  /// leaves the member unusable. Call only after the task completed.
-  std::unique_ptr<abr::AbrAlgorithm> take_algorithm(size_t i);
+  /// Members' fault events, restamped from member-local time onto the
+  /// group clock.
+  void drain_fault_events(std::vector<FaultEvent>& out) override;
 
   /// Jain fairness index over the members' delivered bytes on the shared
   /// link (members that never opened a connection are excluded). 1.0 when
   /// fewer than two members transferred anything.
   [[nodiscard]] double fairness_index() const;
 
-  /// Bytes the shared link delivered across all members — exposed for the
-  /// induced-stall/bench accounting.
-  [[nodiscard]] double shared_delivered_bytes() const;
-  /// Bytes all members offered to the shared link, and bytes its queue
-  /// dropped — with delivered, the link's exact conservation triple,
+  /// Bytes all members offered to the shared link, bytes it delivered and
+  /// bytes its queue dropped — the link's exact conservation triple,
   /// surfaced per group for the sim-plane contention metrics.
   [[nodiscard]] double shared_offered_bytes() const;
+  [[nodiscard]] double shared_delivered_bytes() const;
   [[nodiscard]] double shared_lost_bytes() const;
 
  private:
-  enum class Phase {
-    kUnarrived,   ///< before the member's arrival offset
-    kPreamble,    ///< warming the fresh connection (send_preamble bytes)
-    kChunk,       ///< one chunk transfer in flight
-    kIdleWait,    ///< connection idle until wake_at_w (buffer full)
-    kAtDecision,  ///< parked at an ABR decision; engine completes it
-    kDone,        ///< member's session over
-  };
-
   struct MemberState {
     Member m;
-    Phase phase = Phase::kUnarrived;
+    /// What the session needs; an unarrived member waits for its arrival.
+    SessionTask::Need need = SessionTask::Need::kWait;
     int flow = -1;
-    Rng run_rng{0};
-    std::optional<net::TcpSender> sender;
-    std::optional<media::VbrVideoSource> video;
-    std::optional<sim::StreamSession> stream;
-    int stream_index = 0;
-    double session_duration_s = 0.0;
-    bool any_considered = false;
-    double wake_at_w = 0.0;  ///< kIdleWait: world time to resume
+    double wake_at_w = 0.0;  ///< Need::kWait: world time to resume
     double end_w = 0.0;      ///< world time the member finished
-    fugu::BatchTtpPredictor* batch_predictor = nullptr;
-    int mpc_horizon = 0;
   };
 
-  void arrive(MemberState& s);
-  void advance_stream(MemberState& s);
-  void finish_member_stream(MemberState& s);
-  void on_transfer_done(MemberState& s);
+  /// Resume a member's session and note what it needs next (a wait becomes
+  /// a wake boundary on the group clock).
+  void advance_member(MemberState& s);
+  /// Connections the lockstep world steps: opened and not yet finished.
+  [[nodiscard]] static net::TcpSender* live_sender(MemberState& s);
   /// One lockstep world round: process due arrivals/wakes, else pick dt,
   /// step every live connection through the shared link, collect transfer
-  /// completions. Returns true while any member is not kDone.
+  /// completions. Returns true while any member is not done.
   bool advance_world();
 
-  ContentionSpec spec_;
-  const TrialConfig& config_;
   net::ThroughputTrace shared_trace_;
   std::optional<net::SharedLinkSimulator> link_;
-  std::vector<MemberState> states_;
+  std::vector<MemberState> members_;
 
   double world_s_ = 0.0;  ///< group-local virtual clock
   size_t current_ = 0;    ///< member the pending kDecision belongs to

@@ -129,133 +129,99 @@ struct TrialMetrics {
   }
 };
 
-/// A SessionTask plus algorithm-instance pooling: sessions overlap in fleet
-/// time, so each active session needs its own algorithm instance; returning
-/// the instance to a per-scheme free list on completion keeps the number of
-/// live instances at the peak concurrency instead of the session count.
+/// What a pooled session owns. A base class of PooledSessionTask so that it
+/// is built before, and destroyed after, the SessionTask that refers to it.
+struct SessionResources {
+  // Paired-mode tasks of one plan share a single immutable SessionPlan (the
+  // sampled path trace can be ~1 MB; copying it per scheme at fleet
+  // concurrency would multiply that by the whole overlapping fleet).
+  std::shared_ptr<const SessionPlan> plan;
+  std::unique_ptr<abr::AbrAlgorithm> algo;
+};
+
+/// The fleet's per-session step, for private-path sessions and contention-
+/// group members alike: a SessionTask plus algorithm-instance pooling and
+/// the session's faults.* metrics. Sessions overlap in fleet time, so each
+/// active session needs its own algorithm instance; returning the instance
+/// to a per-scheme free list on completion keeps the number of live
+/// instances at the peak concurrency instead of the session count.
 /// (SessionTask resets the algorithm at session start, so pooling cannot
-/// change results.)
-class PooledSessionTask final : public sim::FleetTask {
+/// change results.) Destroyed on the owning shard's worker — by the engine,
+/// or by the group that owns it — so the pool push and the shard registry
+/// are exclusively ours.
+class PooledSessionTask final : private SessionResources, public SessionTask {
  public:
-  PooledSessionTask(std::shared_ptr<const SessionPlan> plan,
-                    std::unique_ptr<abr::AbrAlgorithm> algo,
-                    const TrialConfig& config, SchemeResult& result,
+  PooledSessionTask(SessionResources resources, const TrialConfig& config,
+                    SchemeResult& result, const Connection connection,
                     std::vector<std::unique_ptr<abr::AbrAlgorithm>>& pool,
-                    TrialMetrics* const metrics)
-      : plan_(std::move(plan)),
-        algo_(std::move(algo)),
+                    TrialMetrics& metrics)
+      : SessionResources(std::move(resources)),
+        SessionTask(*SessionResources::plan, *algo, config, result,
+                    connection),
         pool_(pool),
-        metrics_(metrics),
-        task_(*plan_, *algo_, config, result) {}
+        metrics_(metrics) {}
+
+  PooledSessionTask(const PooledSessionTask&) = delete;
+  PooledSessionTask& operator=(const PooledSessionTask&) = delete;
 
   ~PooledSessionTask() override {
     // Harvest the session's fault/degradation accounting before the
-    // algorithm instance (and its wrapper state) returns to the pool. The
-    // destructor runs on the owning shard's worker, so the shard registry
-    // is exclusively ours here.
-    if (metrics_ != nullptr) {
-      obs::MetricRegistry& reg = metrics_->registry;
-      if (const fugu::ResilientPredictor* res = task_.resilient()) {
-        const fugu::SessionFaultStats& s = res->session_stats();
-        reg.add(metrics_->faults_ttp_decisions, s.decisions);
-        reg.add(metrics_->faults_ttp_failures, s.failures);
-        reg.add(metrics_->faults_ttp_fallback_decisions, s.fallback_decisions);
-        reg.add(metrics_->faults_ttp_engagements, s.engagements);
-        if (s.degraded) {
-          reg.add(metrics_->faults_degraded_sessions);
-        }
-        reg.set_max(metrics_->faults_max_session_fallbacks,
-                    s.fallback_decisions);
+    // algorithm instance (and its wrapper state) returns to the pool.
+    obs::MetricRegistry& reg = metrics_.registry;
+    if (const fugu::ResilientPredictor* res = resilient()) {
+      const fugu::SessionFaultStats& s = res->session_stats();
+      reg.add(metrics_.faults_ttp_decisions, s.decisions);
+      reg.add(metrics_.faults_ttp_failures, s.failures);
+      reg.add(metrics_.faults_ttp_fallback_decisions, s.fallback_decisions);
+      reg.add(metrics_.faults_ttp_engagements, s.engagements);
+      if (s.degraded) {
+        reg.add(metrics_.faults_degraded_sessions);
       }
-      reg.add(metrics_->faults_session_aborts, task_.aborted_streams());
+      reg.set_max(metrics_.faults_max_session_fallbacks,
+                  s.fallback_decisions);
     }
-    pool_.push_back(std::move(algo_));
-  }
-
-  Step prepare() override { return task_.prepare(); }
-  bool stage(fugu::TtpInferenceBatch& batch) override {
-    return task_.stage(batch);
-  }
-  void finish_chunk() override { task_.finish_chunk(); }
-  [[nodiscard]] double elapsed_s() const override { return task_.elapsed_s(); }
-  void drain_fault_events(std::vector<FaultEvent>& out) override {
-    task_.drain_fault_events(out);
+    reg.add(metrics_.faults_session_aborts, aborted_streams());
+    pool_.push_back(std::move(algo));
   }
 
  private:
-  // Keeps alive what the non-owning SessionTask points at. Paired-mode
-  // tasks of one plan share a single immutable SessionPlan (the sampled
-  // path trace can be ~1 MB; copying it per scheme at fleet concurrency
-  // would multiply that by the whole overlapping fleet).
-  std::shared_ptr<const SessionPlan> plan_;
-  std::unique_ptr<abr::AbrAlgorithm> algo_;
   std::vector<std::unique_ptr<abr::AbrAlgorithm>>& pool_;
-  TrialMetrics* metrics_;
-  SessionTask task_;
+  TrialMetrics& metrics_;
 };
 
-/// A ContentionGroupTask plus the same algorithm-instance pooling, for every
-/// member, and the capture of the group's fairness index into its
-/// pre-indexed result slot. The engine destroys the task on the shard's own
-/// worker, so the slot write and pool pushes are shard-confined; the engine
-/// join publishes them to the caller.
-class PooledContentionTask final : public sim::FleetTask {
+/// A ContentionGroupTask that, on completion, records the group's
+/// contention metrics and writes its fairness index into its pre-indexed
+/// result slot. The engine destroys it on the shard's own worker, so the
+/// slot write is shard-confined; the engine join publishes it. Its member
+/// sessions are destroyed after this, each recording its own step.
+class MeasuredGroupTask final : public ContentionGroupTask {
  public:
-  PooledContentionTask(
-      std::vector<ContentionGroupTask::Member> members,
-      const ContentionSpec& spec, net::NetworkPath shared_sample,
-      const TrialConfig& config,
-      std::vector<std::vector<std::unique_ptr<abr::AbrAlgorithm>>>& pools,
-      std::vector<size_t> member_schemes, double* const fairness_slot,
-      TrialMetrics* const metrics)
-      : pools_(pools),
-        member_schemes_(std::move(member_schemes)),
+  MeasuredGroupTask(std::vector<Member> members, const ContentionSpec& spec,
+                    net::NetworkPath shared_sample, double& fairness_slot,
+                    TrialMetrics& metrics)
+      : ContentionGroupTask(std::move(members), spec, std::move(shared_sample)),
         fairness_slot_(fairness_slot),
-        metrics_(metrics),
-        task_(std::move(members), spec, std::move(shared_sample), config) {}
+        metrics_(metrics) {}
 
-  ~PooledContentionTask() override {
-    const double fairness = task_.fairness_index();
-    *fairness_slot_ = fairness;
-    // The destructor runs on the owning shard's worker, so the shard's
-    // metric registry is exclusively ours here.
-    obs::MetricRegistry& reg = metrics_->registry;
-    reg.add(metrics_->contention_groups);
-    reg.add(metrics_->contention_offered_bytes,
-            std::llround(task_.shared_offered_bytes()));
-    reg.add(metrics_->contention_delivered_bytes,
-            std::llround(task_.shared_delivered_bytes()));
-    reg.add(metrics_->contention_lost_bytes,
-            std::llround(task_.shared_lost_bytes()));
-    reg.observe(metrics_->contention_fairness, fairness);
-    for (size_t i = 0; i < member_schemes_.size(); i++) {
-      auto algo = task_.take_algorithm(i);
-      if (algo != nullptr) {
-        pools_[member_schemes_[i]].push_back(std::move(algo));
-      }
-    }
-  }
+  MeasuredGroupTask(const MeasuredGroupTask&) = delete;
+  MeasuredGroupTask& operator=(const MeasuredGroupTask&) = delete;
 
-  Step prepare() override { return task_.prepare(); }
-  bool stage(fugu::TtpInferenceBatch& batch) override {
-    return task_.stage(batch);
-  }
-  void finish_chunk() override { task_.finish_chunk(); }
-  [[nodiscard]] double elapsed_s() const override { return task_.elapsed_s(); }
-  [[nodiscard]] int64_t session_count() const override {
-    return task_.session_count();
-  }
-  void record_load(stats::LoadSeries& load, const double arrival_s,
-                   const double end_s) const override {
-    task_.record_load(load, arrival_s, end_s);
+  ~MeasuredGroupTask() override {
+    const double fairness = fairness_index();
+    fairness_slot_ = fairness;
+    obs::MetricRegistry& reg = metrics_.registry;
+    reg.add(metrics_.contention_groups);
+    reg.add(metrics_.contention_offered_bytes,
+            std::llround(shared_offered_bytes()));
+    reg.add(metrics_.contention_delivered_bytes,
+            std::llround(shared_delivered_bytes()));
+    reg.add(metrics_.contention_lost_bytes, std::llround(shared_lost_bytes()));
+    reg.observe(metrics_.contention_fairness, fairness);
   }
 
  private:
-  std::vector<std::vector<std::unique_ptr<abr::AbrAlgorithm>>>& pools_;
-  std::vector<size_t> member_schemes_;
-  double* fairness_slot_;
-  TrialMetrics* metrics_;
-  ContentionGroupTask task_;
+  double& fairness_slot_;
+  TrialMetrics& metrics_;
 };
 
 /// Mutable state a shard's worker owns exclusively: its schemes' algorithm
@@ -346,15 +312,9 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     require(!trial_config.paired_paths,
             "run_fleet_trial: contention groups require an unpaired (RCT) "
             "trial");
-    // ContentionGroupTask drives its members without the per-session fault
-    // hooks, so these families would silently inject nothing.
-    for (const std::string_view family :
-         {sim::kFaultTtpInference, sim::kFaultSessionAbort}) {
-      require(trial_config.faults.probability(family) == 0.0,
-              "run_fleet_trial: fault family '" + std::string{family} +
-                  "' is not supported on contention groups (only " +
-                  std::string{sim::kFaultLinkOutage} + " is)");
-    }
+    require(contention.cc == "bbr" || contention.cc == "cubic" ||
+                contention.cc == "mixed",
+            "run_fleet_trial: contention.cc must be bbr|cubic|mixed");
   }
   const int64_t num_groups =
       grouped ? (num_plans + group_size - 1) / group_size : 0;
@@ -425,51 +385,57 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     result.group_fairness.assign(static_cast<size_t>(num_groups), 1.0);
   }
 
+  // The per-plan draw both factories share: the plan (cached across a
+  // paired plan's per-scheme copies), the RCT scheme draw from the
+  // session's own RNG right after its plan (same position at any shard
+  // count), an algorithm instance and the session's partial-result slot.
+  // Grouping changes the world the sessions run in, never which sessions
+  // exist.
+  const auto make_session =
+      [&](const int64_t task_index, ShardState& shard,
+          const SessionTask::Connection connection) {
+        const int64_t plan_index = trial_config.paired_paths
+                                       ? task_index / num_schemes
+                                       : task_index;
+        Rng session_rng = master.split(static_cast<uint64_t>(plan_index));
+        SessionResources resources;
+        size_t scheme;
+        if (trial_config.paired_paths) {
+          if (plan_index != shard.cached_plan_index) {
+            shard.cached_plan = std::make_shared<const SessionPlan>(
+                make_session_plan(session_rng, users, *paths));
+            shard.cached_plan_index = plan_index;
+            shard.metrics.registry.add(shard.metrics.plan_cache_misses);
+          } else {
+            shard.metrics.registry.add(shard.metrics.plan_cache_hits);
+          }
+          resources.plan = shard.cached_plan;
+          scheme = static_cast<size_t>(task_index % num_schemes);
+        } else {
+          resources.plan = std::make_shared<const SessionPlan>(
+              make_session_plan(session_rng, users, *paths));
+          scheme = static_cast<size_t>(
+              session_rng.uniform_int(0, num_schemes - 1));
+        }
+        scheme_of[static_cast<size_t>(task_index)] = scheme;
+        resources.algo = shard.take_algorithm(trial_config, factory, scheme);
+        auto& partial = partials[static_cast<size_t>(task_index)];
+        partial = std::make_unique<SchemeResult>();
+        return std::make_unique<PooledSessionTask>(
+            std::move(resources), trial_config, *partial, connection,
+            shard.pools[scheme], shard.metrics);
+      };
+
   const auto task_factory =
       [&](const int64_t task_index,
           const int shard_index) -> std::unique_ptr<sim::FleetTask> {
     ShardState& shard = shards[static_cast<size_t>(shard_index)];
-    const int64_t plan_index = trial_config.paired_paths
-                                   ? task_index / num_schemes
-                                   : task_index;
-    Rng session_rng = master.split(static_cast<uint64_t>(plan_index));
-    std::shared_ptr<const SessionPlan> plan;
-    size_t scheme;
-    if (trial_config.paired_paths) {
-      if (plan_index != shard.cached_plan_index) {
-        shard.cached_plan = std::make_shared<const SessionPlan>(
-            make_session_plan(session_rng, users, *paths));
-        shard.cached_plan_index = plan_index;
-        shard.metrics.registry.add(shard.metrics.plan_cache_misses);
-      } else {
-        shard.metrics.registry.add(shard.metrics.plan_cache_hits);
-      }
-      plan = shard.cached_plan;
-      scheme = static_cast<size_t>(task_index % num_schemes);
-    } else {
-      plan = std::make_shared<const SessionPlan>(
-          make_session_plan(session_rng, users, *paths));
-      // RCT: blinded random assignment, drawn from the session's own RNG
-      // right after its plan (same position at any shard count).
-      scheme = static_cast<size_t>(
-          session_rng.uniform_int(0, num_schemes - 1));
-    }
-    scheme_of[static_cast<size_t>(task_index)] = scheme;
-
-    std::unique_ptr<abr::AbrAlgorithm> algo =
-        shard.take_algorithm(trial_config, factory, scheme);
-    auto& partial = partials[static_cast<size_t>(task_index)];
-    partial = std::make_unique<SchemeResult>();
     shard.metrics.registry.add(shard.metrics.tasks_created);
-    return std::make_unique<PooledSessionTask>(
-        std::move(plan), std::move(algo), trial_config, *partial,
-        shard.pools[scheme], &shard.metrics);
+    return make_session(task_index, shard, SessionTask::Connection::kPrivate);
   };
 
-  // Contention factory: builds group `group_index` from its member plans.
-  // Every member's plan and RCT scheme draw come from the same RNG splits,
-  // at the same positions, as the private-path factory above — grouping
-  // changes the world the sessions run in, never which sessions exist.
+  // Contention factory: builds group `group_index` from its member
+  // sessions, each a PooledSessionTask on a shared connection.
   const auto contention_factory =
       [&](const int64_t group_index,
           const int shard_index) -> std::unique_ptr<sim::FleetTask> {
@@ -477,29 +443,20 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     const int64_t begin = group_index * group_size;
     const int64_t end = std::min(num_plans, begin + group_size);
     std::vector<ContentionGroupTask::Member> members;
-    std::vector<size_t> member_schemes;
     members.reserve(static_cast<size_t>(end - begin));
-    member_schemes.reserve(static_cast<size_t>(end - begin));
     double max_trace_s = 0.0;
     for (int64_t p = begin; p < end; p++) {
-      Rng session_rng = master.split(static_cast<uint64_t>(p));
-      auto plan = std::make_shared<const SessionPlan>(
-          make_session_plan(session_rng, users, *paths));
-      const auto scheme =
-          static_cast<size_t>(session_rng.uniform_int(0, num_schemes - 1));
-      scheme_of[static_cast<size_t>(p)] = scheme;
-      member_schemes.push_back(scheme);
-      auto& partial = partials[static_cast<size_t>(p)];
-      partial = std::make_unique<SchemeResult>();
-      max_trace_s = std::max(max_trace_s, plan->path->trace.duration());
+      const bool use_cubic =
+          contention.cc == "cubic" || (contention.cc == "mixed" && p % 2 == 1);
       ContentionGroupTask::Member member;
-      member.plan = std::move(plan);
-      member.algo = shard.take_algorithm(trial_config, factory, scheme);
-      member.result = partial.get();
+      member.session = make_session(
+          p, shard,
+          use_cubic ? SessionTask::Connection::kSharedCubic
+                    : SessionTask::Connection::kSharedBbr);
       member.arrival_offset_s = plan_arrivals[static_cast<size_t>(p)] -
                                 plan_arrivals[static_cast<size_t>(begin)];
-      member.use_cubic =
-          contention.cc == "cubic" || (contention.cc == "mixed" && p % 2 == 1);
+      max_trace_s =
+          std::max(max_trace_s, member.session->plan().path->trace.duration());
       members.push_back(std::move(member));
     }
     // One extra access-path sample from the scenario becomes the shared
@@ -540,11 +497,10 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
       }
     }
     shard.metrics.registry.add(shard.metrics.tasks_created);
-    return std::make_unique<PooledContentionTask>(
-        std::move(members), contention, std::move(shared_sample), trial_config,
-        shard.pools, std::move(member_schemes),
-        &result.group_fairness[static_cast<size_t>(group_index)],
-        &shard.metrics);
+    return std::make_unique<MeasuredGroupTask>(
+        std::move(members), contention, std::move(shared_sample),
+        result.group_fairness[static_cast<size_t>(group_index)],
+        shard.metrics);
   };
 
   MergeFrontier frontier;

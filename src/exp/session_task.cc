@@ -7,6 +7,7 @@
 #include "abr/mpc_abr.hh"
 #include "media/channel.hh"
 #include "net/bbr.hh"
+#include "net/cubic.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -33,8 +34,13 @@ SessionPlan make_session_plan(Rng& rng, const sim::UserModel& users,
 }
 
 SessionTask::SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
-                         const TrialConfig& config, SchemeResult& result)
-    : plan_(plan), algo_(algo), config_(config), result_(result) {
+                         const TrialConfig& config, SchemeResult& result,
+                         const Connection connection)
+    : plan_(plan),
+      algo_(algo),
+      config_(config),
+      result_(result),
+      connection_(connection) {
   if (auto* mpc = dynamic_cast<abr::MpcAbr*>(&algo_)) {
     if (auto* batched =
             dynamic_cast<fugu::BatchTtpPredictor*>(&mpc->predictor())) {
@@ -46,41 +52,104 @@ SessionTask::SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
 }
 
 SessionTask::Step SessionTask::prepare() {
-  if (finished_) {
-    return Step::kDone;
+  require(connection_ == Connection::kPrivate,
+          "SessionTask::prepare: a shared connection is driven by its group");
+  double wait_s = 0.0;
+  return advance(wait_s) == Need::kDecision ? Step::kDecision : Step::kDone;
+}
+
+SessionTask::Need SessionTask::advance(double& wait_s) {
+  switch (phase_) {
+    case Phase::kStart:
+      if (!start_session()) {
+        return Need::kDone;
+      }
+      phase_ = Phase::kPreamble;
+      if (!send(sim::kPreambleBytes)) {
+        return Need::kTransfer;
+      }
+      break;
+    case Phase::kPreamble:
+    case Phase::kChunk:
+      if (sender_->transfer_in_flight()) {
+        return Need::kTransfer;
+      }
+      if (phase_ == Phase::kChunk) {
+        complete_transfer();
+      }
+      break;
+    case Phase::kWait:
+      if (stream_->finish_wait() == sim::StreamSession::PrepareStep::kDecision) {
+        phase_ = Phase::kDecision;
+        return Need::kDecision;
+      }
+      finish_stream();
+      break;
+    case Phase::kStreaming:
+      break;
+    case Phase::kDecision:
+      return Need::kDecision;
+    case Phase::kDone:
+      return Need::kDone;
   }
-  if (!started_) {
-    started_ = true;
-    result_.consort.sessions++;
-    if (plan_.session.incompatible_or_bounce) {
-      // Page loaded but video never played (incompatible browser / bounce).
-      result_.consort.streams++;
-      result_.consort.never_began++;
-      finished_ = true;
-      return Step::kDone;
-    }
-    run_rng_ = Rng{plan_.run_seed};
-    algo_.reset_session();
-    if (resilient_ != nullptr) {
-      resilient_->begin_session(plan_.run_seed);
-      seen_ttp_failures_ = 0;
-    }
-    abort_probability_ = config_.faults.probability(sim::kFaultSessionAbort);
-    if (abort_probability_ > 0.0) {
-      abort_rng_ = config_.faults.rng(sim::kFaultSessionAbort)
-                       .split(plan_.run_seed);
-    }
-    sender_.emplace(*plan_.path, std::make_unique<net::BbrModel>(),
-                    net::TcpSender::default_queue_capacity(*plan_.path));
-    sim::send_preamble(*sender_);
+  return next_decision(wait_s);
+}
+
+bool SessionTask::start_session() {
+  result_.consort.sessions++;
+  if (plan_.session.incompatible_or_bounce) {
+    // Page loaded but video never played (incompatible browser / bounce).
+    result_.consort.streams++;
+    result_.consort.never_began++;
+    phase_ = Phase::kDone;
+    return false;
   }
+  run_rng_ = Rng{plan_.run_seed};
+  algo_.reset_session();
+  if (resilient_ != nullptr) {
+    resilient_->begin_session(plan_.run_seed);
+    seen_ttp_failures_ = 0;
+  }
+  abort_probability_ = config_.faults.probability(sim::kFaultSessionAbort);
+  if (abort_probability_ > 0.0) {
+    abort_rng_ =
+        config_.faults.rng(sim::kFaultSessionAbort).split(plan_.run_seed);
+  }
+  switch (connection_) {
+    case Connection::kPrivate:
+      sender_.emplace(*plan_.path, std::make_unique<net::BbrModel>(),
+                      net::TcpSender::default_queue_capacity(*plan_.path));
+      break;
+    case Connection::kSharedBbr:
+      sender_.emplace(plan_.path->min_rtt_s, std::make_unique<net::BbrModel>());
+      break;
+    case Connection::kSharedCubic:
+      sender_.emplace(plan_.path->min_rtt_s,
+                      std::make_unique<net::CubicModel>());
+      break;
+  }
+  return true;
+}
+
+bool SessionTask::send(const double bytes) {
+  if (connection_ == Connection::kPrivate) {
+    sender_->transfer(bytes);
+    return true;
+  }
+  sender_->start_transfer(bytes);
+  return !sender_->transfer_in_flight();
+}
+
+SessionTask::Need SessionTask::next_decision(double& wait_s) {
+  using PrepareStep = sim::StreamSession::PrepareStep;
+  phase_ = Phase::kStreaming;
   for (;;) {
     if (stream_index_ >= plan_.session.num_streams) {
       if (any_considered_) {
         result_.session_durations_s.push_back(session_duration_s_);
       }
-      finished_ = true;
-      return Step::kDone;
+      phase_ = Phase::kDone;
+      return Need::kDone;
     }
     if (!stream_) {
       video_.emplace(
@@ -91,8 +160,18 @@ SessionTask::Step SessionTask::prepare() {
                       plan_.stream_behaviors[static_cast<size_t>(stream_index_)],
                       run_rng_, config_.stream, nullptr);
     }
-    if (stream_->prepare_chunk()) {
-      return Step::kDecision;
+    PrepareStep step = stream_->prepare_chunk_async(wait_s);
+    if (step == PrepareStep::kWait) {
+      if (connection_ != Connection::kPrivate) {
+        phase_ = Phase::kWait;
+        return Need::kWait;
+      }
+      sender_->idle_until(sender_->now() + wait_s);
+      step = stream_->finish_wait();
+    }
+    if (step == PrepareStep::kDecision) {
+      phase_ = Phase::kDecision;
+      return Need::kDecision;
     }
     finish_stream();
   }
@@ -102,15 +181,23 @@ bool SessionTask::stage(fugu::TtpInferenceBatch& batch) {
   if (batch_predictor_ == nullptr) {
     return false;
   }
-  require(stream_.has_value(), "SessionTask: no decision pending");
+  require(phase_ == Phase::kDecision, "SessionTask: no decision pending");
   batch_predictor_->stage(stream_->observation(), stream_->lookahead(),
                           mpc_horizon_, batch);
   return true;
 }
 
 void SessionTask::finish_chunk() {
-  require(stream_.has_value(), "SessionTask: no decision pending");
-  stream_->finish_chunk();
+  require(phase_ == Phase::kDecision, "SessionTask: no decision pending");
+  phase_ = Phase::kChunk;
+  if (send(stream_->begin_chunk())) {
+    complete_transfer();
+  }
+}
+
+void SessionTask::complete_transfer() {
+  stream_->complete_chunk(sender_->take_completion());
+  phase_ = Phase::kStreaming;
   if (resilient_ != nullptr) {
     const int64_t failures = resilient_->session_stats().failures;
     for (; seen_ttp_failures_ < failures; seen_ttp_failures_++) {

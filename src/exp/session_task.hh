@@ -32,35 +32,78 @@ SessionPlan make_session_plan(Rng& rng, const sim::UserModel& users,
 
 namespace detail {
 
-/// CONSORT bucketing + telemetry folding for one finished stream — shared by
-/// SessionTask (private paths) and ContentionGroupTask members so the two
-/// drivers cannot drift. Draws the 1.1% loss-of-contact bernoulli from
-/// `run_rng` at the same position for either kind of session.
+/// CONSORT bucketing + telemetry folding for one finished stream. Draws
+/// the 1.1% loss-of-contact bernoulli from `run_rng`. SessionTask is its
+/// one caller in the simulator, so a session is counted the same way on a
+/// private path and behind a shared bottleneck.
 void fold_stream_outcome(const sim::StreamOutcome& outcome, Rng& run_rng,
                          const TrialConfig& config, SchemeResult& result,
                          double& session_duration_s, bool& any_considered);
 
 }  // namespace detail
 
-/// One trial session as a resumable task (streams, CONSORT accounting,
-/// telemetry logs), cut at its ABR decision points so the fleet engine can
-/// interleave thousands of sessions on one virtual timeline. run_session
-/// below drives a task straight to completion; it is the reference the
-/// fleet is checked against, and both share this one implementation.
+/// One trial session as a resumable task — the one implementation of the
+/// session life cycle: CONSORT counting, the bounce check, the run RNG,
+/// reset_session, the fault hooks, the preamble, the streams and the
+/// per-stream fold. It is cut at its ABR decision points so the fleet
+/// engine can interleave thousands of sessions on one virtual timeline;
+/// run_session below drives a task straight to completion and is the
+/// reference the fleet is checked against.
+///
+/// The connection decides who performs the network actions. On a private
+/// path the session owns a TcpSender over its plan's path and runs every
+/// transfer and idle itself, so prepare() only ever stops at decisions.
+/// Behind a shared bottleneck the sender is externally driven: advance()
+/// also stops at every transfer in flight (kTransfer) and every buffer-full
+/// wait (kWait), and a ContentionGroupTask steps the connection and calls
+/// advance() again once the transfer completed or the wait elapsed.
 ///
 /// Non-owning throughout: the plan, algorithm, config and result
 /// accumulator must all outlive the task (run_session completes within the
-/// caller's scope; the fleet wrapper owns the plan alongside the task).
-class SessionTask final : public sim::FleetTask {
+/// caller's scope; the fleet wraps the task with what it points at).
+class SessionTask : public sim::FleetTask {
  public:
-  SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
-              const TrialConfig& config, SchemeResult& result);
+  enum class Connection {
+    kPrivate,     ///< own TcpSender (BBR) over the plan's path
+    kSharedBbr,   ///< externally driven TcpSender, BBR
+    kSharedCubic, ///< externally driven TcpSender, CUBIC
+  };
 
+  SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
+              const TrialConfig& config, SchemeResult& result,
+              Connection connection = Connection::kPrivate);
+
+  /// Private connections only (a shared session's network actions belong
+  /// to its group).
   Step prepare() override;
   bool stage(fugu::TtpInferenceBatch& batch) override;
+  /// Decide the pending chunk and start its transfer; on a private path
+  /// (or when the transfer completes at once) also account for it.
   void finish_chunk() override;
+  /// Virtual time on the session's own connection since it opened.
   [[nodiscard]] double elapsed_s() const override;
   void drain_fault_events(std::vector<FaultEvent>& out) override;
+
+  /// What the session needs before it can make progress.
+  enum class Need {
+    kDecision,  ///< parked at an ABR decision: stage()/finish_chunk()
+    kTransfer,  ///< sender() has a transfer in flight
+    kWait,      ///< idle the connection for wait_s, then advance() again
+    kDone,      ///< session over
+  };
+  /// Run the life cycle up to its next need. A kTransfer resumes once the
+  /// sender's transfer completed, a kWait once the wait elapsed.
+  Need advance(double& wait_s);
+
+  /// The session's connection; nullptr until the session opened it (and
+  /// for sessions that bounced before playing).
+  [[nodiscard]] net::TcpSender* sender() {
+    return sender_.has_value() ? &*sender_ : nullptr;
+  }
+  [[nodiscard]] const net::TcpSender* sender() const {
+    return sender_.has_value() ? &*sender_ : nullptr;
+  }
+  [[nodiscard]] const SessionPlan& plan() const { return plan_; }
 
   /// Streams the fault plane cut short via the user model this session.
   [[nodiscard]] int64_t aborted_streams() const { return aborted_streams_; }
@@ -71,12 +114,32 @@ class SessionTask final : public sim::FleetTask {
   }
 
  private:
+  enum class Phase {
+    kStart,      ///< before the session's arrival
+    kPreamble,   ///< preamble transfer started
+    kChunk,      ///< chunk transfer started
+    kWait,       ///< waiting for client buffer room
+    kDecision,   ///< parked at an ABR decision
+    kStreaming,  ///< between decisions
+    kDone,
+  };
+
+  /// CONSORT count, bounce check, per-session resets, fault streams and
+  /// the connection. False when the session bounced.
+  bool start_session();
+  /// Start a transfer; true once it completed (always on a private path).
+  bool send(double bytes);
+  /// Playback accounting of the finished chunk transfer, then the fault
+  /// hooks that follow every chunk.
+  void complete_transfer();
+  Need next_decision(double& wait_s);
   void finish_stream();
 
   const SessionPlan& plan_;
   abr::AbrAlgorithm& algo_;
   const TrialConfig& config_;
   SchemeResult& result_;
+  Connection connection_;
 
   // Set when the algorithm is an MpcAbr driven by a BatchTtpPredictor —
   // the combination whose decisions the fleet engine can coalesce. A
@@ -88,7 +151,7 @@ class SessionTask final : public sim::FleetTask {
 
   // Session-abort fault stream: seeded from (fault seed, family, run seed)
   // at session start and drawn once per decision — a pure per-session
-  // schedule, invariant to fleet interleaving.
+  // schedule, invariant to fleet interleaving and to the connection.
   std::optional<Rng> abort_rng_;
   double abort_probability_ = 0.0;
   int64_t aborted_streams_ = 0;
@@ -102,8 +165,7 @@ class SessionTask final : public sim::FleetTask {
   int stream_index_ = 0;
   double session_duration_s_ = 0.0;
   bool any_considered_ = false;
-  bool started_ = false;
-  bool finished_ = false;
+  Phase phase_ = Phase::kStart;
 };
 
 /// Drive one session to completion on the calling thread, with no engine —

@@ -84,16 +84,6 @@ void StreamSession::build_observation() {
   }
 }
 
-bool StreamSession::prepare_chunk() {
-  double wait_s = 0.0;
-  PrepareStep step = prepare_chunk_async(wait_s);
-  if (step == PrepareStep::kWait) {
-    sender_.idle_until(sender_.now() + wait_s);
-    step = finish_wait();
-  }
-  return step == PrepareStep::kDecision;
-}
-
 double StreamSession::begin_chunk() {
   require(!done_, "StreamSession::begin_chunk: stream is over");
 
@@ -219,11 +209,6 @@ void StreamSession::complete_chunk(const net::TransferResult& transfer) {
   }
 }
 
-void StreamSession::finish_chunk() {
-  const double bytes = begin_chunk();
-  complete_chunk(sender_.transfer(bytes));
-}
-
 void StreamSession::abort_stream() {
   require(!done_, "StreamSession::abort_stream: stream is over");
   user_left_ = true;
@@ -261,10 +246,18 @@ StreamOutcome run_stream(net::TcpSender& sender, abr::AbrAlgorithm& abr,
                          StreamObserver* observer) {
   StreamSession session{sender, abr,    video, first_chunk,
                         user,   rng,    config, observer};
-  while (session.prepare_chunk()) {
-    session.finish_chunk();
+  for (;;) {
+    double wait_s = 0.0;
+    StreamSession::PrepareStep step = session.prepare_chunk_async(wait_s);
+    if (step == StreamSession::PrepareStep::kWait) {
+      sender.idle_until(sender.now() + wait_s);
+      step = session.finish_wait();
+    }
+    if (step == StreamSession::PrepareStep::kDone) {
+      return session.take_outcome();
+    }
+    session.complete_chunk(sender.transfer(session.begin_chunk()));
   }
-  return session.take_outcome();
 }
 
 }  // namespace puffer::sim

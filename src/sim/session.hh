@@ -71,18 +71,26 @@ class StreamObserver {
                                 double buffer_s, double cum_rebuffer_s) = 0;
 };
 
-/// One stream as a resumable state machine: the streaming loop of
-/// run_stream() cut at its ABR decision points, so a caller can interleave
-/// thousands of streams on one virtual timeline (the fleet engine) or fuse
-/// the inference of many concurrently-deciding streams into one batch.
+/// One stream as a resumable state machine: the streaming loop cut at its
+/// ABR decision points and at every network action, so a caller can
+/// interleave thousands of streams on one virtual timeline (the fleet
+/// engine), fuse the inference of many concurrently-deciding streams into
+/// one batch, or advance a group's connections in lockstep over a shared
+/// bottleneck. The session never touches the network itself; its driver
+/// owns every transfer and idle:
 ///
-/// Protocol: while (prepare_chunk()) finish_chunk(); then take_outcome().
-/// Between a true prepare_chunk() and the matching finish_chunk() the
-/// observation and lookahead for the pending decision are exposed, which is
-/// where the fleet engine stages batched TTP rows. Driving the machine to
-/// completion in one loop is exactly run_stream() — same operations on the
-/// sender, ABR scheme and RNG in the same order, so outcomes are
-/// bit-identical to the historical single-call loop.
+///   prepare_chunk_async -> kDecision: decide via observation()/lookahead()
+///                          then begin_chunk() -> transfer the returned
+///                          bytes -> complete_chunk(result)
+///                       -> kWait:     idle the connection for wait_s of
+///                          virtual time, then call finish_wait() (which
+///                          yields kDecision or kDone)
+///                       -> kDone:     stream over, take_outcome()
+///
+/// run_stream() below is this protocol driven with TcpSender::transfer and
+/// TcpSender::idle_until; exp::SessionTask drives it the same way on a
+/// private path and hands the network actions to its contention group on a
+/// shared one.
 ///
 /// Holds references to everything passed in; they must outlive the session.
 class StreamSession {
@@ -93,24 +101,8 @@ class StreamSession {
                 const StreamRunConfig& config = {},
                 StreamObserver* observer = nullptr);
 
-  /// Advance to the next ABR decision (waiting for client buffer room as
-  /// needed). Returns false once the stream is over.
-  bool prepare_chunk();
-
-  /// Async variant of the prepare/finish protocol, for drivers that cannot
-  /// let the session block the sender (shared-bottleneck worlds advance all
-  /// of a group's connections in lockstep):
-  ///
-  ///   prepare_chunk_async -> kDecision: decide via observation()/lookahead()
-  ///                          then begin_chunk() -> transfer the returned
-  ///                          bytes -> complete_chunk(result)
-  ///                       -> kWait:     idle the connection for *wait_s of
-  ///                          virtual time, then call finish_wait() (which
-  ///                          yields kDecision or kDone)
-  ///                       -> kDone:     stream over, take_outcome()
-  ///
-  /// prepare_chunk()/finish_chunk() are exactly this protocol driven against
-  /// the session's own sender, so both drivers are bit-identical.
+  /// Advance to the next ABR decision, a buffer-full wait, or the end of
+  /// the stream.
   enum class PrepareStep { kDecision, kWait, kDone };
   PrepareStep prepare_chunk_async(double& wait_s);
   /// Completes the buffer/playback accounting of a kWait after the caller
@@ -123,27 +115,25 @@ class StreamSession {
   /// Playback/QoE accounting for the transfer begin_chunk() started.
   void complete_chunk(const net::TransferResult& transfer);
 
-  /// Observation / lookahead of the pending decision (valid after a true
-  /// prepare_chunk(), until finish_chunk()).
+  /// Observation / lookahead of the pending decision (valid after a
+  /// kDecision, until begin_chunk()).
   [[nodiscard]] const abr::AbrObservation& observation() const { return obs_; }
   [[nodiscard]] std::span<const media::ChunkOptions> lookahead() const {
     return lookahead_;
   }
-
-  /// Decide (through the ABR scheme) and transfer the prepared chunk.
-  void finish_chunk();
 
   [[nodiscard]] bool done() const { return done_; }
 
   /// Mid-stream abort via the user model: the viewer leaves immediately
   /// (same accounting as a quality/stall departure — the stream ends with
   /// user_left semantics and its outcome stays valid). Used by the fault
-  /// plane's session-abort family; must not be called between a true
-  /// prepare_chunk() and its finish_chunk().
+  /// plane's session-abort family; must not be called between
+  /// begin_chunk() and its complete_chunk().
   void abort_stream();
 
-  /// The finished stream's outcome (valid once prepare_chunk() returned
-  /// false); leaves the session in a moved-from state.
+  /// The finished stream's outcome (valid once prepare_chunk_async() or
+  /// finish_wait() returned kDone); leaves the session in a moved-from
+  /// state.
   StreamOutcome take_outcome();
 
  private:
@@ -195,11 +185,15 @@ StreamOutcome run_stream(net::TcpSender& sender, abr::AbrAlgorithm& abr,
                          const StreamRunConfig& config = {},
                          StreamObserver* observer = nullptr);
 
-/// Warm the fresh connection the way the real player does: the page, player
-/// JavaScript and manifest travel over the same connection before the first
-/// chunk, so tcp_info is already informative at the first ABR decision —
-/// the effect behind Fugu's better cold start (Figure 9).
-void send_preamble(net::TcpSender& sender, double bytes = 192.0 * 1024.0);
+/// Bytes of page, player JavaScript and manifest that travel over a fresh
+/// connection before the first chunk.
+inline constexpr double kPreambleBytes = 192.0 * 1024.0;
+
+/// Warm the fresh connection the way the real player does: the preamble
+/// travels over the same connection before the first chunk, so tcp_info is
+/// already informative at the first ABR decision — the effect behind Fugu's
+/// better cold start (Figure 9).
+void send_preamble(net::TcpSender& sender, double bytes = kPreambleBytes);
 
 }  // namespace puffer::sim
 

@@ -429,26 +429,40 @@ TEST(FaultMatrix, LinkOutageShardInvariantUnderContention) {
             metric_value(two.metrics, "faults.link_outages"));
 }
 
-/// Contention groups drive their members without the per-session TTP and
-/// abort hooks, so a plan with those families would inject nothing and
-/// report all zeros; the trial refuses it instead, naming the family.
-TEST(FaultMatrix, ContentionRejectsPerSessionFamilies) {
-  for (const std::string_view family :
-       {sim::kFaultTtpInference, sim::kFaultSessionAbort}) {
-    exp::FleetTrialConfig config = small_fleet_config();
-    config.trial.scenario = net::ScenarioSpec{"edge-contention"};
-    config.contention = exp::make_contention_spec("edge", 2);
-    config.trial.faults.enabled = true;
-    config.trial.faults.add(family, 0.5);
-    try {
-      static_cast<void>(exp::run_fleet_trial(
-          config, fault_artifacts(&config.trial.faults)));
-      ADD_FAILURE() << "accepted " << family << " on contention groups";
-    } catch (const RequirementError& error) {
-      const std::string message = error.what();
-      EXPECT_NE(message.find(family), std::string::npos) << message;
-      EXPECT_NE(message.find(sim::kFaultLinkOutage), std::string::npos)
-          << message;
+/// Contention-group members run SessionTask's life cycle, fault hooks
+/// included: TTP-inference failures and session aborts fire inside groups,
+/// every member event reaches the engine's faults.injected counter, and the
+/// results and faults.* counters are bit-identical across shards × threads.
+TEST(FaultMatrix, ContentionGroupsBitIdenticalWithSessionFamilies) {
+  exp::FleetTrialConfig config = small_fleet_config();
+  config.trial.scenario = net::ScenarioSpec{"edge-contention"};
+  config.contention = exp::make_contention_spec("edge", 4);
+  config.trial.faults = matrix_plan();
+  const exp::SchemeArtifacts artifacts = fault_artifacts(&config.trial.faults);
+
+  config.num_shards = 1;
+  config.trial.num_threads = 1;
+  const exp::FleetTrialResult baseline =
+      exp::run_fleet_trial(config, artifacts);
+  EXPECT_GT(metric_value(baseline.metrics, "faults.ttp_failures"), 0);
+  EXPECT_GT(metric_value(baseline.metrics, "faults.session_aborts"), 0);
+  EXPECT_EQ(metric_value(baseline.metrics, "faults.injected"),
+            metric_value(baseline.metrics, "faults.ttp_failures") +
+                metric_value(baseline.metrics, "faults.session_aborts"));
+
+  for (const int shards : {1, 2, 4}) {
+    for (const int threads : {1, 2}) {
+      config.num_shards = shards;
+      config.trial.num_threads = threads;
+      const exp::FleetTrialResult fleet =
+          exp::run_fleet_trial(config, artifacts);
+      expect_identical(baseline.trial, fleet.trial);
+      EXPECT_EQ(baseline.group_fairness, fleet.group_fairness);
+      for (const std::string& name : fault_metric_names()) {
+        EXPECT_EQ(metric_value(baseline.metrics, name),
+                  metric_value(fleet.metrics, name))
+            << name << " shards=" << shards << " threads=" << threads;
+      }
     }
   }
 }
