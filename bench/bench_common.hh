@@ -13,39 +13,9 @@
 #include "exp/trial_cache.hh"
 #include "obs/metrics.hh"
 #include "stats/summary.hh"
+#include "util/json.hh"
 
 namespace puffer::bench {
-
-/// JSON string-body escaping per RFC 8259: backslash, double quote, and
-/// every control character below 0x20 (named escapes where they exist,
-/// \u00XX otherwise). Keeps bench JSON parseable when a path, trace name
-/// or scenario id carries quotes, Windows separators or stray control
-/// bytes.
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Standardized emitter for the BENCH_*.json artifacts the benches commit:
 /// a flat ordered JSON object of numbers, strings and bools. Keeps every

@@ -17,6 +17,7 @@
 #include "obs/prof.hh"
 #include "obs/trace.hh"
 #include "util/binary_io.hh"
+#include "util/json.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -162,25 +163,6 @@ std::string csv_field(const std::string& text) {
   }
   quoted += '"';
   return quoted;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped.push_back('\\');
-      escaped.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      escaped += buffer;
-    } else {
-      escaped.push_back(c);
-    }
-  }
-  return escaped;
 }
 
 }  // namespace

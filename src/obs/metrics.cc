@@ -5,38 +5,12 @@
 #include <cstdio>
 #include <utility>
 
+#include "util/json.hh"
 #include "util/require.hh"
 
 namespace puffer::obs {
 
 namespace {
-
-void append_json_escaped(std::string& out, const std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 /// %.17g round-trips every double and is locale-independent for the values
 /// we emit, so the rendered snapshot is byte-identical across runs.

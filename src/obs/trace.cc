@@ -5,36 +5,11 @@
 #include <fstream>
 #include <utility>
 
+#include "util/json.hh"
+
 namespace puffer::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 /// Microsecond timestamps with fixed millinanosecond precision: stable
 /// bytes for equal inputs, and ample resolution for both planes.
@@ -61,7 +36,7 @@ TraceArgs& TraceArgs::add(const std::string_view key, const int64_t value) {
     body_ += ',';
   }
   body_ += '"';
-  append_escaped(body_, key);
+  append_json_escaped(body_, key);
   body_ += "\":" + std::to_string(value);
   return *this;
 }
@@ -71,7 +46,7 @@ TraceArgs& TraceArgs::add(const std::string_view key, const double value) {
     body_ += ',';
   }
   body_ += '"';
-  append_escaped(body_, key);
+  append_json_escaped(body_, key);
   body_ += "\":";
   append_value(body_, value);
   return *this;
@@ -83,9 +58,9 @@ TraceArgs& TraceArgs::add(const std::string_view key,
     body_ += ',';
   }
   body_ += '"';
-  append_escaped(body_, key);
+  append_json_escaped(body_, key);
   body_ += "\":\"";
-  append_escaped(body_, value);
+  append_json_escaped(body_, value);
   body_ += '"';
   return *this;
 }
@@ -95,7 +70,7 @@ void TraceWriter::push_event(const int pid, const int tid, const char phase,
                              const double* dur_us,
                              const std::string_view args_json) {
   std::string event = "{\"name\":\"";
-  append_escaped(event, name);
+  append_json_escaped(event, name);
   event += "\",\"ph\":\"";
   event += phase;
   event += "\",\"pid\":" + std::to_string(pid);
@@ -145,7 +120,7 @@ void TraceWriter::instant(const int pid, const int tid,
 void TraceWriter::counter(const int pid, const std::string_view name,
                           const double ts_us, const double value) {
   std::string args = "{\"";
-  append_escaped(args, name);
+  append_json_escaped(args, name);
   args += "\":";
   append_value(args, value);
   args += '}';

@@ -1,91 +1,26 @@
 #include "sim/arrivals.hh"
 
-#include <cmath>
-#include <numbers>
-
 #include "util/require.hh"
 
 namespace puffer::sim {
 
-double ArrivalProcess::next_arrival_s(Rng& rng, const double now_s) const {
-  const double envelope = peak_rate();
-  require(envelope > 0.0, "ArrivalProcess: peak rate must be positive");
-  double t = now_s;
-  for (;;) {
-    t += rng.exponential(envelope);
-    // Thinning: accept the candidate with probability lambda(t) / envelope.
-    if (rng.uniform() * envelope <= rate_at(t)) {
-      return t;
-    }
-  }
-}
-
-PoissonArrivals::PoissonArrivals(const double rate_per_s)
+ArrivalProcess::ArrivalProcess(const double rate_per_s)
     : rate_per_s_(rate_per_s) {
-  require(rate_per_s_ > 0.0, "PoissonArrivals: rate must be positive");
+  require(rate_per_s_ > 0.0, "ArrivalProcess: rate must be positive");
 }
 
-double PoissonArrivals::rate_at(const double) const { return rate_per_s_; }
-
-DiurnalArrivals::DiurnalArrivals(const ArrivalSpec& spec)
-    : peak_rate_(spec.rate_per_s),
-      period_s_(spec.period_s),
-      trough_fraction_(spec.trough_fraction),
-      peak_time_s_(spec.peak_time_s) {
-  require(peak_rate_ > 0.0, "DiurnalArrivals: rate must be positive");
-  require(period_s_ > 0.0, "DiurnalArrivals: period must be positive");
-  require(trough_fraction_ > 0.0 && trough_fraction_ <= 1.0,
-          "DiurnalArrivals: trough fraction in (0, 1]");
-}
-
-double DiurnalArrivals::rate_at(const double t_s) const {
-  // Same sinusoid as DiurnalPathConfig's congestion factor, applied to
-  // demand instead of capacity: full rate at the prime-time peak,
-  // trough_fraction of it half a period away. (Prime time is when the
-  // shared link sags *and* the most viewers arrive — the fleet's worst
-  // hour, as in Figure 2.)
-  const double phase =
-      2.0 * std::numbers::pi * (t_s - peak_time_s_) / period_s_;
-  const double modulation =
-      trough_fraction_ +
-      (1.0 - trough_fraction_) * 0.5 * (1.0 + std::cos(phase));
-  return peak_rate_ * modulation;
-}
-
-FlashCrowdArrivals::FlashCrowdArrivals(const ArrivalSpec& spec)
-    : base_rate_per_s_(spec.rate_per_s),
-      burst_start_s_(spec.burst_start_s),
-      burst_duration_s_(spec.burst_duration_s),
-      burst_multiplier_(spec.burst_multiplier) {
-  require(base_rate_per_s_ > 0.0, "FlashCrowdArrivals: rate must be positive");
-  require(burst_duration_s_ >= 0.0,
-          "FlashCrowdArrivals: burst duration must be >= 0");
-  require(burst_multiplier_ >= 1.0,
-          "FlashCrowdArrivals: burst multiplier must be >= 1");
-}
-
-double FlashCrowdArrivals::rate_at(const double t_s) const {
-  const bool in_burst =
-      t_s >= burst_start_s_ && t_s < burst_start_s_ + burst_duration_s_;
-  return base_rate_per_s_ * (in_burst ? burst_multiplier_ : 1.0);
-}
-
-double FlashCrowdArrivals::peak_rate() const {
-  return base_rate_per_s_ * burst_multiplier_;
+double ArrivalProcess::next_arrival_s(Rng& rng, const double now_s) const {
+  const double t = now_s + rng.exponential(rate_per_s_);
+  // The retired thinning sampler's acceptance draw, which a homogeneous
+  // process always passes; kept so every arrival time stays bit-identical.
+  static_cast<void>(rng.uniform());
+  return t;
 }
 
 std::unique_ptr<ArrivalProcess> make_arrival_process(const ArrivalSpec& spec) {
-  if (spec.kind == "poisson") {
-    return std::make_unique<PoissonArrivals>(spec.rate_per_s);
-  }
-  if (spec.kind == "diurnal") {
-    return std::make_unique<DiurnalArrivals>(spec);
-  }
-  if (spec.kind == "flash-crowd") {
-    return std::make_unique<FlashCrowdArrivals>(spec);
-  }
-  require(false, "make_arrival_process: unknown kind '" + spec.kind + "'");
-  return nullptr;  // unreachable
+  require(spec.kind == "poisson",
+          "make_arrival_process: unknown kind '" + spec.kind + "'");
+  return std::make_unique<ArrivalProcess>(spec.rate_per_s);
 }
 
 std::vector<double> sample_arrivals(const ArrivalProcess& process, Rng& rng,

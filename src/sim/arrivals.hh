@@ -11,84 +11,30 @@
 namespace puffer::sim {
 
 /// Names the session-arrival process a fleet run interleaves its sessions
-/// under. Three built-in kinds:
-///   poisson      homogeneous arrivals at `rate_per_s`
-///   diurnal      inhomogeneous Poisson whose rate follows the same 24-hour
-///                sinusoid as the diurnal path family: `rate_per_s` at the
-///                prime-time peak, `trough_fraction` of it off-peak
-///   flash-crowd  homogeneous base rate with a `burst_multiplier`x surge
-///                during [burst_start_s, burst_start_s + burst_duration_s)
+/// under. One kind: "poisson", homogeneous arrivals at `rate_per_s`.
 struct ArrivalSpec {
   std::string kind = "poisson";
-  double rate_per_s = 2.0;  ///< peak mean arrival rate
-
-  // diurnal (shape mirrors net::DiurnalPathConfig's congestion sinusoid)
-  double period_s = 86400.0;
-  double trough_fraction = 0.25;
-  double peak_time_s = 21.0 * 3600.0;  ///< 21:00, the diurnal peak hour
-
-  // flash-crowd
-  double burst_start_s = 300.0;
-  double burst_duration_s = 120.0;
-  double burst_multiplier = 10.0;
+  double rate_per_s = 2.0;  ///< mean arrival rate
 };
 
-/// A (possibly inhomogeneous) Poisson arrival process over virtual time.
-/// Stateless with respect to sampling — all randomness comes from the
-/// caller's Rng — so one process can serve any number of runs.
+/// A homogeneous Poisson arrival process over virtual time. Stateless with
+/// respect to sampling — all randomness comes from the caller's Rng — so
+/// one process can serve any number of runs.
 class ArrivalProcess {
  public:
-  virtual ~ArrivalProcess() = default;
+  explicit ArrivalProcess(double rate_per_s);
 
-  /// Instantaneous arrival rate lambda(t) in sessions per virtual second.
-  [[nodiscard]] virtual double rate_at(double t_s) const = 0;
+  [[nodiscard]] double rate_per_s() const { return rate_per_s_; }
 
-  /// Upper bound of rate_at over all t — the thinning envelope.
-  [[nodiscard]] virtual double peak_rate() const = 0;
-
-  /// Time of the next arrival strictly after `now_s`, via Lewis-Shedler
-  /// thinning against peak_rate() (exact for homogeneous processes).
+  /// Time of the next arrival strictly after `now_s`.
   [[nodiscard]] double next_arrival_s(Rng& rng, double now_s) const;
-};
-
-class PoissonArrivals final : public ArrivalProcess {
- public:
-  explicit PoissonArrivals(double rate_per_s);
-  [[nodiscard]] double rate_at(double t_s) const override;
-  [[nodiscard]] double peak_rate() const override { return rate_per_s_; }
 
  private:
   double rate_per_s_;
 };
 
-class DiurnalArrivals final : public ArrivalProcess {
- public:
-  explicit DiurnalArrivals(const ArrivalSpec& spec);
-  [[nodiscard]] double rate_at(double t_s) const override;
-  [[nodiscard]] double peak_rate() const override { return peak_rate_; }
-
- private:
-  double peak_rate_;
-  double period_s_;
-  double trough_fraction_;
-  double peak_time_s_;
-};
-
-class FlashCrowdArrivals final : public ArrivalProcess {
- public:
-  explicit FlashCrowdArrivals(const ArrivalSpec& spec);
-  [[nodiscard]] double rate_at(double t_s) const override;
-  [[nodiscard]] double peak_rate() const override;
-
- private:
-  double base_rate_per_s_;
-  double burst_start_s_;
-  double burst_duration_s_;
-  double burst_multiplier_;
-};
-
 /// Instantiate the process for `spec`; throws RequirementError for an
-/// unknown kind or non-positive rates.
+/// unknown kind or a non-positive rate.
 std::unique_ptr<ArrivalProcess> make_arrival_process(const ArrivalSpec& spec);
 
 /// Sample `count` arrival times starting from virtual time 0 (sorted by

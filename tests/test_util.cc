@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "util/json.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 #include "util/running_stats.hh"
@@ -358,12 +359,12 @@ TEST(ThreadPool, DestructionAfterUnobservedExceptionIsSafe) {
 }
 
 TEST(JsonWriter, EscapesSpecialCharactersInStrings) {
-  EXPECT_EQ(bench::json_escape("plain"), "plain");
-  EXPECT_EQ(bench::json_escape("C:\\traces\\fcc18"), "C:\\\\traces\\\\fcc18");
-  EXPECT_EQ(bench::json_escape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(bench::json_escape("a\tb\nc\rd\be\ff"),
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("C:\\traces\\fcc18"), "C:\\\\traces\\\\fcc18");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\tb\nc\rd\be\ff"),
             "a\\tb\\nc\\rd\\be\\ff");
-  EXPECT_EQ(bench::json_escape(std::string{"\x01\x1f"}), "\\u0001\\u001f");
+  EXPECT_EQ(json_escape(std::string{"\x01\x1f"}), "\\u0001\\u001f");
 }
 
 TEST(JsonWriter, EmitsEscapedKeysAndValues) {
