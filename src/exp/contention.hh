@@ -76,6 +76,8 @@ class ContentionGroupTask : public sim::FleetTask {
   /// shared bottleneck.
   ContentionGroupTask(std::vector<Member> members, const ContentionSpec& spec,
                       net::NetworkPath shared_sample);
+  ContentionGroupTask(const ContentionGroupTask&) = delete;
+  ContentionGroupTask& operator=(const ContentionGroupTask&) = delete;
 
   Step prepare() override;
   bool stage(fugu::TtpInferenceBatch& batch) override;

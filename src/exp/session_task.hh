@@ -72,6 +72,8 @@ class SessionTask : public sim::FleetTask {
   SessionTask(const SessionPlan& plan, abr::AbrAlgorithm& algo,
               const TrialConfig& config, SchemeResult& result,
               Connection connection = Connection::kPrivate);
+  SessionTask(const SessionTask&) = delete;
+  SessionTask& operator=(const SessionTask&) = delete;
 
   /// Private connections only (a shared session's network actions belong
   /// to its group).
