@@ -79,7 +79,8 @@ SessionTask::Need SessionTask::advance(double& wait_s) {
       }
       break;
     case Phase::kWait:
-      if (stream_->finish_wait() == sim::StreamSession::PrepareStep::kDecision) {
+      if (stream_->finish_wait() ==
+          sim::StreamSession::PrepareStep::kDecision) {
         phase_ = Phase::kDecision;
         return Need::kDecision;
       }

@@ -209,8 +209,8 @@ TEST(GoldenTrial, ContentionGroupsMatchPinnedStatistics) {
   if (update_mode()) {
     std::printf("// paste into kGroupedGolden:\n");
     for (const auto& [topology, family] :
-         {std::pair{"edge", "edge-contention"}, std::pair{"tower", "cell-shared"},
-          std::pair{"wifi", "wifi-home"}}) {
+         {std::pair{"edge", "edge-contention"},
+          std::pair{"tower", "cell-shared"}, std::pair{"wifi", "wifi-home"}}) {
       const FleetTrialResult run = run_grouped(topology, family);
       const Aggregates agg = aggregate(run.trial);
       std::printf("    {\"%s\", \"%s\", %lld, %.17g, %.17g, %.17g, {", topology,
