@@ -76,8 +76,8 @@ class StreamObserver {
 /// interleave thousands of streams on one virtual timeline (the fleet
 /// engine), fuse the inference of many concurrently-deciding streams into
 /// one batch, or advance a group's connections in lockstep over a shared
-/// bottleneck. The session never touches the network itself; its driver
-/// owns every transfer and idle:
+/// bottleneck. The session reads its sender's clock and tcp_info but never
+/// sends or idles on it; its driver owns every transfer and idle:
 ///
 ///   prepare_chunk_async -> kDecision: decide via observation()/lookahead()
 ///                          then begin_chunk() -> transfer the returned
