@@ -337,5 +337,17 @@ TEST(Campaign, FingerprintTracksIdentityKnobsOnly) {
   EXPECT_NE(base.fingerprint(), arm.fingerprint());
 }
 
+/// The fingerprint names every checkpoint on disk, so its canonical string
+/// must not drift: these values pin the default config and one with the
+/// fault plane enabled (which adds the fault and resilience terms).
+TEST(Campaign, FingerprintIsPinned) {
+  EXPECT_EQ(CampaignConfig{}.fingerprint(), 14730459082425319125ULL);
+
+  CampaignConfig faulted = tiny_config();
+  faulted.faults =
+      sim::parse_fault_plan("retrain-crash=0.5,checkpoint-load=0.25", 99);
+  EXPECT_EQ(faulted.fingerprint(), 341523930490714578ULL);
+}
+
 }  // namespace
 }  // namespace puffer::exp

@@ -288,6 +288,11 @@ TEST(TrialCache, CorruptEntryIsEvictedAndRecomputed) {
     }
   }
   ASSERT_FALSE(entry.empty());
+  // The filename carries the config fingerprint; pinning it catches any
+  // change to the cache key's canonical string (which would orphan every
+  // existing entry).
+  EXPECT_EQ(std::filesystem::path(entry).filename().string(),
+            "trial_cache_evict_test_330681123857905793.bin");
   {
     std::ofstream out{entry, std::ios::binary | std::ios::trunc};
     out << "garbage";
