@@ -7,24 +7,28 @@
 
 namespace puffer::abr {
 
-Bba::Bba(const BbaConfig config) : config_(config) {
-  require(config_.reservoir_s > 0.0 &&
-              config_.upper_reservoir_s > config_.reservoir_s &&
-              config_.max_buffer_s >= config_.upper_reservoir_s,
-          "Bba: reservoir < upper reservoir <= max buffer required");
-}
+namespace {
+
+constexpr double kReservoirS = 3.75;        ///< below this: lowest rung
+constexpr double kUpperReservoirS = 13.125; ///< above this: highest rung
+
+static_assert(kReservoirS > 0.0 && kUpperReservoirS > kReservoirS &&
+                  media::kMaxBufferS >= kUpperReservoirS,
+              "Bba: reservoir < upper reservoir <= max buffer required");
+
+}  // namespace
 
 double Bba::rate_limit_mbps(const double buffer_s) const {
   const double r_min = media::default_ladder().front().nominal_bitrate_mbps;
   const double r_max = media::default_ladder().back().nominal_bitrate_mbps;
-  if (buffer_s <= config_.reservoir_s) {
+  if (buffer_s <= kReservoirS) {
     return r_min;
   }
-  if (buffer_s >= config_.upper_reservoir_s) {
+  if (buffer_s >= kUpperReservoirS) {
     return r_max;
   }
-  const double fraction = (buffer_s - config_.reservoir_s) /
-                          (config_.upper_reservoir_s - config_.reservoir_s);
+  const double fraction = (buffer_s - kReservoirS) /
+                          (kUpperReservoirS - kReservoirS);
   return r_min + fraction * (r_max - r_min);
 }
 

@@ -10,15 +10,8 @@ namespace puffer::abr {
 /// consistent with Puffer's 15-second maximum buffer (section 3.3), choosing
 /// the highest-SSIM version whose instantaneous bitrate fits under the map
 /// (Figure 5: "+SSIM s.t. bitrate < limit").
-struct BbaConfig {
-  double max_buffer_s = 15.0;
-  double reservoir_s = 3.75;        ///< below this: lowest rung
-  double upper_reservoir_s = 13.125;///< above this: highest rung
-};
-
 class Bba final : public AbrAlgorithm {
  public:
-  explicit Bba(BbaConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "BBA"; }
   void reset_session() override {}
@@ -28,9 +21,6 @@ class Bba final : public AbrAlgorithm {
 
   /// The rate map f(buffer) in Mbit/s (exposed for tests).
   [[nodiscard]] double rate_limit_mbps(double buffer_s) const;
-
- private:
-  BbaConfig config_;
 };
 
 }  // namespace puffer::abr

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "media/ladder.hh"
 #include "util/require.hh"
 
 namespace puffer::abr {
@@ -42,7 +43,7 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   require(config_.horizon >= 1, "StochasticMpc: horizon must be >= 1");
   require(config_.buffer_bin_s > 0.0, "StochasticMpc: bin size must be > 0");
   num_bins_ =
-      static_cast<int>(std::ceil(config_.max_buffer_s / config_.buffer_bin_s));
+      static_cast<int>(std::ceil(media::kMaxBufferS / config_.buffer_bin_s));
   const size_t states = static_cast<size_t>(config_.horizon + 1) *
                         static_cast<size_t>(num_bins_ + 1) * media::kNumRungs;
   memo_value_.assign(states, 0.0);
@@ -50,7 +51,7 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
 }
 
 int StochasticMpc::buffer_to_bin(const double buffer_s) const {
-  const double clamped = std::clamp(buffer_s, 0.0, config_.max_buffer_s);
+  const double clamped = std::clamp(buffer_s, 0.0, media::kMaxBufferS);
   return static_cast<int>(std::lround(clamped / config_.buffer_bin_s));
 }
 
@@ -110,8 +111,8 @@ int StochasticMpc::plan_root(const AbrObservation& obs,
                                    outcome.time_s, obs.buffer_s);
       const double next_buffer =
           std::min(std::max(obs.buffer_s - outcome.time_s, 0.0) +
-                       config_.chunk_duration_s,
-                   config_.max_buffer_s);
+                       media::kChunkDurationS,
+                   media::kMaxBufferS);
       const double continuation =
           value_of_next[static_cast<size_t>(buffer_to_bin(next_buffer)) *
                             media::kNumRungs +
@@ -164,8 +165,8 @@ int StochasticMpc::plan(const AbrObservation& obs,
           const double buffer_s = b * config_.buffer_bin_s;
           const double stall = t > buffer_s ? t - buffer_s : 0.0;
           const double next_buffer =
-              std::min(std::max(buffer_s - t, 0.0) + config_.chunk_duration_s,
-                       config_.max_buffer_s);
+              std::min(std::max(buffer_s - t, 0.0) + media::kChunkDurationS,
+                       media::kMaxBufferS);
           const int nb = buffer_to_bin(next_buffer);
           base[b] += p * (value_next_[static_cast<size_t>(nb) * R +
                                       static_cast<size_t>(action)] -
@@ -250,8 +251,8 @@ double StochasticMpc::value_of(const int step, const int buffer_bin,
           chunk_qoe(version.ssim_db, prev_ssim_db, outcome.time_s, buffer_s);
       const double next_buffer =
           std::min(std::max(buffer_s - outcome.time_s, 0.0) +
-                       config_.chunk_duration_s,
-                   config_.max_buffer_s);
+                       media::kChunkDurationS,
+                   media::kMaxBufferS);
       expected += outcome.probability *
                   (qoe + value_of(step + 1, buffer_to_bin(next_buffer), action));
     }
@@ -282,8 +283,8 @@ int StochasticMpc::plan_reference(
                                    outcome.time_s, obs.buffer_s);
       const double next_buffer =
           std::min(std::max(obs.buffer_s - outcome.time_s, 0.0) +
-                       config_.chunk_duration_s,
-                   config_.max_buffer_s);
+                       media::kChunkDurationS,
+                   media::kMaxBufferS);
       expected += outcome.probability *
                   (qoe + value_of(1, buffer_to_bin(next_buffer), action));
     }

@@ -9,14 +9,14 @@ namespace puffer::abr {
 
 /// Configuration of the model-predictive controller (paper sections 4.1,
 /// 4.4, 4.5): QoE(K) = Q(K) - lambda*|Q(K)-Q(prev)| - mu*stall, horizon
-/// H = 5 chunks, value iteration over a discretized buffer.
+/// H = 5 chunks, value iteration over a discretized buffer. The planner's
+/// buffer model is the stream's own: chunks of media::kChunkDurationS into a
+/// buffer capped at media::kMaxBufferS.
 struct MpcConfig {
   int horizon = 5;
   double lambda = 1.0;           ///< quality-variation weight
   double mu = 100.0;             ///< stall weight (per second of stall)
   double buffer_bin_s = 0.25;    ///< buffer discretization
-  double max_buffer_s = 15.0;    ///< client buffer cap
-  double chunk_duration_s = 2.002;
   /// Planning drops outcomes below this probability. Kept very small: with
   /// mu = 100, even a low-probability worst-case bin (10.5 s) carries real
   /// expected cost, and hiding tail risk is exactly the failure mode

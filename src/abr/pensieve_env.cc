@@ -36,7 +36,7 @@ double PensieveEnv::download_time(const double start, const double bytes) const 
 
 std::vector<float> PensieveEnv::reset() {
   const double horizon_s =
-      config_.chunks_per_episode * config_.chunk_duration_s * 4.0;
+      config_.chunks_per_episode * media::kChunkDurationS * 4.0;
   Rng path_rng = rng_.split(rng_.engine()());
   path_ = trace_model_.sample_path(path_rng, horizon_s);
   const auto& channels = media::default_channels();
@@ -67,13 +67,13 @@ PensieveEnv::StepResult PensieveEnv::step(const int rung) {
 
   // Buffer dynamics: drains while downloading; stall if it empties.
   const double stall = std::max(dt - buffer_s_, 0.0);
-  buffer_s_ = std::max(buffer_s_ - dt, 0.0) + config_.chunk_duration_s;
+  buffer_s_ = std::max(buffer_s_ - dt, 0.0) + media::kChunkDurationS;
   now_s_ += dt;
   // Full buffer: the client pauses fetching until there is room.
-  if (buffer_s_ > config_.buffer_max_s) {
-    const double wait = buffer_s_ - config_.buffer_max_s;
+  if (buffer_s_ > media::kMaxBufferS) {
+    const double wait = buffer_s_ - media::kMaxBufferS;
     now_s_ += wait;
-    buffer_s_ = config_.buffer_max_s;
+    buffer_s_ = media::kMaxBufferS;
   }
 
   // Bitrate-based QoE_lin reward (Pensieve could not be made SSIM-aware).

@@ -12,10 +12,9 @@ namespace puffer::abr {
 /// trace-integral time to move its bytes plus one RTT of latency; the buffer
 /// drains in real time, stalls accrue when it empties, and the reward is the
 /// bitrate-based QoE_lin the paper says Pensieve optimizes
-/// (+bitrate, -stalls, -Δbitrate; Figure 5).
+/// (+bitrate, -stalls, -Δbitrate; Figure 5). The agent trains against the
+/// deployed player: media::kChunkDurationS chunks, media::kMaxBufferS buffer.
 struct PensieveEnvConfig {
-  double buffer_max_s = 15.0;
-  double chunk_duration_s = 2.002;
   double rebuffer_penalty_per_s = 5.5;  ///< QoE_lin: the top bitrate in Mbit/s
   double smooth_penalty = 1.0;
   int chunks_per_episode = 100;

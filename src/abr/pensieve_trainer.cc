@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "media/ladder.hh"
 #include "nn/loss.hh"
 #include "util/require.hh"
 
@@ -90,7 +91,7 @@ nn::Mlp train_pensieve(const PensieveTrainConfig& config, const uint64_t seed,
       }
       batch_stall += episodes.back().stall_s;
       batch_time += static_cast<double>(episodes.back().rewards.size()) *
-                    config.env.chunk_duration_s;
+                    media::kChunkDurationS;
     }
 
     // 2. Flatten into one training batch with discounted returns.

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,8 @@
 
 #include "exp/insitu.hh"
 #include "exp/registry.hh"
+#include "fugu/resilient.hh"
+#include "media/ladder.hh"
 #include "obs/prof.hh"
 #include "obs/trace.hh"
 #include "util/binary_io.hh"
@@ -28,6 +31,28 @@ constexpr uint64_t kCampaignMagic = 0x50434d50;  // "PCMP"
 // v2: day-level telemetry_lost/telemetry_duplicated/degraded and arm-level
 // retrain_crashes/retrain_backoff_s/degraded fault accounting.
 constexpr uint64_t kCampaignVersion = 2;
+
+// --- graceful degradation --------------------------------------------------
+
+/// Retry attempts after a crashed nightly retrain (total attempts =
+/// 1 + kRetrainRetries). On exhaustion the arm keeps yesterday's deployed
+/// model and the day is flagged degraded.
+constexpr int kRetrainRetries = 2;
+/// Virtual-time backoff before retry k is base * factor^(k-1), capped.
+constexpr double kRetrainBackoffBaseS = 900.0;
+constexpr double kRetrainBackoffFactor = 2.0;
+constexpr double kRetrainBackoffMaxS = 7200.0;
+/// Retry attempts after a failed checkpoint load; on exhaustion the campaign
+/// degrades to a flagged fresh start instead of aborting.
+constexpr int kCheckpointRetries = 2;
+
+/// Backoff charged before retry `attempt` (1-based): bounded exponential.
+double retrain_backoff_s(const int attempt) {
+  const double backoff =
+      kRetrainBackoffBaseS *
+      std::pow(kRetrainBackoffFactor, static_cast<double>(attempt - 1));
+  return std::min(backoff, kRetrainBackoffMaxS);
+}
 
 // --- binary checkpoint primitives -----------------------------------------
 
@@ -204,9 +229,8 @@ uint64_t CampaignConfig::fingerprint() const {
         << ";telemetry=" << telemetry_sessions_per_day
         << ";eval=" << eval_sessions_per_day
         << ";holdout=" << holdout_sessions_per_day
-        << ";stream=" << stream.max_buffer_s << "," << stream.lookahead_chunks
-        << "," << stream.player_init_delay_s << ","
-        << stream.max_stream_chunks;
+        << ";stream=" << media::kMaxBufferS << "," << stream.lookahead_chunks
+        << "," << sim::kPlayerInitDelayS << "," << stream.max_stream_chunks;
   for (const auto& phase : phases) {
     canon << ";phase=";
     field(phase.scenario.key());
@@ -233,13 +257,11 @@ uint64_t CampaignConfig::fingerprint() const {
   if (faults.enabled) {
     canon << ";faults=";
     field(faults.fingerprint_key());
-    canon << ";resilience=" << resilience.retrain_retries << ","
-          << resilience.retrain_backoff_base_s << ","
-          << resilience.retrain_backoff_factor << ","
-          << resilience.retrain_backoff_max_s << ","
-          << resilience.checkpoint_retries << ","
-          << resilience.predictor.engage_after_failures << ","
-          << resilience.predictor.repromote_after_successes;
+    canon << ";resilience=" << kRetrainRetries << "," << kRetrainBackoffBaseS
+          << "," << kRetrainBackoffFactor << "," << kRetrainBackoffMaxS << ","
+          << kCheckpointRetries << ","
+          << fugu::ResilientPredictor::kEngageAfterFailures << ","
+          << fugu::ResilientPredictor::kRepromoteAfterSuccesses;
   }
   return stable_hash(canon.str());
 }
@@ -336,9 +358,6 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
   faults_model_load_metric_ = metrics_.counter("faults.model_load_failures");
   faults_degraded_days_metric_ = metrics_.counter("faults.degraded_days");
 
-  require(config_.resilience.retrain_retries >= 0 &&
-              config_.resilience.checkpoint_retries >= 0,
-          "Campaign: resilience retry budgets must be non-negative");
   require(!config_.arms.empty(), "Campaign: need at least one arm");
   require(!config_.phases.empty(), "Campaign: need at least one phase");
   for (const auto& phase : config_.phases) {
@@ -420,7 +439,7 @@ void Campaign::initialize_from_checkpoint_dir() {
                                {static_cast<uint64_t>(attempt)})) {
       metrics_.add(faults_checkpoint_failures_metric_);
       attempt++;
-      if (attempt > config_.resilience.checkpoint_retries) {
+      if (attempt > kCheckpointRetries) {
         fresh_start_degraded_ = true;
         metrics_.add(faults_fresh_starts_metric_);
         return;  // keep the cold day-0 models; the checkpoint stays on disk
@@ -627,7 +646,6 @@ void Campaign::run_one_day(const int day) {
 
     SchemeArtifacts artifacts;
     artifacts.ttp_insitu = deployed_[i];  // aliased, not copied: immutable
-    artifacts.resilience = config_.resilience.predictor;
     const TrialResult trial = run_trial(trial_config, artifacts);
     const SchemeResult& result = trial.schemes.front();
 
@@ -685,7 +703,7 @@ void Campaign::run_one_day(const int day) {
     // to pre-fault builds; retries split a dedicated "retry" branch.
     ArmDayStats& arm_stats = stats.arms[i];
     bool trained = false;
-    const int max_attempts = 1 + config_.resilience.retrain_retries;
+    const int max_attempts = 1 + kRetrainRetries;
     for (int attempt = 0; attempt < max_attempts; attempt++) {
       if (config_.faults.draw(sim::kFaultRetrainCrash,
                               {static_cast<uint64_t>(day),
@@ -693,8 +711,7 @@ void Campaign::run_one_day(const int day) {
                                static_cast<uint64_t>(attempt)})) {
         arm_stats.retrain_crashes++;
         metrics_.add(faults_retrain_crashes_metric_);
-        const double backoff =
-            retrain_backoff_s(config_.resilience, attempt + 1);
+        const double backoff = retrain_backoff_s(attempt + 1);
         arm_stats.retrain_backoff_s += backoff;
         metrics_.add(faults_retrain_backoff_ms_metric_,
                      static_cast<int64_t>(backoff * 1000.0));

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/resilience.hh"
 #include "exp/trial.hh"
 #include "fugu/dataset.hh"
 #include "fugu/ttp_trainer.hh"
@@ -76,9 +75,6 @@ struct CampaignConfig {
   /// (day, arm, attempt, stream index), so a resumed campaign replays the
   /// remaining days' faults exactly.
   sim::FaultPlan faults;
-  /// Graceful-degradation responses to the injected faults (retry budgets,
-  /// virtual-time backoff, predictor hysteresis).
-  ResiliencePolicy resilience;
 
   [[nodiscard]] int total_days() const;
   [[nodiscard]] const net::ScenarioSpec& scenario_for_day(int day) const;

@@ -355,9 +355,6 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   // Colocate a paired plan's per-scheme task copies on one shard: they
   // share an immutable plan, and the cache hit needs them back-to-back.
   engine_config.shard_group = trial_config.paired_paths ? num_schemes : 1;
-  engine_config.coalesce_inference = config.coalesce_inference;
-  engine_config.max_coalesced_sessions = config.max_coalesced_sessions;
-  engine_config.coalesce_window_s = config.coalesce_window_s;
   engine_config.trace = config.trace;
   const sim::FleetEngine engine{engine_config};
   const int num_shards = engine.resolved_num_shards();

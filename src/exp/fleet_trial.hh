@@ -20,7 +20,7 @@ namespace puffer::exp {
 /// interleaving cannot change any session's results — the merged
 /// TrialResult is bit-identical to driving each session to completion with
 /// run_session in session-index order, at any arrival process, thread
-/// count AND shard count, with or without coalesced inference.
+/// count AND shard count.
 /// Partial results are appended to the merged TrialResult in ascending
 /// session-index order as a streaming frontier (a completed session's
 /// partial is folded in and freed as soon as every earlier session has
@@ -35,9 +35,6 @@ struct FleetTrialConfig {
   /// and the merged trial are bit-identical at any value; only the
   /// batching counters (per-shard coalescing windows) vary with it.
   int num_shards = 0;
-  bool coalesce_inference = true;
-  int max_coalesced_sessions = 64;
-  double coalesce_window_s = 0.25;
   /// Shared-bottleneck grouping. group_size == 1 (default) keeps the
   /// historical private-path fleet. group_size > 1 co-simulates each run of
   /// `group_size` consecutive sessions behind one shared link as a single

@@ -56,20 +56,19 @@ std::unique_ptr<abr::AbrAlgorithm> make_scheme(const std::string& name,
     require(artifacts.ttp_insitu != nullptr,
             "make_scheme: Fugu requires an in-situ TTP");
     return fugu::make_resilient_fugu(artifacts.ttp_insitu, fugu_faults(),
-                                     artifacts.resilience, name);
+                                     name);
   }
   if (name == "Emulation-trained Fugu") {
     require(artifacts.ttp_emulation != nullptr,
             "make_scheme: needs an emulation-trained TTP");
     return fugu::make_resilient_fugu(artifacts.ttp_emulation, fugu_faults(),
-                                     artifacts.resilience, name);
+                                     name);
   }
   if (name == "Fugu-point-estimate") {
     require(artifacts.ttp_insitu != nullptr,
             "make_scheme: point-estimate Fugu requires an in-situ TTP");
     return fugu::make_resilient_fugu(artifacts.ttp_insitu, fugu_faults(),
-                                     artifacts.resilience, name,
-                                     /*point_estimate=*/true);
+                                     name, /*point_estimate=*/true);
   }
   require(false, "make_scheme: unknown scheme '" + name + "'");
   return nullptr;  // unreachable

@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "abr/abr.hh"
-#include "fugu/resilient.hh"
 #include "fugu/ttp.hh"
 #include "nn/mlp.hh"
+#include "sim/faults.hh"
 
 namespace puffer::exp {
 
@@ -32,11 +32,10 @@ struct SchemeArtifacts {
   std::shared_ptr<const nn::Mlp> pensieve_actor;
   /// When set to an ENABLED fault plan, Fugu variants are assembled with
   /// their TTP wrapped in a fugu::ResilientPredictor (harmonic-mean
-  /// fallback on injected inference failures, `resilience` hysteresis).
+  /// fallback on injected inference failures).
   /// Null or disabled leaves every assembly byte-identical to pre-fault
   /// builds. Non-owning; must outlive the schemes built from it.
   const sim::FaultPlan* faults = nullptr;
-  fugu::ResilienceConfig resilience;
 };
 
 /// Instantiate a scheme by name. Valid names: "Fugu", "MPC-HM",

@@ -246,7 +246,7 @@ void fold_stream_outcome(const sim::StreamOutcome& outcome, Rng& run_rng,
     result.consort.decoder_failure++;
   } else if (!outcome.began_playing) {
     result.consort.never_began++;
-  } else if (outcome.figures.watch_time_s < config.min_watch_time_s) {
+  } else if (outcome.figures.watch_time_s < kMinWatchTimeS) {
     result.consort.under_min_watch++;
   } else {
     result.consort.considered++;

@@ -16,6 +16,10 @@
 
 namespace puffer::exp {
 
+/// Streams watched for less than this are excluded from the analysis
+/// (Figure A1's exclusion threshold).
+inline constexpr double kMinWatchTimeS = 4.0;
+
 struct TrialConfig {
   std::vector<std::string> schemes = {"Fugu", "MPC-HM", "RobustMPC-HM",
                                       "Pensieve", "BBA"};
@@ -34,7 +38,6 @@ struct TrialConfig {
   bool collect_logs = false;
   int day = 0;  ///< day tag for collected logs
   sim::StreamRunConfig stream;
-  double min_watch_time_s = 4.0;  ///< exclusion threshold (Figure A1)
   /// Worker threads of the fleet engine that runs the trial. 0 means "use
   /// all hardware threads"; 1 runs every session on the calling thread. Any
   /// value yields bit-identical TrialResult contents: sessions are

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "exp/models.hh"
+#include "media/ladder.hh"
 #include "util/binary_io.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
@@ -76,10 +77,9 @@ uint64_t config_fingerprint(const TrialConfig& config) {
   }
   key << config.sessions_per_scheme << '|'
       << scenario_fingerprint(config.scenario) << '|' << config.seed << '|'
-      << config.paired_paths << '|' << config.min_watch_time_s << '|'
-      << config.stream.max_buffer_s << '|' << config.stream.lookahead_chunks
-      << '|' << config.stream.player_init_delay_s << '|'
-      << config.stream.max_stream_chunks;
+      << config.paired_paths << '|' << kMinWatchTimeS << '|'
+      << media::kMaxBufferS << '|' << config.stream.lookahead_chunks << '|'
+      << sim::kPlayerInitDelayS << '|' << config.stream.max_stream_chunks;
   // The fault plane joins the key only when enabled: pre-existing zero-fault
   // cache entries keep their filenames, and a faulted run can never be
   // served a fault-free result (or vice versa).

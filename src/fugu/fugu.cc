@@ -6,15 +6,13 @@ namespace puffer::fugu {
 
 std::unique_ptr<abr::MpcAbr> make_fugu(std::shared_ptr<const TtpModel> model,
                                        std::string name,
-                                       const bool point_estimate,
-                                       const abr::MpcConfig mpc_config) {
+                                       const bool point_estimate) {
   // The batched predictor answers every deployment the scalar TtpPredictor
   // used to, bit-identically, with one fused forward pass per step-network
   // per decision (and one per fleet batch inside the fleet engine).
   auto predictor =
       std::make_unique<BatchTtpPredictor>(std::move(model), point_estimate);
-  return std::make_unique<abr::MpcAbr>(std::move(name), std::move(predictor),
-                                       mpc_config);
+  return std::make_unique<abr::MpcAbr>(std::move(name), std::move(predictor));
 }
 
 }  // namespace puffer::fugu

@@ -18,8 +18,7 @@ namespace puffer::fugu {
 ///  * a model trained on emulation data -> "Emulation-trained Fugu" (Fig 11)
 std::unique_ptr<abr::MpcAbr> make_fugu(std::shared_ptr<const TtpModel> model,
                                        std::string name = "Fugu",
-                                       bool point_estimate = false,
-                                       abr::MpcConfig mpc_config = {});
+                                       bool point_estimate = false);
 
 }  // namespace puffer::fugu
 

@@ -9,19 +9,14 @@
 namespace puffer::fugu {
 
 ResilientPredictor::ResilientPredictor(
-    std::unique_ptr<abr::TxTimePredictor> primary, ResilienceConfig config,
+    std::unique_ptr<abr::TxTimePredictor> primary,
     const double failure_probability, const uint64_t fault_seed)
     : primary_(std::move(primary)),
-      config_(config),
       failure_probability_(failure_probability),
       fault_seed_(fault_seed) {
   require(primary_ != nullptr, "ResilientPredictor: null primary predictor");
   require(failure_probability_ >= 0.0 && failure_probability_ <= 1.0,
           "ResilientPredictor: failure probability must be in [0, 1]");
-  require(config_.engage_after_failures >= 1,
-          "ResilientPredictor: engage_after_failures must be >= 1");
-  require(config_.repromote_after_successes >= 1,
-          "ResilientPredictor: repromote_after_successes must be >= 1");
 }
 
 void ResilientPredictor::begin_session(const uint64_t run_seed) {
@@ -43,7 +38,7 @@ void ResilientPredictor::begin_decision(const abr::AbrObservation& obs) {
     consecutive_failures_ += 1;
     consecutive_successes_ = 0;
     if (!stats_.degraded &&
-        consecutive_failures_ >= config_.engage_after_failures) {
+        consecutive_failures_ >= kEngageAfterFailures) {
       stats_.degraded = true;
       stats_.engagements += 1;
     }
@@ -51,7 +46,7 @@ void ResilientPredictor::begin_decision(const abr::AbrObservation& obs) {
     consecutive_successes_ += 1;
     consecutive_failures_ = 0;
     if (stats_.degraded &&
-        consecutive_successes_ >= config_.repromote_after_successes) {
+        consecutive_successes_ >= kRepromoteAfterSuccesses) {
       stats_.degraded = false;
     }
   }
@@ -96,19 +91,16 @@ void ResilientPredictor::reset_session() {
 
 std::unique_ptr<abr::MpcAbr> make_resilient_fugu(
     std::shared_ptr<const TtpModel> model, const sim::FaultPlan& faults,
-    const ResilienceConfig resilience, std::string name,
-    const bool point_estimate, const abr::MpcConfig mpc_config) {
+    std::string name, const bool point_estimate) {
   const double p = faults.probability(sim::kFaultTtpInference);
   if (!faults.enabled || p <= 0.0) {
-    return make_fugu(std::move(model), std::move(name), point_estimate,
-                     mpc_config);
+    return make_fugu(std::move(model), std::move(name), point_estimate);
   }
   auto primary =
       std::make_unique<BatchTtpPredictor>(std::move(model), point_estimate);
-  auto wrapped = std::make_unique<ResilientPredictor>(
-      std::move(primary), resilience, p, faults.seed);
-  return std::make_unique<abr::MpcAbr>(std::move(name), std::move(wrapped),
-                                       mpc_config);
+  auto wrapped = std::make_unique<ResilientPredictor>(std::move(primary), p,
+                                                      faults.seed);
+  return std::make_unique<abr::MpcAbr>(std::move(name), std::move(wrapped));
 }
 
 }  // namespace puffer::fugu

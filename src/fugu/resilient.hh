@@ -13,19 +13,6 @@
 
 namespace puffer::fugu {
 
-/// Hysteresis knobs for ResilientPredictor's degradation ladder.
-struct ResilienceConfig {
-  /// Consecutive inference failures before the wrapper enters degraded mode
-  /// (the per-decision fallback still serves every failed decision
-  /// immediately — this gates the sticky state, not the first response).
-  int engage_after_failures = 2;
-  /// Consecutive healthy decisions in degraded mode before the primary is
-  /// re-promoted.
-  int repromote_after_successes = 8;
-
-  bool operator==(const ResilienceConfig&) const = default;
-};
-
 /// Per-session fault/degradation accounting, harvested into faults.*
 /// metrics by the trial layer. Pure per-session counts: partition- and
 /// interleaving-invariant (determinism class plain).
@@ -51,9 +38,17 @@ struct SessionFaultStats {
 /// is a transparent pass-through.
 class ResilientPredictor final : public abr::TxTimePredictor {
  public:
+  /// Hysteresis of the degradation ladder. Consecutive inference failures
+  /// before the wrapper enters degraded mode (the per-decision fallback
+  /// still serves every failed decision immediately — this gates the sticky
+  /// state, not the first response).
+  static constexpr int kEngageAfterFailures = 2;
+  /// Consecutive healthy decisions in degraded mode before the primary is
+  /// re-promoted.
+  static constexpr int kRepromoteAfterSuccesses = 8;
+
   ResilientPredictor(std::unique_ptr<abr::TxTimePredictor> primary,
-                     ResilienceConfig config, double failure_probability,
-                     uint64_t fault_seed);
+                     double failure_probability, uint64_t fault_seed);
 
   /// Install this session's fault stream. Call after reset_session(), with
   /// the session plan's run seed.
@@ -77,7 +72,6 @@ class ResilientPredictor final : public abr::TxTimePredictor {
 
   std::unique_ptr<abr::TxTimePredictor> primary_;
   abr::HarmonicMeanPredictor fallback_;
-  ResilienceConfig config_;
   double failure_probability_;
   uint64_t fault_seed_;
 
@@ -93,8 +87,7 @@ class ResilientPredictor final : public abr::TxTimePredictor {
 /// assembly otherwise (the zero-fault contract).
 std::unique_ptr<abr::MpcAbr> make_resilient_fugu(
     std::shared_ptr<const TtpModel> model, const sim::FaultPlan& faults,
-    ResilienceConfig resilience = {}, std::string name = "Fugu",
-    bool point_estimate = false, abr::MpcConfig mpc_config = {});
+    std::string name = "Fugu", bool point_estimate = false);
 
 }  // namespace puffer::fugu
 

@@ -14,6 +14,11 @@ inline constexpr int kNumRungs = 10;
 /// Video chunks are 2.002 seconds long (NTSC 1/1001 factor, section 3.1).
 inline constexpr double kChunkDurationS = 2.002;
 
+/// The client buffer holds at most 15 seconds of video (section 3.3). Every
+/// arm runs under this one player: the stream loop, the MPC planner, BBA's
+/// rate map and Pensieve's training environment all read this constant.
+inline constexpr double kMaxBufferS = 15.0;
+
 /// One rung of the encoding ladder.
 struct Rung {
   int index;                   ///< 0 = lowest quality, kNumRungs-1 = highest

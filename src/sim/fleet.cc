@@ -16,6 +16,12 @@ namespace puffer::sim {
 
 namespace {
 
+/// Cap on decisions fused into one inference batch.
+constexpr size_t kMaxCoalescedSessions = 64;
+/// Only decisions within this much virtual time of the earliest pending one
+/// are fused together (keeps "concurrently deciding" honest).
+constexpr double kCoalesceWindowS = 0.25;
+
 /// The engine's per-shard sim-plane metrics. Every shard registers the
 /// identical schema (same code, same order), so per-shard snapshots merge
 /// positionally in ascending shard order. Counters whose value depends on
@@ -96,8 +102,7 @@ using EventQueue =
 /// including its share of the load-series deltas — accumulate into `stats`,
 /// which the caller owns exclusively for this shard; stats.load is left
 /// un-finalized so the caller can merge shards before folding.
-void run_shard(const FleetConfig& config,
-               const std::span<const double> arrivals,
+void run_shard(const std::span<const double> arrivals,
                const std::span<const int64_t> sessions,
                const FleetEngine::TaskFactory& factory,
                const FleetEngine::CompletionSink& on_complete, const int shard,
@@ -184,10 +189,9 @@ void run_shard(const FleetConfig& config,
     batch.clear();
     batch.push_back(queue.top());
     queue.pop();
-    const double window_end = batch.front().time_s + config.coalesce_window_s;
+    const double window_end = batch.front().time_s + kCoalesceWindowS;
     while (!queue.empty() && queue.top().time_s <= window_end &&
-           batch.size() <
-               static_cast<size_t>(config.max_coalesced_sessions)) {
+           batch.size() < kMaxCoalescedSessions) {
       batch.push_back(queue.top());
       queue.pop();
     }
@@ -199,7 +203,7 @@ void run_shard(const FleetConfig& config,
     shared_batch.clear();
     staged.assign(batch.size(), 0);
     int64_t batch_rows = 0;
-    if (config.coalesce_inference) {
+    {
       const obs::ProfScope coalesce_scope{"fleet.coalesce"};
       const int64_t rows_before = shared_batch.total_rows();
       const int64_t forwards_before = shared_batch.total_forward_calls();
@@ -304,10 +308,6 @@ void run_shard(const FleetConfig& config,
 }  // namespace
 
 FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
-  require(config_.max_coalesced_sessions >= 1,
-          "FleetEngine: max_coalesced_sessions must be >= 1");
-  require(config_.coalesce_window_s >= 0.0,
-          "FleetEngine: coalesce window must be >= 0");
   require(config_.num_shards >= 0, "FleetEngine: num_shards must be >= 0");
   require(config_.shard_group >= 1, "FleetEngine: shard_group must be >= 1");
 }
@@ -351,8 +351,8 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
   std::vector<obs::TraceWriter> shard_traces(
       config_.trace != nullptr ? static_cast<size_t>(shards) : 0);
   const auto drive = [&](const int s) {
-    run_shard(config_, arrivals, members[static_cast<size_t>(s)], factory,
-              on_complete, s,
+    run_shard(arrivals, members[static_cast<size_t>(s)], factory, on_complete,
+              s,
               shard_traces.empty() ? nullptr
                                    : &shard_traces[static_cast<size_t>(s)],
               shard_stats[static_cast<size_t>(s)]);

@@ -110,15 +110,6 @@ struct FleetConfig {
   /// per plan) set this to the group size so a group's tasks — which share
   /// an immutable plan — land on one shard and can share its cache.
   int64_t shard_group = 1;
-  /// Fuse TTP inference of concurrently-deciding sessions into shared
-  /// GEMMs. Off, every decision still uses its scheme's own (per-decision
-  /// batched) path; results are identical either way.
-  bool coalesce_inference = true;
-  /// Cap on decisions fused into one batch.
-  int max_coalesced_sessions = 64;
-  /// Only decisions within this much virtual time of the earliest pending
-  /// one are fused together (keeps "concurrently deciding" honest).
-  double coalesce_window_s = 0.25;
   /// Optional virtual-time trace sink. Each shard buffers its events
   /// privately (arrivals, decision batches, queue-depth counters, all
   /// stamped in virtual time) and run() splices the buffers into this
@@ -153,10 +144,9 @@ struct FleetRunStats {
 /// sessions on one virtual timeline — the simulated counterpart of Puffer's
 /// ~100-sessions-day-and-night deployment (Figure 2). Sessions arrive per an
 /// ArrivalProcess-sampled schedule, progress one chunk decision per event,
-/// and (when coalescing is on) have the TTP inference of near-simultaneous
-/// decisions fused into single GEMMs. Every trial runs on it: run_trial is
-/// a fleet run with arrivals so sparse that each shard streams its sessions
-/// back to back.
+/// and have the TTP inference of near-simultaneous decisions fused into
+/// single GEMMs. Every trial runs on it: run_trial is a fleet run with
+/// arrivals so sparse that each shard streams its sessions back to back.
 ///
 /// Sharding: the session population is partitioned by session index and
 /// each shard runs its own event queue, virtual clock and coalescing window

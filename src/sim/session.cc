@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "media/ladder.hh"
 #include "util/require.hh"
 
 namespace puffer::sim {
@@ -48,8 +49,8 @@ StreamSession::PrepareStep StreamSession::prepare_chunk_async(double& wait_s) {
   }
   // Server-side send pacing: wait until the client buffer has room for
   // another chunk (Puffer sends whenever there is room, section 6.2).
-  if (playing_ && buffer_s_ + chunk_dur_ > config_.max_buffer_s) {
-    pending_wait_s_ = buffer_s_ + chunk_dur_ - config_.max_buffer_s;
+  if (playing_ && buffer_s_ + chunk_dur_ > media::kMaxBufferS) {
+    pending_wait_s_ = buffer_s_ + chunk_dur_ - media::kMaxBufferS;
     wait_s = pending_wait_s_;
     return PrepareStep::kWait;
   }
@@ -149,7 +150,7 @@ void StreamSession::complete_chunk(const net::TransferResult& transfer) {
     // Startup phase: playback begins when the first chunk arrives and the
     // player has initialized.
     startup_delay_s_ =
-        transfer.completion_s - t0_ + config_.player_init_delay_s;
+        transfer.completion_s - t0_ + kPlayerInitDelayS;
     if (startup_delay_s_ >= user_.watch_intent_s) {
       // Zapped away before playback began (Figure A1's biggest bucket):
       // ends with default figures, exactly like the historical early return.

@@ -21,16 +21,17 @@ struct TransferLogEntry {
   net::TcpInfo tcp_at_send;
 };
 
-/// Configuration of the streaming loop, matching Puffer's deployment:
-/// 15-second client buffer, chunks pushed server-side as soon as there is
+/// Client-side player initialization (MediaSource setup, first-frame decode)
+/// added to the startup delay; calibrates the absolute startup scale to the
+/// ~0.5 s the paper reports (Figure 9). Public so the trial-cache key and the
+/// campaign fingerprint can name it.
+inline constexpr double kPlayerInitDelayS = 0.40;
+
+/// Configuration of the streaming loop, matching Puffer's deployment: chunks
+/// pushed server-side as soon as the client buffer (media::kMaxBufferS) has
 /// room, MPC lookahead of 5 chunks.
 struct StreamRunConfig {
-  double max_buffer_s = 15.0;
   int lookahead_chunks = 5;
-  /// Client-side player initialization (MediaSource setup, first-frame
-  /// decode) added to the startup delay; calibrates the absolute startup
-  /// scale to the ~0.5 s the paper reports (Figure 9).
-  double player_init_delay_s = 0.40;
   /// Simulation budget: end the stream after this many played chunks, as if
   /// the viewer's remaining watch intent lay beyond the simulated horizon.
   /// 0 (default) = unlimited. The watch-time distribution is heavy-tailed

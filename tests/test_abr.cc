@@ -74,13 +74,6 @@ TEST(Bba, OversizedChunksForceLowerRung) {
   EXPECT_GT(bba.choose_rung(obs, normal), bba.choose_rung(obs, huge));
 }
 
-TEST(Bba, RejectsBadConfig) {
-  BbaConfig bad;
-  bad.reservoir_s = 10.0;
-  bad.upper_reservoir_s = 5.0;
-  EXPECT_THROW(Bba{bad}, RequirementError);
-}
-
 TEST(HarmonicMean, SingleSample) {
   HarmonicMeanPredictor predictor;
   predictor.on_chunk_complete(record_at_throughput(0, 1e6, 2e6));

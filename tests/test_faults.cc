@@ -170,7 +170,7 @@ abr::ChunkRecord test_chunk(const int i) {
 TEST(ResilientPredictor, PassThroughUntilSessionBegins) {
   fugu::ResilientPredictor wrapper{
       std::make_unique<fugu::BatchTtpPredictor>(shared_model()),
-      fugu::ResilienceConfig{}, /*failure_probability=*/1.0, /*fault_seed=*/3};
+      /*failure_probability=*/1.0, /*fault_seed=*/3};
   // No begin_session: even probability 1.0 must never fire.
   for (int i = 0; i < 5; i++) {
     wrapper.on_chunk_complete(test_chunk(i));
@@ -187,7 +187,7 @@ TEST(ResilientPredictor, PassThroughUntilSessionBegins) {
 TEST(ResilientPredictor, FallbackMatchesBareHarmonicMean) {
   fugu::ResilientPredictor wrapper{
       std::make_unique<fugu::BatchTtpPredictor>(shared_model()),
-      fugu::ResilienceConfig{}, /*failure_probability=*/1.0, /*fault_seed=*/3};
+      /*failure_probability=*/1.0, /*fault_seed=*/3};
   wrapper.begin_session(/*run_seed=*/99);
   abr::HarmonicMeanPredictor bare;
   bare.reset_session();
@@ -214,16 +214,15 @@ TEST(ResilientPredictor, FallbackMatchesBareHarmonicMean) {
   EXPECT_EQ(wrapper.session_stats().fallback_decisions, 6);
 }
 
-/// Degradation invariant: the fallback engages (latches) within the
-/// configured failure budget — here after exactly 3 consecutive failures.
+/// Degradation invariant: the fallback engages (latches) within the failure
+/// budget — after exactly kEngageAfterFailures consecutive failures.
 TEST(ResilientPredictor, EngagesWithinConfiguredBudget) {
-  fugu::ResilienceConfig config;
-  config.engage_after_failures = 3;
+  constexpr int kBudget = fugu::ResilientPredictor::kEngageAfterFailures;
   fugu::ResilientPredictor wrapper{
-      std::make_unique<fugu::BatchTtpPredictor>(shared_model()), config,
+      std::make_unique<fugu::BatchTtpPredictor>(shared_model()),
       /*failure_probability=*/1.0, /*fault_seed=*/3};
   wrapper.begin_session(/*run_seed=*/1);
-  for (int i = 0; i < 3; i++) {
+  for (int i = 0; i < kBudget; i++) {
     EXPECT_FALSE(wrapper.degraded());
     wrapper.on_chunk_complete(test_chunk(i));
     wrapper.begin_decision(test_observation());
@@ -231,7 +230,7 @@ TEST(ResilientPredictor, EngagesWithinConfiguredBudget) {
   EXPECT_TRUE(wrapper.degraded());
   EXPECT_EQ(wrapper.session_stats().engagements, 1);
   // Every failed decision was still served by the fallback, engaged or not.
-  EXPECT_EQ(wrapper.session_stats().fallback_decisions, 3);
+  EXPECT_EQ(wrapper.session_stats().fallback_decisions, kBudget);
 
   wrapper.reset_session();
   EXPECT_FALSE(wrapper.degraded());
@@ -243,8 +242,7 @@ TEST(ResilientPredictor, StatsInvariantsOverManySeeds) {
   for (uint64_t run_seed = 0; run_seed < 25; run_seed++) {
     fugu::ResilientPredictor wrapper{
         std::make_unique<fugu::BatchTtpPredictor>(shared_model()),
-        fugu::ResilienceConfig{}, /*failure_probability=*/0.4,
-        /*fault_seed=*/11};
+        /*failure_probability=*/0.4, /*fault_seed=*/11};
     wrapper.begin_session(run_seed);
     for (int i = 0; i < 40; i++) {
       wrapper.on_chunk_complete(test_chunk(i));
@@ -581,7 +579,6 @@ TEST(FaultChaos, RandomizedSchedulesNeverCrashCampaign) {
     config.faults.add(sim::kFaultRetrainCrash, chaos.uniform(0.0, 1.0));
     config.faults.add(sim::kFaultTelemetryLoss, chaos.uniform(0.0, 0.5));
     config.faults.add(sim::kFaultTelemetryDup, chaos.uniform(0.0, 0.5));
-    config.resilience.retrain_retries = 1;
 
     exp::Campaign campaign{config};
     const exp::CampaignResult result = campaign.run();
@@ -615,7 +612,6 @@ TEST(CampaignFaults, RetrainCrashKeepsPriorModelOnDegradedDays) {
   config.faults.enabled = true;
   config.faults.seed = 1;
   config.faults.add(sim::kFaultRetrainCrash, 1.0);
-  config.resilience.retrain_retries = 1;
 
   exp::Campaign campaign{config};
   const fugu::TtpModel* day0_model = campaign.deployed_model("fugu");
@@ -627,12 +623,11 @@ TEST(CampaignFaults, RetrainCrashKeepsPriorModelOnDegradedDays) {
     EXPECT_TRUE(day.degraded);
     const exp::ArmDayStats& learner = day.arms[1];
     EXPECT_TRUE(learner.degraded);
-    // 1 + retrain_retries attempts, all crashed.
-    EXPECT_EQ(learner.retrain_crashes, 2);
-    // Backoff: base + base*factor, both under the cap.
-    expect_same_bits(learner.retrain_backoff_s,
-                     config.resilience.retrain_backoff_base_s *
-                         (1.0 + config.resilience.retrain_backoff_factor));
+    // 1 + 2 retries (campaign.cc's retry budget), all crashed.
+    EXPECT_EQ(learner.retrain_crashes, 3);
+    // Backoff: 900 s doubling per retry (900 + 1800 + 3600 s), all under
+    // the 7200 s cap.
+    expect_same_bits(learner.retrain_backoff_s, 900.0 * (1.0 + 2.0 + 4.0));
     EXPECT_FALSE(day.arms[0].degraded);  // BBA has no retrain to crash
   }
   // No retrain ever deployed: the arm still serves its day-0 cold model.
@@ -640,7 +635,7 @@ TEST(CampaignFaults, RetrainCrashKeepsPriorModelOnDegradedDays) {
 
   const obs::MetricSnapshot metrics = campaign.metrics();
   EXPECT_EQ(metric_value(metrics, "campaign.retrains"), 0);
-  EXPECT_EQ(metric_value(metrics, "faults.retrain_crashes"), 4);
+  EXPECT_EQ(metric_value(metrics, "faults.retrain_crashes"), 6);
   EXPECT_EQ(metric_value(metrics, "faults.degraded_days"), 2);
 
   // Degraded days are flagged in both report renderings.
@@ -649,7 +644,7 @@ TEST(CampaignFaults, RetrainCrashKeepsPriorModelOnDegradedDays) {
             std::string::npos);
   const std::string json = exp::campaign_report_json(result.days);
   EXPECT_NE(json.find("\"degraded\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"retrain_crashes\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"retrain_crashes\":3"), std::string::npos);
 }
 
 /// Degradation invariant: injected checkpoint-load failures exhaust their
@@ -669,7 +664,6 @@ TEST(CampaignFaults, CheckpointLoadFaultDegradesToFlaggedFreshStart) {
   faulted.faults.enabled = true;
   faulted.faults.seed = 2;
   faulted.faults.add(sim::kFaultCheckpointLoad, 1.0);
-  faulted.resilience.checkpoint_retries = 2;
 
   exp::Campaign campaign{faulted};  // must NOT throw
   EXPECT_EQ(campaign.completed_days(), 0);  // fresh start: nothing restored
@@ -679,7 +673,7 @@ TEST(CampaignFaults, CheckpointLoadFaultDegradesToFlaggedFreshStart) {
   ASSERT_EQ(result.days.size(), 1u);
 
   const obs::MetricSnapshot metrics = campaign.metrics();
-  // Initial try + checkpoint_retries retries, all failed.
+  // Initial try + 2 retries (campaign.cc's retry budget), all failed.
   EXPECT_EQ(metric_value(metrics, "faults.checkpoint_load_failures"), 3);
   EXPECT_EQ(metric_value(metrics, "faults.checkpoint_fresh_starts"), 1);
 }
@@ -746,7 +740,6 @@ TEST(CampaignFaults, FaultedCampaignBitIdenticalAcrossThreadCounts) {
   config.faults.add(sim::kFaultTtpInference, 0.3);
   config.faults.add(sim::kFaultSessionAbort, 0.1);
   config.faults.add(sim::kFaultRetrainCrash, 0.5);
-  config.resilience.retrain_retries = 2;
 
   config.num_threads = 1;
   const exp::CampaignResult one = exp::Campaign{config}.run();

@@ -458,42 +458,40 @@ TEST(FleetTrial, BitIdenticalAcrossThreadCounts) {
 }
 
 /// Tentpole acceptance: sharding is invisible to results. 1/2/4/8 shards,
-/// coalescing on and off, all bit-identical to the sequential baseline —
+/// each with its own batch membership, all bit-identical to the sequential
+/// baseline —
 /// including the merged load series and the partition-invariant engine
 /// stats. (The batching counters are *not* compared across shard counts:
 /// batch membership is shard-local by design.)
 TEST(FleetTrial, BitIdenticalAcrossShardCounts) {
   const exp::TrialResult sequential =
       run_sessions_in_order(fleet_config().trial, fleet_factory());
-  for (const bool coalesce : {true, false}) {
-    exp::FleetTrialConfig config = fleet_config();
-    config.coalesce_inference = coalesce;
-    config.trial.num_threads = 4;
-    config.num_shards = 1;
-    const exp::FleetTrialResult one =
+  exp::FleetTrialConfig config = fleet_config();
+  config.trial.num_threads = 4;
+  config.num_shards = 1;
+  const exp::FleetTrialResult one =
+      exp::run_fleet_trial(config, fleet_factory());
+  expect_identical(sequential, one.trial);
+  for (const int shards : {2, 4, 8}) {
+    config.num_shards = shards;
+    const exp::FleetTrialResult sharded =
         exp::run_fleet_trial(config, fleet_factory());
-    expect_identical(sequential, one.trial);
-    for (const int shards : {2, 4, 8}) {
-      config.num_shards = shards;
-      const exp::FleetTrialResult sharded =
-          exp::run_fleet_trial(config, fleet_factory());
-      EXPECT_EQ(sharded.fleet.num_shards, shards);
-      expect_identical(sequential, sharded.trial);
-      EXPECT_EQ(one.fleet.sessions, sharded.fleet.sessions);
-      EXPECT_EQ(one.fleet.decisions, sharded.fleet.decisions);
-      expect_same_bits(one.fleet.virtual_duration_s,
-                       sharded.fleet.virtual_duration_s);
-      EXPECT_EQ(one.fleet.load.peak(), sharded.fleet.load.peak());
-      expect_same_bits(one.fleet.load.time_weighted_mean(),
-                       sharded.fleet.load.time_weighted_mean());
-      ASSERT_EQ(one.fleet.load.points().size(),
-                sharded.fleet.load.points().size());
-      for (size_t i = 0; i < one.fleet.load.points().size(); i++) {
-        expect_same_bits(one.fleet.load.points()[i].time_s,
-                         sharded.fleet.load.points()[i].time_s);
-        EXPECT_EQ(one.fleet.load.points()[i].level,
-                  sharded.fleet.load.points()[i].level);
-      }
+    EXPECT_EQ(sharded.fleet.num_shards, shards);
+    expect_identical(sequential, sharded.trial);
+    EXPECT_EQ(one.fleet.sessions, sharded.fleet.sessions);
+    EXPECT_EQ(one.fleet.decisions, sharded.fleet.decisions);
+    expect_same_bits(one.fleet.virtual_duration_s,
+                     sharded.fleet.virtual_duration_s);
+    EXPECT_EQ(one.fleet.load.peak(), sharded.fleet.load.peak());
+    expect_same_bits(one.fleet.load.time_weighted_mean(),
+                     sharded.fleet.load.time_weighted_mean());
+    ASSERT_EQ(one.fleet.load.points().size(),
+              sharded.fleet.load.points().size());
+    for (size_t i = 0; i < one.fleet.load.points().size(); i++) {
+      expect_same_bits(one.fleet.load.points()[i].time_s,
+                       sharded.fleet.load.points()[i].time_s);
+      EXPECT_EQ(one.fleet.load.points()[i].level,
+                sharded.fleet.load.points()[i].level);
     }
   }
 }
@@ -597,28 +595,6 @@ TEST(FleetEngine, ShardFailureSelectsLowestShardDeterministically) {
       EXPECT_STREQ(error.what(), "shard-0 failed");
     }
   }
-}
-
-/// Coalescing is a pure execution strategy: switching it off (or shrinking
-/// the fusion window/cap) must not change a single bit of the results.
-TEST(FleetTrial, CoalescingToggleAndWindowDoNotChangeResults) {
-  exp::FleetTrialConfig config = fleet_config();
-  const exp::FleetTrialResult fused =
-      exp::run_fleet_trial(config, fleet_factory());
-
-  config.coalesce_inference = false;
-  const exp::FleetTrialResult inline_only =
-      exp::run_fleet_trial(config, fleet_factory());
-  expect_identical(fused.trial, inline_only.trial);
-  EXPECT_EQ(inline_only.fleet.coalesced_rows, 0);
-  EXPECT_EQ(inline_only.fleet.gemm_calls, 0);
-
-  config.coalesce_inference = true;
-  config.max_coalesced_sessions = 2;
-  config.coalesce_window_s = 0.01;
-  const exp::FleetTrialResult narrow =
-      exp::run_fleet_trial(config, fleet_factory());
-  expect_identical(fused.trial, narrow.trial);
 }
 
 // ---------------------------------------------------------------------------

@@ -143,8 +143,8 @@ double brute_force_value(const std::vector<media::ChunkOptions>& lookahead,
     }
     qoe -= config.mu * std::max(t - buffer, 0.0);
     const double next_buffer = std::min(
-        std::max(buffer - t, 0.0) + config.chunk_duration_s,
-        config.max_buffer_s);
+        std::max(buffer - t, 0.0) + media::kChunkDurationS,
+        media::kMaxBufferS);
     const double value =
         qoe + brute_force_value(lookahead, h + 1, horizon, next_buffer,
                                 v.ssim_db, tx_time, config, nullptr);
@@ -200,8 +200,8 @@ TEST_P(MpcVsBruteForce, MatchesExhaustiveSearch) {
   double qoe = v.ssim_db - config.lambda * std::abs(v.ssim_db - 14.0) -
                config.mu * std::max(t - buffer, 0.0);
   const double next_buffer =
-      std::min(std::max(buffer - t, 0.0) + config.chunk_duration_s,
-               config.max_buffer_s);
+      std::min(std::max(buffer - t, 0.0) + media::kChunkDurationS,
+               media::kMaxBufferS);
   const double mpc_choice_value =
       qoe + brute_force_value(lookahead, 1, 3, next_buffer, v.ssim_db, tx_time,
                               config, nullptr);
