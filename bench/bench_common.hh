@@ -1,19 +1,21 @@
 #ifndef PUFFER_BENCH_BENCH_COMMON_HH
 #define PUFFER_BENCH_BENCH_COMMON_HH
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "exp/models.hh"
 #include "exp/trial_cache.hh"
-#include "obs/metrics.hh"
 #include "stats/summary.hh"
 #include "util/json.hh"
+#include "util/require.hh"
 
 namespace puffer::bench {
 
@@ -52,32 +54,6 @@ class JsonWriter {
   void field(const std::string& key, const double value,
              const int decimals = 3) {
     fields_.emplace_back(key, double_token(value, decimals));
-  }
-  /// Ordered JSON array of fixed-point numbers (the concurrency-curve
-  /// fields); non-finite entries become null like the scalar overload.
-  void field(const std::string& key, const std::vector<double>& values,
-             const int decimals = 3) {
-    std::string body = "[";
-    for (size_t i = 0; i < values.size(); i++) {
-      body += double_token(values[i], decimals);
-      if (i + 1 < values.size()) {
-        body += ", ";
-      }
-    }
-    body += "]";
-    fields_.emplace_back(key, std::move(body));
-  }
-  /// Ordered JSON array of integers.
-  void field(const std::string& key, const std::vector<int64_t>& values) {
-    std::string body = "[";
-    for (size_t i = 0; i < values.size(); i++) {
-      body += std::to_string(values[i]);
-      if (i + 1 < values.size()) {
-        body += ", ";
-      }
-    }
-    body += "]";
-    fields_.emplace_back(key, std::move(body));
   }
 
   [[nodiscard]] std::string str() const {
@@ -121,41 +97,29 @@ class JsonWriter {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Flatten a sim-plane metrics snapshot into `<prefix><name>` fields:
-/// counters and gauges emit their value (gauges additionally their
-/// high-water as `.peak`), histograms their observation count and bucket
-/// array. Field order is the snapshot's registration order, so the JSON
-/// stays diff-friendly across runs.
-inline void metrics_fields(JsonWriter& json,
-                           const obs::MetricSnapshot& snapshot,
-                           const std::string& prefix = "metrics.") {
-  for (const auto& metric : snapshot.metrics) {
-    const std::string key = prefix + metric.name;
-    switch (metric.kind) {
-      case obs::MetricKind::kCounter:
-        json.field(key, metric.value);
-        break;
-      case obs::MetricKind::kGauge:
-        json.field(key, metric.value);
-        json.field(key + ".peak", metric.high_water);
-        break;
-      case obs::MetricKind::kHistogram:
-        json.field(key + ".count", metric.count);
-        json.field(key + ".buckets", metric.buckets);
-        break;
-    }
+/// The positive integer in environment variable `name`, or `fallback` when
+/// it is unset. A non-numeric value, trailing characters or a value below 1
+/// is an error naming the variable, so a typo cannot silently shrink a run.
+inline int positive_env_int(const char* name, const int fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) {
+    return fallback;
   }
+  const std::string text{env};
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [parsed_to, error] = std::from_chars(text.data(), end, value);
+  require(error == std::errc{} && parsed_to == end && value >= 1,
+          std::string{name} + " must be a positive integer, got '" + text +
+              "'");
+  return value;
 }
 
 /// Sessions per scheme for the trial-based benches. Override with
 /// PUFFER_BENCH_SESSIONS; the default gives stable orderings in minutes of
 /// compute. (The real study ran ~48,000 sessions per scheme over 7 months.)
 inline int sessions_per_scheme(const int fallback = 400) {
-  const char* env = std::getenv("PUFFER_BENCH_SESSIONS");
-  if (env != nullptr) {
-    return std::max(1, std::atoi(env));
-  }
-  return fallback;
+  return positive_env_int("PUFFER_BENCH_SESSIONS", fallback);
 }
 
 /// The shared primary experiment: five schemes, deployment-like paths,

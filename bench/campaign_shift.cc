@@ -52,11 +52,10 @@ int main(int argc, char** argv) {
       net::ScenarioSpec::parse(!positional.empty() ? positional[0] : "puffer");
   const net::ScenarioSpec after = net::ScenarioSpec::parse(
       positional.size() > 1 ? positional[1] : "cellular");
-  const char* days_env = std::getenv("PUFFER_CAMPAIGN_DAYS");
-  const int env_days = days_env != nullptr ? std::atoi(days_env) : 0;
-  const int per_phase = positional.size() > 2
-                            ? std::max(1, std::atoi(positional[2].c_str()))
-                            : (env_days > 0 ? env_days : 3);
+  const int per_phase =
+      positional.size() > 2
+          ? std::max(1, std::atoi(positional[2].c_str()))
+          : bench::positive_env_int("PUFFER_CAMPAIGN_DAYS", 3);
 
   exp::CampaignArm fugu;
   fugu.name = "fugu-daily";

@@ -9,7 +9,6 @@
 //   PUFFER_BENCH_SESSIONS    telemetry sessions per day (default 96)
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.hh"
 #include "exp/campaign.hh"
@@ -18,11 +17,10 @@
 int main() {
   using namespace puffer;
 
-  // Default 5 days; a non-numeric override falls back to the default, and
-  // an explicit 1 is raised to 2 (the shape check needs a before and after).
-  const char* days_env = std::getenv("PUFFER_CAMPAIGN_DAYS");
-  const int days_requested = days_env != nullptr ? std::atoi(days_env) : 5;
-  const int days = days_requested > 0 ? std::max(2, days_requested) : 5;
+  // Default 5 days; an explicit 1 is raised to 2 (the shape check needs a
+  // before and after).
+  const int days =
+      std::max(2, bench::positive_env_int("PUFFER_CAMPAIGN_DAYS", 5));
 
   exp::CampaignArm fugu;
   fugu.name = "fugu-insitu";

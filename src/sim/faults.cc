@@ -20,6 +20,24 @@ std::string joined_names(const FaultRegistry& registry) {
   return out;
 }
 
+/// The whole of `field` as a double. An empty, non-numeric or partly
+/// numeric field ("0.5x", "30s") is an error naming the offending token.
+double parse_number(const std::string_view field, const std::string_view what,
+                    const std::string_view token) {
+  const std::string text{field};
+  size_t consumed = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(text, &consumed);
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  require(consumed > 0 && consumed == text.size(),
+          "parse_fault_plan: bad " + std::string{what} + " in '" +
+              std::string{token} + "'");
+  return value;
+}
+
 }  // namespace
 
 void FaultRegistry::register_family(std::string name, std::string description) {
@@ -162,22 +180,10 @@ FaultPlan parse_fault_plan(const std::string_view text, const uint64_t seed) {
     double duration_s = 0.0;
     const size_t colon = value.find(':');
     if (colon != std::string_view::npos) {
-      try {
-        duration_s = std::stod(std::string{value.substr(colon + 1)});
-      } catch (const std::exception&) {
-        require(false, "parse_fault_plan: bad duration in '" +
-                           std::string{token} + "'");
-      }
+      duration_s = parse_number(value.substr(colon + 1), "duration", token);
       value = value.substr(0, colon);
     }
-    double probability = 0.0;
-    try {
-      probability = std::stod(std::string{value});
-    } catch (const std::exception&) {
-      require(false, "parse_fault_plan: bad probability in '" +
-                         std::string{token} + "'");
-    }
-    plan.add(family, probability, duration_s);
+    plan.add(family, parse_number(value, "probability", token), duration_s);
     if (comma == std::string_view::npos) {
       break;
     }

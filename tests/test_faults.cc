@@ -132,6 +132,17 @@ TEST(FaultPlan, ParseAndFingerprint) {
                RequirementError);
   EXPECT_THROW(sim::parse_fault_plan("bogus-family=0.1", 1),
                RequirementError);
+  // Every number must parse whole: trailing characters are malformed, and
+  // the error names the offending token.
+  for (const std::string bad : {"ttp-inference=0.5x", "link-outage=0.3:30s"}) {
+    try {
+      static_cast<void>(sim::parse_fault_plan(bad, 1));
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const RequirementError& error) {
+      EXPECT_NE(std::string{error.what()}.find(bad), std::string::npos)
+          << error.what();
+    }
+  }
 
   sim::FaultPlan other = plan;
   EXPECT_EQ(plan.fingerprint_key(), other.fingerprint_key());

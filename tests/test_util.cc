@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -397,19 +398,26 @@ TEST(JsonWriter, NonFiniteDoublesSerializeAsNull) {
             "}\n");
 }
 
-TEST(JsonWriter, EmitsArrayFields) {
-  bench::JsonWriter json;
-  json.field("ints", std::vector<int64_t>{1, 20, 300});
-  json.field("doubles",
-             std::vector<double>{0.5, std::numeric_limits<double>::quiet_NaN()},
-             1);
-  json.field("empty", std::vector<int64_t>{});
-  EXPECT_EQ(json.str(),
-            "{\n"
-            "  \"ints\": [1, 20, 300],\n"
-            "  \"doubles\": [0.5, null],\n"
-            "  \"empty\": []\n"
-            "}\n");
+/// The bench env knobs take only whole positive integers: anything else is
+/// an error naming the variable, never a silently one-stream run.
+TEST(BenchEnv, PositiveIntKnobRejectsMalformedValues) {
+  constexpr const char* kName = "PUFFER_BENCH_SESSIONS";
+  ::unsetenv(kName);
+  EXPECT_EQ(bench::positive_env_int(kName, 7), 7);
+  for (const char* bad : {"abc", "12x", "0", "-3"}) {
+    ::setenv(kName, bad, 1);
+    try {
+      static_cast<void>(bench::positive_env_int(kName, 7));
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const RequirementError& error) {
+      EXPECT_NE(std::string{error.what()}.find(kName), std::string::npos)
+          << error.what();
+    }
+  }
+  ::setenv(kName, "40", 1);
+  EXPECT_EQ(bench::positive_env_int(kName, 7), 40);
+  EXPECT_EQ(bench::sessions_per_scheme(), 40);
+  ::unsetenv(kName);
 }
 
 }  // namespace
