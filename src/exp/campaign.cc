@@ -429,7 +429,7 @@ void Campaign::initialize_from_checkpoint_dir() {
   }
   std::filesystem::create_directories(config_.checkpoint_dir);
   // Injected checkpoint-load failures (the file exists but the load "fails"):
-  // retry up to the policy budget, then degrade to a FLAGGED fresh start
+  // retry up to kCheckpointRetries times, then degrade to a FLAGGED fresh start
   // instead of aborting the campaign. Real corruption still throws below —
   // only the injected fault family takes the degradation path.
   if (config_.faults.probability(sim::kFaultCheckpointLoad) > 0.0 &&
