@@ -15,8 +15,9 @@ inline constexpr int kNumRungs = 10;
 inline constexpr double kChunkDurationS = 2.002;
 
 /// The client buffer holds at most 15 seconds of video (section 3.3). Every
-/// arm runs under this one player: the stream loop, the MPC planner, BBA's
-/// rate map and Pensieve's training environment all read this constant.
+/// arm runs under this one player: the stream loop, the MPC planner and
+/// Pensieve's training environment read this constant, and BBA's reservoirs
+/// are checked against it.
 inline constexpr double kMaxBufferS = 15.0;
 
 /// One rung of the encoding ladder.

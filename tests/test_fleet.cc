@@ -459,10 +459,9 @@ TEST(FleetTrial, BitIdenticalAcrossThreadCounts) {
 
 /// Tentpole acceptance: sharding is invisible to results. 1/2/4/8 shards,
 /// each with its own batch membership, all bit-identical to the sequential
-/// baseline —
-/// including the merged load series and the partition-invariant engine
-/// stats. (The batching counters are *not* compared across shard counts:
-/// batch membership is shard-local by design.)
+/// baseline — including the merged load series and the partition-invariant
+/// engine stats. (The batching counters are *not* compared across shard
+/// counts: batch membership is shard-local by design.)
 TEST(FleetTrial, BitIdenticalAcrossShardCounts) {
   const exp::TrialResult sequential =
       run_sessions_in_order(fleet_config().trial, fleet_factory());
