@@ -350,28 +350,16 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
   // merged virtual plane is independent of which shard finished first.
   std::vector<obs::TraceWriter> shard_traces(
       config_.trace != nullptr ? static_cast<size_t>(shards) : 0);
-  const auto drive = [&](const int s) {
-    run_shard(arrivals, members[static_cast<size_t>(s)], factory, on_complete,
-              s,
-              shard_traces.empty() ? nullptr
-                                   : &shard_traces[static_cast<size_t>(s)],
-              shard_stats[static_cast<size_t>(s)]);
-  };
-  // Shards run in ascending order — on the calling thread with one worker,
-  // else one ThreadPool job each — so the lowest failing shard's exception
-  // is the one that propagates (the pool rethrows by submission index).
-  // The pool's wait() provides the happens-before for the merge below.
-  if (workers == 1) {
-    for (int s = 0; s < shards; s++) {
-      drive(s);
-    }
-  } else {
-    ThreadPool pool{workers};
-    for (int s = 0; s < shards; s++) {
-      pool.submit([&drive, s] { drive(s); });
-    }
-    pool.wait();
-  }
+  // ThreadPool::run rethrows the lowest failing shard's exception whatever
+  // the wall-clock failure order, and its join orders every shard's writes
+  // before the merge below.
+  ThreadPool::run(shards, workers, [&](const int64_t s) {
+    const auto slot = static_cast<size_t>(s);
+    run_shard(arrivals, members[slot], factory, on_complete,
+              static_cast<int>(s),
+              shard_traces.empty() ? nullptr : &shard_traces[slot],
+              shard_stats[slot]);
+  });
 
   // Merge in ascending shard order. Counter sums and the load-series delta
   // multiset are partition-invariant, so everything except the shard-local

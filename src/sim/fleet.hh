@@ -155,10 +155,9 @@ struct FleetRunStats {
 /// interleaving a single queue would have produced restricted to that
 /// shard's sessions — per-session results, the merged load series (shards
 /// merge their +1/-1 delta multisets), sessions/decisions counts and the
-/// virtual duration are all bit-identical at any shard count. Shards start
-/// in ascending shard order, so a failure surfaces deterministically as the
-/// lowest failing shard's exception (ThreadPool rethrows by submission
-/// index).
+/// virtual duration are all bit-identical at any shard count. A failure
+/// surfaces deterministically as the lowest failing shard's exception
+/// (ThreadPool::run rethrows by job index).
 class FleetEngine {
  public:
   /// Invoked once per arrival to build session `session_index`'s task, on

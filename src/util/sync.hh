@@ -1,7 +1,6 @@
 #ifndef PUFFER_UTIL_SYNC_HH
 #define PUFFER_UTIL_SYNC_HH
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.hh"
@@ -23,15 +22,13 @@ class CAPABILITY("mutex") Mutex {
   bool try_lock() TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
  private:
-  friend class CondVar;
   friend class MutexLock;
   /// The wrapped capability itself; annotated at the wrapper level.
   std::mutex mutex_;  // DETLINT-OK(unannotated-sync): this IS the capability — GUARDS/GUARDED_BY apply to users of the wrapper
 };
 
-/// Scoped lock over util::Mutex (std::unique_lock underneath, so CondVar
-/// can wait on it). Declared SCOPED_CAPABILITY: clang tracks the critical
-/// section from construction to destruction.
+/// Scoped lock over util::Mutex. Declared SCOPED_CAPABILITY: clang tracks
+/// the critical section from construction to destruction.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) ACQUIRE(mutex) : lock_{mutex.mutex_} {}
@@ -41,29 +38,7 @@ class SCOPED_CAPABILITY MutexLock {
   MutexLock& operator=(const MutexLock&) = delete;
 
  private:
-  friend class CondVar;
-  std::unique_lock<std::mutex> lock_;
-};
-
-/// Condition variable paired with util::Mutex. wait() atomically releases
-/// the lock and reacquires it before returning, so from the analysis' (and
-/// the caller's) point of view the capability is held across the call —
-/// use the classic `while (!predicate()) cv.wait(lock);` form. Predicate
-/// lambdas passed into std::condition_variable::wait would be analyzed
-/// without the lock context and falsely warn, so this wrapper deliberately
-/// offers only the plain wait.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
+  std::lock_guard<std::mutex> lock_;
 };
 
 }  // namespace puffer

@@ -18,7 +18,7 @@
 ///                     the bitwise-determinism contract (e.g. monotonic
 ///                     flag whose release pairs with an acquire).
 ///
-/// Use util::Mutex / util::MutexLock / util::CondVar (util/sync.hh) rather
+/// Use util::Mutex / util::MutexLock (util/sync.hh) rather
 /// than std::mutex directly: the std:: types carry no attributes in
 /// libstdc++, so clang cannot see their acquire/release and every
 /// GUARDED_BY access would falsely warn.

@@ -1,110 +1,55 @@
 #include "util/thread_pool.hh"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace puffer {
 
-ThreadPool::ThreadPool(const int num_threads) {
-  const int n = std::max(1, num_threads);
-  workers_.reserve(static_cast<size_t>(n));
-  try {
-    for (int i = 0; i < n; i++) {
-      workers_.emplace_back([this] { worker_loop(); });
+void ThreadPool::run(const int64_t num_jobs, const int num_threads,
+                     const std::function<void(int64_t)>& job) {
+  // One slot per job: each is written by the one thread that ran the job
+  // and read only after the join.
+  std::vector<std::exception_ptr> errors(static_cast<size_t>(num_jobs));
+  const auto run_one = [&](const int64_t i) {
+    try {
+      job(i);
+    } catch (...) {
+      errors[static_cast<size_t>(i)] = std::current_exception();
     }
-  } catch (...) {
-    // A spawn failed (thread-resource exhaustion): shut down the workers
-    // already running, else their joinable std::thread destructors would
-    // terminate the process instead of letting the exception propagate.
-    {
-      const MutexLock lock{mutex_};
-      shutting_down_ = true;
+  };
+  const int64_t workers =
+      std::min<int64_t>(std::max(1, num_threads), num_jobs);
+  if (workers <= 1) {
+    for (int64_t i = 0; i < num_jobs; i++) {
+      run_one(i);
     }
-    work_available_.notify_all();
-    for (auto& worker : workers_) {
-      worker.join();
+  } else {
+    std::atomic<int64_t> next{0};
+    // jthread joins on destruction, so if a later spawn throws, the
+    // threads already started are joined before the exception propagates.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<size_t>(workers));
+    for (int64_t t = 0; t < workers; t++) {
+      threads.emplace_back([&] {
+        for (int64_t i = next.fetch_add(1); i < num_jobs;
+             i = next.fetch_add(1)) {
+          run_one(i);
+        }
+      });
     }
-    throw;
   }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const MutexLock lock{mutex_};
-    shutting_down_ = true;
-  }
-  work_available_.notify_all();
-  for (auto& worker : workers_) {
-    worker.join();
-  }
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    const MutexLock lock{mutex_};
-    queue_.push_back(Job{next_job_index_, std::move(job)});
-    next_job_index_++;
-    unfinished_++;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::exception_ptr error;
-  {
-    MutexLock lock{mutex_};
-    while (unfinished_ != 0) {
-      all_done_.wait(lock);
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
     }
-    // Every job submitted so far has finished, so among the batch's
-    // failures the lowest submission index has been settled — rethrowing it
-    // is deterministic no matter which worker failed first on the clock.
-    error = std::exchange(first_error_, nullptr);
-  }
-  if (error) {
-    std::rethrow_exception(error);
   }
 }
 
 int ThreadPool::hardware_threads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    Job job;
-    {
-      MutexLock lock{mutex_};
-      while (!shutting_down_ && queue_.empty()) {
-        work_available_.wait(lock);
-      }
-      if (queue_.empty()) {
-        return;  // shutting down and drained
-      }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    std::exception_ptr error;
-    try {
-      job.run();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      const MutexLock lock{mutex_};
-      // Keep the failure of the lowest submission index: a slow early job
-      // must displace a fast later one, or the exception wait() observes
-      // would depend on thread scheduling order.
-      if (error && (!first_error_ || job.index < first_error_index_)) {
-        first_error_ = std::move(error);
-        first_error_index_ = job.index;
-      }
-      unfinished_--;
-      if (unfinished_ == 0) {
-        all_done_.notify_all();
-      }
-    }
-  }
 }
 
 }  // namespace puffer

@@ -543,11 +543,10 @@ TEST(FleetTrial, FactoryFailureMidRunPropagates) {
       RequirementError);
 }
 
-/// Exception-propagation determinism: the engine submits shard jobs in
-/// ascending shard order, and ThreadPool selects the rethrown exception by
-/// submission index — so even when a *higher* shard fails first on the
-/// wall clock, the lowest failing shard's error is the one observed, every
-/// time.
+/// Exception-propagation determinism: the engine runs one job per shard,
+/// and ThreadPool::run selects the rethrown exception by job index — so
+/// even when a *higher* shard fails first on the wall clock, the lowest
+/// failing shard's error is the one observed, every time.
 class ExplodingTask final : public sim::FleetTask {
  public:
   ExplodingTask(std::string message, const int decisions_before_failure)

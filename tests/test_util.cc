@@ -250,113 +250,62 @@ TEST(Format, FixedAndPercent) {
   EXPECT_EQ(format_percent(0.0012, 2), "0.12%");
 }
 
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; i++) {
-    pool.submit([&count] { count.fetch_add(1); });
+TEST(ThreadPool, RunRunsEveryIndexExactlyOnce) {
+  for (const int threads : {1, 2, 4, 8}) {
+    for (const int64_t jobs : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{100}}) {
+      // One slot per index: a job run twice would show as a count of 2
+      // (and as a data race under TSan).
+      std::vector<int> runs(static_cast<size_t>(jobs), 0);
+      ThreadPool::run(jobs, threads, [&runs](const int64_t i) {
+        runs[static_cast<size_t>(i)]++;
+      });
+      EXPECT_EQ(runs, std::vector<int>(static_cast<size_t>(jobs), 1))
+          << threads << " threads, " << jobs << " jobs";
+    }
   }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(count.load(), 3);
+TEST(ThreadPool, RunRethrowsLowestFailingIndexEvenWhenItFailsLast) {
+  // Job 0 fails *last* on the wall clock (it sleeps while job 1 throws
+  // immediately on the other thread), yet its exception is the one run()
+  // rethrows — selection is by index, not by scheduling. The failures do
+  // not cancel the batch: every other job still runs.
+  for (int iteration = 0; iteration < 20; iteration++) {
+    std::atomic<int> others{0};
+    try {
+      ThreadPool::run(12, 2, [&others](const int64_t i) {
+        if (i == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          throw std::runtime_error("job-0");
+        }
+        if (i == 1) {
+          throw std::runtime_error("job-1");
+        }
+        others.fetch_add(1);
+      });
+      FAIL() << "run() must rethrow";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "job-0");
+    }
+    EXPECT_EQ(others.load(), 10);
+  }
 }
 
-TEST(ThreadPool, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool{0};
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
+TEST(ThreadPool, RunWithOneWorkerRunsInOrderOnCallingThread) {
+  // num_threads < 1 is clamped to one worker.
+  for (const int threads : {1, 0, -3}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int64_t> order;
+    ThreadPool::run(5, threads, [&](const int64_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4})) << threads;
+  }
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
-}
-
-TEST(ThreadPool, PropagatesJobExceptionToWait) {
-  ThreadPool pool{2};
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("job failed"); });
-  for (int i = 0; i < 10; i++) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // The failure does not cancel the batch: every other job still ran, and
-  // the pool stays usable — the error is delivered exactly once.
-  EXPECT_EQ(count.load(), 10);
-  pool.submit([&count] { count.fetch_add(1); });
-  EXPECT_NO_THROW(pool.wait());
-  EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPool, FirstExceptionWins) {
-  // One worker executes the FIFO queue in order, so "first" is well-defined.
-  ThreadPool pool{1};
-  pool.submit([] { throw std::runtime_error("first"); });
-  pool.submit([] { throw std::runtime_error("second"); });
-  try {
-    pool.wait();
-    FAIL() << "wait() must rethrow";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "first");
-  }
-}
-
-TEST(ThreadPool, ExceptionSelectionIsBySubmissionIndexNotFinishOrder) {
-  // The earlier-submitted job fails *last* on the wall clock (it sleeps
-  // while the later job throws immediately on the other worker), yet its
-  // exception must be the one wait() rethrows — selection is by submission
-  // index, so the observed error cannot depend on thread scheduling.
-  for (int iteration = 0; iteration < 20; iteration++) {
-    ThreadPool pool{2};
-    pool.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      throw std::runtime_error("submitted-first");
-    });
-    pool.submit([] { throw std::runtime_error("submitted-second"); });
-    try {
-      pool.wait();
-      FAIL() << "wait() must rethrow";
-    } catch (const std::runtime_error& error) {
-      EXPECT_STREQ(error.what(), "submitted-first");
-    }
-  }
-}
-
-TEST(ThreadPool, DestructionDrainsQueuedWork) {
-  // Destroying the pool while jobs are still queued must run them all
-  // before joining — no deadlock, no dropped work.
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool{1};
-    pool.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    });
-    for (int i = 0; i < 50; i++) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    // No wait(): the destructor handles the backlog.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, DestructionAfterUnobservedExceptionIsSafe) {
-  ThreadPool pool{2};
-  pool.submit([] { throw std::runtime_error("never observed"); });
-  // Destroying without wait() must discard the captured exception quietly.
 }
 
 TEST(JsonWriter, EscapesSpecialCharactersInStrings) {
