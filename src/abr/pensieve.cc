@@ -88,13 +88,17 @@ nn::Mlp make_pensieve_actor(const uint64_t seed) {
   nn::Mlp actor{{kPensieveStateDim, 128, 64, media::kNumRungs}, seed};
   // Small-init the policy head: training starts from a near-uniform policy,
   // which is the exploration regime policy-gradient methods expect.
-  actor.weights().back().scale_inplace(0.05f);
+  actor.update([](auto& weights, auto& /*biases*/) {
+    weights.back().scale_inplace(0.05f);
+  });
   return actor;
 }
 
 nn::Mlp make_pensieve_critic(const uint64_t seed) {
   nn::Mlp critic{{kPensieveStateDim, 128, 64, 1}, seed};
-  critic.weights().back().scale_inplace(0.05f);
+  critic.update([](auto& weights, auto& /*biases*/) {
+    weights.back().scale_inplace(0.05f);
+  });
   return critic;
 }
 

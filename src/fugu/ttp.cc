@@ -102,7 +102,9 @@ TtpModel::TtpModel(TtpConfig config, const uint64_t seed)
     // Small-init the output layer: the untrained predictor then emits a
     // near-uniform distribution (cross-entropy ~ ln 21) instead of random
     // confident garbage, which also speeds early training markedly.
-    networks_.back().weights().back().scale_inplace(0.05f);
+    networks_.back().update([](auto& weights, auto& /*biases*/) {
+      weights.back().scale_inplace(0.05f);
+    });
   }
 }
 

@@ -53,36 +53,7 @@ Mlp::Mlp(std::vector<size_t> layer_sizes, const uint64_t seed)
     weights_.push_back(std::move(w));
     biases_.emplace_back(fan_out, 0.0f);
   }
-}
-
-Mlp::Mlp(const Mlp& other)
-    : layer_sizes_(other.layer_sizes_),
-      weights_(other.weights_),
-      biases_(other.biases_) {}
-
-Mlp& Mlp::operator=(const Mlp& other) {
-  if (this != &other) {
-    layer_sizes_ = other.layer_sizes_;
-    weights_ = other.weights_;
-    biases_ = other.biases_;
-    invalidate_packed();
-  }
-  return *this;
-}
-
-Mlp::Mlp(Mlp&& other) noexcept
-    : layer_sizes_(std::move(other.layer_sizes_)),
-      weights_(std::move(other.weights_)),
-      biases_(std::move(other.biases_)) {}
-
-Mlp& Mlp::operator=(Mlp&& other) noexcept {
-  if (this != &other) {
-    layer_sizes_ = std::move(other.layer_sizes_);
-    weights_ = std::move(other.weights_);
-    biases_ = std::move(other.biases_);
-    invalidate_packed();
-  }
-  return *this;
+  pack();
 }
 
 bool Mlp::operator==(const Mlp& other) const {
@@ -90,18 +61,11 @@ bool Mlp::operator==(const Mlp& other) const {
          biases_ == other.biases_;
 }
 
-const std::vector<PackedMatrix>& Mlp::packed_weights() const {
-  if (!packed_valid_.load(std::memory_order_acquire)) {
-    const MutexLock lock{pack_mutex_};
-    if (!packed_valid_.load(std::memory_order_relaxed)) {
-      packed_.resize(weights_.size());
-      for (size_t l = 0; l < weights_.size(); l++) {
-        packed_[l].pack_from(weights_[l]);
-      }
-      packed_valid_.store(true, std::memory_order_release);
-    }
+void Mlp::pack() {
+  packed_.resize(weights_.size());
+  for (size_t l = 0; l < weights_.size(); l++) {
+    packed_[l].pack_from(weights_[l]);
   }
-  return packed_;
 }
 
 size_t Mlp::parameter_count() const {
@@ -121,7 +85,6 @@ void Mlp::forward(const Matrix& input, Matrix& logits, Matrix& scratch) const {
   require(input.cols() == input_size(), "Mlp::forward: input width mismatch");
   require(&input != &logits && &input != &scratch && &logits != &scratch,
           "Mlp::forward: input, logits and scratch must be distinct");
-  const std::vector<PackedMatrix>& packed = packed_weights();
   const Matrix* src = &input;
   for (size_t l = 0; l < weights_.size(); l++) {
     // Alternate destinations so the last layer's write lands in `logits`.
@@ -129,7 +92,7 @@ void Mlp::forward(const Matrix& input, Matrix& logits, Matrix& scratch) const {
     Matrix* dst = (layers_after % 2 == 0) ? &logits : &scratch;
     const Epilogue epilogue =
         l + 1 < weights_.size() ? Epilogue::kBiasRelu : Epilogue::kBias;
-    gemm(*src, packed[l], *dst, epilogue, biases_[l]);
+    gemm(*src, packed_[l], *dst, epilogue, biases_[l]);
     src = dst;
   }
 }
@@ -151,7 +114,6 @@ std::span<float> Mlp::forward_one(const std::span<const float> input,
 
 void Mlp::forward_tape(const Matrix& input, Tape& tape) const {
   require(input.cols() == input_size(), "Mlp::forward_tape: width mismatch");
-  const std::vector<PackedMatrix>& packed = packed_weights();
   tape.activations.resize(weights_.size() + 1);
   Matrix& staged = tape.activations.front();
   staged.resize_no_zero(input.rows(), input.cols());
@@ -159,7 +121,7 @@ void Mlp::forward_tape(const Matrix& input, Tape& tape) const {
   for (size_t l = 0; l < weights_.size(); l++) {
     const Epilogue epilogue =
         l + 1 < weights_.size() ? Epilogue::kBiasRelu : Epilogue::kBias;
-    gemm(tape.activations[l], packed[l], tape.activations[l + 1], epilogue,
+    gemm(tape.activations[l], packed_[l], tape.activations[l + 1], epilogue,
          biases_[l]);
   }
 }

@@ -1,15 +1,12 @@
 #ifndef PUFFER_NN_MLP_HH
 #define PUFFER_NN_MLP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "nn/gemm.hh"
 #include "nn/matrix.hh"
-#include "util/sync.hh"
-#include "util/thread_annotations.hh"
 
 namespace puffer::nn {
 
@@ -53,20 +50,16 @@ struct ForwardScratch {
 /// layer (logits). This mirrors the paper's TTP: 22 -> 64 -> 64 -> 21, and is
 /// also used for the Pensieve actor/critic networks.
 ///
-/// Weight matrices are packed once into the GEMM layer's panel layout
-/// (lazily, invalidated whenever a mutable parameter accessor is taken), so
-/// forward, forward_one, forward_tape and backward all run on packed panels
-/// instead of re-striding the row-major storage every call.
+/// Weight matrices are packed into the GEMM layer's panel layout whenever
+/// the parameters change (at construction and in update()), so forward,
+/// forward_one, forward_tape and backward all run on packed panels instead
+/// of re-striding the row-major storage every call. Const use never writes,
+/// so one Mlp may serve forwards from many threads at once.
 class Mlp {
  public:
   /// `layer_sizes` = {input, hidden..., output}; at least {in, out}.
   /// Weights use He initialization from `seed` (deterministic).
   Mlp(std::vector<size_t> layer_sizes, uint64_t seed);
-
-  Mlp(const Mlp& other);
-  Mlp& operator=(const Mlp& other);
-  Mlp(Mlp&& other) noexcept;
-  Mlp& operator=(Mlp&& other) noexcept;
 
   [[nodiscard]] size_t input_size() const { return layer_sizes_.front(); }
   [[nodiscard]] size_t output_size() const { return layer_sizes_.back(); }
@@ -107,54 +100,33 @@ class Mlp {
 
   [[nodiscard]] Gradients make_gradients() const;
 
-  /// Parameter access (used by optimizers and serialization). The non-const
-  /// accessors invalidate the packed-weight cache: the next forward repacks.
-  /// Invalidation happens at ACCESSOR CALL time — do not hold the returned
-  /// reference across forward calls; re-take weights() for every mutation,
-  /// or the forwards in between will run on stale packed panels.
-  std::vector<Matrix>& weights() {
-    invalidate_packed();
-    return weights_;
-  }
+  /// Parameter access (used by serialization and reference kernels).
   [[nodiscard]] const std::vector<Matrix>& weights() const { return weights_; }
-  std::vector<std::vector<float>>& biases() { return biases_; }
   [[nodiscard]] const std::vector<std::vector<float>>& biases() const {
     return biases_;
   }
 
-  /// The packed panel-major copies of the weight matrices the kernels run
-  /// on, repacking first if a mutable accessor dirtied them. Thread-safe for
-  /// concurrent const use (first caller packs under a lock). Double-checked:
-  /// the packed_valid_ acquire-load lets warmed readers skip the lock and
-  /// return packed_ without holding pack_mutex_, a protocol clang's
-  /// lock-based analysis cannot express — hence the opt-out annotation.
-  const std::vector<PackedMatrix>& packed_weights() const
-      NO_THREAD_SAFETY_ANALYSIS;
+  /// The one way to change parameters: calls edit(weights, biases) and then
+  /// repacks the panels, so no forward can run on stale panels. The edit
+  /// must keep every shape. Not safe while another thread uses the Mlp.
+  template <typename Edit>
+  void update(Edit&& edit) {
+    edit(weights_, biases_);
+    pack();
+  }
 
-  /// Compares parameters (packing-cache state is ignored).
+  /// Compares parameters (the packed panels follow from them).
   bool operator==(const Mlp& other) const;
 
  private:
-  void invalidate_packed() {
-    packed_valid_.store(false, std::memory_order_release);
-  }
+  void pack();
 
   std::vector<size_t> layer_sizes_;
   /// weights_[l] has shape (layer_sizes_[l] x layer_sizes_[l+1]).
   std::vector<Matrix> weights_;
   std::vector<std::vector<float>> biases_;
-
-  /// Lazily-built panel-major weight cache (see gemm.hh).
-  mutable std::vector<PackedMatrix> packed_ GUARDED_BY(pack_mutex_);
-  /// Publication flag for packed_: store-release by the packing thread
-  /// (inside the pack_mutex_ critical section) pairs with the load-acquire
-  /// in packed_weights(), so a reader that observes `true` also observes
-  /// the fully-built panels. Weights are immutable while any forward runs
-  /// (non-const accessors invalidate at call time, single-threaded).
-  mutable std::atomic<bool> packed_valid_ ATOMIC_SAFE(
-      "release inside the critical section pairs with readers' acquire") =
-      false;
-  mutable Mutex pack_mutex_ GUARDS(packed_);
+  /// Panel-major copies of weights_ (see gemm.hh), rebuilt by pack().
+  std::vector<PackedMatrix> packed_;
 };
 
 }  // namespace puffer::nn

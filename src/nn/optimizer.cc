@@ -27,22 +27,24 @@ void SgdOptimizer::step(Mlp& net, const Gradients& grads) {
   ensure_shaped(velocity_, net, initialized_);
   const float lr = static_cast<float>(learning_rate_);
   const float mom = static_cast<float>(momentum_);
-  for (size_t l = 0; l < net.weights().size(); l++) {
-    Matrix& w = net.weights()[l];
-    Matrix& v = velocity_.weights[l];
-    const Matrix& g = grads.weights[l];
-    for (size_t i = 0; i < w.size(); i++) {
-      v.data()[i] = mom * v.data()[i] - lr * g.data()[i];
-      w.data()[i] += v.data()[i];
+  net.update([&](auto& weights, auto& biases) {
+    for (size_t l = 0; l < weights.size(); l++) {
+      Matrix& w = weights[l];
+      Matrix& v = velocity_.weights[l];
+      const Matrix& g = grads.weights[l];
+      for (size_t i = 0; i < w.size(); i++) {
+        v.data()[i] = mom * v.data()[i] - lr * g.data()[i];
+        w.data()[i] += v.data()[i];
+      }
+      auto& b = biases[l];
+      auto& vb = velocity_.biases[l];
+      const auto& gb = grads.biases[l];
+      for (size_t i = 0; i < b.size(); i++) {
+        vb[i] = mom * vb[i] - lr * gb[i];
+        b[i] += vb[i];
+      }
     }
-    auto& b = net.biases()[l];
-    auto& vb = velocity_.biases[l];
-    const auto& gb = grads.biases[l];
-    for (size_t i = 0; i < b.size(); i++) {
-      vb[i] = mom * vb[i] - lr * gb[i];
-      b[i] += vb[i];
-    }
-  }
+  });
 }
 
 void SgdOptimizer::reset() {
@@ -81,18 +83,20 @@ void AdamOptimizer::step(Mlp& net, const Gradients& grads) {
     param -= lr * m_hat / (std::sqrt(v_hat) + eps);
   };
 
-  for (size_t l = 0; l < net.weights().size(); l++) {
-    Matrix& w = net.weights()[l];
-    for (size_t i = 0; i < w.size(); i++) {
-      update(w.data()[i], first_moment_.weights[l].data()[i],
-             second_moment_.weights[l].data()[i], grads.weights[l].data()[i]);
+  net.update([&](auto& weights, auto& biases) {
+    for (size_t l = 0; l < weights.size(); l++) {
+      Matrix& w = weights[l];
+      for (size_t i = 0; i < w.size(); i++) {
+        update(w.data()[i], first_moment_.weights[l].data()[i],
+               second_moment_.weights[l].data()[i], grads.weights[l].data()[i]);
+      }
+      auto& b = biases[l];
+      for (size_t i = 0; i < b.size(); i++) {
+        update(b[i], first_moment_.biases[l][i], second_moment_.biases[l][i],
+               grads.biases[l][i]);
+      }
     }
-    auto& b = net.biases()[l];
-    for (size_t i = 0; i < b.size(); i++) {
-      update(b[i], first_moment_.biases[l][i], second_moment_.biases[l][i],
-             grads.biases[l][i]);
-    }
-  }
+  });
 }
 
 void AdamOptimizer::reset() {

@@ -55,14 +55,16 @@ Mlp load_mlp(std::istream& in) {
   }
   require(params < (uint64_t{1} << 26), "load_mlp: implausible parameter count");
   Mlp net{sizes, /*seed=*/0};
-  for (size_t l = 0; l < net.num_layers(); l++) {
-    Matrix& w = net.weights()[l];
-    in.read(reinterpret_cast<char*>(w.data()),
-            static_cast<std::streamsize>(w.size() * sizeof(float)));
-    auto& b = net.biases()[l];
-    in.read(reinterpret_cast<char*>(b.data()),
-            static_cast<std::streamsize>(b.size() * sizeof(float)));
-  }
+  net.update([&in](auto& weights, auto& biases) {
+    for (size_t l = 0; l < weights.size(); l++) {
+      Matrix& w = weights[l];
+      in.read(reinterpret_cast<char*>(w.data()),
+              static_cast<std::streamsize>(w.size() * sizeof(float)));
+      auto& b = biases[l];
+      in.read(reinterpret_cast<char*>(b.data()),
+              static_cast<std::streamsize>(b.size() * sizeof(float)));
+    }
+  });
   require(bool(in), "load_mlp: truncated stream");
   return net;
 }

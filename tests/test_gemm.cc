@@ -228,34 +228,39 @@ TEST(MlpPacked, ForwardMatchesNaiveReferenceNetwork) {
   expect_near(logits, ref, "packed forward vs naive reference");
 }
 
-TEST(MlpPacked, WeightUpdateInvalidatesPackedCache) {
+TEST(MlpPacked, UpdateRepacksPanels) {
   Mlp net{{4, 8, 3}, 7};
   const std::vector<float> x = {0.5f, -1.0f, 2.0f, 0.25f};
-  const std::vector<float> before = net.forward_one(x);  // cache is now warm
-  net.weights()[0].at(0, 0) += 1.0f;
+  const std::vector<float> before = net.forward_one(x);
+  const auto nudge = [](auto& weights, auto& /*biases*/) {
+    weights[0].at(0, 0) += 1.0f;
+  };
+  net.update(nudge);
   const std::vector<float> after = net.forward_one(x);
   EXPECT_NE(before, after);
 
   // A fresh network with identical parameters must agree bitwise.
   Mlp twin{{4, 8, 3}, 7};
-  twin.weights()[0].at(0, 0) += 1.0f;
+  twin.update(nudge);
   EXPECT_EQ(after, twin.forward_one(x));
 }
 
-TEST(MlpPacked, CopiedNetworksPackIndependently) {
+TEST(MlpPacked, CopiedNetworksUpdateIndependently) {
   Mlp original{{4, 8, 3}, 21};
   const std::vector<float> x = {1.0f, 2.0f, -0.5f, 0.0f};
-  const std::vector<float> base = original.forward_one(x);  // warm the cache
+  const std::vector<float> base = original.forward_one(x);
 
   Mlp copy = original;
   EXPECT_EQ(copy, original);
   EXPECT_EQ(copy.forward_one(x), base);
 
-  for (Matrix& w : copy.weights()) {
-    w.scale_inplace(0.5f);
-  }
+  copy.update([](auto& weights, auto& /*biases*/) {
+    for (Matrix& w : weights) {
+      w.scale_inplace(0.5f);
+    }
+  });
   EXPECT_NE(copy.forward_one(x), base);
-  // Mutating the copy must not disturb the original (or its cache).
+  // Updating the copy must not disturb the original (or its panels).
   EXPECT_EQ(original.forward_one(x), base);
 }
 

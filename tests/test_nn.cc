@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <thread>
 
 #include "nn/loss.hh"
 #include "nn/matrix.hh"
@@ -197,6 +199,35 @@ TEST(Mlp, BatchForwardMatchesSingle) {
   }
 }
 
+/// A freshly built Mlp shared read-only by several threads (how one trained
+/// TTP serves many shards) gives every thread the serial result, bit for bit.
+TEST(Mlp, ConcurrentForwardOnFreshModelMatchesSerial) {
+  const std::vector<size_t> sizes = {22, 64, 64, 21};
+  std::vector<float> x(22);
+  Rng rng{12};
+  for (float& v : x) {
+    v = static_cast<float>(rng.normal());
+  }
+  const std::vector<float> serial = Mlp{sizes, 77}.forward_one(x);
+
+  const Mlp shared{sizes, 77};
+  std::vector<std::vector<float>> results(4);
+  {
+    std::vector<std::jthread> threads;
+    for (std::vector<float>& result : results) {
+      threads.emplace_back([&shared, &x, &result] {
+        result = shared.forward_one(x);
+      });
+    }
+  }
+  for (const std::vector<float>& result : results) {
+    ASSERT_EQ(result.size(), serial.size());
+    EXPECT_EQ(std::memcmp(result.data(), serial.data(),
+                          serial.size() * sizeof(float)),
+              0);
+  }
+}
+
 /// Central-difference gradient check of backprop through the full network,
 /// parameterized over architectures (including a linear one).
 class MlpGradientCheck
@@ -231,11 +262,13 @@ TEST_P(MlpGradientCheck, BackpropMatchesNumericalGradient) {
   net.backward(tape, dlogits, grads);
 
   // Spot-check a sample of weights in every layer. Each perturbation goes
-  // through the mutable accessor so the packed-weight cache is invalidated
-  // (the same pattern optimizers follow).
+  // through update() so the packed panels follow it (the same path
+  // optimizers take).
   const float eps = 1e-2f;
   auto poke = [&net](const size_t layer, const size_t idx, const float value) {
-    net.weights()[layer].data()[idx] = value;
+    net.update([&](auto& weights, auto& /*biases*/) {
+      weights[layer].data()[idx] = value;
+    });
   };
   for (size_t l = 0; l < net.num_layers(); l++) {
     const size_t layer_weights = net.weights()[l].size();

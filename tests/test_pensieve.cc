@@ -64,10 +64,12 @@ TEST(PensieveState, NextChunkSizesInMb) {
 TEST(PensieveAbr, GreedyActionFollowsActor) {
   nn::Mlp actor = make_pensieve_actor(7);
   // Bias the last output so that rung 4 always wins.
-  for (auto& b : actor.biases().back()) {
-    b = 0.0f;
-  }
-  actor.biases().back()[4] = 100.0f;
+  actor.update([](auto& /*weights*/, auto& biases) {
+    for (auto& b : biases.back()) {
+      b = 0.0f;
+    }
+    biases.back()[4] = 100.0f;
+  });
   PensieveAbr abr{actor};
   AbrObservation obs;
   obs.buffer_s = 5.0;
