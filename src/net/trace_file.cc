@@ -16,6 +16,8 @@ TraceFile::TraceFile(std::vector<uint64_t> delivery_times_ms)
           "TraceFile: need at least one delivery opportunity");
   require(std::is_sorted(delivery_times_ms_.begin(), delivery_times_ms_.end()),
           "TraceFile: timestamps must be non-decreasing");
+  require(delivery_times_ms_.back() <= kMaxTimestampMs,
+          "TraceFile: timestamps must not exceed one day (86400000 ms)");
 }
 
 TraceFile TraceFile::parse(std::istream& in) {
@@ -50,6 +52,11 @@ TraceFile TraceFile::parse(std::istream& in) {
             "TraceFile: line " + std::to_string(line_number) +
                 " is not a non-negative integer millisecond timestamp: '" +
                 line + "'");
+    if (value > kMaxTimestampMs) {
+      throw RequirementError("TraceFile: line " + std::to_string(line_number) +
+                             " is past one day (86400000 ms): " +
+                             std::to_string(value) + " ms");
+    }
     if (!times.empty() && value < times.back()) {
       throw RequirementError(
           "TraceFile: line " + std::to_string(line_number) +

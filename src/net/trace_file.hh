@@ -20,13 +20,18 @@ class TraceFile {
  public:
   /// Bytes per delivery opportunity (one MTU-sized packet, as in mahimahi).
   static constexpr double kPacketBytes = 1500.0;
+  /// Latest accepted timestamp: one day. Sessions are capped at 18 h and
+  /// replay loops the trace, so a longer trace is never needed — and
+  /// to_trace() allocates one bin per timestamp range, so an unbounded
+  /// timestamp in a tiny file would ask for gigabytes.
+  static constexpr uint64_t kMaxTimestampMs = 24ULL * 3600 * 1000;
 
   /// No default constructor: every TraceFile holds >= 1 delivery
   /// opportunity (duration_s()/to_trace() rely on it).
   explicit TraceFile(std::vector<uint64_t> delivery_times_ms);
 
   /// Parse the text format. Throws RequirementError on empty input, garbage
-  /// lines, or decreasing timestamps.
+  /// lines, decreasing timestamps, or a timestamp past kMaxTimestampMs.
   static TraceFile parse(std::istream& in);
   static TraceFile load(const std::string& path);
 

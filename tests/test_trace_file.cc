@@ -75,6 +75,24 @@ TEST(TraceFile, BackwardsTimeErrorNamesBothTimestamps) {
   }
 }
 
+TEST(TraceFile, RejectsTimestampsPastOneDay) {
+  // A 14-byte file whose one timestamp would make to_trace() allocate one
+  // bin per 0.5 s for 30 years.
+  std::istringstream huge{"1000000000000\n"};
+  try {
+    TraceFile::parse(huge);
+    FAIL() << "expected RequirementError";
+  } catch (const RequirementError& error) {
+    EXPECT_NE(std::string{error.what()}.find("line 1"), std::string::npos);
+  }
+  EXPECT_THROW(TraceFile{{TraceFile::kMaxTimestampMs + 1}}, RequirementError);
+
+  std::istringstream one_day{"86400000\n"};
+  const TraceFile trace = TraceFile::parse(one_day);
+  EXPECT_EQ(trace.delivery_times_ms().back(), 86400000u);
+  EXPECT_EQ(trace.to_trace(0.5).num_segments(), 172800u);
+}
+
 TEST(TraceFile, LoadErrorNamesTheFile) {
   const std::string path = ::testing::TempDir() + "/corrupt.trace";
   {
