@@ -36,12 +36,6 @@ TtpInferenceBatch::Slot TtpInferenceBatch::enqueue_row(
   return slot;
 }
 
-TtpInferenceBatch::Slot TtpInferenceBatch::enqueue(
-    const TtpModel& model, const int step,
-    const std::span<const float> features) {
-  return enqueue_row(group_for(model, step), features);
-}
-
 void TtpInferenceBatch::run() {
   for (Group& group : groups_) {
     if (group.rows_used == 0) {

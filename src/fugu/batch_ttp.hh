@@ -35,10 +35,6 @@ class TtpInferenceBatch {
   /// Append one feature row to a resolved group (the per-row hot path).
   Slot enqueue_row(size_t group, std::span<const float> features);
 
-  /// Convenience: group_for + enqueue_row.
-  Slot enqueue(const TtpModel& model, int step,
-               std::span<const float> features);
-
   /// Run one fused forward pass per non-empty group, then softmax each row.
   void run();
 

@@ -45,12 +45,4 @@ LinkStepResult LinkSimulator::step(const double now_s, const double dt,
   return result;
 }
 
-void LinkSimulator::drain(const double now_s, const double dt) {
-  if (queue_bytes_ <= 0.0 || dt <= 0.0) {
-    return;
-  }
-  const double capacity = trace_->capacity_at(now_s + dt * 0.5);
-  queue_bytes_ = std::max(0.0, queue_bytes_ - capacity * dt);
-}
-
 }  // namespace puffer::net

@@ -39,9 +39,6 @@ class LinkSimulator {
   /// the drain that actually happened.
   LinkStepResult step(double now_s, double dt, double offered_bytes);
 
-  /// Drain the queue for `dt` seconds with no arrivals (idle application).
-  void drain(double now_s, double dt);
-
   [[nodiscard]] double queue_bytes() const { return queue_bytes_; }
   [[nodiscard]] double queue_capacity() const { return queue_capacity_bytes_; }
   [[nodiscard]] double capacity_at(double now_s) const {

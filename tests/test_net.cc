@@ -71,14 +71,14 @@ TEST(Link, DropTailLossBeyondQueueCapacity) {
 
 TEST(Link, ZeroCapacitySegmentHoldsQueue) {
   // A dead middle segment: nothing drains, nothing is lost (queue permitting),
-  // and drain() is a no-op while capacity is zero.
+  // and an idle step leaves the backlog untouched while capacity is zero.
   ThroughputTrace trace{{1000.0, 0.0, 1000.0}, 1.0};
   LinkSimulator link{trace, 1e6};
   const auto during_outage = link.step(1.2, 0.1, 500.0);
   EXPECT_DOUBLE_EQ(during_outage.delivered_bytes, 0.0);
   EXPECT_DOUBLE_EQ(during_outage.lost_bytes, 0.0);
   EXPECT_DOUBLE_EQ(link.queue_bytes(), 500.0);
-  link.drain(1.4, 0.5);  // still inside the dead segment
+  link.step(1.4, 0.5, 0.0);  // still inside the dead segment
   EXPECT_DOUBLE_EQ(link.queue_bytes(), 500.0);
   // Once capacity returns, the backlog drains at line rate.
   const auto after = link.step(2.0, 0.5, 0.0);
@@ -146,22 +146,6 @@ TEST(Link, OverflowAccountingConservesBytes) {
               delivered_total + lost_total + link.queue_bytes(), 1e-6);
 }
 
-TEST(Link, DrainAfterBurstIsRateLimited) {
-  // A burst fills the queue; drain() then removes exactly capacity * dt per
-  // call, never more, and clamps at empty.
-  ThroughputTrace trace{{1000.0}, 1.0};
-  LinkSimulator link{trace, 1e9};
-  link.step(0.0, 0.001, 4000.0);  // burst: ~4000 B backlog, ~1 B drained
-  const double backlog = link.queue_bytes();
-  EXPECT_NEAR(backlog, 3999.0, 1e-6);
-  link.drain(0.001, 1.5);
-  EXPECT_NEAR(link.queue_bytes(), backlog - 1500.0, 1e-6);
-  link.drain(1.501, 100.0);  // over-long drain clamps at zero
-  EXPECT_DOUBLE_EQ(link.queue_bytes(), 0.0);
-  link.drain(200.0, 1.0);  // draining an empty queue is a no-op
-  EXPECT_DOUBLE_EQ(link.queue_bytes(), 0.0);
-}
-
 TEST(Link, StepRejectsBadArguments) {
   ThroughputTrace trace{{1000.0}, 1.0};
   LinkSimulator link{trace, 1000.0};
@@ -177,14 +161,6 @@ TEST(Link, QueueDelayTracksBacklog) {
   const auto result = link.step(0.0, 0.001, 2001.0);
   // ~2000 bytes backlog at 1000 B/s -> ~2 s queueing delay.
   EXPECT_NEAR(result.queue_delay_s, 2.0, 0.01);
-}
-
-TEST(Link, IdleDrainEmptiesQueue) {
-  ThroughputTrace trace{{1000.0}, 1.0};
-  LinkSimulator link{trace, 1e9};
-  link.step(0.0, 1.0, 3000.0);
-  link.drain(1.0, 10.0);
-  EXPECT_DOUBLE_EQ(link.queue_bytes(), 0.0);
 }
 
 NetworkPath constant_path(const double rate_mbps, const double rtt_s = 0.040,
