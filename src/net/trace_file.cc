@@ -17,7 +17,7 @@ TraceFile::TraceFile(std::vector<uint64_t> delivery_times_ms)
   require(std::is_sorted(delivery_times_ms_.begin(), delivery_times_ms_.end()),
           "TraceFile: timestamps must be non-decreasing");
   require(delivery_times_ms_.back() <= kMaxTimestampMs,
-          "TraceFile: timestamps must not exceed one day (86400000 ms)");
+          "TraceFile: timestamps must not exceed one day");
 }
 
 TraceFile TraceFile::parse(std::istream& in) {
@@ -54,8 +54,9 @@ TraceFile TraceFile::parse(std::istream& in) {
                 line + "'");
     if (value > kMaxTimestampMs) {
       throw RequirementError("TraceFile: line " + std::to_string(line_number) +
-                             " is past one day (86400000 ms): " +
-                             std::to_string(value) + " ms");
+                             " is past one day (" +
+                             std::to_string(kMaxTimestampMs) +
+                             " ms): " + std::to_string(value) + " ms");
     }
     if (!times.empty() && value < times.back()) {
       throw RequirementError(
