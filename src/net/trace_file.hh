@@ -22,7 +22,7 @@ class TraceFile {
   static constexpr double kPacketBytes = 1500.0;
   /// Latest accepted timestamp: one day. Sessions are capped at 18 h and
   /// replay loops the trace, so a longer trace is never needed — and
-  /// to_trace() allocates one bin per timestamp range, so an unbounded
+  /// to_trace() allocates bins up to the last timestamp, so an unbounded
   /// timestamp in a tiny file would ask for gigabytes.
   static constexpr uint64_t kMaxTimestampMs = 24ULL * 3600 * 1000;
 
