@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
@@ -228,6 +230,59 @@ TEST(ScenarioFamilies, WifiOscillatesBetweenTwoLevels) {
   EXPECT_EQ(good + degraded, static_cast<int>(rates.size()));
   EXPECT_NEAR(static_cast<double>(good) / static_cast<double>(rates.size()),
               config.duty_cycle, 0.10);
+}
+
+/// Bits of a sampled path (every rate, then min_rtt_s), folded with mix64.
+uint64_t path_bits(const NetworkPath& path) {
+  uint64_t hash = path.trace.rates().size();
+  for (const double rate : path.trace.rates()) {
+    hash = mix64(hash ^ std::bit_cast<uint64_t>(rate));
+  }
+  return mix64(hash ^ std::bit_cast<uint64_t>(path.min_rtt_s));
+}
+
+/// Hash of sample_path(Rng{seed}, 900 s) over seeds 1..4.
+template <typename Generator>
+uint64_t pinned_hash(const Generator& generator) {
+  uint64_t hash = 0;
+  for (uint64_t seed = 1; seed <= 4; seed++) {
+    Rng rng{seed};
+    hash = mix64(hash ^ path_bits(generator.sample_path(rng, 900.0)));
+  }
+  return hash;
+}
+
+TEST(ScenarioFamilies, SampledPathsArePinnedBitForBit) {
+  // Every family's sampled path, bit for bit: a parameter that moves, or a
+  // constant the compiler folds to different bits than glibc computes at run
+  // time, changes a hash here before it changes a trial aggregate.
+  Rng trace_rng{4242};
+  const std::string trace = ::testing::TempDir() + "/pinned.trace";
+  TraceFile::from_trace(FccTraceModel{}.sample_path(trace_rng, 600.0).trace)
+      .save(trace);
+  const std::vector<std::pair<ScenarioSpec, uint64_t>> pinned = {
+      {ScenarioSpec{"cell-shared"}, 3967134606321326578ULL},
+      {ScenarioSpec{"cellular"}, 13175852645833287369ULL},
+      {ScenarioSpec{"diurnal"}, 4946967152381200633ULL},
+      {ScenarioSpec{"edge-contention"}, 10518269136335059256ULL},
+      {ScenarioSpec{"fcc-emulation"}, 9743901456821547641ULL},
+      {ScenarioSpec{"markov-cs2p"}, 8499561034215337047ULL},
+      {ScenarioSpec{"puffer"}, 18067283211372448968ULL},
+      {ScenarioSpec{"satellite"}, 9900392208124651090ULL},
+      {ScenarioSpec{"trace-replay", trace}, 3085784317248298779ULL},
+      {ScenarioSpec{"wifi-home"}, 14517665267959006074ULL},
+      {ScenarioSpec{"wifi-oscillating"}, 5518916774583936033ULL},
+  };
+  for (const auto& [spec, expected] : pinned) {
+    EXPECT_EQ(pinned_hash(*make_path_generator(spec)), expected)
+        << spec.family;
+  }
+  // FCC at Pensieve's training parameters (abr::PensieveTrainerConfig).
+  FccTraceConfig pensieve;
+  pensieve.median_rate_mbps = 3.0;
+  pensieve.log10_rate_sigma = 0.45;
+  EXPECT_EQ(pinned_hash(FccTraceModel{pensieve}), 8888798972099762142ULL);
+  std::remove(trace.c_str());
 }
 
 TEST(TraceReplay, ReplaysAndLoopsTheFile) {
