@@ -1,10 +1,10 @@
-// Scenario sweep: every registered path family under every scheme.
+// Scenario sweep: every path family under every scheme.
 //
-// For each family in net::scenario_registry() this runs a seeded randomized
+// For each family in net::scenario_families() this runs a seeded randomized
 // trial with the five standard schemes and reports stall ratio, SSIM, and
 // stream counts — the quickest way to see how each scheme degrades as the
 // world changes (satellite RTT, cellular fading, prime-time sag, ...), and a
-// smoke test that every registered family can drive full sessions.
+// smoke test that every family can drive full sessions.
 //
 // The "trace-replay" family is exercised end-to-end as well: a Mahimahi-style
 // trace file is synthesized from the FCC model, saved, and replayed.
@@ -21,7 +21,6 @@ int main() {
   using namespace puffer;
 
   const exp::SchemeArtifacts artifacts = exp::default_artifacts();
-  const auto& registry = net::scenario_registry();
 
   // Synthesize a trace file so trace-replay participates in the sweep.
   const std::string trace_path =
@@ -36,7 +35,7 @@ int main() {
   const int sessions = bench::sessions_per_scheme(60);
   Rng summary_rng{17};
 
-  for (const auto& family : registry.names()) {
+  for (const auto& family : net::scenario_families()) {
     exp::TrialConfig config;
     config.sessions_per_scheme = sessions;
     config.seed = 20190119;
@@ -45,8 +44,9 @@ int main() {
       config.scenario.trace_path = trace_path;
     }
 
-    std::printf("=== %s ===\n%s\n", family.c_str(),
-                registry.description(family).c_str());
+    const std::string_view description = net::scenario_description(family);
+    std::printf("=== %s ===\n%.*s\n", family.c_str(),
+                static_cast<int>(description.size()), description.data());
     const exp::TrialResult trial =
         exp::run_trial_cached(config, artifacts, "sweep_" + family);
 

@@ -6,7 +6,7 @@
 //
 // Usage: mini_randomized_trial [scenario-family [trace-file]]
 //                              [--trace-out PATH] [--metrics-out PATH]
-//   scenario-family  any family registered in net::scenario_registry()
+//   scenario-family  any family in net::scenario_families()
 //                    (default "puffer"); pass "list" to enumerate them
 //   trace-file       Mahimahi-style trace, for the "trace-replay" family
 //
@@ -64,13 +64,13 @@ int main(int argc, char** argv) {
     config.scenario.trace_path = positional[1];
   }
 
-  const auto& registry = net::scenario_registry();
   if (config.scenario.family == "list" ||
-      !registry.contains(config.scenario.family)) {
-    std::printf("Registered scenario families:\n");
-    for (const auto& name : registry.names()) {
-      std::printf("  %-18s %s\n", name.c_str(),
-                  registry.description(name).c_str());
+      !net::is_scenario_family(config.scenario.family)) {
+    std::printf("Scenario families:\n");
+    for (const auto& name : net::scenario_families()) {
+      const std::string_view description = net::scenario_description(name);
+      std::printf("  %-18s %.*s\n", name.c_str(),
+                  static_cast<int>(description.size()), description.data());
     }
     return config.scenario.family == "list" ? 0 : 1;
   }

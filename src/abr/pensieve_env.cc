@@ -10,8 +10,7 @@ namespace puffer::abr {
 
 PensieveEnv::PensieveEnv(const PensieveEnvConfig config, const uint64_t seed)
     : config_(config),
-      rng_(Rng{seed}.split("pensieve-env")),
-      trace_model_(config.trace) {}
+      rng_(Rng{seed}.split("pensieve-env")) {}
 
 double PensieveEnv::download_time(const double start, const double bytes) const {
   const auto& trace = path_->trace;
@@ -38,7 +37,7 @@ std::vector<float> PensieveEnv::reset() {
   const double horizon_s =
       config_.chunks_per_episode * media::kChunkDurationS * 4.0;
   Rng path_rng = rng_.split(rng_.engine()());
-  path_ = trace_model_.sample_path(path_rng, horizon_s);
+  path_ = config_.trace.sample_path(path_rng, horizon_s);
   const auto& channels = media::default_channels();
   const auto channel = static_cast<size_t>(
       rng_.uniform_int(0, static_cast<int64_t>(channels.size()) - 1));

@@ -18,9 +18,8 @@ struct PensieveEnvConfig {
   double rebuffer_penalty_per_s = 5.5;  ///< QoE_lin: the top bitrate in Mbit/s
   double smooth_penalty = 1.0;
   int chunks_per_episode = 100;
-  /// Trace family the agent trains on (FCC-style, section 3.3); tests can
-  /// narrow the variance to make learning curves visible.
-  net::FccTraceConfig trace;
+  /// Trace family the agent trains on (FCC-style, section 3.3).
+  net::FccTraceModel trace{};
 };
 
 class PensieveEnv {
@@ -50,7 +49,6 @@ class PensieveEnv {
 
   PensieveEnvConfig config_;
   Rng rng_;
-  net::FccTraceModel trace_model_;
 
   // Episode state.
   std::optional<net::NetworkPath> path_;

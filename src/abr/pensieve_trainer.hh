@@ -26,8 +26,8 @@ struct PensieveTrainConfig {
     // Widen the training-trace mix toward the 12 Mbit/s shell cap so the
     // policy learns to use the high rungs when throughput allows (the real
     // Pensieve's FCC/Norway mix also reached the shell cap, section 3.3).
-    config.trace.median_rate_mbps = 3.0;
-    config.trace.log10_rate_sigma = 0.45;
+    config.trace = net::FccTraceModel{/*median_rate_mbps=*/3.0,
+                                      /*log10_rate_sigma=*/0.45};
     return config;
   }();
 };

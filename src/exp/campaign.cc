@@ -234,6 +234,12 @@ uint64_t CampaignConfig::fingerprint() const {
   for (const auto& phase : phases) {
     canon << ";phase=";
     field(phase.scenario.key());
+    // A trace file joins the identity by content, so a checkpoint never
+    // resumes over a trace regenerated in place. Synthetic phases add
+    // nothing, keeping their fingerprints byte-for-byte.
+    if (!phase.scenario.trace_path.empty()) {
+      canon << "#" << phase.scenario.fingerprint();
+    }
     canon << "x" << phase.days;
   }
   for (const auto& arm : arms) {
@@ -362,7 +368,7 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
   require(!config_.phases.empty(), "Campaign: need at least one phase");
   for (const auto& phase : config_.phases) {
     require(phase.days > 0, "Campaign: every phase needs days > 0");
-    require(net::scenario_registry().contains(phase.scenario.family),
+    require(net::is_scenario_family(phase.scenario.family),
             "Campaign: unknown scenario family '" + phase.scenario.family +
                 "'");
     require(phase.scenario.key().size() <= kMaxCheckpointString,

@@ -24,8 +24,8 @@ struct TrialConfig {
   std::vector<std::string> schemes = {"Fugu", "MPC-HM", "RobustMPC-HM",
                                       "Pensieve", "BBA"};
   int sessions_per_scheme = 400;
-  /// Which world sessions stream over, resolved through the scenario
-  /// registry (net::scenario_registry()). The default is the deployment-like
+  /// Which world sessions stream over, one of the scenario families in
+  /// net/scenario.cc's table. The default is the deployment-like
   /// heavy-tailed world; "fcc-emulation" gives Figure 11's mahimahi-style
   /// contrast, "trace-replay" + trace_path replays a recorded trace.
   net::ScenarioSpec scenario;

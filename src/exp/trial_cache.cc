@@ -57,26 +57,13 @@ stats::StreamFigures read_figures(std::istream& in) {
   return f;
 }
 
-/// For file-driven scenarios the cache must key on what the trace file
-/// *contains*, not just its path: regenerating a trace in place must miss.
-uint64_t scenario_fingerprint(const net::ScenarioSpec& scenario) {
-  uint64_t fingerprint = stable_hash(scenario.key());
-  if (!scenario.trace_path.empty()) {
-    std::ifstream in{scenario.trace_path, std::ios::binary};
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    fingerprint = mix64(fingerprint ^ stable_hash(contents.str()));
-  }
-  return fingerprint;
-}
-
 uint64_t config_fingerprint(const TrialConfig& config) {
   std::ostringstream key;
   for (const auto& scheme : config.schemes) {
     key << scheme << '|';
   }
   key << config.sessions_per_scheme << '|'
-      << scenario_fingerprint(config.scenario) << '|' << config.seed << '|'
+      << config.scenario.fingerprint() << '|' << config.seed << '|'
       << config.paired_paths << '|' << kMinWatchTimeS << '|'
       << media::kMaxBufferS << '|' << config.stream.lookahead_chunks << '|'
       << sim::kPlayerInitDelayS << '|' << config.stream.max_stream_chunks;

@@ -1,7 +1,10 @@
 #include "net/scenario.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "util/require.hh"
@@ -10,131 +13,119 @@ namespace puffer::net {
 
 namespace {
 
-/// Adapts the concrete trace models (which all expose `sample_path`) to the
-/// PathGenerator interface without virtualizing the models themselves.
-template <typename Model>
-class ModelGenerator : public PathGenerator {
- public:
-  explicit ModelGenerator(Model model) : model_(std::move(model)) {}
-
-  [[nodiscard]] NetworkPath sample_path(Rng& rng,
-                                        const double duration_s) const override {
-    return model_.sample_path(rng, duration_s);
-  }
-
- private:
-  Model model_;
+struct Family {
+  std::string_view name;
+  std::string_view description;
+  std::unique_ptr<PathGenerator> (*make)(const ScenarioSpec& spec);
 };
 
 template <typename Model>
-ScenarioRegistry::Factory synthetic_family() {
-  return [](const ScenarioSpec&) -> std::unique_ptr<PathGenerator> {
-    return std::make_unique<ModelGenerator<Model>>(Model{});
-  };
+std::unique_ptr<PathGenerator> make_default(const ScenarioSpec&) {
+  return std::make_unique<Model>();
 }
 
-ScenarioRegistry build_default_registry() {
-  ScenarioRegistry registry;
-  registry.register_family(
-      "puffer",
-      "heavy-tailed deployment-like paths: lognormal base rates, OU drift, "
-      "regime shifts, rare outages (the Puffer study's wild Internet)",
-      synthetic_family<PufferPathModel>());
-  registry.register_family(
-      "fcc-emulation",
-      "stationary FCC-broadband traces behind a 40 ms mahimahi shell, capped "
-      "at 12 Mbit/s (the Pensieve emulation world, Figure 11 left)",
-      synthetic_family<FccTraceModel>());
-  registry.register_family(
-      "markov-cs2p",
-      "CS2P-style discrete throughput states with sticky transitions "
-      "(Figure 2a's contrast; Puffer never observed this structure)",
-      synthetic_family<MarkovTraceModel>());
-  registry.register_family(
-      "cellular",
-      "Markov-modulated LTE channel: deep-fade/congested/nominal/excellent "
-      "states with fast lognormal fading and variable RTT",
-      synthetic_family<CellularPathModel>());
-  registry.register_family(
-      "diurnal",
-      "shared access link with a 24-hour capacity sinusoid: prime-time "
-      "capacity sags to ~30% of the off-peak rate",
-      synthetic_family<DiurnalPathModel>());
-  registry.register_family(
-      "wifi-oscillating",
-      "last-hop Wi-Fi oscillating between good and degraded rates on a "
-      "per-path duty cycle, with rare deep fades",
-      synthetic_family<WifiPathModel>());
-  registry.register_family(
-      "satellite",
-      "GEO satellite access: ~600 ms propagation RTT, moderate capacity, "
-      "long rain fades",
-      synthetic_family<SatellitePathModel>());
-  // Contention families: access paths tuned for shared-bottleneck fleet
-  // trials (FleetTrialConfig.contention / exp::make_contention_spec). The
-  // family supplies both the member access paths and the extra sample that
-  // becomes the group's shared link.
-  registry.register_family(
-      "edge-contention",
-      "wired access behind a shared CDN-edge uplink: faster, steadier "
-      "puffer-style paths with rare outages; pair with contention topology "
-      "'edge' (FIFO bottleneck at 0.7x the aggregate)",
-      [](const ScenarioSpec&) -> std::unique_ptr<PathGenerator> {
-        PufferPathConfig config;
-        config.median_rate_mbps = 28.0;
-        config.log10_rate_sigma = 0.40;
-        config.outage_rate_hz = 1.0 / 1800.0;
-        return std::make_unique<ModelGenerator<PufferPathModel>>(
-            PufferPathModel{config});
-      });
-  registry.register_family(
-      "cell-shared",
-      "LTE sector whose users share tower backhaul: cellular state chain "
-      "with a faster top state; pair with contention topology 'tower' "
-      "(deep FIFO at 0.55x the aggregate, mixed BBR/CUBIC)",
-      [](const ScenarioSpec&) -> std::unique_ptr<PathGenerator> {
-        CellularPathConfig config;
-        config.state_rates_mbps = {0.5, 3.0, 12.0, 36.0};
-        return std::make_unique<ModelGenerator<CellularPathModel>>(
-            CellularPathModel{config});
-      });
-  registry.register_family(
-      "wifi-home",
-      "home Wi-Fi with several streams behind one AP: strong good-state "
-      "rate, long good duty cycle; pair with contention topology 'wifi' "
-      "(per-flow fair queuing at 0.8x the aggregate)",
-      [](const ScenarioSpec&) -> std::unique_ptr<PathGenerator> {
-        WifiPathConfig config;
-        config.good_rate_mbps = 60.0;
-        config.duty_cycle = 0.75;
-        return std::make_unique<ModelGenerator<WifiPathModel>>(
-            WifiPathModel{config});
-      });
-  registry.register_family(
-      "trace-replay",
-      "replays the Mahimahi packet-delivery trace at spec.trace_path behind "
-      "a fixed 40 ms shell, looping the trace to session length",
-      [](const ScenarioSpec& spec) -> std::unique_ptr<PathGenerator> {
-        require(!spec.trace_path.empty(),
-                "trace-replay scenario requires spec.trace_path");
-        return std::make_unique<TraceReplayGenerator>(
-            TraceFile::load(spec.trace_path));
-      });
-  return registry;
+// Contention families (edge-contention, cell-shared, wifi-home) supply
+// access paths tuned for shared-bottleneck fleet trials
+// (FleetTrialConfig.contention / exp::make_contention_spec): both the member
+// access paths and the extra sample that becomes the group's shared link.
+std::unique_ptr<PathGenerator> make_cell_shared(const ScenarioSpec&) {
+  return std::make_unique<CellularPathModel>(
+      std::vector<double>{0.5, 3.0, 12.0, 36.0});
+}
+
+std::unique_ptr<PathGenerator> make_edge_contention(const ScenarioSpec&) {
+  return std::make_unique<PufferPathModel>(28.0, 0.40, 1.0 / 1800.0);
+}
+
+std::unique_ptr<PathGenerator> make_trace_replay(const ScenarioSpec& spec) {
+  require(!spec.trace_path.empty(),
+          "trace-replay scenario requires spec.trace_path");
+  return std::make_unique<TraceReplayGenerator>(
+      TraceFile::load(spec.trace_path));
+}
+
+std::unique_ptr<PathGenerator> make_wifi_home(const ScenarioSpec&) {
+  return std::make_unique<WifiPathModel>(60.0, 0.75);
+}
+
+constexpr std::array<Family, 11> kFamilies = {{
+    {"cell-shared",
+     "LTE sector whose users share tower backhaul: cellular state chain "
+     "with a faster top state; pair with contention topology 'tower' "
+     "(deep FIFO at 0.55x the aggregate, mixed BBR/CUBIC)",
+     make_cell_shared},
+    {"cellular",
+     "Markov-modulated LTE channel: deep-fade/congested/nominal/excellent "
+     "states with fast lognormal fading and variable RTT",
+     make_default<CellularPathModel>},
+    {"diurnal",
+     "shared access link with a 24-hour capacity sinusoid: prime-time "
+     "capacity sags to ~30% of the off-peak rate",
+     make_default<DiurnalPathModel>},
+    {"edge-contention",
+     "wired access behind a shared CDN-edge uplink: faster, steadier "
+     "puffer-style paths with rare outages; pair with contention topology "
+     "'edge' (FIFO bottleneck at 0.7x the aggregate)",
+     make_edge_contention},
+    {"fcc-emulation",
+     "stationary FCC-broadband traces behind a 40 ms mahimahi shell, capped "
+     "at 12 Mbit/s (the Pensieve emulation world, Figure 11 left)",
+     make_default<FccTraceModel>},
+    {"markov-cs2p",
+     "CS2P-style discrete throughput states with sticky transitions "
+     "(Figure 2a's contrast; Puffer never observed this structure)",
+     make_default<MarkovTraceModel>},
+    {"puffer",
+     "heavy-tailed deployment-like paths: lognormal base rates, OU drift, "
+     "regime shifts, rare outages (the Puffer study's wild Internet)",
+     make_default<PufferPathModel>},
+    {"satellite",
+     "GEO satellite access: ~600 ms propagation RTT, moderate capacity, "
+     "long rain fades",
+     make_default<SatellitePathModel>},
+    {"trace-replay",
+     "replays the Mahimahi packet-delivery trace at spec.trace_path behind "
+     "a fixed 40 ms shell, looping the trace to session length",
+     make_trace_replay},
+    {"wifi-home",
+     "home Wi-Fi with several streams behind one AP: strong good-state "
+     "rate, long good duty cycle; pair with contention topology 'wifi' "
+     "(per-flow fair queuing at 0.8x the aggregate)",
+     make_wifi_home},
+    {"wifi-oscillating",
+     "last-hop Wi-Fi oscillating between good and degraded rates on a "
+     "per-path duty cycle, with rare deep fades",
+     make_default<WifiPathModel>},
+}};
+static_assert(std::ranges::is_sorted(kFamilies, {}, &Family::name),
+              "kFamilies must stay sorted by name");
+
+/// The row for `name`; an unknown name is an error listing the known ones.
+const Family& find_family(const std::string_view name,
+                          const std::string& context) {
+  const auto it = std::ranges::find(kFamilies, name, &Family::name);
+  if (it == kFamilies.end()) {
+    std::string known;
+    for (const Family& family : kFamilies) {
+      known += (known.empty() ? "" : ", ") + std::string{family.name};
+    }
+    throw RequirementError(context + ": unknown scenario family '" +
+                           std::string{name} + "'; known families: " + known);
+  }
+  return *it;
 }
 
 }  // namespace
 
-void ScenarioRegistry::register_family(const std::string& name,
-                                       const std::string& description,
-                                       Factory factory) {
-  require(!name.empty(), "ScenarioRegistry: family name must be non-empty");
-  require(factory != nullptr, "ScenarioRegistry: null factory for " + name);
-  families_[name] = Entry{description, std::move(factory)};
-}
-
-bool ScenarioRegistry::contains(const std::string& name) const {
-  return families_.count(name) > 0;
+uint64_t ScenarioSpec::fingerprint() const {
+  uint64_t hash = stable_hash(key());
+  if (!trace_path.empty()) {
+    std::ifstream in{trace_path, std::ios::binary};
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    hash = mix64(hash ^ stable_hash(contents.str()));
+  }
+  return hash;
 }
 
 ScenarioSpec ScenarioSpec::parse(const std::string& text) {
@@ -148,61 +139,35 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
           : ScenarioSpec{text.substr(0, colon), text.substr(colon + 1)};
   require(!spec.family.empty(), "ScenarioSpec::parse: '" + text +
                                     "' has an empty family before the ':'");
-  if (!scenario_registry().contains(spec.family)) {
-    std::string known;
-    for (const auto& name : scenario_registry().names()) {
-      known += (known.empty() ? "" : ", ") + name;
-    }
-    throw RequirementError("ScenarioSpec::parse: unknown scenario family '" +
-                           spec.family + "' in '" + text +
-                           "'; known families: " + known);
-  }
+  static_cast<void>(find_family(spec.family, "ScenarioSpec::parse('" + text + "')"));
   return spec;
 }
 
-std::vector<std::string> ScenarioRegistry::names() const {
+bool is_scenario_family(const std::string_view name) {
+  return std::ranges::find(kFamilies, name, &Family::name) != kFamilies.end();
+}
+
+std::vector<std::string> scenario_families() {
   std::vector<std::string> names;
-  names.reserve(families_.size());
-  for (const auto& [name, entry] : families_) {
-    names.push_back(name);
+  for (const Family& family : kFamilies) {
+    names.emplace_back(family.name);
   }
-  return names;  // std::map iterates in sorted key order
+  return names;
 }
 
-const std::string& ScenarioRegistry::description(
-    const std::string& name) const {
-  const auto it = families_.find(name);
-  require(it != families_.end(),
-          "ScenarioRegistry: unknown family '" + name + "'");
-  return it->second.description;
-}
-
-std::unique_ptr<PathGenerator> ScenarioRegistry::make(
-    const ScenarioSpec& spec) const {
-  const auto it = families_.find(spec.family);
-  require(it != families_.end(),
-          "ScenarioRegistry: unknown family '" + spec.family + "'");
-  auto generator = it->second.factory(spec);
-  require(generator != nullptr,
-          "ScenarioRegistry: factory for '" + spec.family + "' returned null");
-  return generator;
-}
-
-ScenarioRegistry& scenario_registry() {
-  static ScenarioRegistry registry = build_default_registry();
-  return registry;
+std::string_view scenario_description(const std::string_view name) {
+  return find_family(name, "scenario_description").description;
 }
 
 std::unique_ptr<PathGenerator> make_path_generator(const ScenarioSpec& spec) {
-  return scenario_registry().make(spec);
+  return find_family(spec.family, "make_path_generator").make(spec);
 }
 
-TraceReplayGenerator::TraceReplayGenerator(const TraceFile& file,
-                                           const double min_rtt_s,
-                                           const double bin_duration_s)
-    : binned_(file.to_trace(bin_duration_s)), min_rtt_s_(min_rtt_s) {
-  require(min_rtt_s > 0.0, "TraceReplayGenerator: RTT must be positive");
-}
+static_assert(TraceReplayGenerator::kMinRttS > 0.0,
+              "TraceReplayGenerator: RTT must be positive");
+
+TraceReplayGenerator::TraceReplayGenerator(const TraceFile& file)
+    : binned_(file.to_trace(kBinDurationS)) {}
 
 NetworkPath TraceReplayGenerator::sample_path(Rng& rng,
                                               const double duration_s) const {
@@ -218,7 +183,7 @@ NetworkPath TraceReplayGenerator::sample_path(Rng& rng,
   }
   return NetworkPath{ThroughputTrace{std::move(rates),
                                      binned_.segment_duration()},
-                     min_rtt_s_};
+                     kMinRttS};
 }
 
 }  // namespace puffer::net

@@ -1,10 +1,10 @@
 #ifndef PUFFER_NET_SCENARIO_HH
 #define PUFFER_NET_SCENARIO_HH
 
-#include <functional>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/trace_file.hh"
@@ -13,8 +13,8 @@
 
 namespace puffer::net {
 
-/// Names the network world a trial's sessions stream over. `family` resolves
-/// through the scenario registry; `trace_path` is consumed by file-driven
+/// Names the network world a trial's sessions stream over. `family` is one of
+/// the built-in families below; `trace_path` is consumed by file-driven
 /// families ("trace-replay" loads a Mahimahi-style trace from it) and ignored
 /// by the synthetic ones.
 struct ScenarioSpec {
@@ -25,8 +25,12 @@ struct ScenarioSpec {
   std::string family = "puffer";
   std::string trace_path;
 
-  /// Stable textual identity, used in trial-cache fingerprints.
+  /// Stable textual identity (family and trace path).
   [[nodiscard]] std::string key() const { return family + ":" + trace_path; }
+
+  /// Hash of key() and, for file-driven scenarios, of what the trace file
+  /// contains: regenerating a trace in place changes the fingerprint.
+  [[nodiscard]] uint64_t fingerprint() const;
 
   /// Parse "family" or "family:trace_path" (the inverse of key(), with the
   /// trailing ':' optional) — the CLI syntax of the scenario-driven benches.
@@ -35,77 +39,35 @@ struct ScenarioSpec {
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
-/// A path-family generator: samples a complete NetworkPath (capacity trace +
-/// RTT) for one session. Implementations must be stateless with respect to
-/// sampling — all randomness comes from the caller's Rng — so one generator
-/// can be shared by every worker of a parallel trial.
-class PathGenerator {
- public:
-  virtual ~PathGenerator() = default;
-  [[nodiscard]] virtual NetworkPath sample_path(Rng& rng,
-                                                double duration_s) const = 0;
-};
+/// The scenario families are the rows of one fixed table in scenario.cc
+/// (README "Scenario engine" describes each); a new family is a new row.
+/// True when `name` is one of them.
+[[nodiscard]] bool is_scenario_family(std::string_view name);
+/// Family names in sorted order.
+[[nodiscard]] std::vector<std::string> scenario_families();
+/// One-line description of a family, for CLI listings and docs. Throws
+/// RequirementError for an unknown family.
+[[nodiscard]] std::string_view scenario_description(std::string_view name);
 
-/// String-keyed open registry of path families, mirroring the scheme
-/// registry in exp/: a new workload is a registration, not a refactor.
-class ScenarioRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<PathGenerator>(const ScenarioSpec&)>;
-
-  /// Registers (or replaces) a family. `description` is a one-liner for CLI
-  /// listings and docs.
-  void register_family(const std::string& name, const std::string& description,
-                       Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  /// Registered family names in sorted order.
-  [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] const std::string& description(const std::string& name) const;
-
-  /// Instantiate the generator for `spec`. Throws RequirementError for an
-  /// unknown family or a spec the family's factory rejects.
-  [[nodiscard]] std::unique_ptr<PathGenerator> make(
-      const ScenarioSpec& spec) const;
-
- private:
-  struct Entry {
-    std::string description;
-    Factory factory;
-  };
-  std::map<std::string, Entry> families_;
-};
-
-/// The process-wide registry, pre-loaded with the built-in families:
-///   puffer           heavy-tailed deployment-like paths (the Puffer study)
-///   fcc-emulation    stationary FCC-broadband mahimahi-style traces
-///   markov-cs2p      CS2P-style discrete-state throughput (Figure 2a)
-///   cellular         Markov-modulated LTE channel with fast fading
-///   diurnal          time-of-day capacity sag on a shared access link
-///   wifi-oscillating duty-cycled Wi-Fi interference with deep fades
-///   satellite        ~600 ms GEO RTT with rain fades
-///   trace-replay     replays the Mahimahi trace file at spec.trace_path
-/// Registration of additional families is allowed (tests do this); the
-/// built-ins cannot be observed half-initialized.
-ScenarioRegistry& scenario_registry();
-
-/// Convenience: scenario_registry().make(spec).
+/// Instantiate the generator for `spec`. Throws RequirementError for an
+/// unknown family or a spec the family rejects (trace-replay without a
+/// readable trace file).
 std::unique_ptr<PathGenerator> make_path_generator(const ScenarioSpec& spec);
 
 /// Replays one Mahimahi-style trace for every session, mahimahi-shell style:
 /// fixed RTT, trace looped end-to-end to cover any session duration.
 class TraceReplayGenerator : public PathGenerator {
  public:
-  explicit TraceReplayGenerator(const TraceFile& file,
-                                double min_rtt_s = 0.040,
-                                double bin_duration_s = 0.5);
+  static constexpr double kMinRttS = 0.040;
+  static constexpr double kBinDurationS = 0.5;
+
+  explicit TraceReplayGenerator(const TraceFile& file);
 
   [[nodiscard]] NetworkPath sample_path(Rng& rng,
                                         double duration_s) const override;
 
  private:
   ThroughputTrace binned_;
-  double min_rtt_s_;
 };
 
 }  // namespace puffer::net

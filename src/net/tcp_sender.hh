@@ -96,7 +96,6 @@ class TcpSender {
 
   [[nodiscard]] double now() const { return now_s_; }
   [[nodiscard]] const TcpInfo& info() const { return info_; }
-  [[nodiscard]] double total_delivered_bytes() const { return delivered_total_; }
   [[nodiscard]] double min_rtt_s() const { return min_rtt_s_; }
 
   /// Lifetime-average delivery rate (bytes/s) — used to classify "slow"

@@ -15,6 +15,17 @@ struct NetworkPath {
   double min_rtt_s = 0.040;  ///< propagation round-trip time
 };
 
+/// A path-family generator: samples a complete NetworkPath (capacity trace +
+/// RTT) for one session. Implementations must be stateless with respect to
+/// sampling — all randomness comes from the caller's Rng — so one generator
+/// can be shared by every worker of a parallel trial.
+class PathGenerator {
+ public:
+  virtual ~PathGenerator() = default;
+  [[nodiscard]] virtual NetworkPath sample_path(Rng& rng,
+                                                double duration_s) const = 0;
+};
+
 /// --- Deployment-like paths (the "wild Internet" of the Puffer study) ---
 ///
 /// Heavy-tailed, non-stationary throughput: a lognormal base rate (with a
@@ -24,31 +35,31 @@ struct NetworkPath {
 /// rare near-outages with heavy-tailed durations. Reproduces the Figure 2b
 /// character (no discrete states) and the heavy tails the paper blames for
 /// the emulation-to-deployment gap.
-struct PufferPathConfig {
-  double segment_duration_s = 0.5;
-  double median_rate_mbps = 14.0;
-  double log10_rate_sigma = 0.55;   ///< spread of path base rates
-  double ou_reversion = 0.03;       ///< per-segment mean reversion of drift
-  double ou_volatility = 0.045;     ///< per-segment stddev of log-rate drift
-  double regime_shift_rate_hz = 1.0 / 180.0;  ///< avg one shift per 3 minutes
-  double regime_shift_sigma = 0.5;  ///< lognormal factor applied on a shift
-  double outage_rate_hz = 1.0 / 600.0;        ///< avg one outage per 10 min
-  double outage_mean_duration_s = 4.0;        ///< exponential outage length
-  double outage_floor_mbps = 0.05;
-  double max_rate_mbps = 400.0;
-};
-
-class PufferPathModel {
+class PufferPathModel : public PathGenerator {
  public:
-  explicit PufferPathModel(PufferPathConfig config = {});
+  static constexpr double kSegmentDurationS = 0.5;
+  static constexpr double kOuReversion = 0.03;    ///< per-segment mean reversion of drift
+  static constexpr double kOuVolatility = 0.045;  ///< per-segment stddev of log-rate drift
+  static constexpr double kRegimeShiftRateHz = 1.0 / 180.0;  ///< avg one shift per 3 minutes
+  static constexpr double kRegimeShiftSigma = 0.5;  ///< lognormal factor applied on a shift
+  static constexpr double kOutageMeanDurationS = 4.0;  ///< exponential outage length
+  static constexpr double kOutageFloorMbps = 0.05;
+  static constexpr double kMaxRateMbps = 400.0;
+
+  /// `log10_rate_sigma` is the spread of path base rates; the default outage
+  /// rate is one per 10 minutes on average.
+  explicit PufferPathModel(double median_rate_mbps = 14.0,
+                           double log10_rate_sigma = 0.55,
+                           double outage_rate_hz = 1.0 / 600.0);
 
   /// Sample a complete path (trace of `duration_s` + RTT) for one session.
-  [[nodiscard]] NetworkPath sample_path(Rng& rng, double duration_s) const;
-
-  [[nodiscard]] const PufferPathConfig& config() const { return config_; }
+  [[nodiscard]] NetworkPath sample_path(Rng& rng,
+                                        double duration_s) const override;
 
  private:
-  PufferPathConfig config_;
+  double median_rate_mbps_;
+  double log10_rate_sigma_;
+  double outage_rate_hz_;
 };
 
 /// --- FCC-broadband-like traces (the Pensieve/mahimahi emulation world) ---
@@ -57,27 +68,25 @@ class PufferPathModel {
 /// moderate lognormal, then piecewise-constant 5-second segments wobbling
 /// around that mean. No regime shifts, no outages, no heavy tails — by
 /// construction, the distribution-shift between this family and
-/// PufferPathModel is the phenomenon Figure 11 documents.
-struct FccTraceConfig {
-  double segment_duration_s = 5.0;
-  double median_rate_mbps = 2.6;   ///< Pensieve-style scaled broadband traces
-  double log10_rate_sigma = 0.30;
-  double wobble_sigma = 0.20;      ///< lognormal within-trace variation
-  double min_rate_mbps = 0.2;
-  double max_rate_mbps = 12.0;     ///< mahimahi shells were capped at 12 Mbps
-  double shell_rtt_s = 0.040;      ///< fixed 40 ms mahimahi delay (section 5.2)
-};
-
-class FccTraceModel {
+/// PufferPathModel is the phenomenon Figure 11 documents. The default median
+/// is Pensieve-style scaled broadband.
+class FccTraceModel : public PathGenerator {
  public:
-  explicit FccTraceModel(FccTraceConfig config = {});
+  static constexpr double kSegmentDurationS = 5.0;
+  static constexpr double kWobbleSigma = 0.20;  ///< lognormal within-trace variation
+  static constexpr double kMinRateMbps = 0.2;
+  static constexpr double kMaxRateMbps = 12.0;  ///< mahimahi shells were capped at 12 Mbps
+  static constexpr double kShellRttS = 0.040;   ///< fixed 40 ms mahimahi delay (section 5.2)
 
-  [[nodiscard]] NetworkPath sample_path(Rng& rng, double duration_s) const;
+  explicit FccTraceModel(double median_rate_mbps = 2.6,
+                         double log10_rate_sigma = 0.30);
 
-  [[nodiscard]] const FccTraceConfig& config() const { return config_; }
+  [[nodiscard]] NetworkPath sample_path(Rng& rng,
+                                        double duration_s) const override;
 
  private:
-  FccTraceConfig config_;
+  double median_rate_mbps_;
+  double log10_rate_sigma_;
 };
 
 /// --- CS2P-style discrete-state Markov throughput (Figure 2a) ---
@@ -85,25 +94,17 @@ class FccTraceModel {
 /// A small number of discrete throughput states with sticky transitions and
 /// tiny within-state noise. The paper notes Puffer has *not* observed this
 /// structure; this model exists to reproduce Figure 2a's contrast.
-struct MarkovTraceConfig {
-  double segment_duration_s = 6.0;  ///< 6-second epochs as in Figure 2
-  int num_states = 4;
-  double mean_rate_mbps = 2.7;
-  double state_spread_mbps = 0.25;  ///< spacing between adjacent states
-  double stay_probability = 0.95;
-  double within_state_sigma_mbps = 0.02;
-};
-
-class MarkovTraceModel {
+class MarkovTraceModel : public PathGenerator {
  public:
-  explicit MarkovTraceModel(MarkovTraceConfig config = {});
+  static constexpr double kSegmentDurationS = 6.0;  ///< 6-second epochs as in Figure 2
+  static constexpr int kNumStates = 4;
+  static constexpr double kMeanRateMbps = 2.7;
+  static constexpr double kStateSpreadMbps = 0.25;  ///< spacing between adjacent states
+  static constexpr double kStayProbability = 0.95;
+  static constexpr double kWithinStateSigmaMbps = 0.02;
 
-  [[nodiscard]] NetworkPath sample_path(Rng& rng, double duration_s) const;
-
-  [[nodiscard]] const MarkovTraceConfig& config() const { return config_; }
-
- private:
-  MarkovTraceConfig config_;
+  [[nodiscard]] NetworkPath sample_path(Rng& rng,
+                                        double duration_s) const override;
 };
 
 /// --- Markov-modulated cellular (LTE-like mobile access) ---
@@ -112,56 +113,45 @@ class MarkovTraceModel {
 /// excellent) with sticky transitions; each state carries its own mean rate
 /// and substantial lognormal within-state noise (fast fading). RTT is higher
 /// and more variable than wired access.
-struct CellularPathConfig {
-  double segment_duration_s = 1.0;
+class CellularPathModel : public PathGenerator {
+ public:
+  static constexpr double kSegmentDurationS = 1.0;
+  static constexpr double kStayProbability = 0.90;
+  static constexpr double kWithinStateSigma = 0.35;  ///< lognormal sigma around state mean
+  static constexpr double kMedianRttS = 0.070;
+  static constexpr double kLogRttSigma = 0.30;
+
   /// State mean rates, worst to best. The hidden chain walks +-1 state at a
   /// time (channel quality evolves gradually).
-  std::vector<double> state_rates_mbps = {0.3, 2.0, 8.0, 24.0};
-  double stay_probability = 0.90;
-  double within_state_sigma = 0.35;  ///< lognormal sigma around state mean
-  double median_rtt_s = 0.070;
-  double log_rtt_sigma = 0.30;
-};
+  explicit CellularPathModel(
+      std::vector<double> state_rates_mbps = {0.3, 2.0, 8.0, 24.0});
 
-class CellularPathModel {
- public:
-  explicit CellularPathModel(CellularPathConfig config = {});
-
-  [[nodiscard]] NetworkPath sample_path(Rng& rng, double duration_s) const;
-
-  [[nodiscard]] const CellularPathConfig& config() const { return config_; }
+  [[nodiscard]] NetworkPath sample_path(Rng& rng,
+                                        double duration_s) const override;
 
  private:
-  CellularPathConfig config_;
+  std::vector<double> state_rates_mbps_;
 };
 
 /// --- Diurnal time-of-day capacity (shared access link under peak load) ---
 ///
 /// A lognormal per-path base rate modulated by a 24-hour sinusoid: capacity
-/// sags toward `trough_fraction` of the base at the evening peak hour. Each
+/// sags toward `kTroughFraction` of the base at the evening peak hour. Each
 /// session starts at a uniformly-sampled time of day, so the family exposes
 /// schemes to both quiet-hour and prime-time conditions; within a session
 /// the drift is slow, as on real shared links.
-struct DiurnalPathConfig {
-  double segment_duration_s = 2.0;
-  double median_rate_mbps = 18.0;
-  double log10_rate_sigma = 0.35;
-  double trough_fraction = 0.30;  ///< capacity at peak congestion
-  double peak_hour = 21.0;        ///< local time of maximum congestion
-  double noise_sigma = 0.08;      ///< lognormal segment-to-segment noise
-  double min_rtt_s = 0.030;
-};
-
-class DiurnalPathModel {
+class DiurnalPathModel : public PathGenerator {
  public:
-  explicit DiurnalPathModel(DiurnalPathConfig config = {});
+  static constexpr double kSegmentDurationS = 2.0;
+  static constexpr double kMedianRateMbps = 18.0;
+  static constexpr double kLog10RateSigma = 0.35;
+  static constexpr double kTroughFraction = 0.30;  ///< capacity at peak congestion
+  static constexpr double kPeakHour = 21.0;  ///< local time of maximum congestion
+  static constexpr double kNoiseSigma = 0.08;  ///< lognormal segment-to-segment noise
+  static constexpr double kMinRttS = 0.030;
 
-  [[nodiscard]] NetworkPath sample_path(Rng& rng, double duration_s) const;
-
-  [[nodiscard]] const DiurnalPathConfig& config() const { return config_; }
-
- private:
-  DiurnalPathConfig config_;
+  [[nodiscard]] NetworkPath sample_path(Rng& rng,
+                                        double duration_s) const override;
 };
 
 /// --- Oscillating Wi-Fi (interference / multipath duty cycle) ---
@@ -169,30 +159,28 @@ class DiurnalPathModel {
 /// Last-hop Wi-Fi alternating between a good and a degraded rate with a
 /// per-path oscillation period (microwave ovens, neighbouring networks,
 /// periodic scans), plus rare deep fades when the client moves out of range.
-struct WifiPathConfig {
-  double segment_duration_s = 0.5;
-  double good_rate_mbps = 45.0;
-  double degraded_fraction = 0.15;  ///< degraded rate as fraction of good
-  double min_period_s = 8.0;        ///< oscillation period sampled per path
-  double max_period_s = 40.0;
-  double duty_cycle = 0.65;         ///< fraction of each period spent good
-  double fade_rate_hz = 1.0 / 300.0;  ///< deep fades: avg one per 5 minutes
-  double fade_mean_duration_s = 2.0;
-  double fade_floor_mbps = 0.1;
-  double noise_sigma = 0.15;
-  double min_rtt_s = 0.020;
-};
-
-class WifiPathModel {
+class WifiPathModel : public PathGenerator {
  public:
-  explicit WifiPathModel(WifiPathConfig config = {});
+  static constexpr double kSegmentDurationS = 0.5;
+  static constexpr double kDegradedFraction = 0.15;  ///< degraded rate as fraction of good
+  static constexpr double kMinPeriodS = 8.0;  ///< oscillation period sampled per path
+  static constexpr double kMaxPeriodS = 40.0;
+  static constexpr double kFadeRateHz = 1.0 / 300.0;  ///< deep fades: avg one per 5 minutes
+  static constexpr double kFadeMeanDurationS = 2.0;
+  static constexpr double kFadeFloorMbps = 0.1;
+  static constexpr double kNoiseSigma = 0.15;
+  static constexpr double kMinRttS = 0.020;
 
-  [[nodiscard]] NetworkPath sample_path(Rng& rng, double duration_s) const;
+  /// `duty_cycle` is the fraction of each period spent in the good state.
+  explicit WifiPathModel(double good_rate_mbps = 45.0,
+                         double duty_cycle = 0.65);
 
-  [[nodiscard]] const WifiPathConfig& config() const { return config_; }
+  [[nodiscard]] NetworkPath sample_path(Rng& rng,
+                                        double duration_s) const override;
 
  private:
-  WifiPathConfig config_;
+  double good_rate_mbps_;
+  double duty_cycle_;
 };
 
 /// --- High-RTT lossy satellite (GEO access) ---
@@ -200,28 +188,20 @@ class WifiPathModel {
 /// Geostationary-orbit access: ~600 ms propagation RTT, moderate capacity,
 /// and rain-fade events that attenuate the link heavily for tens of seconds.
 /// The long feedback loop (not raw capacity) is what stresses ABR here.
-struct SatellitePathConfig {
-  double segment_duration_s = 2.0;
-  double median_rate_mbps = 16.0;
-  double log10_rate_sigma = 0.20;
-  double min_rtt_s = 0.600;        ///< GEO propagation delay
-  double rtt_jitter_sigma = 0.05;  ///< lognormal spread of per-path RTT
-  double rain_fade_rate_hz = 1.0 / 400.0;
-  double rain_fade_mean_duration_s = 30.0;
-  double rain_fade_attenuation = 0.08;  ///< capacity multiplier during fade
-  double noise_sigma = 0.12;
-};
-
-class SatellitePathModel {
+class SatellitePathModel : public PathGenerator {
  public:
-  explicit SatellitePathModel(SatellitePathConfig config = {});
+  static constexpr double kSegmentDurationS = 2.0;
+  static constexpr double kMedianRateMbps = 16.0;
+  static constexpr double kLog10RateSigma = 0.20;
+  static constexpr double kMinRttS = 0.600;        ///< GEO propagation delay
+  static constexpr double kRttJitterSigma = 0.05;  ///< lognormal spread of per-path RTT
+  static constexpr double kRainFadeRateHz = 1.0 / 400.0;
+  static constexpr double kRainFadeMeanDurationS = 30.0;
+  static constexpr double kRainFadeAttenuation = 0.08;  ///< capacity multiplier during fade
+  static constexpr double kNoiseSigma = 0.12;
 
-  [[nodiscard]] NetworkPath sample_path(Rng& rng, double duration_s) const;
-
-  [[nodiscard]] const SatellitePathConfig& config() const { return config_; }
-
- private:
-  SatellitePathConfig config_;
+  [[nodiscard]] NetworkPath sample_path(Rng& rng,
+                                        double duration_s) const override;
 };
 
 }  // namespace puffer::net

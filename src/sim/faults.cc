@@ -9,17 +9,6 @@ namespace puffer::sim {
 
 namespace {
 
-std::string joined_names(const FaultRegistry& registry) {
-  std::string out;
-  for (const std::string& name : registry.names()) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += name;
-  }
-  return out;
-}
-
 /// The whole of `field` as a double. An empty, non-numeric or partly
 /// numeric field ("0.5x", "30s") is an error naming the offending token.
 double parse_number(const std::string_view field, const std::string_view what,
@@ -40,60 +29,17 @@ double parse_number(const std::string_view field, const std::string_view what,
 
 }  // namespace
 
-void FaultRegistry::register_family(std::string name, std::string description) {
-  require(!name.empty(), "FaultRegistry::register_family: empty name");
-  families_[std::move(name)] = std::move(description);
-}
-
-bool FaultRegistry::contains(std::string_view name) const {
-  return families_.find(name) != families_.end();
-}
-
-std::vector<std::string> FaultRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(families_.size());
-  for (const auto& [name, unused_description] : families_) {
-    out.push_back(name);
-  }
-  return out;  // std::map iterates sorted
-}
-
-const std::string& FaultRegistry::description(std::string_view name) const {
-  const auto it = families_.find(name);
-  require(it != families_.end(), "FaultRegistry::description: unknown family '" +
-                                     std::string{name} + "'");
-  return it->second;
-}
-
-FaultRegistry& fault_registry() {
-  static FaultRegistry registry = [] {
-    FaultRegistry r;
-    r.register_family(std::string{kFaultTtpInference},
-                      "TTP inference fails or times out for one decision");
-    r.register_family(std::string{kFaultSessionAbort},
-                      "viewer aborts the stream mid-chunk (user model)");
-    r.register_family(std::string{kFaultTelemetryLoss},
-                      "a telemetry stream is lost before aggregation");
-    r.register_family(std::string{kFaultTelemetryDup},
-                      "a telemetry stream is delivered twice");
-    r.register_family(std::string{kFaultRetrainCrash},
-                      "a nightly retrain attempt crashes");
-    r.register_family(std::string{kFaultCheckpointLoad},
-                      "a campaign checkpoint load attempt fails");
-    r.register_family(std::string{kFaultModelLoad},
-                      "a deployed-model block is corrupt at restore");
-    r.register_family(std::string{kFaultLinkOutage},
-                      "a shared bottleneck link goes dark for a window");
-    return r;
-  }();
-  return registry;
-}
-
 void FaultPlan::add(const std::string_view family, const double probability,
                     const double duration_s) {
-  require(fault_registry().contains(family),
-          "FaultPlan::add: unknown fault family '" + std::string{family} +
-              "'; known families: " + joined_names(fault_registry()));
+  if (std::ranges::find(kFaultFamilies, family) == kFaultFamilies.end()) {
+    std::string known;
+    for (const std::string_view name : kFaultFamilies) {
+      known += (known.empty() ? "" : ", ") + std::string{name};
+    }
+    throw RequirementError("FaultPlan::add: unknown fault family '" +
+                           std::string{family} +
+                           "'; known families: " + known);
+  }
   require(probability >= 0.0 && probability <= 1.0,
           "FaultPlan::add: probability must be in [0, 1]");
   require(duration_s >= 0.0, "FaultPlan::add: duration_s must be >= 0");

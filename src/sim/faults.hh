@@ -1,8 +1,9 @@
 #ifndef PUFFER_SIM_FAULTS_HH
 #define PUFFER_SIM_FAULTS_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,33 +12,33 @@
 
 namespace puffer::sim {
 
-/// Built-in fault family names. Families are string keys (mirroring the
-/// scenario registry) so new failure modes compose without enum churn.
+// Fault family names: string keys, so new failure modes compose without
+// enum churn. FaultPlan::add accepts exactly the names in kFaultFamilies.
+
+/// TTP inference fails or times out for one decision.
 inline constexpr std::string_view kFaultTtpInference = "ttp-inference";
+/// The viewer aborts the stream mid-chunk (user model).
 inline constexpr std::string_view kFaultSessionAbort = "session-abort";
+/// A telemetry stream is lost before aggregation.
 inline constexpr std::string_view kFaultTelemetryLoss = "telemetry-loss";
+/// A telemetry stream is delivered twice.
 inline constexpr std::string_view kFaultTelemetryDup = "telemetry-dup";
+/// A nightly retrain attempt crashes.
 inline constexpr std::string_view kFaultRetrainCrash = "retrain-crash";
+/// A campaign checkpoint load attempt fails.
 inline constexpr std::string_view kFaultCheckpointLoad = "checkpoint-load";
+/// A deployed-model block is corrupt at restore.
 inline constexpr std::string_view kFaultModelLoad = "model-load";
+/// A shared bottleneck link goes dark for a window.
 inline constexpr std::string_view kFaultLinkOutage = "link-outage";
 
-/// Registry of known fault families: name -> one-line description. Shares
-/// the scenario registry's shape so tools can enumerate both planes the
-/// same way. FaultPlan::add validates against this set.
-class FaultRegistry {
- public:
-  void register_family(std::string name, std::string description);
-  [[nodiscard]] bool contains(std::string_view name) const;
-  [[nodiscard]] std::vector<std::string> names() const;  // sorted
-  [[nodiscard]] const std::string& description(std::string_view name) const;
-
- private:
-  std::map<std::string, std::string, std::less<>> families_;
-};
-
-/// Process-wide registry preloaded with the built-in families above.
-FaultRegistry& fault_registry();
+/// Every fault family, sorted by name.
+inline constexpr std::array<std::string_view, 8> kFaultFamilies = {
+    kFaultCheckpointLoad, kFaultLinkOutage,    kFaultModelLoad,
+    kFaultRetrainCrash,   kFaultSessionAbort,  kFaultTelemetryDup,
+    kFaultTelemetryLoss,  kFaultTtpInference};
+static_assert(std::ranges::is_sorted(kFaultFamilies),
+              "kFaultFamilies must stay sorted");
 
 /// One fault family's knobs: an injection probability per opportunity, plus
 /// a duration for window-shaped faults (link outages).
@@ -60,8 +61,8 @@ struct FaultPlan {
   uint64_t seed = 0;
   std::vector<FaultSpec> specs;
 
-  /// Add (or overwrite) a family's spec. Unknown families are an error —
-  /// the message lists the registered ones.
+  /// Add (or overwrite) a family's spec. A family outside kFaultFamilies is
+  /// an error whose message lists the known ones.
   void add(std::string_view family, double probability, double duration_s = 0.0);
 
   [[nodiscard]] const FaultSpec* find(std::string_view family) const;

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "exp/campaign.hh"
+#include "net/trace_file.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -197,6 +198,32 @@ TEST(Campaign, CorruptCheckpointIsAnErrorNotARestart) {
                     std::ios::binary};
   out << "this is not a campaign checkpoint";
   out.close();
+  EXPECT_THROW(Campaign{config}, RequirementError);
+}
+
+TEST(Campaign, TraceEditedInPlaceRefusesTheCheckpoint) {
+  // The checkpoint names a trace-replay phase by what its file contains: a
+  // trace regenerated in place must not resume days simulated over the old
+  // one.
+  const std::string dir = fresh_dir("campaign_trace_edit");
+  std::filesystem::create_directories(dir);
+  const std::string trace = dir + "/phase.trace";
+  const auto write_trace = [&trace](const double mbps) {
+    const net::ThroughputTrace capacity{{mbps * 1e6 / 8.0, mbps * 1e6 / 8.0},
+                                        1.0};
+    net::TraceFile::from_trace(capacity).save(trace);
+  };
+  write_trace(8.0);
+  CampaignConfig config = tiny_config();
+  config.arms = {classical_arm("bba", "BBA")};
+  config.phases = {CampaignPhase{net::ScenarioSpec{"trace-replay", trace}, 2}};
+  config.checkpoint_dir = dir + "/ckpt";
+  Campaign{config}.run(/*max_days=*/1);
+
+  // Unchanged file: the day restores.
+  EXPECT_EQ(Campaign{config}.run(/*max_days=*/1).restored_days, 1);
+  // Rewritten file: the checkpoint belongs to a different campaign.
+  write_trace(4.0);
   EXPECT_THROW(Campaign{config}, RequirementError);
 }
 

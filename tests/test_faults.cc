@@ -38,19 +38,21 @@ namespace {
 // FaultPlan semantics
 // ---------------------------------------------------------------------------
 
-TEST(FaultRegistry, BuiltinFamiliesRegistered) {
-  const sim::FaultRegistry& registry = sim::fault_registry();
+TEST(FaultFamilies, TableHoldsEveryFamilySorted) {
+  const auto& families = sim::kFaultFamilies;
   for (const std::string_view family :
        {sim::kFaultTtpInference, sim::kFaultSessionAbort,
         sim::kFaultTelemetryLoss, sim::kFaultTelemetryDup,
         sim::kFaultRetrainCrash, sim::kFaultCheckpointLoad,
         sim::kFaultModelLoad, sim::kFaultLinkOutage}) {
-    EXPECT_TRUE(registry.contains(family)) << family;
-    EXPECT_FALSE(registry.description(family).empty()) << family;
+    EXPECT_NE(std::find(families.begin(), families.end(), family),
+              families.end())
+        << family;
+    sim::FaultPlan plan;
+    EXPECT_NO_THROW(plan.add(family, 0.5)) << family;
   }
-  const std::vector<std::string> names = registry.names();
-  EXPECT_GE(names.size(), 8u);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(families.size(), 8u);
+  EXPECT_TRUE(std::is_sorted(families.begin(), families.end()));
 }
 
 TEST(FaultPlan, DrawIsAPureFunctionOfKeys) {

@@ -137,11 +137,11 @@ void check_pinned(const double actual, const double golden,
 }
 
 TEST(GoldenTrial, EveryFamilyMatchesPinnedStatistics) {
-  const auto names = net::scenario_registry().names();
+  const auto names = net::scenario_families();
 
   if (update_mode()) {
-    // Regeneration walks the registry, not the (possibly stale) table, so a
-    // freshly registered family gets a row without hand-authoring one.
+    // Regeneration walks the scenario table, not the (possibly stale) golden
+    // table, so a new family gets a row without hand-authoring one.
     std::printf("// paste into kGolden:\n");
     for (const auto& name : names) {
       const Aggregates agg = run_family(name);
@@ -152,10 +152,10 @@ TEST(GoldenTrial, EveryFamilyMatchesPinnedStatistics) {
     return;
   }
 
-  // The golden table must cover exactly the registered families (and stay
+  // The golden table must cover exactly the scenario families (and stay
   // sorted, so update diffs are readable).
   ASSERT_EQ(names.size(), kGolden.size())
-      << "scenario registry changed: regenerate with PUFFER_UPDATE_GOLDEN=1";
+      << "scenario families changed: regenerate with PUFFER_UPDATE_GOLDEN=1";
   for (size_t i = 0; i < kGolden.size(); i++) {
     const GoldenRow& row = kGolden[i];
     EXPECT_EQ(names[i], row.family) << "golden table out of sync";

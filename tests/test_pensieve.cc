@@ -139,9 +139,8 @@ TEST(PensieveEnv, RewardPenalizesSwitching) {
   // Cheap rungs on a comfortable trace: no stalls, so the reward difference
   // is purely bitrate and smoothness.
   PensieveEnvConfig config;
-  config.trace.median_rate_mbps = 6.0;
-  config.trace.log10_rate_sigma = 0.02;
-  config.trace.wobble_sigma = 0.02;
+  config.trace = net::FccTraceModel{/*median_rate_mbps=*/6.0,
+                                    /*log10_rate_sigma=*/0.02};
   PensieveEnv env{config, 15};
   env.reset();
   env.step(2);
@@ -167,14 +166,14 @@ TEST(PensieveEnv, DownloadTimeScalesWithSize) {
 }
 
 TEST(PensieveTrainer, ImprovesRewardOverTraining) {
-  // Train on a nearly-constant 2.6 Mbit/s trace so that the learning signal
-  // is visible through episode-to-episode variance.
+  // Train on traces whose base rates barely spread around 3 Mbit/s so that
+  // the learning signal is visible through episode-to-episode variance.
   PensieveTrainConfig config;
   config.iterations = 80;
   config.episodes_per_iteration = 6;
   config.env.chunks_per_episode = 60;
-  config.env.trace.log10_rate_sigma = 0.03;
-  config.env.trace.wobble_sigma = 0.03;
+  config.env.trace = net::FccTraceModel{/*median_rate_mbps=*/3.0,
+                                        /*log10_rate_sigma=*/0.03};
   PensieveTrainReport report;
   train_pensieve(config, 99, &report);
   ASSERT_EQ(report.reward_per_iteration.size(), 80u);
