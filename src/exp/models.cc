@@ -64,8 +64,8 @@ std::shared_ptr<const fugu::TtpModel> get_emulation_ttp(const uint64_t seed) {
 std::shared_ptr<const nn::Mlp> get_pensieve_actor(const uint64_t seed) {
   const std::string path =
       model_cache_dir() + "/pensieve_actor_" + std::to_string(seed) + ".bin";
-  if (std::filesystem::exists(path)) {
-    return std::make_shared<const nn::Mlp>(nn::load_mlp_file(path));
+  if (auto cached = nn::try_load_mlp_file(path)) {
+    return std::make_shared<const nn::Mlp>(std::move(*cached));
   }
   nn::Mlp actor = abr::train_pensieve(abr::PensieveTrainConfig{}, seed);
   nn::save_mlp_file(actor, path);

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <new>
 #include <ostream>
+#include <stdexcept>
 
 #include "util/binary_io.hh"
 #include "util/require.hh"
@@ -75,10 +77,23 @@ void save_mlp_file(const Mlp& net, const std::string& path) {
   save_mlp(net, out);
 }
 
-Mlp load_mlp_file(const std::string& path) {
+std::optional<Mlp> try_load_mlp_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
-  require(in.is_open(), "load_mlp_file: cannot open " + path);
-  return load_mlp(in);
+  if (!in.is_open()) {
+    return std::nullopt;
+  }
+  // load_mlp raises RequirementError on bad magic, implausible sizes or
+  // truncation; a corrupt header that slips past the plausibility checks
+  // can still surface as an allocation failure.
+  try {
+    return load_mlp(in);
+  } catch (const RequirementError&) {
+    return std::nullopt;
+  } catch (const std::bad_alloc&) {
+    return std::nullopt;
+  } catch (const std::length_error&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace puffer::nn

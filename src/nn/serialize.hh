@@ -2,6 +2,7 @@
 #define PUFFER_NN_SERIALIZE_HH
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "nn/mlp.hh"
@@ -16,7 +17,10 @@ void save_mlp(const Mlp& net, std::ostream& out);
 Mlp load_mlp(std::istream& in);
 
 void save_mlp_file(const Mlp& net, const std::string& path);
-Mlp load_mlp_file(const std::string& path);
+/// The Mlp in the file at `path`, or nullopt when the file is missing,
+/// truncated or corrupt: callers treat any failure as "retrain", so a save
+/// killed half-way never wedges later runs.
+std::optional<Mlp> try_load_mlp_file(const std::string& path);
 
 }  // namespace puffer::nn
 

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -382,8 +385,23 @@ TEST(Serialize, FileRoundTrip) {
   const Mlp original{{4, 6, 3}, 123};
   const std::string path = ::testing::TempDir() + "/mlp_roundtrip.bin";
   save_mlp_file(original, path);
-  const Mlp restored = load_mlp_file(path);
-  EXPECT_EQ(original, restored);
+  const std::optional<Mlp> restored = try_load_mlp_file(path);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(original, *restored);
+}
+
+TEST(Serialize, DamagedFileIsAMissNotAnError) {
+  // A save killed half-way leaves a truncated file; a stray file can hold
+  // anything. Both must read as "no cached model", like a missing file.
+  const Mlp original{{4, 6, 3}, 123};
+  const std::string path = ::testing::TempDir() + "/mlp_damaged.bin";
+  save_mlp_file(original, path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  EXPECT_FALSE(try_load_mlp_file(path).has_value());
+  std::ofstream{path, std::ios::binary} << "not a model";
+  EXPECT_FALSE(try_load_mlp_file(path).has_value());
+  std::filesystem::remove(path);
+  EXPECT_FALSE(try_load_mlp_file(path).has_value());
 }
 
 }  // namespace
