@@ -74,10 +74,6 @@ void set_gemm_force_portable(const bool force) {
   force_portable_.store(force, std::memory_order_relaxed);
 }
 
-bool gemm_force_portable() {
-  return force_portable_.load(std::memory_order_relaxed);
-}
-
 std::string gemm_active_path() {
   return (&active_kernels() == &kPortableKernels) ? "portable" : "avx2";
 }

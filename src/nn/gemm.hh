@@ -89,7 +89,6 @@ void gemm(const Matrix& a, const PackedMatrix& b, Matrix& out,
 /// Force the portable kernels even when SIMD is available (tests use this to
 /// audit the cross-path bitwise-identity contract; benches to measure both).
 void set_gemm_force_portable(bool force);
-[[nodiscard]] bool gemm_force_portable();
 
 /// "avx2" or "portable" — whichever path gemm() will actually run.
 [[nodiscard]] std::string gemm_active_path();

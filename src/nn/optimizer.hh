@@ -22,7 +22,6 @@ class SgdOptimizer final : public Optimizer {
   void step(Mlp& net, const Gradients& grads) override;
   void reset() override;
 
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
   [[nodiscard]] double learning_rate() const { return learning_rate_; }
 
  private:
@@ -40,8 +39,6 @@ class AdamOptimizer final : public Optimizer {
 
   void step(Mlp& net, const Gradients& grads) override;
   void reset() override;
-
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
 
  private:
   double learning_rate_;

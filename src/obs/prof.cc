@@ -181,24 +181,6 @@ void set_prof_enabled(const bool enabled) {
   enabled_.store(enabled && kProfilingCompiled, std::memory_order_relaxed);
 }
 
-bool prof_enabled() {
-  return kProfilingCompiled && enabled_.load(std::memory_order_relaxed);
-}
-
-const std::vector<double>& prof_bucket_bounds_ns() {
-  // DETLINT-OK(global-state): immutable after first use — the shared
-  // bucket-bound table every perf histogram reports against
-  static const std::vector<double> bounds = [] {
-    std::vector<double> out;
-    out.reserve(kProfNumBounds);
-    for (int i = 0; i < kProfNumBounds; i++) {
-      out.push_back(static_cast<double>(int64_t{256} << i));
-    }
-    return out;
-  }();
-  return bounds;
-}
-
 std::vector<ProfScopeStats> ProfSnapshot::merged() const {
   std::vector<ProfScopeStats> out;
   for (const ProfThreadSnapshot& thread : threads) {

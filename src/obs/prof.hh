@@ -61,12 +61,10 @@ class ProfScope {
 /// Runtime gate (on by default). Disabling skips the clock reads; data
 /// already recorded stays until prof_reset().
 void set_prof_enabled(bool enabled);
-[[nodiscard]] bool prof_enabled();
 
 /// Power-of-two duration buckets: bucket i counts durations
 /// <= 256ns << i, for i in [0, kProfNumBounds); one overflow bucket after.
 inline constexpr int kProfNumBounds = 24;
-[[nodiscard]] const std::vector<double>& prof_bucket_bounds_ns();
 
 struct ProfScopeStats {
   std::string name;

@@ -19,7 +19,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mutex_.lock(); }
   void unlock() RELEASE() { mutex_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
  private:
   friend class MutexLock;

@@ -40,8 +40,6 @@
   PUFFER_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) PUFFER_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define RELEASE(...) PUFFER_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) \
-  PUFFER_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define EXCLUDES(...) PUFFER_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define RETURN_CAPABILITY(x) PUFFER_THREAD_ANNOTATION(lock_returned(x))
 #define NO_THREAD_SAFETY_ANALYSIS \
