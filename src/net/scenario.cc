@@ -139,7 +139,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
           : ScenarioSpec{text.substr(0, colon), text.substr(colon + 1)};
   require(!spec.family.empty(), "ScenarioSpec::parse: '" + text +
                                     "' has an empty family before the ':'");
-  static_cast<void>(find_family(spec.family, "ScenarioSpec::parse('" + text + "')"));
+  static_cast<void>(
+      find_family(spec.family, "ScenarioSpec::parse('" + text + "')"));
   return spec;
 }
 

@@ -14,7 +14,7 @@
 namespace puffer::net {
 
 /// Names the network world a trial's sessions stream over. `family` is one of
-/// the built-in families below; `trace_path` is consumed by file-driven
+/// scenario_families(); `trace_path` is consumed by file-driven
 /// families ("trace-replay" loads a Mahimahi-style trace from it) and ignored
 /// by the synthetic ones.
 struct ScenarioSpec {

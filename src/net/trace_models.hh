@@ -38,11 +38,16 @@ class PathGenerator {
 class PufferPathModel : public PathGenerator {
  public:
   static constexpr double kSegmentDurationS = 0.5;
-  static constexpr double kOuReversion = 0.03;    ///< per-segment mean reversion of drift
-  static constexpr double kOuVolatility = 0.045;  ///< per-segment stddev of log-rate drift
-  static constexpr double kRegimeShiftRateHz = 1.0 / 180.0;  ///< avg one shift per 3 minutes
-  static constexpr double kRegimeShiftSigma = 0.5;  ///< lognormal factor applied on a shift
-  static constexpr double kOutageMeanDurationS = 4.0;  ///< exponential outage length
+  /// Per-segment mean reversion of drift.
+  static constexpr double kOuReversion = 0.03;
+  /// Per-segment stddev of log-rate drift.
+  static constexpr double kOuVolatility = 0.045;
+  /// Regime shifts: one per 3 minutes on average.
+  static constexpr double kRegimeShiftRateHz = 1.0 / 180.0;
+  /// Lognormal factor applied on a shift.
+  static constexpr double kRegimeShiftSigma = 0.5;
+  /// Exponential outage length.
+  static constexpr double kOutageMeanDurationS = 4.0;
   static constexpr double kOutageFloorMbps = 0.05;
   static constexpr double kMaxRateMbps = 400.0;
 
@@ -73,10 +78,13 @@ class PufferPathModel : public PathGenerator {
 class FccTraceModel : public PathGenerator {
  public:
   static constexpr double kSegmentDurationS = 5.0;
-  static constexpr double kWobbleSigma = 0.20;  ///< lognormal within-trace variation
+  /// Lognormal within-trace variation.
+  static constexpr double kWobbleSigma = 0.20;
   static constexpr double kMinRateMbps = 0.2;
-  static constexpr double kMaxRateMbps = 12.0;  ///< mahimahi shells were capped at 12 Mbps
-  static constexpr double kShellRttS = 0.040;   ///< fixed 40 ms mahimahi delay (section 5.2)
+  /// Mahimahi shells were capped at 12 Mbps.
+  static constexpr double kMaxRateMbps = 12.0;
+  /// Fixed 40 ms mahimahi delay (section 5.2).
+  static constexpr double kShellRttS = 0.040;
 
   explicit FccTraceModel(double median_rate_mbps = 2.6,
                          double log10_rate_sigma = 0.30);
@@ -96,10 +104,12 @@ class FccTraceModel : public PathGenerator {
 /// structure; this model exists to reproduce Figure 2a's contrast.
 class MarkovTraceModel : public PathGenerator {
  public:
-  static constexpr double kSegmentDurationS = 6.0;  ///< 6-second epochs as in Figure 2
+  /// 6-second epochs as in Figure 2.
+  static constexpr double kSegmentDurationS = 6.0;
   static constexpr int kNumStates = 4;
   static constexpr double kMeanRateMbps = 2.7;
-  static constexpr double kStateSpreadMbps = 0.25;  ///< spacing between adjacent states
+  /// Spacing between adjacent states.
+  static constexpr double kStateSpreadMbps = 0.25;
   static constexpr double kStayProbability = 0.95;
   static constexpr double kWithinStateSigmaMbps = 0.02;
 
@@ -117,7 +127,8 @@ class CellularPathModel : public PathGenerator {
  public:
   static constexpr double kSegmentDurationS = 1.0;
   static constexpr double kStayProbability = 0.90;
-  static constexpr double kWithinStateSigma = 0.35;  ///< lognormal sigma around state mean
+  /// Lognormal sigma around state mean.
+  static constexpr double kWithinStateSigma = 0.35;
   static constexpr double kMedianRttS = 0.070;
   static constexpr double kLogRttSigma = 0.30;
 
@@ -145,9 +156,12 @@ class DiurnalPathModel : public PathGenerator {
   static constexpr double kSegmentDurationS = 2.0;
   static constexpr double kMedianRateMbps = 18.0;
   static constexpr double kLog10RateSigma = 0.35;
-  static constexpr double kTroughFraction = 0.30;  ///< capacity at peak congestion
-  static constexpr double kPeakHour = 21.0;  ///< local time of maximum congestion
-  static constexpr double kNoiseSigma = 0.08;  ///< lognormal segment-to-segment noise
+  /// Capacity at peak congestion.
+  static constexpr double kTroughFraction = 0.30;
+  /// Local time of maximum congestion.
+  static constexpr double kPeakHour = 21.0;
+  /// Lognormal segment-to-segment noise.
+  static constexpr double kNoiseSigma = 0.08;
   static constexpr double kMinRttS = 0.030;
 
   [[nodiscard]] NetworkPath sample_path(Rng& rng,
@@ -162,10 +176,13 @@ class DiurnalPathModel : public PathGenerator {
 class WifiPathModel : public PathGenerator {
  public:
   static constexpr double kSegmentDurationS = 0.5;
-  static constexpr double kDegradedFraction = 0.15;  ///< degraded rate as fraction of good
-  static constexpr double kMinPeriodS = 8.0;  ///< oscillation period sampled per path
+  /// Degraded rate as fraction of good.
+  static constexpr double kDegradedFraction = 0.15;
+  /// Each path samples its oscillation period from [kMinPeriodS, kMaxPeriodS].
+  static constexpr double kMinPeriodS = 8.0;
   static constexpr double kMaxPeriodS = 40.0;
-  static constexpr double kFadeRateHz = 1.0 / 300.0;  ///< deep fades: avg one per 5 minutes
+  /// Deep fades: one per 5 minutes on average.
+  static constexpr double kFadeRateHz = 1.0 / 300.0;
   static constexpr double kFadeMeanDurationS = 2.0;
   static constexpr double kFadeFloorMbps = 0.1;
   static constexpr double kNoiseSigma = 0.15;
@@ -193,11 +210,14 @@ class SatellitePathModel : public PathGenerator {
   static constexpr double kSegmentDurationS = 2.0;
   static constexpr double kMedianRateMbps = 16.0;
   static constexpr double kLog10RateSigma = 0.20;
-  static constexpr double kMinRttS = 0.600;        ///< GEO propagation delay
-  static constexpr double kRttJitterSigma = 0.05;  ///< lognormal spread of per-path RTT
+  /// GEO propagation delay.
+  static constexpr double kMinRttS = 0.600;
+  /// Lognormal spread of per-path RTT.
+  static constexpr double kRttJitterSigma = 0.05;
   static constexpr double kRainFadeRateHz = 1.0 / 400.0;
   static constexpr double kRainFadeMeanDurationS = 30.0;
-  static constexpr double kRainFadeAttenuation = 0.08;  ///< capacity multiplier during fade
+  /// Capacity multiplier during fade.
+  static constexpr double kRainFadeAttenuation = 0.08;
   static constexpr double kNoiseSigma = 0.12;
 
   [[nodiscard]] NetworkPath sample_path(Rng& rng,

@@ -7,6 +7,9 @@
 
 namespace puffer::sim {
 
+static_assert(std::ranges::is_sorted(kFaultFamilies),
+              "kFaultFamilies must stay sorted");
+
 namespace {
 
 /// The whole of `field` as a double. An empty, non-numeric or partly

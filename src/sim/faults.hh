@@ -1,7 +1,6 @@
 #ifndef PUFFER_SIM_FAULTS_HH
 #define PUFFER_SIM_FAULTS_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -37,8 +36,6 @@ inline constexpr std::array<std::string_view, 8> kFaultFamilies = {
     kFaultCheckpointLoad, kFaultLinkOutage,    kFaultModelLoad,
     kFaultRetrainCrash,   kFaultSessionAbort,  kFaultTelemetryDup,
     kFaultTelemetryLoss,  kFaultTtpInference};
-static_assert(std::ranges::is_sorted(kFaultFamilies),
-              "kFaultFamilies must stay sorted");
 
 /// One fault family's knobs: an injection probability per opportunity, plus
 /// a duration for window-shaped faults (link outages).
