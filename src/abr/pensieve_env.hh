@@ -18,8 +18,12 @@ struct PensieveEnvConfig {
   double rebuffer_penalty_per_s = 5.5;  ///< QoE_lin: the top bitrate in Mbit/s
   double smooth_penalty = 1.0;
   int chunks_per_episode = 100;
-  /// Trace family the agent trains on (FCC-style, section 3.3).
-  net::FccTraceModel trace{};
+  /// Trace family the agent trains on (FCC-style, section 3.3), widened
+  /// toward the 12 Mbit/s shell cap so the policy learns to use the high
+  /// rungs when throughput allows (the real Pensieve's FCC/Norway mix also
+  /// reached the shell cap).
+  net::FccTraceModel trace{/*median_rate_mbps=*/3.0,
+                           /*log10_rate_sigma=*/0.45};
 };
 
 class PensieveEnv {

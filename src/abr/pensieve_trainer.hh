@@ -21,15 +21,7 @@ struct PensieveTrainConfig {
   double entropy_weight_start = 0.30;
   double entropy_weight_end = 0.01;
   double gradient_clip = 40.0;
-  PensieveEnvConfig env = [] {
-    PensieveEnvConfig config;
-    // Widen the training-trace mix toward the 12 Mbit/s shell cap so the
-    // policy learns to use the high rungs when throughput allows (the real
-    // Pensieve's FCC/Norway mix also reached the shell cap, section 3.3).
-    config.trace = net::FccTraceModel{/*median_rate_mbps=*/3.0,
-                                      /*log10_rate_sigma=*/0.45};
-    return config;
-  }();
+  PensieveEnvConfig env;
 };
 
 struct PensieveTrainReport {

@@ -3,9 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <istream>
-#include <new>
 #include <ostream>
-#include <stdexcept>
 
 #include "util/binary_io.hh"
 #include "util/require.hh"
@@ -83,15 +81,10 @@ std::optional<Mlp> try_load_mlp_file(const std::string& path) {
     return std::nullopt;
   }
   // load_mlp raises RequirementError on bad magic, implausible sizes or
-  // truncation; a corrupt header that slips past the plausibility checks
-  // can still surface as an allocation failure.
+  // truncation.
   try {
     return load_mlp(in);
   } catch (const RequirementError&) {
-    return std::nullopt;
-  } catch (const std::bad_alloc&) {
-    return std::nullopt;
-  } catch (const std::length_error&) {
     return std::nullopt;
   }
 }

@@ -120,6 +120,7 @@ TEST(PensieveEnv, LowestRungRarelyStallsOnFccTraces) {
 TEST(PensieveEnv, TopRungStallsOnSlowTraces) {
   PensieveEnvConfig config;
   config.chunks_per_episode = 60;
+  config.trace = net::FccTraceModel{};  // the fcc-emulation family's traces
   PensieveEnv env{config, 14};
   double stall = 0.0;
   for (int e = 0; e < 10; e++) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "exp/trial.hh"
 #include "net/scenario.hh"
@@ -200,15 +201,32 @@ TEST(ScenarioFamilies, WifiOscillatesBetweenTwoLevels) {
   Rng rng{15};
   const NetworkPath path = model.sample_path(rng, 600.0);
   const auto& rates = path.trace.rates();
-  const double hi = *std::max_element(rates.begin(), rates.end());
-  // The geometric midpoint of the two levels separates them through the
-  // segment noise.
-  const double threshold =
-      hi * std::sqrt(WifiPathModel::kDegradedFraction);
-  int good = 0;
+  // Most samples sit in the good state, so the overall median is a good
+  // sample; the good level is the median of the samples above the geometric
+  // midpoint below it.
+  std::vector<double> sorted = rates;
+  std::sort(sorted.begin(), sorted.end());
+  const double split =
+      sorted[sorted.size() / 2] * std::sqrt(WifiPathModel::kDegradedFraction);
+  const auto upper = std::upper_bound(sorted.begin(), sorted.end(), split);
+  const double good_level = *(upper + (sorted.end() - upper) / 2);
+  const double degraded_level = good_level * WifiPathModel::kDegradedFraction;
+  // The levels lie ~12.6 noise sigmas apart (log space). Outside deep fades
+  // every sample sits within 4.5 sigmas of one of them, so none falls near
+  // their geometric midpoint, where a smooth oscillation would put some.
+  int good = 0, off_level = 0;
   for (const double rate : rates) {
-    good += rate > threshold ? 1 : 0;
+    if (rate < 2.0 * WifiPathModel::kFadeFloorMbps * kMbps) {
+      continue;  // deep fade
+    }
+    const double z_good =
+        std::abs(std::log(rate / good_level)) / WifiPathModel::kNoiseSigma;
+    const double z_degraded =
+        std::abs(std::log(rate / degraded_level)) / WifiPathModel::kNoiseSigma;
+    good += z_good < z_degraded ? 1 : 0;
+    off_level += std::min(z_good, z_degraded) > 4.5 ? 1 : 0;
   }
+  EXPECT_EQ(off_level, 0);
   // Good-state occupancy tracks the default duty cycle of 0.65.
   EXPECT_NEAR(static_cast<double>(good) / static_cast<double>(rates.size()),
               0.65, 0.10);
