@@ -19,6 +19,7 @@
 
 #include "exp/fleet_trial.hh"
 #include "exp/trial.hh"
+#include "fugu/fugu.hh"
 #include "net/scenario.hh"
 #include "net/trace_file.hh"
 #include "util/rng.hh"
@@ -167,6 +168,42 @@ TEST(GoldenTrial, EveryFamilyMatchesPinnedStatistics) {
     check_pinned(agg.startup_delay_s, row.startup_delay_s, row.family,
                  "startup delay");
   }
+}
+
+// Fugu: the golden trial's RCT (seed 20190119, three shards and workers) on
+// `puffer` paths with Fugu as the only scheme, driven by a fixed-seed
+// untrained TTP. BBA and MPC-HM never plan over TTP-bin outcome times, so
+// this row is what pins a Fugu decision — the stochastic MPC fold over the
+// 21 bin midpoints — digit for digit.
+const GoldenRow kFuguGolden = {
+    // clang-format off
+    "puffer", 9, 17.065099207498545, 0.033670645862487004, 2.1209452397575372
+    // clang-format on
+};
+
+TEST(GoldenTrial, FuguMatchesPinnedStatistics) {
+  TrialConfig config = golden_config(kFuguGolden.family);
+  config.schemes = {"Fugu"};
+  const auto model =
+      std::make_shared<fugu::TtpModel>(fugu::TtpConfig{}, 20190119);
+  const SchemeFactory factory =
+      [&model](const std::string& name) -> std::unique_ptr<abr::AbrAlgorithm> {
+    return fugu::make_fugu(model, name);
+  };
+  const Aggregates agg = aggregate(run_trial(config, factory));
+
+  if (update_mode()) {
+    std::printf("// paste into kFuguGolden:\n"
+                "    \"%s\", %lld, %.17g, %.17g, %.17g\n",
+                kFuguGolden.family, static_cast<long long>(agg.considered),
+                agg.ssim_mean_db, agg.stall_ratio, agg.startup_delay_s);
+    return;
+  }
+  EXPECT_EQ(agg.considered, kFuguGolden.considered) << "Fugu: considered";
+  check_pinned(agg.ssim_mean_db, kFuguGolden.ssim_mean_db, "Fugu", "ssim");
+  check_pinned(agg.stall_ratio, kFuguGolden.stall_ratio, "Fugu", "stall ratio");
+  check_pinned(agg.startup_delay_s, kFuguGolden.startup_delay_s, "Fugu",
+               "startup delay");
 }
 
 // Contention groups: the golden trial's 2-scheme x 6-session RCT (seed
