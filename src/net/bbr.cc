@@ -23,16 +23,17 @@ void BbrModel::update_btl_bw(const CcSample& sample) {
   const bool usable =
       !sample.app_limited || sample.delivery_rate_bps > btl_bw_bps_;
   if (usable && sample.delivery_rate_bps > 0.0) {
+    while (!bw_samples_.empty() &&
+           bw_samples_.back().second <= sample.delivery_rate_bps) {
+      bw_samples_.pop_back();
+    }
     bw_samples_.emplace_back(sample.now_s, sample.delivery_rate_bps);
   }
   while (!bw_samples_.empty() &&
          bw_samples_.front().first < sample.now_s - kBwWindowS) {
     bw_samples_.pop_front();
   }
-  btl_bw_bps_ = 0.0;
-  for (const auto& [when, rate] : bw_samples_) {
-    btl_bw_bps_ = std::max(btl_bw_bps_, rate);
-  }
+  btl_bw_bps_ = bw_samples_.empty() ? 0.0 : bw_samples_.front().second;
 }
 
 void BbrModel::advance_state_machine(const CcSample& sample) {

@@ -36,8 +36,10 @@ class BbrModel final : public CongestionControl {
   double mss_bytes_;
   Mode mode_ = Mode::kStartup;
 
-  // Windowed max filter for bottleneck bandwidth: (timestamp, rate) samples
-  // within the last kBwWindowS seconds.
+  // Windowed max filter for bottleneck bandwidth (10 s window), kept as a
+  // monotonic deque of (timestamp, rate) with strictly decreasing rate from
+  // the front: a new sample evicts every older one it matches or beats, so
+  // the front is the window's max and each step costs amortized O(1).
   std::deque<std::pair<double, double>> bw_samples_;
   double btl_bw_bps_ = 0.0;
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/bbr.hh"
 #include "net/cubic.hh"
@@ -338,6 +341,57 @@ TEST(Bbr, MinRttWindowExpiresStaleSamples) {
     bbr.on_sample(sample);
   }
   EXPECT_DOUBLE_EQ(bbr.min_rtt_s(), 0.200);
+}
+
+TEST(Bbr, BandwidthFilterIsWindowedMaxOfUsableSamples) {
+  // The bottleneck-bandwidth filter against a brute-force oracle: the max
+  // over every usable sample of the last 10 s, or 0 when none remain. A
+  // sample is usable when it has a positive rate and is either not
+  // app-limited or beats the current estimate. Rates come from a small set
+  // so equal rates recur; clock steps include repeats (dt = 0) and gaps
+  // over 10 s that empty the window.
+  constexpr double kWindowS = 10.0;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng rng{seed};
+    BbrModel bbr;
+    std::vector<std::pair<double, double>> usable;  // (now_s, rate)
+    double estimate = 0.0;
+    int emptied = 0;
+    CcSample sample;
+    sample.dt_s = 0.01;
+    sample.rtt_sample_s = 0.050;
+    sample.min_rtt_s = 0.050;
+    for (int step = 0; step < 3000; step++) {
+      const double gap = rng.uniform();
+      if (gap < 0.2) {
+        // repeated now_s
+      } else if (gap < 0.97) {
+        sample.now_s += rng.uniform(0.001, 0.5);
+      } else {
+        sample.now_s += rng.uniform(kWindowS, 2.0 * kWindowS);
+      }
+      sample.delivery_rate_bps =
+          rng.bernoulli(0.05)
+              ? 0.0
+              : 1e5 * static_cast<double>(rng.uniform_int(1, 8));
+      sample.app_limited = rng.bernoulli(0.4);
+      if (sample.delivery_rate_bps > 0.0 &&
+          (!sample.app_limited || sample.delivery_rate_bps > estimate)) {
+        usable.emplace_back(sample.now_s, sample.delivery_rate_bps);
+      }
+      bbr.on_sample(sample);
+      estimate = 0.0;
+      for (const auto& [when, rate] : usable) {
+        if (!(when < sample.now_s - kWindowS)) {
+          estimate = std::max(estimate, rate);
+        }
+      }
+      ASSERT_EQ(bbr.btl_bw_bps(), estimate)
+          << "seed " << seed << " step " << step;
+      emptied += !usable.empty() && estimate == 0.0;
+    }
+    EXPECT_GT(emptied, 0) << "seed " << seed << " never emptied the window";
+  }
 }
 
 TEST(Bbr, HighRttPathReachesFullBdpCwnd) {
