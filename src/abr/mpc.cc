@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "media/ladder.hh"
 #include "util/require.hh"
@@ -42,8 +43,15 @@ void prune_distribution(TxTimeDistribution& dist, const double min_probability) 
 StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   require(config_.horizon >= 1, "StochasticMpc: horizon must be >= 1");
   require(config_.buffer_bin_s > 0.0, "StochasticMpc: bin size must be > 0");
-  num_bins_ =
-      static_cast<int>(std::ceil(media::kMaxBufferS / config_.buffer_bin_s));
+  const double num_bins = std::ceil(media::kMaxBufferS / config_.buffer_bin_s);
+  require(num_bins <= std::numeric_limits<uint16_t>::max(),
+          "StochasticMpc: bin size too small for the next-bin table");
+  num_bins_ = static_cast<int>(num_bins);
+  const size_t bins = static_cast<size_t>(num_bins_ + 1);
+  next_bin_.resize((kTtpBinMidpointsS.size() + 1) * bins);
+  for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
+    fill_next_bin_row(kTtpBinMidpointsS[row], next_bin_.data() + row * bins);
+  }
   const size_t states = static_cast<size_t>(config_.horizon + 1) *
                         static_cast<size_t>(num_bins_ + 1) * media::kNumRungs;
   memo_value_.assign(states, 0.0);
@@ -53,6 +61,29 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
 int StochasticMpc::buffer_to_bin(const double buffer_s) const {
   const double clamped = std::clamp(buffer_s, 0.0, media::kMaxBufferS);
   return static_cast<int>(std::lround(clamped / config_.buffer_bin_s));
+}
+
+void StochasticMpc::fill_next_bin_row(const double tx_time_s,
+                                      uint16_t* const row) const {
+  for (int b = 0; b <= num_bins_; b++) {
+    const double buffer_s = b * config_.buffer_bin_s;
+    const double next_buffer =
+        std::min(std::max(buffer_s - tx_time_s, 0.0) + media::kChunkDurationS,
+                 media::kMaxBufferS);
+    row[b] = static_cast<uint16_t>(buffer_to_bin(next_buffer));
+  }
+}
+
+const uint16_t* StochasticMpc::next_bin_row(const double tx_time_s) {
+  const size_t row = static_cast<size_t>(
+      std::find(kTtpBinMidpointsS.begin(), kTtpBinMidpointsS.end(), tx_time_s) -
+      kTtpBinMidpointsS.begin());
+  uint16_t* const out =
+      next_bin_.data() + row * static_cast<size_t>(num_bins_ + 1);
+  if (row == kTtpBinMidpointsS.size()) {
+    fill_next_bin_row(tx_time_s, out);
+  }
+  return out;
 }
 
 size_t StochasticMpc::state_index(const int step, const int buffer_bin,
@@ -148,10 +179,9 @@ int StochasticMpc::plan(const AbrObservation& obs,
   for (int step = effective_horizon_ - 1; step >= 1; step--) {
     // 1. Fold the outcome expectation once per (action, bin):
     //      expect_base_[a][b] = sum_o p_o * (V[step+1][nb][a] - mu * stall)
-    //    The bin transition nb and stall cost of each (step, action,
-    //    outcome) are computed once per plan here — the maximization below
-    //    never touches buffer_to_bin again, and (unlike the recursion) the
-    //    expectation no longer re-runs per previous rung.
+    //    The bin transition nb of each (outcome time, bin) comes from the
+    //    next-bin table, so the fold never calls buffer_to_bin; and (unlike
+    //    the recursion) the expectation no longer re-runs per previous rung.
     for (int action = 0; action < R; action++) {
       double* base = expect_base_.data() + static_cast<size_t>(action) * bins;
       std::fill(base, base + bins, 0.0);
@@ -161,14 +191,11 @@ int StochasticMpc::plan(const AbrObservation& obs,
       for (const TxTimeOutcome& outcome : dist) {
         const double t = outcome.time_s;
         const double p = outcome.probability;
+        const uint16_t* const next_bin = next_bin_row(t);
         for (int b = 0; b < bins; b++) {
           const double buffer_s = b * config_.buffer_bin_s;
           const double stall = t > buffer_s ? t - buffer_s : 0.0;
-          const double next_buffer =
-              std::min(std::max(buffer_s - t, 0.0) + media::kChunkDurationS,
-                       media::kMaxBufferS);
-          const int nb = buffer_to_bin(next_buffer);
-          base[b] += p * (value_next_[static_cast<size_t>(nb) * R +
+          base[b] += p * (value_next_[static_cast<size_t>(next_bin[b]) * R +
                                       static_cast<size_t>(action)] -
                           config_.mu * stall);
         }

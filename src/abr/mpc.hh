@@ -1,6 +1,7 @@
 #ifndef PUFFER_ABR_MPC_HH
 #define PUFFER_ABR_MPC_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "abr/predictor.hh"
@@ -32,14 +33,17 @@ struct MpcConfig {
 ///
 /// plan() runs the dynamic program as an iterative backward sweep over the
 /// (step x buffer-bin x previous-rung) lattice: per step, the expectation
-/// over transmission-time outcomes is folded once per (action, bin) — with
-/// the bin transition and stall cost of each (action, outcome) computed once
-/// per plan — and the per-(bin, prev-rung) maximization then reads those
-/// folded values. No recursion, no memo probing, and the outcome loop no
-/// longer repeats per previous rung (a kNumRungs-fold reduction in
-/// expectation work vs. the memoized recursion). plan_reference() retains
-/// the original recursive/memoized implementation as the oracle for the
-/// equivalence property tests.
+/// over transmission-time outcomes is folded once per (action, bin), and the
+/// per-(bin, prev-rung) maximization then reads those folded values. No
+/// recursion, no memo probing, and the outcome loop no longer repeats per
+/// previous rung (a kNumRungs-fold reduction in expectation work vs. the
+/// memoized recursion). The fold's bin transition (outcome time, bin) ->
+/// next bin comes from a table built at construction, one row per TTP grid
+/// time (kTtpBinMidpointsS, the only times Fugu's outcomes take); any other
+/// time (MPC-HM's point masses, the throughput ablation) has its row
+/// computed into a scratch row with the same expressions. plan_reference()
+/// retains the original recursive/memoized implementation as the oracle for
+/// the equivalence property tests.
 class StochasticMpc {
  public:
   explicit StochasticMpc(MpcConfig config = {});
@@ -71,6 +75,13 @@ class StochasticMpc {
 
  private:
   [[nodiscard]] int buffer_to_bin(double buffer_s) const;
+
+  /// Bin index after a chunk of `tx_time_s` lands on each grid buffer b:
+  /// row[b] = buffer_to_bin(min(max(b*bin - t, 0) + chunk, max buffer)).
+  void fill_next_bin_row(double tx_time_s, uint16_t* row) const;
+  /// The next-bin row of `tx_time_s`: its table row when it is a TTP grid
+  /// time, else the scratch row, refilled.
+  const uint16_t* next_bin_row(double tx_time_s);
   [[nodiscard]] size_t state_index(int step, int buffer_bin, int prev_rung) const;
 
   /// Shared plan setup: cache the lookahead, issue all (step x rung)
@@ -95,6 +106,9 @@ class StochasticMpc {
 
   MpcConfig config_;
   int num_bins_ = 0;
+  // [row * (num_bins_+1) + bin]: one row per kTtpBinMidpointsS time, then
+  // the scratch row for off-grid times.
+  std::vector<uint16_t> next_bin_;
 
   // Per-plan scratch (kept across calls to avoid reallocation).
   std::span<const media::ChunkOptions> lookahead_;

@@ -1,6 +1,7 @@
 #ifndef PUFFER_ABR_PREDICTOR_HH
 #define PUFFER_ABR_PREDICTOR_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +19,15 @@ struct TxTimeOutcome {
 /// A (small) discrete distribution over transmission times. Point-estimate
 /// predictors return a single outcome with probability 1.
 using TxTimeDistribution = std::vector<TxTimeOutcome>;
+
+/// Transmission times of Fugu's TTP outcomes (paper section 4.5): the
+/// midpoints of its 21 bins [0, 0.25), [0.25, 0.75), ..., [9.75, inf), with
+/// 10.5 s standing in for the open last bin. Every outcome the TTP predicts
+/// takes one of these times, so StochasticMpc precomputes its buffer-bin
+/// transitions for exactly this grid. fugu::ttp_bin_midpoint reads it.
+inline constexpr std::array<double, 21> kTtpBinMidpointsS = {
+    0.125, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0,
+    5.5,   6.0, 6.5, 7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.5};
 
 /// One (horizon step, proposed chunk size) query of an ABR decision. MPC
 /// issues every query of a decision up front (one per step x rung), which

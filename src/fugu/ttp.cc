@@ -34,13 +34,7 @@ int ttp_bin_of(const double tx_time_s) {
 
 double ttp_bin_midpoint(const int bin) {
   require(bin >= 0 && bin < kTtpBins, "ttp_bin_midpoint: bad bin");
-  if (bin == 0) {
-    return 0.125;
-  }
-  if (bin == kTtpBins - 1) {
-    return 10.5;
-  }
-  return 0.5 * bin;  // [0.25+0.5(b-1), 0.25+0.5b) has midpoint 0.5b
+  return abr::kTtpBinMidpointsS[static_cast<size_t>(bin)];
 }
 
 int throughput_bin_of(const double throughput_bps) {

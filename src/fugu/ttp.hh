@@ -17,12 +17,15 @@ inline constexpr int kTtpHistory = 8;
 
 /// Number of discretized transmission-time bins: [0, 0.25), [0.25, 0.75),
 /// ..., [9.75, inf) — 0.5 s bins except the first and last (section 4.5).
-inline constexpr int kTtpBins = 21;
+inline constexpr int kTtpBins =
+    static_cast<int>(abr::kTtpBinMidpointsS.size());
 
 /// Map a transmission time to its bin.
 int ttp_bin_of(double tx_time_s);
 /// Representative value (midpoint) of a bin, used when converting the
-/// distribution into planning outcomes; the open last bin uses 10.5 s.
+/// distribution into planning outcomes; the open last bin uses 10.5 s. The
+/// midpoints live in abr::kTtpBinMidpointsS (abr/predictor.hh), where MPC
+/// builds its next-bin rows from them.
 double ttp_bin_midpoint(int bin);
 
 /// Bins for the "Throughput Predictor" ablation (Figure 7): 21 log-spaced

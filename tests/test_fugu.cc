@@ -37,6 +37,10 @@ TEST(TtpBins, MidpointValues) {
   EXPECT_DOUBLE_EQ(ttp_bin_midpoint(1), 0.5);
   EXPECT_DOUBLE_EQ(ttp_bin_midpoint(19), 9.5);
   EXPECT_DOUBLE_EQ(ttp_bin_midpoint(20), 10.5);
+  // [0.25 + 0.5(b-1), 0.25 + 0.5b) has midpoint 0.5b, exactly.
+  for (int bin = 1; bin < kTtpBins - 1; bin++) {
+    EXPECT_EQ(ttp_bin_midpoint(bin), 0.5 * bin) << "bin " << bin;
+  }
 }
 
 TEST(ThroughputBins, MonotoneAndInvertible) {

@@ -308,18 +308,25 @@ TEST(Mpc, PrunesNegligibleOutcomesWithoutChangingDecision) {
 /// reference implementation on randomized lookaheads, horizons, buffers and
 /// multi-outcome distributions. The two differ only by floating-point
 /// reassociation of the expectation sum, so values match to ~1e-6 and the
-/// argmax may flip only on a floating tie.
+/// argmax may flip only on a floating tie. Outcome times are off-grid, on
+/// the TTP grid (the precomputed next-bin rows), or a mix of both, and some
+/// trials use a fine 0.02 s buffer grid (751 bins).
 TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
   Rng meta{909};
   for (int trial = 0; trial < 60; trial++) {
     MpcConfig config;
     config.horizon = 1 + static_cast<int>(meta.uniform_int(0, 4));
     config.lambda = meta.uniform(0.0, 2.0);
+    if (trial % 5 == 4) {
+      config.buffer_bin_s = 0.02;
+    }
     const uint64_t dist_seed = meta.engine()();
     const int max_outcomes = 1 + trial % 5;
+    // Probability that an outcome time sits on the TTP grid: 0, 1 or 1/2.
+    const double on_grid = trial % 4 == 0 ? 0.0 : trial % 4 == 1 ? 1.0 : 0.5;
     // Pure function of (step, size): both plans see identical distributions.
     ScriptedPredictor predictor{
-        [dist_seed, max_outcomes](const int step, const int64_t size) {
+        [dist_seed, max_outcomes, on_grid](const int step, const int64_t size) {
           Rng rng{dist_seed ^ (static_cast<uint64_t>(step) << 48) ^
                   static_cast<uint64_t>(size)};
           const int n =
@@ -327,7 +334,12 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
           TxTimeDistribution dist;
           double mass = 0.0;
           for (int i = 0; i < n; i++) {
-            dist.push_back({rng.uniform(0.05, 8.0), rng.uniform(0.05, 1.0)});
+            const double time_s =
+                rng.bernoulli(on_grid)
+                    ? kTtpBinMidpointsS[static_cast<size_t>(rng.uniform_int(
+                          0, std::ssize(kTtpBinMidpointsS) - 1))]
+                    : rng.uniform(0.05, 8.0);
+            dist.push_back({time_s, rng.uniform(0.05, 1.0)});
             mass += dist.back().probability;
           }
           for (auto& outcome : dist) {
@@ -424,6 +436,14 @@ TEST(Mpc, ShortLookaheadStillWorks) {
   const int choice = mpc.plan(obs, lookahead, predictor);
   EXPECT_GE(choice, 0);
   EXPECT_LT(choice, media::kNumRungs);
+}
+
+TEST(Mpc, BinSizeTooSmallForNextBinTableRejected) {
+  // Next-bin indices are stored as uint16_t: 15 s / 2e-4 s = 75,000 bins
+  // do not fit.
+  MpcConfig config;
+  config.buffer_bin_s = 2e-4;
+  EXPECT_THROW(StochasticMpc{config}, RequirementError);
 }
 
 TEST(Mpc, EmptyLookaheadRejected) {
