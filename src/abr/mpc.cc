@@ -52,8 +52,8 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
     fill_next_bin_row(kTtpBinMidpointsS[row], next_bin_.data() + row * bins);
   }
-  const size_t states = static_cast<size_t>(config_.horizon + 1) *
-                        static_cast<size_t>(num_bins_ + 1) * media::kNumRungs;
+  const size_t states =
+      static_cast<size_t>(config_.horizon + 1) * bins * media::kNumRungs;
   memo_value_.assign(states, 0.0);
   memo_epoch_.assign(states, 0);
 }
