@@ -239,6 +239,9 @@ TEST(TtpTraining, LossDecreasesAndBeatsChance) {
   const TtpEvaluation eval = evaluate_ttp(model, synthetic_dataset(11, 20));
   EXPECT_LT(eval.cross_entropy, 2.0);
   EXPECT_GT(eval.top1_accuracy, 0.30);
+  // The trained weights, bit for bit: a moved training constant (learning
+  // rate, recency decay, Adam's moments) changes this hash.
+  EXPECT_EQ(test::mlp_hash(model.networks()[0]), 2444146523535958860ULL);
 }
 
 TEST(TtpTraining, WarmStartImprovesInitialLoss) {

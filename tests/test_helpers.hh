@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "abr/abr.hh"
@@ -15,6 +16,8 @@
 #include "media/ladder.hh"
 #include "media/vbr_source.hh"
 #include "net/scenario.hh"
+#include "nn/serialize.hh"
+#include "util/rng.hh"
 
 namespace puffer::test {
 
@@ -58,6 +61,14 @@ inline abr::ChunkRecord record_at_throughput(const int64_t index,
   record.ssim_db = 14.0;
   record.transmission_time_s = size_bytes / throughput_bps;
   return record;
+}
+
+/// Hash of a network's serialized architecture and parameters: pins what
+/// a training run produced, bit for bit.
+inline uint64_t mlp_hash(const nn::Mlp& net) {
+  std::ostringstream bytes;
+  nn::save_mlp(net, bytes);
+  return stable_hash(bytes.str());
 }
 
 /// Bitwise double equality: trial runs promise *bit-identical* results,

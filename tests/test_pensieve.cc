@@ -195,6 +195,10 @@ TEST(PensieveTrainer, DeterministicGivenSeed) {
   const nn::Mlp a = train_pensieve(config, 5);
   const nn::Mlp b = train_pensieve(config, 5);
   EXPECT_EQ(a, b);
+  // The trained actor itself, bit for bit: a moved training constant
+  // (discount, learning rates, entropy schedule, clip, reward weights)
+  // changes this hash.
+  EXPECT_EQ(test::mlp_hash(a), 17675066593526069902ULL);
 }
 
 TEST(PensieveTrainer, TrainedPolicyBeatsBitrateExtremesOnFcc) {

@@ -98,6 +98,11 @@ TEST(BootstrapRatio, WidthShrinksWithSampleSize) {
   const auto small = bootstrap_ratio_ci(make_sample(100), rng, 400);
   const auto large = bootstrap_ratio_ci(make_sample(10000), rng, 400);
   EXPECT_GT(small.relative_half_width(), large.relative_half_width());
+  // The interval bounds, bit for bit (the 95% percentile bootstrap).
+  EXPECT_EQ(small.lower, 0.0);
+  EXPECT_EQ(small.upper, 0.0053876709944358833);
+  EXPECT_EQ(large.lower, 0.0020975125262284321);
+  EXPECT_EQ(large.upper, 0.002713938528039651);
 }
 
 /// The paper's headline statistical point (section 3.4): even with a lot of
