@@ -10,7 +10,10 @@ namespace puffer::abr {
 
 PensieveEnv::PensieveEnv(const PensieveEnvConfig config, const uint64_t seed)
     : config_(config),
-      rng_(Rng{seed}.split("pensieve-env")) {}
+      rng_(Rng{seed}.split("pensieve-env")) {
+  require(config.chunks_per_episode >= 1,
+          "PensieveEnv: chunks_per_episode must be >= 1");
+}
 
 double PensieveEnv::download_time(const double start, const double bytes) const {
   const auto& trace = path_->trace;
@@ -78,9 +81,11 @@ PensieveEnv::StepResult PensieveEnv::step(const int rung) {
   // Bitrate-based QoE_lin reward (Pensieve could not be made SSIM-aware).
   const double bitrate_mbps =
       media::default_ladder()[static_cast<size_t>(rung)].nominal_bitrate_mbps;
-  double reward = bitrate_mbps - config_.rebuffer_penalty_per_s * stall;
+  double reward =
+      bitrate_mbps - PensieveEnvConfig::kRebufferPenaltyPerS * stall;
   if (has_last_bitrate_) {
-    reward -= config_.smooth_penalty * std::abs(bitrate_mbps - last_bitrate_mbps_);
+    reward -= PensieveEnvConfig::kSmoothPenalty *
+              std::abs(bitrate_mbps - last_bitrate_mbps_);
   }
   last_bitrate_mbps_ = bitrate_mbps;
   has_last_bitrate_ = true;

@@ -15,8 +15,11 @@ namespace puffer::abr {
 /// (+bitrate, -stalls, -Δbitrate; Figure 5). The agent trains against the
 /// deployed player: media::kChunkDurationS chunks, media::kMaxBufferS buffer.
 struct PensieveEnvConfig {
-  double rebuffer_penalty_per_s = 5.5;  ///< QoE_lin: the top bitrate in Mbit/s
-  double smooth_penalty = 1.0;
+  /// QoE_lin weights: a stalled second costs the top bitrate in Mbit/s, a
+  /// switch costs its bitrate change.
+  static constexpr double kRebufferPenaltyPerS = 5.5;
+  static constexpr double kSmoothPenalty = 1.0;
+
   int chunks_per_episode = 100;
   /// Trace family the agent trains on (FCC-style, section 3.3), widened
   /// toward the 12 Mbit/s shell cap so the policy learns to use the high

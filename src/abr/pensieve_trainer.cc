@@ -44,13 +44,15 @@ EpisodeTrace run_episode(PensieveEnv& env, const nn::Mlp& actor, Rng& rng) {
 
 nn::Mlp train_pensieve(const PensieveTrainConfig& config, const uint64_t seed,
                        PensieveTrainReport* report) {
-  require(config.iterations >= 1, "train_pensieve: iterations >= 1");
+  require(config.iterations >= 1, "train_pensieve: iterations must be >= 1");
+  require(config.episodes_per_iteration >= 1,
+          "train_pensieve: episodes_per_iteration must be >= 1");
 
   Rng rng = Rng{seed}.split("pensieve-train");
   nn::Mlp actor = make_pensieve_actor(rng.engine()());
   nn::Mlp critic = make_pensieve_critic(rng.engine()());
-  nn::AdamOptimizer actor_opt{config.actor_learning_rate};
-  nn::AdamOptimizer critic_opt{config.critic_learning_rate};
+  nn::AdamOptimizer actor_opt{PensieveTrainConfig::kActorLearningRate};
+  nn::AdamOptimizer critic_opt{PensieveTrainConfig::kCriticLearningRate};
   PensieveEnv env{config.env, rng.engine()()};
 
   if (report != nullptr) {
@@ -75,8 +77,9 @@ nn::Mlp train_pensieve(const PensieveTrainConfig& config, const uint64_t seed,
             ? static_cast<double>(iteration) / (config.iterations - 1)
             : 1.0;
     const double entropy_weight =
-        config.entropy_weight_start *
-        std::pow(config.entropy_weight_end / config.entropy_weight_start,
+        PensieveTrainConfig::kEntropyWeightStart *
+        std::pow(PensieveTrainConfig::kEntropyWeightEnd /
+                     PensieveTrainConfig::kEntropyWeightStart,
                  progress);
 
     // 1. Collect a batch of episodes with the current policy.
@@ -107,7 +110,7 @@ nn::Mlp train_pensieve(const PensieveTrainConfig& config, const uint64_t seed,
       double running = 0.0;
       std::vector<double> ep_returns(ep.rewards.size());
       for (size_t i = ep.rewards.size(); i-- > 0;) {
-        running = ep.rewards[i] + config.discount * running;
+        running = ep.rewards[i] + PensieveTrainConfig::kDiscount * running;
         ep_returns[i] = running;
       }
       for (size_t i = 0; i < ep.states.size(); i++) {
@@ -127,7 +130,7 @@ nn::Mlp train_pensieve(const PensieveTrainConfig& config, const uint64_t seed,
     mse_loss(values, returns, dvalues);
     critic_grads.zero();
     critic.backward(critic_tape, dvalues, critic_grads);
-    nn::clip_gradient_norm(critic_grads, config.gradient_clip);
+    nn::clip_gradient_norm(critic_grads, PensieveTrainConfig::kGradientClip);
     critic_opt.step(critic, critic_grads);
 
     std::vector<float> advantages(total_steps);
@@ -175,7 +178,7 @@ nn::Mlp train_pensieve(const PensieveTrainConfig& config, const uint64_t seed,
     }
     actor_grads.zero();
     actor.backward(actor_tape, dlogits, actor_grads);
-    nn::clip_gradient_norm(actor_grads, config.gradient_clip);
+    nn::clip_gradient_norm(actor_grads, PensieveTrainConfig::kGradientClip);
     actor_opt.step(actor, actor_grads);
 
     if (report != nullptr) {

@@ -13,14 +13,16 @@ namespace puffer::abr {
 /// recommended to the Puffer team (section 3.3: "tune the entropy parameter
 /// ... 6 different models with various entropy reduction schemes").
 struct PensieveTrainConfig {
+  static constexpr double kDiscount = 0.99;
+  static constexpr double kActorLearningRate = 3e-4;   ///< Adam
+  static constexpr double kCriticLearningRate = 1e-3;  ///< Adam
+  /// Entropy weight, annealed geometrically from start to end.
+  static constexpr double kEntropyWeightStart = 0.30;
+  static constexpr double kEntropyWeightEnd = 0.01;
+  static constexpr double kGradientClip = 40.0;  ///< max global L2 norm
+
   int iterations = 600;
   int episodes_per_iteration = 8;
-  double discount = 0.99;
-  double actor_learning_rate = 3e-4;
-  double critic_learning_rate = 1e-3;
-  double entropy_weight_start = 0.30;
-  double entropy_weight_end = 0.01;
-  double gradient_clip = 40.0;
   PensieveEnvConfig env;
 };
 

@@ -18,10 +18,6 @@ constexpr double kMaxTxTimeS = 60.0;
 
 }  // namespace
 
-HarmonicMeanPredictor::HarmonicMeanPredictor(const int window) : window_(window) {
-  require(window >= 1, "HarmonicMeanPredictor: window must be >= 1");
-}
-
 void HarmonicMeanPredictor::begin_decision(const AbrObservation& /*obs*/) {
   // Classical predictors ignore tcp_info by design.
 }
@@ -30,7 +26,7 @@ double HarmonicMeanPredictor::predicted_throughput() const {
   if (throughput_samples_.empty()) {
     return kColdStartThroughputBps;
   }
-  // Harmonic mean of the last `window_` samples (paper Figure 5: "HM").
+  // Harmonic mean of the last kWindow samples (paper Figure 5: "HM").
   double denominator = 0.0;
   for (const double sample : throughput_samples_) {
     denominator += 1.0 / std::max(sample, 1.0);
@@ -53,7 +49,7 @@ void HarmonicMeanPredictor::on_chunk_complete(const ChunkRecord& record) {
   const double throughput =
       static_cast<double>(record.size_bytes) / record.transmission_time_s;
   throughput_samples_.push_back(throughput);
-  while (throughput_samples_.size() > static_cast<size_t>(window_)) {
+  while (throughput_samples_.size() > kWindow) {
     throughput_samples_.pop_front();
   }
 }
@@ -61,9 +57,6 @@ void HarmonicMeanPredictor::on_chunk_complete(const ChunkRecord& record) {
 void HarmonicMeanPredictor::reset_session() {
   throughput_samples_.clear();
 }
-
-RobustThroughputPredictor::RobustThroughputPredictor(const int window)
-    : HarmonicMeanPredictor(window) {}
 
 TxTimeDistribution RobustThroughputPredictor::predict(const int /*step*/,
                                                       const int64_t size_bytes) {
@@ -89,7 +82,7 @@ void RobustThroughputPredictor::on_chunk_complete(const ChunkRecord& record) {
     const double predicted = predicted_throughput();
     relative_errors_.push_back(std::abs(predicted - actual) /
                                std::max(actual, 1.0));
-    while (relative_errors_.size() > static_cast<size_t>(window_)) {
+    while (relative_errors_.size() > kWindow) {
       relative_errors_.pop_front();
     }
   }

@@ -12,7 +12,8 @@ namespace puffer::abr {
 /// transmission time via t = size / throughput (a point estimate).
 class HarmonicMeanPredictor : public TxTimePredictor {
  public:
-  explicit HarmonicMeanPredictor(int window = 5);
+  /// Throughput samples (and, for RobustMPC, relative errors) kept.
+  static constexpr size_t kWindow = 5;
 
   void begin_decision(const AbrObservation& obs) override;
   TxTimeDistribution predict(int step, int64_t size_bytes) override;
@@ -23,9 +24,7 @@ class HarmonicMeanPredictor : public TxTimePredictor {
   [[nodiscard]] double predicted_throughput() const;
 
  protected:
-  int window_;
   std::deque<double> throughput_samples_;  ///< bytes per second
-  double fallback_throughput_ = 0.0;       ///< from tcp_info on cold start
 };
 
 /// RobustMPC's conservative variant: discount the harmonic-mean estimate by
@@ -33,8 +32,6 @@ class HarmonicMeanPredictor : public TxTimePredictor {
 /// C_robust = C_hm / (1 + max_err) (Yin et al. [43], section 5.2).
 class RobustThroughputPredictor final : public HarmonicMeanPredictor {
  public:
-  explicit RobustThroughputPredictor(int window = 5);
-
   TxTimeDistribution predict(int step, int64_t size_bytes) override;
   void on_chunk_complete(const ChunkRecord& record) override;
   void reset_session() override;

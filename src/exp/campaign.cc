@@ -253,9 +253,12 @@ uint64_t CampaignConfig::fingerprint() const {
     for (const size_t h : arm.ttp.hidden_layers) {
       canon << "," << h;
     }
+    // The training constants keep their historical slots, so every
+    // checkpoint's fingerprint is unchanged.
     canon << "|train:" << arm.train.epochs << "," << arm.train.batch_size
-          << "," << arm.train.learning_rate << "," << arm.train.window_days
-          << "," << arm.train.recency_decay << ","
+          << "," << fugu::TtpTrainConfig::kLearningRate << ","
+          << arm.train.window_days << ","
+          << fugu::TtpTrainConfig::kRecencyDecay << ","
           << arm.train.max_examples_per_step;
   }
   // The fault plane joins the identity only when enabled, so every
@@ -402,9 +405,14 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
       artifacts.ttp_insitu = deployed_[i];
       max_window_days_ = std::max(max_window_days_, arm.train.window_days);
     }
-    // Fail now, with the arm's name, rather than mid-campaign: the scheme
-    // must be constructible from what the arm will have at runtime.
+    // Fail now, with the arm's name, rather than mid-campaign: a retrain
+    // arm's training values must be ones the nightly retrain can run with,
+    // and the scheme must be constructible from what the arm will have at
+    // runtime.
     try {
+      if (arm.retrain) {
+        arm.train.validate();
+      }
       static_cast<void>(make_scheme(arm.scheme, artifacts));
     } catch (const RequirementError& error) {
       throw RequirementError("Campaign: arm '" + arm.name + "': " +

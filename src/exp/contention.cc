@@ -1,6 +1,7 @@
 #include "exp/contention.hh"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 
@@ -25,37 +26,44 @@ net::ThroughputTrace scale_trace(const net::ThroughputTrace& trace,
   return net::ThroughputTrace{std::move(rates), trace.segment_duration()};
 }
 
+/// The topology presets, sorted by name. Every preset value lives here.
+constexpr std::array kPresets{
+    // CDN edge uplink: big FIFO, mild oversubscription, BBR everywhere.
+    ContentionPreset{"edge", /*fair_queue=*/false, /*capacity_scale=*/0.7,
+                     /*queue_bdp=*/2.0, ContentionCc::kBbr},
+    // Cell tower: heavier oversubscription, deeper buffer, mixed CC — the
+    // regime where FIFO crowd-out between CUBIC and BBR shows up.
+    ContentionPreset{"tower", /*fair_queue=*/false, /*capacity_scale=*/0.55,
+                     /*queue_bdp=*/3.0, ContentionCc::kMixed},
+    // Home AP with per-flow fair queuing (fq_codel-style scheduling).
+    ContentionPreset{"wifi", /*fair_queue=*/true, /*capacity_scale=*/0.8,
+                     /*queue_bdp=*/1.5, ContentionCc::kBbr},
+};
+static_assert(std::ranges::is_sorted(kPresets, {},
+                                     &ContentionPreset::topology),
+              "kPresets must stay sorted by topology");
+
 }  // namespace
+
+const ContentionPreset& contention_preset(const std::string_view topology) {
+  const auto it =
+      std::ranges::find(kPresets, topology, &ContentionPreset::topology);
+  if (it == kPresets.end()) {
+    std::string known;
+    for (const ContentionPreset& preset : kPresets) {
+      known += (known.empty() ? "" : ", ") + std::string{preset.topology};
+    }
+    throw RequirementError("unknown contention topology '" +
+                           std::string{topology} +
+                           "'; known topologies: " + known);
+  }
+  return *it;
+}
 
 ContentionSpec make_contention_spec(const std::string& topology,
                                     const int group_size) {
-  ContentionSpec spec;
-  spec.group_size = group_size;
-  spec.topology = topology;
-  if (topology == "edge") {
-    // CDN edge uplink: big FIFO, mild oversubscription, BBR everywhere.
-    spec.fair_queue = false;
-    spec.capacity_scale = 0.7;
-    spec.queue_bdp = 2.0;
-    spec.cc = "bbr";
-  } else if (topology == "tower") {
-    // Cell tower: heavier oversubscription, deeper buffer, mixed CC — the
-    // regime where FIFO crowd-out between CUBIC and BBR shows up.
-    spec.fair_queue = false;
-    spec.capacity_scale = 0.55;
-    spec.queue_bdp = 3.0;
-    spec.cc = "mixed";
-  } else if (topology == "wifi") {
-    // Home AP with per-flow fair queuing (fq_codel-style scheduling).
-    spec.fair_queue = true;
-    spec.capacity_scale = 0.8;
-    spec.queue_bdp = 1.5;
-    spec.cc = "bbr";
-  } else {
-    require(false, "make_contention_spec: unknown topology '" + topology +
-                       "' (want edge|tower|wifi)");
-  }
-  return spec;
+  static_cast<void>(contention_preset(topology));
+  return ContentionSpec{group_size, topology};
 }
 
 ContentionGroupTask::ContentionGroupTask(std::vector<Member> members,
@@ -63,8 +71,10 @@ ContentionGroupTask::ContentionGroupTask(std::vector<Member> members,
                                          net::NetworkPath shared_sample)
     : shared_trace_(scale_trace(
           shared_sample.trace,
-          spec.capacity_scale * static_cast<double>(members.size()))) {
+          contention_preset(spec.topology).capacity_scale *
+              static_cast<double>(members.size()))) {
   require(!members.empty(), "ContentionGroupTask: empty group");
+  const ContentionPreset& preset = contention_preset(spec.topology);
 
   // Shared drop-tail buffer: queue_bdp bandwidth-delay products at the
   // scaled mean rate and the group's mean propagation RTT.
@@ -76,10 +86,11 @@ ContentionGroupTask::ContentionGroupTask(std::vector<Member> members,
   }
   mean_rtt_s /= static_cast<double>(members.size());
   net::SharedLinkConfig link_config;
-  link_config.mode = spec.fair_queue ? net::ShareMode::kFairQueue
-                                     : net::ShareMode::kFifo;
-  link_config.queue_capacity_bytes = std::max(
-      spec.queue_bdp * shared_trace_.mean_rate() * mean_rtt_s, 64.0 * 1024.0);
+  link_config.mode = preset.fair_queue ? net::ShareMode::kFairQueue
+                                       : net::ShareMode::kFifo;
+  link_config.queue_capacity_bytes =
+      std::max(preset.queue_bdp * shared_trace_.mean_rate() * mean_rtt_s,
+               64.0 * 1024.0);
   link_.emplace(shared_trace_, link_config);
 
   members_.reserve(members.size());

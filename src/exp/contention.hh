@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/session_task.hh"
@@ -21,27 +22,41 @@ namespace puffer::exp {
 struct ContentionSpec {
   /// Sessions per shared bottleneck. 1 = private links (historical path).
   int group_size = 1;
-  /// Which shared-bottleneck topology the spec models; purely descriptive
-  /// (the knobs below carry the semantics), recorded for bench output.
+  /// The shared-bottleneck topology: names the preset-table row
+  /// (contention_preset()) holding the bottleneck's scheduling, capacity,
+  /// buffer and members' congestion control.
   std::string topology = "edge";
+};
+
+/// Congestion control of a group's members.
+enum class ContentionCc {
+  kBbr,    ///< every member runs BBR
+  kMixed,  ///< odd-indexed sessions run CUBIC, even-indexed BBR
+};
+
+/// One shared-bottleneck topology preset.
+struct ContentionPreset {
+  std::string_view topology;
   /// Fair-queue (max-min) scheduling at the bottleneck instead of one FIFO.
-  bool fair_queue = false;
+  bool fair_queue;
   /// Shared-link capacity = capacity_scale * group_size * (one sampled
   /// access-path trace). Below 1.0 the bottleneck is oversubscribed — the
   /// group genuinely contends instead of each member seeing a private path.
-  double capacity_scale = 0.7;
+  double capacity_scale;
   /// Shared buffer, in bandwidth-delay products at the scaled mean rate and
   /// the group's mean propagation RTT (floored at 64 kB).
-  double queue_bdp = 2.0;
-  /// Congestion control of the members: "bbr", "cubic", or "mixed"
-  /// (odd-indexed sessions run CUBIC, even-indexed BBR).
-  std::string cc = "bbr";
+  double queue_bdp;
+  ContentionCc cc;
 };
 
-/// Topology presets used by the contention scenario families and the
-/// tab_contention bench: "edge" (CDN edge, FIFO, mild oversubscription),
-/// "tower" (cell tower, FIFO, heavier oversubscription, mixed CC), "wifi"
-/// (home AP, per-flow fair queuing).
+/// The preset row for `topology`, from the fixed table of "edge" (CDN edge,
+/// FIFO, mild oversubscription), "tower" (cell tower, FIFO, heavier
+/// oversubscription, mixed CC) and "wifi" (home AP, per-flow fair
+/// queuing). An unknown topology is an error listing the known ones.
+const ContentionPreset& contention_preset(std::string_view topology);
+
+/// A spec grouping `group_size` sessions behind `topology`'s preset
+/// bottleneck; the topology must be a preset.
 ContentionSpec make_contention_spec(const std::string& topology,
                                     int group_size);
 
@@ -72,8 +87,8 @@ class ContentionGroupTask : public sim::FleetTask {
   };
 
   /// `shared_sample` is one access-path sample from the scenario generator;
-  /// its trace is rescaled by capacity_scale * group_size to become the
-  /// shared bottleneck.
+  /// its trace is rescaled by the topology preset's capacity_scale *
+  /// group_size to become the shared bottleneck.
   ContentionGroupTask(std::vector<Member> members, const ContentionSpec& spec,
                       net::NetworkPath shared_sample);
   ContentionGroupTask(const ContentionGroupTask&) = delete;

@@ -305,15 +305,13 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   const ContentionSpec& contention = config.contention;
   require(contention.group_size >= 1,
           "run_fleet_trial: contention.group_size must be >= 1");
+  const ContentionPreset& preset = contention_preset(contention.topology);
   const auto group_size = static_cast<int64_t>(contention.group_size);
   const bool grouped = group_size > 1;
   if (grouped) {
     require(!trial_config.paired_paths,
             "run_fleet_trial: contention groups require an unpaired (RCT) "
             "trial");
-    require(contention.cc == "bbr" || contention.cc == "cubic" ||
-                contention.cc == "mixed",
-            "run_fleet_trial: contention.cc must be bbr|cubic|mixed");
   }
   const int64_t num_groups =
       grouped ? (num_plans + group_size - 1) / group_size : 0;
@@ -442,8 +440,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     members.reserve(static_cast<size_t>(end - begin));
     double max_trace_s = 0.0;
     for (int64_t p = begin; p < end; p++) {
-      const bool use_cubic =
-          contention.cc == "cubic" || (contention.cc == "mixed" && p % 2 == 1);
+      const bool use_cubic = preset.cc == ContentionCc::kMixed && p % 2 == 1;
       ContentionGroupTask::Member member;
       member.session = make_session(
           p, shard,

@@ -5,11 +5,10 @@
 
 namespace puffer::exp {
 
-std::vector<stats::StreamFigures> SchemeResult::slow_paths(
-    const double threshold_mbps) const {
+std::vector<stats::StreamFigures> SchemeResult::slow_paths() const {
   std::vector<stats::StreamFigures> slow;
   for (const auto& figures : considered) {
-    if (figures.mean_delivery_rate_mbps < threshold_mbps &&
+    if (figures.mean_delivery_rate_mbps < kSlowPathMbps &&
         figures.mean_delivery_rate_mbps > 0.0) {
       slow.push_back(figures);
     }

@@ -70,10 +70,12 @@ struct SchemeResult {
   ConsortCounts consort;
   fugu::TtpDataset logs;  ///< non-empty when collect_logs
 
+  /// Figure 8's slow-path cut: mean delivery rate below 6 Mbit/s.
+  static constexpr double kSlowPathMbps = 6.0;
+
   /// Subset of considered streams on slow paths (mean delivery rate below
-  /// `threshold_mbps`, Figure 8 right panel).
-  [[nodiscard]] std::vector<stats::StreamFigures> slow_paths(
-      double threshold_mbps = 6.0) const;
+  /// kSlowPathMbps, Figure 8 right panel).
+  [[nodiscard]] std::vector<stats::StreamFigures> slow_paths() const;
 };
 
 struct TrialResult {

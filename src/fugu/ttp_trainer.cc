@@ -44,6 +44,14 @@ std::pair<double, double> implied_tx_times(const TtpConfig& config,
 
 }  // namespace
 
+void TtpTrainConfig::validate() const {
+  require(epochs >= 1, "TtpTrainConfig: epochs must be >= 1");
+  require(batch_size >= 1, "TtpTrainConfig: batch_size must be >= 1");
+  require(window_days >= 1, "TtpTrainConfig: window_days must be >= 1");
+  require(max_examples_per_step >= 1,
+          "TtpTrainConfig: max_examples_per_step must be >= 1");
+}
+
 std::vector<TtpExample> build_examples(const TtpConfig& config,
                                        const TtpDataset& dataset,
                                        const int step, const int current_day,
@@ -84,6 +92,7 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
                    const int current_day, const TtpTrainConfig& train_config,
                    Rng& rng, const TtpModel* warm_start,
                    TtpTrainReport* report) {
+  train_config.validate();
   TtpModel model{config, rng.engine()()};
   if (warm_start != nullptr) {
     require(warm_start->config().horizon == config.horizon,
@@ -115,7 +124,7 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
 
   for (int step = 0; step < config.horizon; step++) {
     std::vector<TtpExample> examples = build_examples(
-        config, window, step, current_day, train_config.recency_decay);
+        config, window, step, current_day, TtpTrainConfig::kRecencyDecay);
     require(!examples.empty(), "train_ttp: no examples for step");
 
     // Subsample if oversized, then shuffle (section 4.3).
@@ -128,7 +137,7 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
     }
 
     nn::Mlp& net = model.networks()[static_cast<size_t>(step)];
-    nn::AdamOptimizer optimizer{train_config.learning_rate};
+    nn::AdamOptimizer optimizer{TtpTrainConfig::kLearningRate};
 
     // Minibatch buffers hoisted out of the inner loop: the tape, gradients
     // and staging matrices resize in place, so the steady-state training

@@ -10,14 +10,21 @@ namespace puffer::fugu {
 
 /// Supervised-training configuration (paper section 4.3): cross-entropy on
 /// discretized transmission times, 14-day sliding window with more weight on
-/// recent days, shuffled samples, warm start from the previous model.
+/// recent days, shuffled samples, warm start from the previous model. The
+/// paper trains by stochastic gradient descent; here each step's network
+/// takes minibatch Adam steps (nn::AdamOptimizer) at kLearningRate.
 struct TtpTrainConfig {
+  static constexpr double kLearningRate = 3e-3;
+  static constexpr double kRecencyDecay = 0.85;  ///< per-day weight multiplier
+
   int epochs = 6;
   int batch_size = 256;
-  double learning_rate = 3e-3;
   int window_days = 14;
-  double recency_decay = 0.85;  ///< per-day weight multiplier
   size_t max_examples_per_step = 50000;
+
+  /// Throws RequirementError naming the first field training cannot run
+  /// with (every count must be >= 1).
+  void validate() const;
 };
 
 struct TtpTrainReport {

@@ -15,8 +15,6 @@ constexpr std::array<double, 8> kProbeBwGains = {1.25, 0.75, 1.0, 1.0,
 
 }  // namespace
 
-BbrModel::BbrModel(const double mss_bytes) : mss_bytes_(mss_bytes) {}
-
 void BbrModel::update_btl_bw(const CcSample& sample) {
   // App-limited samples can only raise the estimate, never refresh a lower
   // one (BBR ignores app-limited samples unless they beat the current max).
@@ -116,14 +114,14 @@ void BbrModel::on_sample(const CcSample& sample) {
 double BbrModel::cwnd_bytes() const {
   const double bdp = btl_bw_bps_ * min_rtt_s_;
   const double cwnd = cwnd_gain_ * bdp;
-  return std::max(cwnd, 10.0 * mss_bytes_);
+  return std::max(cwnd, 10.0 * kMssBytes);
 }
 
 double BbrModel::pacing_rate_bps() const {
   if (btl_bw_bps_ <= 0.0) {
     // No bandwidth estimate yet (connection start): pace at a conservative
     // initial-window-per-assumed-RTT rate, growing via STARTUP.
-    return pacing_gain_ * 10.0 * mss_bytes_ / 0.050;
+    return pacing_gain_ * 10.0 * kMssBytes / 0.050;
   }
   return pacing_gain_ * btl_bw_bps_;
 }

@@ -16,8 +16,6 @@ namespace puffer::net {
 /// idle between sends).
 class BbrModel final : public CongestionControl {
  public:
-  explicit BbrModel(double mss_bytes = 1500.0);
-
   void on_sample(const CcSample& sample) override;
   [[nodiscard]] double cwnd_bytes() const override;
   [[nodiscard]] double pacing_rate_bps() const override;
@@ -33,7 +31,6 @@ class BbrModel final : public CongestionControl {
   void update_min_rtt(const CcSample& sample);
   void advance_state_machine(const CcSample& sample);
 
-  double mss_bytes_;
   Mode mode_ = Mode::kStartup;
 
   // Windowed max filter for bottleneck bandwidth (10 s window), kept as a

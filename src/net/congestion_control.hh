@@ -5,6 +5,11 @@
 
 namespace puffer::net {
 
+/// Maximum segment size of every simulated connection (Ethernet MTU
+/// payload): the unit of congestion-window floors and of tcp_info's packet
+/// counts.
+inline constexpr double kMssBytes = 1500.0;
+
 /// One fluid-model feedback sample delivered to a congestion controller.
 struct CcSample {
   double now_s = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace puffer::net {
 
@@ -12,11 +11,6 @@ constexpr double kBeta = 0.7;  // multiplicative decrease
 constexpr double kC = 0.4;     // cubic scaling constant (MSS/s^3)
 
 }  // namespace
-
-CubicModel::CubicModel(const double mss_bytes)
-    : mss_bytes_(mss_bytes),
-      cwnd_bytes_(10.0 * mss_bytes),
-      ssthresh_bytes_(std::numeric_limits<double>::infinity()) {}
 
 void CubicModel::on_sample(const CcSample& sample) {
   if (sample.rtt_sample_s > 0.0) {
@@ -30,11 +24,11 @@ void CubicModel::on_sample(const CcSample& sample) {
        sample.now_s - last_loss_reaction_s_ > srtt_estimate_s_)) {
     last_loss_reaction_s_ = sample.now_s;
     w_max_bytes_ = cwnd_bytes_;
-    cwnd_bytes_ = std::max(cwnd_bytes_ * kBeta, 2.0 * mss_bytes_);
+    cwnd_bytes_ = std::max(cwnd_bytes_ * kBeta, 2.0 * kMssBytes);
     ssthresh_bytes_ = cwnd_bytes_;
     in_slow_start_ = false;
     epoch_start_s_ = sample.now_s;
-    const double w_max_mss = w_max_bytes_ / mss_bytes_;
+    const double w_max_mss = w_max_bytes_ / kMssBytes;
     k_s_ = std::cbrt(w_max_mss * (1.0 - kBeta) / kC);
     return;
   }
@@ -61,10 +55,10 @@ void CubicModel::on_sample(const CcSample& sample) {
     k_s_ = 0.0;
   }
   const double t = sample.now_s - epoch_start_s_;
-  const double w_max_mss = w_max_bytes_ / mss_bytes_;
+  const double w_max_mss = w_max_bytes_ / kMssBytes;
   const double target_mss = kC * std::pow(t - k_s_, 3.0) + w_max_mss;
   const double target_bytes =
-      std::max(target_mss * mss_bytes_, 2.0 * mss_bytes_);
+      std::max(target_mss * kMssBytes, 2.0 * kMssBytes);
   // Move cwnd toward the cubic target (at most ~50% growth per RTT to avoid
   // fluid-model overshoot on long steps).
   const double max_growth =

@@ -1,6 +1,8 @@
 #ifndef PUFFER_NET_CUBIC_HH
 #define PUFFER_NET_CUBIC_HH
 
+#include <limits>
+
 #include "net/congestion_control.hh"
 
 namespace puffer::net {
@@ -11,8 +13,6 @@ namespace puffer::net {
 /// congestion control under drop-tail queues.
 class CubicModel final : public CongestionControl {
  public:
-  explicit CubicModel(double mss_bytes = 1500.0);
-
   void on_sample(const CcSample& sample) override;
   [[nodiscard]] double cwnd_bytes() const override { return cwnd_bytes_; }
   [[nodiscard]] double pacing_rate_bps() const override { return 0.0; }
@@ -21,9 +21,8 @@ class CubicModel final : public CongestionControl {
   [[nodiscard]] bool in_slow_start() const { return in_slow_start_; }
 
  private:
-  double mss_bytes_;
-  double cwnd_bytes_;
-  double ssthresh_bytes_;
+  double cwnd_bytes_ = 10.0 * kMssBytes;
+  double ssthresh_bytes_ = std::numeric_limits<double>::infinity();
   bool in_slow_start_ = true;
 
   double w_max_bytes_ = 0.0;

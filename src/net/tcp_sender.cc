@@ -9,7 +9,6 @@ namespace puffer::net {
 
 namespace {
 
-constexpr double kMssBytes = 1500.0;
 constexpr double kMinStepS = 0.002;
 constexpr double kMaxStepS = 0.025;
 

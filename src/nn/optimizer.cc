@@ -6,73 +6,22 @@
 
 namespace puffer::nn {
 
-namespace {
-
-void ensure_shaped(Gradients& state, const Mlp& net, bool& initialized) {
-  if (!initialized) {
-    state = net.make_gradients();
-    initialized = true;
-  }
-}
-
-}  // namespace
-
-SgdOptimizer::SgdOptimizer(const double learning_rate, const double momentum)
-    : learning_rate_(learning_rate), momentum_(momentum) {
-  require(learning_rate > 0.0, "SgdOptimizer: learning rate must be positive");
-  require(momentum >= 0.0 && momentum < 1.0, "SgdOptimizer: bad momentum");
-}
-
-void SgdOptimizer::step(Mlp& net, const Gradients& grads) {
-  ensure_shaped(velocity_, net, initialized_);
-  const float lr = static_cast<float>(learning_rate_);
-  const float mom = static_cast<float>(momentum_);
-  net.update([&](auto& weights, auto& biases) {
-    for (size_t l = 0; l < weights.size(); l++) {
-      Matrix& w = weights[l];
-      Matrix& v = velocity_.weights[l];
-      const Matrix& g = grads.weights[l];
-      for (size_t i = 0; i < w.size(); i++) {
-        v.data()[i] = mom * v.data()[i] - lr * g.data()[i];
-        w.data()[i] += v.data()[i];
-      }
-      auto& b = biases[l];
-      auto& vb = velocity_.biases[l];
-      const auto& gb = grads.biases[l];
-      for (size_t i = 0; i < b.size(); i++) {
-        vb[i] = mom * vb[i] - lr * gb[i];
-        b[i] += vb[i];
-      }
-    }
-  });
-}
-
-void SgdOptimizer::reset() {
-  initialized_ = false;
-}
-
-AdamOptimizer::AdamOptimizer(const double learning_rate, const double beta1,
-                             const double beta2, const double epsilon)
-    : learning_rate_(learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon) {
+AdamOptimizer::AdamOptimizer(const double learning_rate)
+    : learning_rate_(learning_rate) {
   require(learning_rate > 0.0, "AdamOptimizer: learning rate must be positive");
 }
 
 void AdamOptimizer::step(Mlp& net, const Gradients& grads) {
-  if (!initialized_) {
+  if (step_count_ == 0) {
     first_moment_ = net.make_gradients();
     second_moment_ = net.make_gradients();
-    step_count_ = 0;
-    initialized_ = true;
   }
   step_count_++;
-  const double bias1 = 1.0 - std::pow(beta1_, step_count_);
-  const double bias2 = 1.0 - std::pow(beta2_, step_count_);
-  const float b1 = static_cast<float>(beta1_);
-  const float b2 = static_cast<float>(beta2_);
-  const float eps = static_cast<float>(epsilon_);
+  const double bias1 = 1.0 - std::pow(kBeta1, step_count_);
+  const double bias2 = 1.0 - std::pow(kBeta2, step_count_);
+  const float b1 = static_cast<float>(kBeta1);
+  const float b2 = static_cast<float>(kBeta2);
+  const float eps = static_cast<float>(kEpsilon);
   const float lr = static_cast<float>(learning_rate_);
 
   auto update = [&](float& param, float& m, float& v, const float g) {
@@ -97,10 +46,6 @@ void AdamOptimizer::step(Mlp& net, const Gradients& grads) {
       }
     }
   });
-}
-
-void AdamOptimizer::reset() {
-  initialized_ = false;
 }
 
 double clip_gradient_norm(Gradients& grads, const double max_norm) {

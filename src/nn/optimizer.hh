@@ -5,50 +5,25 @@
 
 namespace puffer::nn {
 
-/// Optimizer interface: applies accumulated gradients to an Mlp's parameters.
-class Optimizer {
+/// Adam (Kingma & Ba's default moments), the optimizer both trainers use:
+/// Pensieve's actor and critic and the TTP's per-step networks.
+class AdamOptimizer {
  public:
-  virtual ~Optimizer() = default;
-  virtual void step(Mlp& net, const Gradients& grads) = 0;
-  virtual void reset() = 0;
-};
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEpsilon = 1e-8;
 
-/// Plain SGD with optional momentum — what the paper uses for the TTP
-/// ("stochastic gradient descent", section 4.3).
-class SgdOptimizer final : public Optimizer {
- public:
-  explicit SgdOptimizer(double learning_rate, double momentum = 0.0);
+  explicit AdamOptimizer(double learning_rate);
 
-  void step(Mlp& net, const Gradients& grads) override;
-  void reset() override;
-
-  [[nodiscard]] double learning_rate() const { return learning_rate_; }
+  /// Apply `grads` to `net`'s parameters; the moments take `net`'s shape on
+  /// the first step.
+  void step(Mlp& net, const Gradients& grads);
 
  private:
   double learning_rate_;
-  double momentum_;
-  Gradients velocity_;
-  bool initialized_ = false;
-};
-
-/// Adam; used for the Pensieve actor/critic training where SGD is fragile.
-class AdamOptimizer final : public Optimizer {
- public:
-  explicit AdamOptimizer(double learning_rate, double beta1 = 0.9,
-                         double beta2 = 0.999, double epsilon = 1e-8);
-
-  void step(Mlp& net, const Gradients& grads) override;
-  void reset() override;
-
- private:
-  double learning_rate_;
-  double beta1_;
-  double beta2_;
-  double epsilon_;
   Gradients first_moment_;
   Gradients second_moment_;
   long step_count_ = 0;
-  bool initialized_ = false;
 };
 
 /// Clip gradients to a maximum global L2 norm (in place). Returns the norm

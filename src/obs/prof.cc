@@ -263,17 +263,17 @@ void prof_reset() {
 #endif
 }
 
-void prof_export_trace(TraceWriter& trace, const int pid) {
+void prof_export_trace(TraceWriter& trace) {
   const ProfSnapshot snap = prof_snapshot();
   if (snap.threads.empty()) {
     return;
   }
-  trace.process_name(pid, "wall time (perf)");
+  trace.process_name(kWallTracePid, "wall time (perf)");
   for (const ProfThreadSnapshot& thread : snap.threads) {
-    trace.thread_name(pid, thread.ordinal,
+    trace.thread_name(kWallTracePid, thread.ordinal,
                       "worker " + std::to_string(thread.ordinal));
     for (const ProfEventCopy& event : thread.events) {
-      trace.complete(pid, thread.ordinal, event.name,
+      trace.complete(kWallTracePid, thread.ordinal, event.name,
                      static_cast<double>(event.start_ns) / 1000.0,
                      static_cast<double>(event.dur_ns) / 1000.0);
     }

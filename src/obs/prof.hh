@@ -109,10 +109,10 @@ struct ProfSnapshot {
 /// threads keep theirs). Benches call this between measured sections.
 void prof_reset();
 
-/// Emit wall-time lanes (pid `pid`, one tid per thread ordinal) from the
-/// current snapshot into `trace`. Nondeterministic by nature — lanes land
-/// in ordinal order but their content is wall-clock truth.
-void prof_export_trace(TraceWriter& trace, int pid = kWallTracePid);
+/// Emit wall-time lanes (pid kWallTracePid, one tid per thread ordinal) from
+/// the current snapshot into `trace`. Nondeterministic by nature — lanes
+/// land in ordinal order but their content is wall-clock truth.
+void prof_export_trace(TraceWriter& trace);
 
 }  // namespace puffer::obs
 

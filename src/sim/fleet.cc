@@ -41,8 +41,6 @@ struct ShardMetrics {
   obs::MetricRegistry::Id batch_rows;
   obs::MetricRegistry::Id queue_depth;
   obs::MetricRegistry::Id queue_depth_peak;
-  obs::MetricRegistry::Id ttp_rows;
-  obs::MetricRegistry::Id ttp_forwards;
   obs::MetricRegistry::Id ttp_groups;
   obs::MetricRegistry::Id ttp_max_forward_rows;
   obs::MetricRegistry::Id faults_injected;
@@ -66,8 +64,6 @@ struct ShardMetrics {
         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536},
         local);
     queue_depth_peak = registry.gauge("fleet.queue_depth_peak", local);
-    ttp_rows = registry.counter("fleet.ttp.rows", local);
-    ttp_forwards = registry.counter("fleet.ttp.forward_calls", local);
     ttp_groups = registry.gauge("fleet.ttp.groups", local);
     ttp_max_forward_rows =
         registry.gauge("fleet.ttp.max_forward_rows", local);
@@ -298,8 +294,6 @@ void run_shard(const std::span<const double> arrivals,
   }
 
   // The shard's TTP batch-path totals (the shared batch lives shard-wide).
-  m.registry.add(m.ttp_rows, shared_batch.total_rows());
-  m.registry.add(m.ttp_forwards, shared_batch.total_forward_calls());
   m.registry.set(m.ttp_groups, static_cast<int64_t>(shared_batch.num_groups()));
   m.registry.set(m.ttp_max_forward_rows, shared_batch.max_forward_rows());
   stats.metrics = m.registry.snapshot();

@@ -8,8 +8,8 @@
 
 namespace puffer::sim {
 
-void send_preamble(net::TcpSender& sender, const double bytes) {
-  sender.transfer(bytes);
+void send_preamble(net::TcpSender& sender) {
+  sender.transfer(kPreambleBytes);
 }
 
 StreamSession::StreamSession(net::TcpSender& sender, abr::AbrAlgorithm& abr,

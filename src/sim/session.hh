@@ -190,11 +190,11 @@ StreamOutcome run_stream(net::TcpSender& sender, abr::AbrAlgorithm& abr,
 /// connection before the first chunk.
 inline constexpr double kPreambleBytes = 192.0 * 1024.0;
 
-/// Warm the fresh connection the way the real player does: the preamble
-/// travels over the same connection before the first chunk, so tcp_info is
-/// already informative at the first ABR decision — the effect behind Fugu's
-/// better cold start (Figure 9).
-void send_preamble(net::TcpSender& sender, double bytes = kPreambleBytes);
+/// Warm the fresh connection the way the real player does: the
+/// kPreambleBytes preamble travels over the same connection before the
+/// first chunk, so tcp_info is already informative at the first ABR
+/// decision — the effect behind Fugu's better cold start (Figure 9).
+void send_preamble(net::TcpSender& sender);
 
 }  // namespace puffer::sim
 

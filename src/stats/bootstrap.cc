@@ -8,6 +8,13 @@
 
 namespace puffer::stats {
 
+namespace {
+
+/// Mass in each tail outside the interval.
+constexpr double kAlpha = (1.0 - kBootstrapConfidence) / 2.0;
+
+}  // namespace
+
 double ConfidenceInterval::relative_half_width() const {
   const double half_width = (upper - lower) / 2.0;
   // A zero / near-zero point estimate (e.g. a scheme that never stalled)
@@ -38,7 +45,7 @@ double quantile(std::vector<double> values, const double q) {
 
 ConfidenceInterval bootstrap_ratio_ci(
     const std::span<const RatioObservation> streams, Rng& rng,
-    const int replicates, const double confidence) {
+    const int replicates) {
   require(!streams.empty(), "bootstrap_ratio_ci: empty sample");
   require(replicates >= 10, "bootstrap_ratio_ci: too few replicates");
 
@@ -62,18 +69,17 @@ ConfidenceInterval bootstrap_ratio_ci(
     value = rden > 0.0 ? rnum / rden : 0.0;
   }
 
-  const double alpha = (1.0 - confidence) / 2.0;
   ConfidenceInterval ci;
   ci.point = num / den;
-  ci.lower = quantile(replicate_values, alpha);
-  ci.upper = quantile(replicate_values, 1.0 - alpha);
+  ci.lower = quantile(replicate_values, kAlpha);
+  ci.upper = quantile(replicate_values, 1.0 - kAlpha);
   return ci;
 }
 
 ConfidenceInterval bootstrap_statistic_ci(
     const std::span<const double> values,
     const std::function<double(std::span<const double>)>& statistic, Rng& rng,
-    const int replicates, const double confidence) {
+    const int replicates) {
   require(!values.empty(), "bootstrap_statistic_ci: empty sample");
 
   std::vector<double> resample(values.size());
@@ -87,17 +93,15 @@ ConfidenceInterval bootstrap_statistic_ci(
     value = statistic(resample);
   }
 
-  const double alpha = (1.0 - confidence) / 2.0;
   ConfidenceInterval ci;
   ci.point = statistic(values);
-  ci.lower = quantile(replicate_values, alpha);
-  ci.upper = quantile(replicate_values, 1.0 - alpha);
+  ci.lower = quantile(replicate_values, kAlpha);
+  ci.upper = quantile(replicate_values, 1.0 - kAlpha);
   return ci;
 }
 
 ConfidenceInterval bootstrap_mean_ci(const std::span<const double> values,
-                                     Rng& rng, const int replicates,
-                                     const double confidence) {
+                                     Rng& rng, const int replicates) {
   return bootstrap_statistic_ci(
       values,
       [](const std::span<const double> sample) {
@@ -107,7 +111,7 @@ ConfidenceInterval bootstrap_mean_ci(const std::span<const double> values,
         }
         return total / static_cast<double>(sample.size());
       },
-      rng, replicates, confidence);
+      rng, replicates);
 }
 
 }  // namespace puffer::stats

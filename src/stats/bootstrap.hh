@@ -25,6 +25,9 @@ struct ConfidenceInterval {
   [[nodiscard]] bool overlaps(const ConfidenceInterval& other) const;
 };
 
+/// Coverage of every bootstrap interval: the paper's 95% intervals.
+inline constexpr double kBootstrapConfidence = 0.95;
+
 /// Per-stream observation for ratio statistics: the paper's rebuffering
 /// (stall) ratio is total stalled time over total watch time across streams.
 struct RatioObservation {
@@ -38,19 +41,17 @@ struct RatioObservation {
 /// ("simulating streams drawn empirically from each scheme's observed
 /// distribution", section 3.4).
 ConfidenceInterval bootstrap_ratio_ci(std::span<const RatioObservation> streams,
-                                      Rng& rng, int replicates = 1000,
-                                      double confidence = 0.95);
+                                      Rng& rng, int replicates = 1000);
 
 /// Percentile-bootstrap CI for an arbitrary statistic of a sample of doubles.
 ConfidenceInterval bootstrap_statistic_ci(
     std::span<const double> values,
     const std::function<double(std::span<const double>)>& statistic, Rng& rng,
-    int replicates = 1000, double confidence = 0.95);
+    int replicates = 1000);
 
 /// Simple mean CI via bootstrap (convenience).
 ConfidenceInterval bootstrap_mean_ci(std::span<const double> values, Rng& rng,
-                                     int replicates = 1000,
-                                     double confidence = 0.95);
+                                     int replicates = 1000);
 
 /// Quantile of a sample (linear interpolation); q in [0, 1].
 double quantile(std::vector<double> values, double q);

@@ -90,7 +90,8 @@ TEST(HarmonicMean, MatchesClosedForm) {
 }
 
 TEST(HarmonicMean, WindowKeepsLastFive) {
-  HarmonicMeanPredictor predictor{5};
+  static_assert(HarmonicMeanPredictor::kWindow == 5);
+  HarmonicMeanPredictor predictor;
   for (int i = 0; i < 10; i++) {
     predictor.on_chunk_complete(record_at_throughput(i, 1e6, 1e6));
   }

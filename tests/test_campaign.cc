@@ -6,6 +6,7 @@
 
 #include "exp/campaign.hh"
 #include "net/trace_file.hh"
+#include "test_helpers.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -341,6 +342,19 @@ TEST(Campaign, ValidationRejectsBadConfigs) {
     CampaignConfig config = tiny_config();
     config.phases[0].days = 0;
     EXPECT_THROW(Campaign{config}, RequirementError);
+  }
+  // A retrain arm's training values are checked up front, naming the arm
+  // and the field, not at the first night's retrain.
+  {
+    CampaignConfig config = tiny_config();
+    config.arms[1].train.window_days = 0;
+    test::expect_rejected([&] { Campaign{config}; },
+                          {"fugu-warm", "window_days"});
+  }
+  {
+    CampaignConfig config = tiny_config();
+    config.arms[2].train.epochs = -1;
+    test::expect_rejected([&] { Campaign{config}; }, {"fugu-cold", "epochs"});
   }
 }
 

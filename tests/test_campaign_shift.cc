@@ -1,7 +1,6 @@
-// Multi-day scenario-shift campaign at a heavier scale than the tier-1
-// suite: three days of deployment-like paths, then three days on an LTE
-// cellular channel. Carries only the `slow` CTest label — run with
-// `ctest -L slow` when touching the campaign engine or the TTP trainer.
+// Multi-day scenario-shift campaign at a heavier scale than test_campaign:
+// three days of deployment-like paths, then three days on an LTE cellular
+// channel. Labelled `tier1` and `slow`.
 
 #include <gtest/gtest.h>
 

@@ -174,7 +174,7 @@ TEST(Trial, SlowPathSubsetIsSlow) {
   const TrialResult& trial = shared_small_trial();
   size_t slow_count = 0;
   for (const auto& scheme : trial.schemes) {
-    for (const auto& figures : scheme.slow_paths(6.0)) {
+    for (const auto& figures : scheme.slow_paths()) {
       EXPECT_LT(figures.mean_delivery_rate_mbps, 6.0);
       slow_count++;
     }

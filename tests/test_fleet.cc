@@ -678,6 +678,21 @@ TEST(FleetTrial, ContentionRejectsPairedMode) {
                RequirementError);
 }
 
+/// A topology is a row of the preset table; anything else is refused with
+/// the known ones listed.
+TEST(FleetTrial, ContentionRejectsUnknownTopology) {
+  exp::FleetTrialConfig config = contention_config("edge", 4);
+  config.contention.topology = "mars";
+  test::expect_rejected(
+      [&] {
+        static_cast<void>(exp::run_fleet_trial(config, fleet_factory()));
+      },
+      {"'mars'", "edge, tower, wifi"});
+  test::expect_rejected(
+      [] { static_cast<void>(exp::make_contention_spec("mars", 4)); },
+      {"'mars'", "edge, tower, wifi"});
+}
+
 // ---------------------------------------------------------------------------
 // Observability: sim-plane metric snapshots and virtual-time traces
 // ---------------------------------------------------------------------------

@@ -315,6 +315,28 @@ TEST(TtpTraining, MismatchedWarmStartRejected) {
       RequirementError);
 }
 
+/// Every count must be >= 1, checked at the call: unchecked, a negative
+/// epoch count reaches a vector constructor and a zero batch size the loss.
+TEST(TtpTraining, RejectsUnrunnableTrainConfigs) {
+  const TtpDataset dataset = synthetic_dataset(17, 10);
+  const auto rejected = [&](const TtpTrainConfig& bad, const char* field) {
+    Rng rng{18};
+    TtpTrainReport report;
+    test::expect_rejected(
+        [&] {
+          static_cast<void>(
+              train_ttp(TtpConfig{}, dataset, 0, bad, rng, nullptr, &report));
+        },
+        {field});
+  };
+  rejected(TtpTrainConfig{.epochs = -1}, "epochs");
+  rejected(TtpTrainConfig{.epochs = 0}, "epochs");
+  rejected(TtpTrainConfig{.batch_size = 0}, "batch_size");
+  rejected(TtpTrainConfig{.window_days = 0}, "window_days");
+  rejected(TtpTrainConfig{.max_examples_per_step = 0},
+           "max_examples_per_step");
+}
+
 /// Figure 7's core ordering on a dataset where transmission time is a clean
 /// function of size and tcp_info: the full TTP must beat the
 /// throughput-only ablation (which cannot see size) and the no-tcp_info

@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "abr/abr.hh"
@@ -17,6 +19,7 @@
 #include "media/vbr_source.hh"
 #include "net/scenario.hh"
 #include "nn/serialize.hh"
+#include "util/require.hh"
 #include "util/rng.hh"
 
 namespace puffer::test {
@@ -69,6 +72,23 @@ inline uint64_t mlp_hash(const nn::Mlp& net) {
   std::ostringstream bytes;
   nn::save_mlp(net, bytes);
   return stable_hash(bytes.str());
+}
+
+/// Run `action` and expect a RequirementError whose message contains every
+/// one of `fragments` (the offending field, where it came from).
+template <typename Action>
+void expect_rejected(Action&& action,
+                     const std::initializer_list<std::string_view> fragments) {
+  try {
+    action();
+    ADD_FAILURE() << "expected a RequirementError";
+  } catch (const RequirementError& error) {
+    const std::string_view message = error.what();
+    for (const std::string_view fragment : fragments) {
+      EXPECT_NE(message.find(fragment), std::string_view::npos)
+          << "'" << fragment << "' missing from: " << message;
+    }
+  }
 }
 
 /// Bitwise double equality: trial runs promise *bit-identical* results,

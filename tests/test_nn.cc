@@ -299,34 +299,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<size_t>{22, 64, 64, 21}  // the TTP shape
                       ));
 
-TEST(Training, SgdLearnsSeparableToy) {
-  // Two Gaussian blobs; a linear model should reach high accuracy.
-  Rng rng{31};
-  const size_t n = 400;
-  Matrix inputs{n, 2};
-  std::vector<int> labels(n);
-  for (size_t i = 0; i < n; i++) {
-    const int label = static_cast<int>(i % 2);
-    labels[i] = label;
-    const double cx = label == 0 ? -2.0 : 2.0;
-    inputs.at(i, 0) = static_cast<float>(rng.normal(cx, 1.0));
-    inputs.at(i, 1) = static_cast<float>(rng.normal(-cx, 1.0));
-  }
-  Mlp net{{2, 2}, 5};
-  SgdOptimizer opt{0.1, 0.9};
-  double last_loss = 0.0;
-  for (int epoch = 0; epoch < 60; epoch++) {
-    Tape tape;
-    net.forward_tape(inputs, tape);
-    Matrix dlogits;
-    last_loss = softmax_cross_entropy(tape.activations.back(), labels, dlogits);
-    Gradients grads = net.make_gradients();
-    net.backward(tape, dlogits, grads);
-    opt.step(net, grads);
-  }
-  EXPECT_LT(last_loss, 0.1);
-}
-
 TEST(Training, AdamLearnsXorWithHiddenLayer) {
   Matrix inputs{4, 2};
   inputs.at(0, 0) = 0;

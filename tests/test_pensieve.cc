@@ -201,6 +201,24 @@ TEST(PensieveTrainer, DeterministicGivenSeed) {
   EXPECT_EQ(test::mlp_hash(a), 17675066593526069902ULL);
 }
 
+TEST(PensieveTrainer, RejectsUnrunnableConfigs) {
+  // Unchecked, an empty batch trains to a NaN reward and an empty episode
+  // passes silently.
+  PensieveTrainConfig config;
+  config.iterations = 1;
+  config.episodes_per_iteration = 0;
+  test::expect_rejected(
+      [&] { static_cast<void>(train_pensieve(config, 5)); },
+      {"episodes_per_iteration"});
+  config.episodes_per_iteration = 1;
+  config.env.chunks_per_episode = 0;
+  test::expect_rejected(
+      [&] { static_cast<void>(train_pensieve(config, 5)); },
+      {"chunks_per_episode"});
+  test::expect_rejected([&] { PensieveEnv env{config.env, 1}; },
+                        {"chunks_per_episode"});
+}
+
 TEST(PensieveTrainer, TrainedPolicyBeatsBitrateExtremesOnFcc) {
   // A modest training run should already dominate the fixed extreme
   // policies (always-lowest wastes bitrate reward; always-highest stalls).
