@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "abr/mpc.hh"
 #include "abr/mpc_abr.hh"
@@ -311,14 +313,31 @@ TEST(Mpc, PrunesNegligibleOutcomesWithoutChangingDecision) {
 /// argmax may flip only on a floating tie. Outcome times are off-grid, on
 /// the TTP grid (the precomputed next-bin rows), or a mix of both, and some
 /// trials use a fine 0.02 s buffer grid (751 bins).
+/// Appends the bit pattern of `value` to `bytes`, low byte first.
+void append_bits(std::string& bytes, const double value) {
+  const auto bits = std::bit_cast<uint64_t>(value);
+  for (int shift = 0; shift < 64; shift += 8) {
+    bytes.push_back(static_cast<char>(bits >> shift));
+  }
+}
+
 TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
   Rng meta{909};
-  for (int trial = 0; trial < 60; trial++) {
+  // Every trial's plan() value and root values, bit for bit.
+  std::string plan_bits;
+  for (int trial = 0; trial < 80; trial++) {
+    // Trials from 60 on add the rows a fold may treat specially: off-grid
+    // times above the 15 s buffer, where every bin stalls (MPC-HM clamps
+    // times up to 60 s), and a bin width that does not divide 15 s (0.7 s:
+    // 22 bins, the top one at 15.4 s, above the cap).
+    const bool edge_rows = trial >= 60;
     MpcConfig config;
     config.horizon = 1 + static_cast<int>(meta.uniform_int(0, 4));
     config.lambda = meta.uniform(0.0, 2.0);
     if (trial % 5 == 4) {
       config.buffer_bin_s = 0.02;
+    } else if (edge_rows && trial % 2 == 0) {
+      config.buffer_bin_s = 0.7;
     }
     const uint64_t dist_seed = meta.engine()();
     const int max_outcomes = 1 + trial % 5;
@@ -326,7 +345,8 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
     const double on_grid = trial % 4 == 0 ? 0.0 : trial % 4 == 1 ? 1.0 : 0.5;
     // Pure function of (step, size): both plans see identical distributions.
     ScriptedPredictor predictor{
-        [dist_seed, max_outcomes, on_grid](const int step, const int64_t size) {
+        [dist_seed, max_outcomes, on_grid, edge_rows](const int step,
+                                                      const int64_t size) {
           Rng rng{dist_seed ^ (static_cast<uint64_t>(step) << 48) ^
                   static_cast<uint64_t>(size)};
           const int n =
@@ -338,7 +358,8 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
                 rng.bernoulli(on_grid)
                     ? kTtpBinMidpointsS[static_cast<size_t>(rng.uniform_int(
                           0, std::ssize(kTtpBinMidpointsS) - 1))]
-                    : rng.uniform(0.05, 8.0);
+                : edge_rows && rng.bernoulli(0.5) ? rng.uniform(15.0, 60.0)
+                                                  : rng.uniform(0.05, 8.0);
             dist.push_back({time_s, rng.uniform(0.05, 1.0)});
             mass += dist.back().probability;
           }
@@ -360,6 +381,10 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
     const double iterative_value = mpc.last_plan_value();
     const std::vector<double> iterative_roots{mpc.last_root_values().begin(),
                                               mpc.last_root_values().end()};
+    append_bits(plan_bits, iterative_value);
+    for (const double root : iterative_roots) {
+      append_bits(plan_bits, root);
+    }
 
     const int reference = mpc.plan_reference(obs, lookahead, predictor);
     const double reference_value = mpc.last_plan_value();
@@ -378,6 +403,8 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
           << "trial " << trial << ": argmax flip without a value tie";
     }
   }
+  // Pinned on the [bin][rung] fold: a faster fold must keep every bit.
+  EXPECT_EQ(stable_hash(plan_bits), 15796812151857999831ULL);
 }
 
 /// chunk_qoe treats a negative previous SSIM as "no previous quality" and
