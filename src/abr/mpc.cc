@@ -49,8 +49,9 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   num_bins_ = static_cast<int>(num_bins);
   const size_t bins = static_cast<size_t>(num_bins_ + 1);
   next_bin_.resize((kTtpBinMidpointsS.size() + 1) * bins);
+  next_bin_runs_.resize(kTtpBinMidpointsS.size() + 1);
   for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
-    fill_next_bin_row(kTtpBinMidpointsS[row], next_bin_.data() + row * bins);
+    fill_next_bin_row(kTtpBinMidpointsS[row], row);
   }
   const size_t states =
       static_cast<size_t>(config_.horizon + 1) * bins * media::kNumRungs;
@@ -64,26 +65,43 @@ int StochasticMpc::buffer_to_bin(const double buffer_s) const {
 }
 
 void StochasticMpc::fill_next_bin_row(const double tx_time_s,
-                                      uint16_t* const row) const {
+                                      const size_t row) {
+  uint16_t* const next_bin =
+      next_bin_.data() + row * static_cast<size_t>(num_bins_ + 1);
   for (int b = 0; b <= num_bins_; b++) {
     const double buffer_s = b * config_.buffer_bin_s;
     const double next_buffer =
         std::min(std::max(buffer_s - tx_time_s, 0.0) + media::kChunkDurationS,
                  media::kMaxBufferS);
-    row[b] = static_cast<uint16_t>(buffer_to_bin(next_buffer));
+    next_bin[b] = static_cast<uint16_t>(buffer_to_bin(next_buffer));
   }
+
+  // Each run is checked against the row it summarizes, never assumed from
+  // the arithmetic: the clamped top, an lround flip on an off-grid time or
+  // a bin width that does not divide the buffer falls to the tail.
+  NextBinRuns& runs = next_bin_runs_[row];
+  int b = 0;
+  while (b <= num_bins_ && tx_time_s > b * config_.buffer_bin_s &&
+         next_bin[b] == next_bin[0]) {
+    b++;
+  }
+  runs.stall_end = b;
+  runs.shift = b <= num_bins_ ? next_bin[b] - b : 0;
+  while (b <= num_bins_ && !(tx_time_s > b * config_.buffer_bin_s) &&
+         next_bin[b] - b == runs.shift) {
+    b++;
+  }
+  runs.shift_end = b;
 }
 
-const uint16_t* StochasticMpc::next_bin_row(const double tx_time_s) {
+size_t StochasticMpc::next_bin_row(const double tx_time_s) {
   const size_t row = static_cast<size_t>(
       std::find(kTtpBinMidpointsS.begin(), kTtpBinMidpointsS.end(), tx_time_s) -
       kTtpBinMidpointsS.begin());
-  uint16_t* const out =
-      next_bin_.data() + row * static_cast<size_t>(num_bins_ + 1);
   if (row == kTtpBinMidpointsS.size()) {
-    fill_next_bin_row(tx_time_s, out);
+    fill_next_bin_row(tx_time_s, row);
   }
-  return out;
+  return row;
 }
 
 size_t StochasticMpc::state_index(const int step, const int buffer_bin,
@@ -145,9 +163,9 @@ int StochasticMpc::plan_root(const AbrObservation& obs,
                        media::kChunkDurationS,
                    media::kMaxBufferS);
       const double continuation =
-          value_of_next[static_cast<size_t>(buffer_to_bin(next_buffer)) *
-                            media::kNumRungs +
-                        static_cast<size_t>(action)];
+          value_of_next[static_cast<size_t>(action) *
+                            static_cast<size_t>(num_bins_ + 1) +
+                        static_cast<size_t>(buffer_to_bin(next_buffer))];
       expected += outcome.probability * (qoe + continuation);
     }
     root_values_[static_cast<size_t>(action)] = expected;
@@ -176,14 +194,25 @@ int StochasticMpc::plan(const AbrObservation& obs,
   expect_base_.resize(static_cast<size_t>(R) * bins);
   switch_penalty_.resize(static_cast<size_t>(R) * R);
 
+  // The stall cost of a bin that does not stall, as the per-bin expression
+  // computes it (mu * 0.0), so the shift run adds the same bits.
+  const double no_stall_cost = config_.mu * 0.0;
+
   for (int step = effective_horizon_ - 1; step >= 1; step--) {
     // 1. Fold the outcome expectation once per (action, bin):
-    //      expect_base_[a][b] = sum_o p_o * (V[step+1][nb][a] - mu * stall)
+    //      expect_base_[a][b] = sum_o p_o * (V[step+1][a][nb] - mu * stall)
     //    The bin transition nb of each (outcome time, bin) comes from the
     //    next-bin table, so the fold never calls buffer_to_bin; and (unlike
     //    the recursion) the expectation no longer re-runs per previous rung.
+    //    Each outcome adds from contiguous slices of the action's V row:
+    //    one value over the stall run, the row shifted over the shift run,
+    //    and a per-bin gather only over the tail. Every bin still sums its
+    //    outcomes in order with the per-bin expression, so the bits match.
     for (int action = 0; action < R; action++) {
-      double* base = expect_base_.data() + static_cast<size_t>(action) * bins;
+      double* const base =
+          expect_base_.data() + static_cast<size_t>(action) * bins;
+      const double* const value_row =
+          value_next_.data() + static_cast<size_t>(action) * bins;
       std::fill(base, base + bins, 0.0);
       const TxTimeDistribution& dist =
           distributions_[static_cast<size_t>(step) * R +
@@ -191,13 +220,22 @@ int StochasticMpc::plan(const AbrObservation& obs,
       for (const TxTimeOutcome& outcome : dist) {
         const double t = outcome.time_s;
         const double p = outcome.probability;
-        const uint16_t* const next_bin = next_bin_row(t);
-        for (int b = 0; b < bins; b++) {
+        const size_t row = next_bin_row(t);
+        const uint16_t* const next_bin =
+            next_bin_.data() + row * static_cast<size_t>(bins);
+        const NextBinRuns runs = next_bin_runs_[row];
+        const double stalled_value = value_row[next_bin[0]];
+        for (int b = 0; b < runs.stall_end; b++) {
+          const double buffer_s = b * config_.buffer_bin_s;
+          base[b] += p * (stalled_value - config_.mu * (t - buffer_s));
+        }
+        for (int b = runs.stall_end; b < runs.shift_end; b++) {
+          base[b] += p * (value_row[b + runs.shift] - no_stall_cost);
+        }
+        for (int b = runs.shift_end; b < bins; b++) {
           const double buffer_s = b * config_.buffer_bin_s;
           const double stall = t > buffer_s ? t - buffer_s : 0.0;
-          base[b] += p * (value_next_[static_cast<size_t>(next_bin[b]) * R +
-                                      static_cast<size_t>(action)] -
-                          config_.mu * stall);
+          base[b] += p * (value_row[next_bin[b]] - config_.mu * stall);
         }
       }
     }
@@ -222,20 +260,22 @@ int StochasticMpc::plan(const AbrObservation& obs,
       }
     }
 
-    // 3. Maximize over actions for every (bin, previous rung) state.
-    for (int b = 0; b < bins; b++) {
-      double* out_row = value_cur_.data() + static_cast<size_t>(b) * R;
-      for (int prev = 0; prev < R; prev++) {
-        double best = -std::numeric_limits<double>::infinity();
-        for (int action = 0; action < R; action++) {
-          const double value =
-              switch_penalty_[static_cast<size_t>(action) * R +
-                              static_cast<size_t>(prev)] +
-              expect_base_[static_cast<size_t>(action) * bins +
-                           static_cast<size_t>(b)];
-          best = std::max(best, value);
+    // 3. Maximize over actions for every (previous rung, bin) state, one
+    //    V row per previous rung, actions in ascending order as before.
+    for (int prev = 0; prev < R; prev++) {
+      double* const out_row =
+          value_cur_.data() + static_cast<size_t>(prev) * bins;
+      std::fill(out_row, out_row + bins,
+                -std::numeric_limits<double>::infinity());
+      for (int action = 0; action < R; action++) {
+        const double switch_value =
+            switch_penalty_[static_cast<size_t>(action) * R +
+                            static_cast<size_t>(prev)];
+        const double* const base =
+            expect_base_.data() + static_cast<size_t>(action) * bins;
+        for (int b = 0; b < bins; b++) {
+          out_row[b] = std::max(out_row[b], switch_value + base[b]);
         }
-        out_row[prev] = best;
       }
     }
     std::swap(value_cur_, value_next_);
