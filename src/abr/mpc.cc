@@ -261,7 +261,8 @@ int StochasticMpc::plan(const AbrObservation& obs,
     }
 
     // 3. Maximize over actions for every (previous rung, bin) state, one
-    //    V row per previous rung, actions in ascending order as before.
+    //    V row per previous rung. Actions go in ascending order, which fixes
+    //    which of two tied values (+0.0 and -0.0) is kept.
     for (int prev = 0; prev < R; prev++) {
       double* const out_row =
           value_cur_.data() + static_cast<size_t>(prev) * bins;

@@ -50,11 +50,9 @@ struct MpcConfig {
 /// fold adds from contiguous slices of one V row and the maximization
 /// writes whole rows; the compiler vectorizes both at the baseline ISA.
 /// Every bin still sums its outcomes in order with the same expressions, so
-/// plans are bitwise those of a per-bin gather. There is deliberately no
-/// AVX2 translation unit: compiling this file with -mavx2 cut planning time
-/// by about 12% on a 4-vCPU x86-64 machine and left the traced end-to-end
-/// wall within noise, which does not pay for a second translation unit,
-/// cpuid dispatch and a forced-portable test path.
+/// plans are bitwise those of a per-bin gather. There is no AVX2
+/// translation unit: one would need cpuid dispatch and a forced-portable
+/// test path, as nn/gemm_avx2.cc has.
 ///
 /// plan_reference() retains the original recursive/memoized implementation
 /// as the oracle for the equivalence property tests.
@@ -91,11 +89,11 @@ class StochasticMpc {
   [[nodiscard]] int buffer_to_bin(double buffer_s) const;
 
   /// A next-bin row split into runs the fold adds without a per-bin gather:
-  /// bins [0, stall_end) stall (t > b*bin) and land in the row's bin 0
-  /// target; bins [stall_end, shift_end) do not stall and land in bin
-  /// b + shift; bins [shift_end, num_bins_] are the tail. shift is negative
-  /// for outcome times longer than a chunk, so the fold indexes
-  /// row[b + shift] rather than forming a pointer before the row.
+  /// bins [0, stall_end) stall (t > b*bin) and all land in next_bin[0];
+  /// bins [stall_end, shift_end) do not stall and land in bin b + shift;
+  /// bins [shift_end, num_bins_] are the tail. shift is negative for
+  /// outcome times longer than a chunk, so the fold indexes row[b + shift]
+  /// rather than forming a pointer before the row.
   struct NextBinRuns {
     int stall_end = 0;
     int shift_end = 0;

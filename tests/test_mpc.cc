@@ -306,13 +306,6 @@ TEST(Mpc, PrunesNegligibleOutcomesWithoutChangingDecision) {
   EXPECT_NEAR(pruned.last_plan_value(), full.last_plan_value(), 0.2);
 }
 
-/// The iterative backward sweep must agree with the retained recursive
-/// reference implementation on randomized lookaheads, horizons, buffers and
-/// multi-outcome distributions. The two differ only by floating-point
-/// reassociation of the expectation sum, so values match to ~1e-6 and the
-/// argmax may flip only on a floating tie. Outcome times are off-grid, on
-/// the TTP grid (the precomputed next-bin rows), or a mix of both, and some
-/// trials use a fine 0.02 s buffer grid (751 bins).
 /// Appends the bit pattern of `value` to `bytes`, low byte first.
 void append_bits(std::string& bytes, const double value) {
   const auto bits = std::bit_cast<uint64_t>(value);
@@ -321,6 +314,14 @@ void append_bits(std::string& bytes, const double value) {
   }
 }
 
+/// The iterative backward sweep must agree with the retained recursive
+/// reference implementation on randomized lookaheads, horizons, buffers and
+/// multi-outcome distributions. The two differ only by floating-point
+/// reassociation of the expectation sum, so values match to ~1e-6 and the
+/// argmax may flip only on a floating tie. Outcome times are off-grid, on
+/// the TTP grid (the precomputed next-bin rows), or a mix of both, and some
+/// trials use a fine 0.02 s buffer grid (751 bins). The sweep's own values
+/// are also pinned bit for bit, through a hash.
 TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
   Rng meta{909};
   // Every trial's plan() value and root values, bit for bit.
@@ -403,7 +404,7 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
           << "trial " << trial << ": argmax flip without a value tie";
     }
   }
-  // Pinned on the [bin][rung] fold: a faster fold must keep every bit.
+  // A faster fold must reproduce every plan exactly, not just to 1e-6.
   EXPECT_EQ(stable_hash(plan_bits), 15796812151857999831ULL);
 }
 
