@@ -1,7 +1,7 @@
 // nn_kernels: throughput of the GEMM kernel layer (src/nn/gemm.{hh,cc})
-// against the retained naive reference kernels, on the TTP network shape
-// (22 -> 64 -> 64 -> 21) that dominates every ABR decision and nightly
-// retrain.
+// against the naive reference kernels (tests/oracles/naive_gemm.hh), on the
+// TTP network shape (22 -> 64 -> 64 -> 21) that dominates every ABR
+// decision and nightly retrain.
 //
 //   ./nn_kernels [--smoke] [--json PATH]
 //
@@ -12,8 +12,9 @@
 // determinism contract — repeated runs bitwise identical, batched rows
 // bitwise equal to single-row results, SIMD bitwise equal to the portable
 // fallback, training bitwise reproducible, batched TTP bitwise equal to the
-// scalar predictor — and exits non-zero on any mismatch (--smoke shrinks
-// the timed sections to seconds; CI runs it).
+// scalar oracle predictor (tests/oracles/ttp_reference.hh) — and exits
+// non-zero on any mismatch (--smoke shrinks the timed sections to seconds;
+// CI runs it).
 
 #include <chrono>
 #include <cstdio>
@@ -26,11 +27,12 @@
 #include "bench_common.hh"
 #include "fugu/batch_ttp.hh"
 #include "fugu/ttp.hh"
-#include "fugu/ttp_predictor.hh"
 #include "nn/gemm.hh"
 #include "nn/loss.hh"
 #include "nn/mlp.hh"
 #include "nn/optimizer.hh"
+#include "oracles/naive_gemm.hh"
+#include "oracles/ttp_reference.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 
@@ -41,6 +43,7 @@ namespace abr = puffer::abr;
 namespace fugu = puffer::fugu;
 namespace media = puffer::media;
 namespace nn = puffer::nn;
+namespace oracle = puffer::oracle;
 
 constexpr size_t kTtpShape[] = {22, 64, 64, 21};
 
@@ -87,7 +90,7 @@ void naive_forward(const nn::Mlp& net, const nn::Matrix& input,
   for (size_t l = 0; l < net.num_layers(); l++) {
     const size_t layers_after = net.num_layers() - 1 - l;
     nn::Matrix* dst = (layers_after % 2 == 0) ? &logits : &scratch;
-    nn::naive_matmul(*src, net.weights()[l], *dst);
+    oracle::naive_matmul(*src, net.weights()[l], *dst);
     nn::add_row_bias(*dst, net.biases()[l]);
     if (l + 1 < net.num_layers()) {
       for (size_t i = 0; i < dst->size(); i++) {
@@ -108,7 +111,7 @@ double naive_train_step(nn::Mlp& net, const nn::Matrix& inputs,
   acts.push_back(inputs);
   for (size_t l = 0; l < cnet.num_layers(); l++) {
     nn::Matrix next;
-    nn::naive_matmul(acts.back(), cnet.weights()[l], next);
+    oracle::naive_matmul(acts.back(), cnet.weights()[l], next);
     nn::add_row_bias(next, cnet.biases()[l]);
     if (l + 1 < cnet.num_layers()) {
       for (size_t i = 0; i < next.size(); i++) {
@@ -124,7 +127,7 @@ double naive_train_step(nn::Mlp& net, const nn::Matrix& inputs,
   nn::Matrix delta = dlogits;
   nn::Matrix next_delta, dw;
   for (size_t l = cnet.num_layers(); l-- > 0;) {
-    nn::naive_matmul_at(acts[l], delta, dw);
+    oracle::naive_matmul_at(acts[l], delta, dw);
     grads.weights[l].add_inplace(dw);
     for (size_t r = 0; r < delta.rows(); r++) {
       const float* row = delta.data() + r * delta.cols();
@@ -135,7 +138,7 @@ double naive_train_step(nn::Mlp& net, const nn::Matrix& inputs,
     if (l == 0) {
       break;
     }
-    nn::naive_matmul_bt(delta, cnet.weights()[l], next_delta);
+    oracle::naive_matmul_bt(delta, cnet.weights()[l], next_delta);
     for (size_t i = 0; i < next_delta.size(); i++) {
       if (acts[l].data()[i] <= 0.0f) {
         next_delta.data()[i] = 0.0f;
@@ -312,7 +315,7 @@ int main(int argc, char** argv) {
   obs.tcp.srtt_s = 0.08;
   obs.tcp.delivery_rate_bps = 8e6;
   fugu::BatchTtpPredictor batched{model};
-  fugu::TtpPredictor scalar{model};
+  oracle::ScalarTtpPredictor scalar{model};
   for (int i = 0; i < fugu::kTtpHistory; i++) {
     abr::ChunkRecord record;
     record.size_bytes = 500'000;

@@ -53,10 +53,6 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
     fill_next_bin_row(kTtpBinMidpointsS[row], row);
   }
-  const size_t states =
-      static_cast<size_t>(config_.horizon + 1) * bins * media::kNumRungs;
-  memo_value_.assign(states, 0.0);
-  memo_epoch_.assign(states, 0);
 }
 
 int StochasticMpc::buffer_to_bin(const double buffer_s) const {
@@ -102,14 +98,6 @@ size_t StochasticMpc::next_bin_row(const double tx_time_s) {
     fill_next_bin_row(tx_time_s, row);
   }
   return row;
-}
-
-size_t StochasticMpc::state_index(const int step, const int buffer_bin,
-                                  const int prev_rung) const {
-  return (static_cast<size_t>(step) * static_cast<size_t>(num_bins_ + 1) +
-          static_cast<size_t>(buffer_bin)) *
-             media::kNumRungs +
-         static_cast<size_t>(prev_rung);
 }
 
 double StochasticMpc::chunk_qoe(const double ssim_db, const double prev_ssim_db,
@@ -284,86 +272,6 @@ int StochasticMpc::plan(const AbrObservation& obs,
 
   // value_next_ now holds V[1] (or zeros when the horizon is 1).
   return plan_root(obs, value_next_);
-}
-
-// ---------------------------------------------------------------------------
-// Reference path: the seed's recursive value iteration with epoch-tagged
-// memoization, retained verbatim as the oracle for the iterative sweep.
-// ---------------------------------------------------------------------------
-
-double StochasticMpc::value_of(const int step, const int buffer_bin,
-                               const int prev_rung) {
-  if (step >= effective_horizon_) {
-    return 0.0;
-  }
-  const size_t index = state_index(step, buffer_bin, prev_rung);
-  if (memo_epoch_[index] == epoch_) {
-    return memo_value_[index];
-  }
-
-  const double buffer_s = buffer_bin * config_.buffer_bin_s;
-  const double prev_ssim_db =
-      lookahead_[static_cast<size_t>(step - 1)].versions[static_cast<size_t>(
-          prev_rung)].ssim_db;
-
-  double best = -std::numeric_limits<double>::infinity();
-  for (int action = 0; action < media::kNumRungs; action++) {
-    const auto& version =
-        lookahead_[static_cast<size_t>(step)].versions[static_cast<size_t>(action)];
-    const TxTimeDistribution& dist =
-        distributions_[static_cast<size_t>(step) * media::kNumRungs +
-                       static_cast<size_t>(action)];
-    double expected = 0.0;
-    for (const auto& outcome : dist) {
-      const double qoe =
-          chunk_qoe(version.ssim_db, prev_ssim_db, outcome.time_s, buffer_s);
-      const double next_buffer =
-          std::min(std::max(buffer_s - outcome.time_s, 0.0) +
-                       media::kChunkDurationS,
-                   media::kMaxBufferS);
-      expected += outcome.probability *
-                  (qoe + value_of(step + 1, buffer_to_bin(next_buffer), action));
-    }
-    best = std::max(best, expected);
-  }
-
-  memo_epoch_[index] = epoch_;
-  memo_value_[index] = best;
-  return best;
-}
-
-int StochasticMpc::plan_reference(
-    const AbrObservation& obs,
-    const std::span<const media::ChunkOptions> lookahead,
-    TxTimePredictor& predictor) {
-  prepare_plan(lookahead, predictor);
-  epoch_++;
-
-  int best_action = 0;
-  double best_value = -std::numeric_limits<double>::infinity();
-  root_values_.assign(media::kNumRungs, 0.0);
-  for (int action = 0; action < media::kNumRungs; action++) {
-    const auto& version = lookahead[0].versions[static_cast<size_t>(action)];
-    const TxTimeDistribution& dist = distributions_[static_cast<size_t>(action)];
-    double expected = 0.0;
-    for (const auto& outcome : dist) {
-      const double qoe = chunk_qoe(version.ssim_db, obs.prev_ssim_db,
-                                   outcome.time_s, obs.buffer_s);
-      const double next_buffer =
-          std::min(std::max(obs.buffer_s - outcome.time_s, 0.0) +
-                       media::kChunkDurationS,
-                   media::kMaxBufferS);
-      expected += outcome.probability *
-                  (qoe + value_of(1, buffer_to_bin(next_buffer), action));
-    }
-    root_values_[static_cast<size_t>(action)] = expected;
-    if (expected > best_value) {
-      best_value = expected;
-      best_action = action;
-    }
-  }
-  last_plan_value_ = best_value;
-  return best_action;
 }
 
 }  // namespace puffer::abr

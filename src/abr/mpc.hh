@@ -54,8 +54,9 @@ struct MpcConfig {
 /// translation unit: one would need cpuid dispatch and a forced-portable
 /// test path, as nn/gemm_avx2.cc has.
 ///
-/// plan_reference() retains the original recursive/memoized implementation
-/// as the oracle for the equivalence property tests.
+/// The seed's recursive, memoized value iteration is the oracle the tests
+/// pin plan() against; it lives outside the library
+/// (tests/oracles/mpc_reference.hh) and reads last_distributions().
 class StochasticMpc {
  public:
   explicit StochasticMpc(MpcConfig config = {});
@@ -66,14 +67,6 @@ class StochasticMpc {
            std::span<const media::ChunkOptions> lookahead,
            TxTimePredictor& predictor);
 
-  /// Retained naive implementation (recursive value iteration with epoch-
-  /// tagged memoization — the seed code). Used by tests to pin plan()'s
-  /// decisions; the two agree up to floating-point reassociation of the
-  /// expectation sum.
-  int plan_reference(const AbrObservation& obs,
-                     std::span<const media::ChunkOptions> lookahead,
-                     TxTimePredictor& predictor);
-
   [[nodiscard]] const MpcConfig& config() const { return config_; }
 
   /// Expected total QoE of the most recent plan (for tests/diagnostics).
@@ -83,6 +76,12 @@ class StochasticMpc {
   /// (for tests/diagnostics; index = rung).
   [[nodiscard]] std::span<const double> last_root_values() const {
     return root_values_;
+  }
+
+  /// The pruned, renormalized distributions the most recent plan used,
+  /// [step * kNumRungs + rung] (for tests/diagnostics).
+  [[nodiscard]] std::span<const TxTimeDistribution> last_distributions() const {
+    return distributions_;
   }
 
  private:
@@ -108,9 +107,8 @@ class StochasticMpc {
   /// The table row of `tx_time_s`: its own row when it is a TTP grid time,
   /// else the scratch row, refilled.
   size_t next_bin_row(double tx_time_s);
-  [[nodiscard]] size_t state_index(int step, int buffer_bin, int prev_rung) const;
 
-  /// Shared plan setup: cache the lookahead, issue all (step x rung)
+  /// Plan setup: cache the lookahead, issue all (step x rung)
   /// queries in one predict_batch call, prune the distributions.
   void prepare_plan(std::span<const media::ChunkOptions> lookahead,
                     TxTimePredictor& predictor);
@@ -120,9 +118,6 @@ class StochasticMpc {
   /// horizon is 1). Returns the argmax rung and fills root_values_.
   int plan_root(const AbrObservation& obs,
                 std::span<const double> value_of_next);
-
-  /// Reference-path recursion (memoized); only plan_reference() calls it.
-  double value_of(int step, int buffer_bin, int prev_rung);
 
   /// QoE of choosing `version` given previous quality `prev_ssim_db`
   /// (variation term skipped when prev_ssim_db < 0) and the stall implied by
@@ -151,11 +146,6 @@ class StochasticMpc {
   std::vector<double> value_next_;
   std::vector<double> expect_base_;  // [action * (num_bins_+1) + bin]
   std::vector<double> switch_penalty_;  // [action * kNumRungs + prev_rung]
-
-  // Reference-path memo (epoch-tagged; untouched by plan()).
-  std::vector<double> memo_value_;
-  std::vector<uint32_t> memo_epoch_;
-  uint32_t epoch_ = 0;
 };
 
 }  // namespace puffer::abr

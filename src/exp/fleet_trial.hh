@@ -18,8 +18,8 @@ namespace puffer::exp {
 /// Determinism contract: sessions are mutually independent (each has its
 /// own path, TCP connection, viewer and per-session RNG), so the fleet's
 /// interleaving cannot change any session's results — the merged
-/// TrialResult is bit-identical to driving each session to completion with
-/// run_session in session-index order, at any arrival process, thread
+/// TrialResult is bit-identical to driving each session's SessionTask to
+/// completion in session-index order, at any arrival process, thread
 /// count AND shard count.
 /// Partial results are appended to the merged TrialResult in ascending
 /// session-index order as a streaming frontier (a completed session's

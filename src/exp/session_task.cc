@@ -270,12 +270,4 @@ void fold_stream_outcome(const sim::StreamOutcome& outcome, Rng& run_rng,
 
 }  // namespace detail
 
-void run_session(const SessionPlan& plan, abr::AbrAlgorithm& algo,
-                 const TrialConfig& config, SchemeResult& result) {
-  SessionTask task{plan, algo, config, result};
-  while (task.prepare() == sim::FleetTask::Step::kDecision) {
-    task.finish_chunk();
-  }
-}
-
 }  // namespace puffer::exp

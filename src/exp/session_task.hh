@@ -46,9 +46,10 @@ void fold_stream_outcome(const sim::StreamOutcome& outcome, Rng& run_rng,
 /// session life cycle: CONSORT counting, the bounce check, the run RNG,
 /// reset_session, the fault hooks, the preamble, the streams and the
 /// per-stream fold. It is cut at its ABR decision points so the fleet
-/// engine can interleave thousands of sessions on one virtual timeline;
-/// run_session below drives a task straight to completion and is the
-/// reference the fleet is checked against.
+/// engine can interleave thousands of sessions on one virtual timeline.
+/// Driving a task straight to completion (prepare() then finish_chunk()
+/// until no decision is left) is the serial reference the tests check the
+/// fleet against.
 ///
 /// The connection decides who performs the network actions. On a private
 /// path the session owns a TcpSender over its plan's path and runs every
@@ -59,8 +60,8 @@ void fold_stream_outcome(const sim::StreamOutcome& outcome, Rng& run_rng,
 /// advance() again once the transfer completed or the wait elapsed.
 ///
 /// Non-owning throughout: the plan, algorithm, config and result
-/// accumulator must all outlive the task (run_session completes within the
-/// caller's scope; the fleet wraps the task with what it points at).
+/// accumulator must all outlive the task (the fleet wraps the task with
+/// what it points at).
 class SessionTask : public sim::FleetTask {
  public:
   enum class Connection {
@@ -169,11 +170,6 @@ class SessionTask : public sim::FleetTask {
   bool any_considered_ = false;
   Phase phase_ = Phase::kStart;
 };
-
-/// Drive one session to completion on the calling thread, with no engine —
-/// the reference every engine run is checked against.
-void run_session(const SessionPlan& plan, abr::AbrAlgorithm& algo,
-                 const TrialConfig& config, SchemeResult& result);
 
 }  // namespace puffer::exp
 

@@ -79,9 +79,13 @@ class TtpInferenceBatch {
   int64_t max_forward_rows_ = 0;
 };
 
-/// Drop-in replacement for TtpPredictor whose per-decision queries run as
-/// fused matrix-matrix passes instead of per-(step, rung) matrix-vector
-/// passes. Two modes:
+/// Fugu's TTP predictor: adapts a trained TtpModel to the TxTimePredictor
+/// interface StochasticMpc consumes, keeping the rolling per-connection
+/// history of chunk sizes and transmission times and snapshotting tcp_info
+/// at each decision. `point_estimate` collapses each distribution to its
+/// max-likelihood bin, the paper's "Point Estimate" ablation (section 4.6).
+/// A decision's queries run as fused matrix-matrix passes, not one
+/// matrix-vector pass per (step, rung). Two modes:
 ///  * standalone: predict_batch() gathers all rows of the decision into an
 ///    internal TtpInferenceBatch and runs it immediately — one GEMM per
 ///    step-network per decision;
@@ -89,7 +93,10 @@ class TtpInferenceBatch {
 ///    into a shared batch; once the engine has run that batch, the MPC
 ///    planner's predict_batch() is served straight from it, coalescing
 ///    inference across concurrently-deciding sessions.
-/// Either way the distributions are bit-identical to TtpPredictor's.
+/// Either way the distributions are bit-identical to one single-row
+/// forward pass per query (the scalar oracle in
+/// tests/oracles/ttp_reference.hh, which the tests and nn_kernels check
+/// against).
 class BatchTtpPredictor final : public abr::TxTimePredictor {
  public:
   explicit BatchTtpPredictor(std::shared_ptr<const TtpModel> model,

@@ -232,23 +232,6 @@ std::span<const float> TtpModel::predict_bins(
   return logits;
 }
 
-abr::TxTimeDistribution TtpModel::predict_tx_time(
-    const int step, const TtpHistory& history, const net::TcpInfo& tcp,
-    const int64_t proposed_size_bytes) const {
-  TtpScratch scratch;
-  return predict_tx_time(step, history, tcp, proposed_size_bytes, scratch);
-}
-
-abr::TxTimeDistribution TtpModel::predict_tx_time(
-    const int step, const TtpHistory& history, const net::TcpInfo& tcp,
-    const int64_t proposed_size_bytes, TtpScratch& scratch) const {
-  ttp_featurize_into(config_, history, tcp, proposed_size_bytes,
-                     scratch.features);
-  const std::span<const float> probs =
-      predict_bins(step, scratch.features, scratch.forward);
-  return ttp_distribution_of(config_, probs, proposed_size_bytes);
-}
-
 int TtpModel::label_of(const double tx_time_s, const double size_mb) const {
   return ttp_label_of(config_, tx_time_s, size_mb);
 }

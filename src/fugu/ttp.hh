@@ -87,13 +87,6 @@ abr::TxTimeDistribution point_estimate_of(const abr::TxTimeDistribution& dist);
 /// Training label for an observed transfer under a given config.
 int ttp_label_of(const TtpConfig& config, double tx_time_s, double size_mb);
 
-/// Reusable buffers for repeated single-row TTP inference (the legacy
-/// scalar path; the batched path keeps its buffers in TtpInferenceBatch).
-struct TtpScratch {
-  std::vector<float> features;
-  nn::ForwardScratch forward;
-};
-
 /// The Transmission Time Predictor: `horizon` fully-connected networks, one
 /// per future step, each mapping (past chunk sizes, past transmission times,
 /// tcp_info, proposed size) to a probability distribution over transmission
@@ -119,19 +112,6 @@ class TtpModel {
   std::span<const float> predict_bins(int step,
                                       std::span<const float> features,
                                       nn::ForwardScratch& scratch) const;
-
-  /// Distribution over transmission times for a proposed chunk, already
-  /// converted from bins (and from throughput bins for the ablation).
-  [[nodiscard]] abr::TxTimeDistribution predict_tx_time(
-      int step, const TtpHistory& history, const net::TcpInfo& tcp,
-      int64_t proposed_size_bytes) const;
-
-  /// Scratch-reusing variant of predict_tx_time (the per-chunk hot path of
-  /// the scalar TtpPredictor).
-  abr::TxTimeDistribution predict_tx_time(int step, const TtpHistory& history,
-                                          const net::TcpInfo& tcp,
-                                          int64_t proposed_size_bytes,
-                                          TtpScratch& scratch) const;
 
   [[nodiscard]] int label_of(double tx_time_s, double size_mb) const;
 

@@ -93,15 +93,6 @@ void set_gemm_force_portable(bool force);
 /// "avx2" or "portable" — whichever path gemm() will actually run.
 [[nodiscard]] std::string gemm_active_path();
 
-/// ---------------------------------------------------------------------------
-/// Retained naive reference kernels — the seed implementation, kept verbatim
-/// as the correctness oracle for the property tests and as the baseline the
-/// BENCH_nn speedups are measured against. Not used on any hot path.
-/// ---------------------------------------------------------------------------
-void naive_matmul(const Matrix& a, const Matrix& b, Matrix& out);
-void naive_matmul_bt(const Matrix& a, const Matrix& b, Matrix& out);
-void naive_matmul_at(const Matrix& a, const Matrix& b, Matrix& out);
-
 namespace detail {
 
 /// Micro-kernel ABI: compute an (mr x nc) output tile (nc <= kPanelWidth)

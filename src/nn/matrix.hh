@@ -57,7 +57,7 @@ class Matrix {
 
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). `out` is resized.
 /// Backed by the kernel layer in gemm.hh (as are the transposed variants);
-/// the seed's naive implementations survive as naive_matmul* there.
+/// the seed's naive loops are the tests' oracle (tests/oracles/naive_gemm.hh).
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = a * b^T. Shapes: (m x k) * (n x k) -> (m x n).

@@ -1,0 +1,52 @@
+#include "oracles/ttp_reference.hh"
+
+#include <utility>
+
+#include "util/require.hh"
+
+namespace puffer::oracle {
+
+abr::TxTimeDistribution predict_tx_time(const fugu::TtpModel& model,
+                                        const int step,
+                                        const fugu::TtpHistory& history,
+                                        const net::TcpInfo& tcp,
+                                        const int64_t proposed_size_bytes) {
+  const std::vector<float> probs = model.predict_bins(
+      step, fugu::ttp_featurize(model.config(), history, tcp,
+                                proposed_size_bytes));
+  return fugu::ttp_distribution_of(model.config(), probs, proposed_size_bytes);
+}
+
+ScalarTtpPredictor::ScalarTtpPredictor(
+    std::shared_ptr<const fugu::TtpModel> model, const bool point_estimate)
+    : model_(std::move(model)), point_estimate_(point_estimate) {
+  require(model_ != nullptr, "ScalarTtpPredictor: model required");
+}
+
+void ScalarTtpPredictor::begin_decision(const abr::AbrObservation& obs) {
+  current_tcp_ = obs.tcp;
+}
+
+abr::TxTimeDistribution ScalarTtpPredictor::predict(const int step,
+                                                    const int64_t size_bytes) {
+  fugu::ttp_featurize_into(model_->config(), history_, current_tcp_,
+                           size_bytes, features_);
+  abr::TxTimeDistribution dist = fugu::ttp_distribution_of(
+      model_->config(), model_->predict_bins(step, features_, forward_),
+      size_bytes);
+  if (point_estimate_) {
+    return fugu::point_estimate_of(dist);
+  }
+  return dist;
+}
+
+void ScalarTtpPredictor::on_chunk_complete(const abr::ChunkRecord& record) {
+  history_.record(static_cast<double>(record.size_bytes) / 1e6,
+                  record.transmission_time_s, model_->config().history);
+}
+
+void ScalarTtpPredictor::reset_session() {
+  history_.clear();
+}
+
+}  // namespace puffer::oracle

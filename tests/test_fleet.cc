@@ -12,9 +12,9 @@
 #include "exp/trial.hh"
 #include "fugu/batch_ttp.hh"
 #include "fugu/fugu.hh"
-#include "fugu/ttp_predictor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "oracles/ttp_reference.hh"
 #include "sim/arrivals.hh"
 #include "sim/fleet.hh"
 #include "stats/load_series.hh"
@@ -254,7 +254,7 @@ std::vector<abr::TxTimeQuery> fake_queries(const uint64_t seed) {
 TEST(BatchTtp, PredictBatchMatchesScalarForwardOne) {
   const auto model = std::make_shared<fugu::TtpModel>(fugu::TtpConfig{}, 42);
   for (const uint64_t seed : {1u, 2u, 3u}) {
-    fugu::TtpPredictor scalar{model};
+    oracle::ScalarTtpPredictor scalar{model};
     fugu::BatchTtpPredictor batched{model};
     const abr::AbrObservation obs = fake_observation(seed);
     const fugu::TtpHistory history = fake_history(seed, 6);
@@ -284,7 +284,7 @@ TEST(BatchTtp, PredictBatchMatchesScalarForwardOne) {
 
 TEST(BatchTtp, PointEstimateVariantMatches) {
   const auto model = std::make_shared<fugu::TtpModel>(fugu::TtpConfig{}, 7);
-  fugu::TtpPredictor scalar{model, /*point_estimate=*/true};
+  oracle::ScalarTtpPredictor scalar{model, /*point_estimate=*/true};
   fugu::BatchTtpPredictor batched{model, /*point_estimate=*/true};
   const abr::AbrObservation obs = fake_observation(11);
   scalar.begin_decision(obs);

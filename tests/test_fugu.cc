@@ -2,11 +2,12 @@
 
 #include <cmath>
 
+#include "fugu/batch_ttp.hh"
 #include "fugu/dataset.hh"
 #include "fugu/fugu.hh"
 #include "fugu/ttp.hh"
-#include "fugu/ttp_predictor.hh"
 #include "fugu/ttp_trainer.hh"
+#include "oracles/ttp_reference.hh"
 #include "test_helpers.hh"
 #include "util/require.hh"
 
@@ -120,7 +121,8 @@ TEST(TtpModel, PredictTxTimeIsDistribution) {
   const TtpModel model{TtpConfig{}, 4};
   TtpHistory history;
   net::TcpInfo tcp;
-  const auto dist = model.predict_tx_time(0, history, tcp, 1'000'000);
+  const auto dist =
+      oracle::predict_tx_time(model, 0, history, tcp, 1'000'000);
   ASSERT_EQ(dist.size(), static_cast<size_t>(kTtpBins));
   double total = 0.0;
   for (const auto& outcome : dist) {
@@ -136,8 +138,9 @@ TEST(TtpModel, ThroughputTargetScalesTimeWithSize) {
   const TtpModel model{config, 5};
   TtpHistory history;
   net::TcpInfo tcp;
-  const auto small = model.predict_tx_time(0, history, tcp, 500'000);
-  const auto big = model.predict_tx_time(0, history, tcp, 5'000'000);
+  const auto small =
+      oracle::predict_tx_time(model, 0, history, tcp, 500'000);
+  const auto big = oracle::predict_tx_time(model, 0, history, tcp, 5'000'000);
   // Same bin probabilities (size is not an input), but times scale ~10x in
   // the unclamped middle bins.
   for (size_t b = 8; b <= 16; b++) {
@@ -372,10 +375,10 @@ TEST(TtpAblations, FullModelBeatsAblatedVariants) {
   EXPECT_LE(full.rmse_expected_s, full.rmse_point_s * 1.05);
 }
 
-TEST(TtpPredictor, PointEstimateCollapsesDistribution) {
+TEST(BatchTtpPredictor, PointEstimateCollapsesDistribution) {
   auto model = std::make_shared<const TtpModel>(TtpConfig{}, 22);
-  TtpPredictor probabilistic{model, false};
-  TtpPredictor point{model, true};
+  BatchTtpPredictor probabilistic{model, false};
+  BatchTtpPredictor point{model, true};
   abr::AbrObservation obs;
   probabilistic.begin_decision(obs);
   point.begin_decision(obs);
@@ -386,9 +389,9 @@ TEST(TtpPredictor, PointEstimateCollapsesDistribution) {
   EXPECT_DOUBLE_EQ(collapsed[0].probability, 1.0);
 }
 
-TEST(TtpPredictor, HistoryUpdatesAndReset) {
+TEST(BatchTtpPredictor, HistoryUpdatesAndReset) {
   auto model = std::make_shared<const TtpModel>(TtpConfig{}, 23);
-  TtpPredictor predictor{model};
+  BatchTtpPredictor predictor{model};
   abr::ChunkRecord record;
   record.size_bytes = 2'000'000;
   record.transmission_time_s = 1.0;
@@ -396,6 +399,35 @@ TEST(TtpPredictor, HistoryUpdatesAndReset) {
   EXPECT_EQ(predictor.history().sizes_mb.size(), 1u);
   predictor.reset_session();
   EXPECT_TRUE(predictor.history().sizes_mb.empty());
+}
+
+/// reset_session also drops a decision staged into a shared batch, so the
+/// next session's first plan is answered standalone, not from the stale
+/// (never run) batch.
+TEST(BatchTtpPredictor, ResetDropsStagedDecision) {
+  auto model = std::make_shared<const TtpModel>(TtpConfig{}, 23);
+  BatchTtpPredictor predictor{model};
+  BatchTtpPredictor fresh{model};
+  const abr::AbrObservation obs;
+  TtpInferenceBatch batch;
+  predictor.stage(obs, test::make_lookahead(5), 5, batch);
+  predictor.reset_session();
+
+  std::vector<abr::TxTimeQuery> queries;
+  abr::enumerate_tx_time_queries(test::make_lookahead(2), 2, queries);
+  std::vector<abr::TxTimeDistribution> answered, expected;
+  predictor.begin_decision(obs);
+  fresh.begin_decision(obs);
+  predictor.predict_batch(queries, answered);
+  fresh.predict_batch(queries, expected);
+  ASSERT_EQ(answered.size(), expected.size());
+  for (size_t i = 0; i < answered.size(); i++) {
+    ASSERT_EQ(answered[i].size(), expected[i].size());
+    for (size_t j = 0; j < answered[i].size(); j++) {
+      EXPECT_EQ(answered[i][j].time_s, expected[i][j].time_s);
+      EXPECT_EQ(answered[i][j].probability, expected[i][j].probability);
+    }
+  }
 }
 
 TEST(MakeFugu, BuildsMpcWithTtp) {

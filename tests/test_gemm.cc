@@ -1,8 +1,9 @@
 // Property tests for the GEMM kernel layer (src/nn/gemm.{hh,cc}): the
-// packed/tiled SIMD kernels against the retained naive reference over
-// randomized shapes (including SIMD tail lanes and degenerate vectors), the
-// fused epilogues, the packed-weight Mlp forward, and the kernel
-// determinism contract (repeat-run, batch-independence, SIMD==portable).
+// packed/tiled SIMD kernels against the naive reference
+// (tests/oracles/naive_gemm.hh) over randomized shapes (including SIMD tail
+// lanes and degenerate vectors), the fused epilogues, the packed-weight Mlp
+// forward, and the kernel determinism contract (repeat-run,
+// batch-independence, SIMD==portable).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "nn/loss.hh"
 #include "nn/matrix.hh"
 #include "nn/mlp.hh"
+#include "oracles/naive_gemm.hh"
 #include "util/rng.hh"
 
 namespace puffer::nn {
@@ -73,7 +75,7 @@ TEST(Gemm, MatchesNaiveOverRandomizedShapes) {
         const Matrix b = random_matrix(rng, k, n);
         Matrix fast, naive;
         matmul(a, b, fast);
-        naive_matmul(a, b, naive);
+        oracle::naive_matmul(a, b, naive);
         expect_near(fast, naive,
                     "matmul " + std::to_string(m) + "x" + std::to_string(k) +
                         "x" + std::to_string(n));
@@ -91,13 +93,13 @@ TEST(Gemm, TransposedVariantsMatchNaive) {
         const Matrix bt = random_matrix(rng, n, k);  // b^T operand
         Matrix fast, naive;
         matmul_bt(a, bt, fast);
-        naive_matmul_bt(a, bt, naive);
+        oracle::naive_matmul_bt(a, bt, naive);
         expect_near(fast, naive, "matmul_bt");
 
         const Matrix a2 = random_matrix(rng, k, m);  // a^T operand
         const Matrix b2 = random_matrix(rng, k, n);
         matmul_at(a2, b2, fast);
-        naive_matmul_at(a2, b2, naive);
+        oracle::naive_matmul_at(a2, b2, naive);
         expect_near(fast, naive, "matmul_at");
       }
     }
@@ -213,7 +215,7 @@ TEST(MlpPacked, ForwardMatchesNaiveReferenceNetwork) {
   Matrix ref = input;
   for (size_t l = 0; l < net.num_layers(); l++) {
     Matrix next;
-    naive_matmul(ref, net.weights()[l], next);
+    oracle::naive_matmul(ref, net.weights()[l], next);
     add_row_bias(next, net.biases()[l]);
     if (l + 1 < net.num_layers()) {
       for (size_t i = 0; i < next.size(); i++) {

@@ -155,9 +155,20 @@ inline void expect_identical(const exp::TrialResult& a,
   }
 }
 
+/// Drive one session to completion on the calling thread, with no engine.
+inline void run_session(const exp::SessionPlan& plan,
+                        abr::AbrAlgorithm& algo,
+                        const exp::TrialConfig& config,
+                        exp::SchemeResult& result) {
+  exp::SessionTask task{plan, algo, config, result};
+  while (task.prepare() == sim::FleetTask::Step::kDecision) {
+    task.finish_chunk();
+  }
+}
+
 /// Serial oracle for the trial engine: draws each session plan in
-/// session-index order and drives it to completion with exp::run_session
-/// on the calling thread — no fleet engine, shards, pools or merge. RCT
+/// session-index order and drives it to completion with run_session on
+/// the calling thread — no fleet engine, shards, pools or merge. RCT
 /// mode hands each plan to one blindly drawn scheme; paired mode replays it
 /// for every scheme.
 inline exp::TrialResult run_sessions_in_order(
@@ -179,8 +190,8 @@ inline exp::TrialResult run_sessions_in_order(
     Rng rng = master.split(static_cast<uint64_t>(p));
     const exp::SessionPlan plan = exp::make_session_plan(rng, users, *paths);
     const auto run = [&](const int64_t a) {
-      exp::run_session(plan, *algorithms[static_cast<size_t>(a)], config,
-                       trial.schemes[static_cast<size_t>(a)]);
+      run_session(plan, *algorithms[static_cast<size_t>(a)], config,
+                  trial.schemes[static_cast<size_t>(a)]);
     };
     if (!config.paired_paths) {
       run(rng.uniform_int(0, num_schemes - 1));

@@ -10,6 +10,7 @@
 #include "abr/mpc.hh"
 #include "abr/mpc_abr.hh"
 #include "abr/throughput_predictors.hh"
+#include "oracles/mpc_reference.hh"
 #include "test_helpers.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
@@ -314,14 +315,14 @@ void append_bits(std::string& bytes, const double value) {
   }
 }
 
-/// The iterative backward sweep must agree with the retained recursive
-/// reference implementation on randomized lookaheads, horizons, buffers and
-/// multi-outcome distributions. The two differ only by floating-point
-/// reassociation of the expectation sum, so values match to ~1e-6 and the
-/// argmax may flip only on a floating tie. Outcome times are off-grid, on
-/// the TTP grid (the precomputed next-bin rows), or a mix of both, and some
-/// trials use a fine 0.02 s buffer grid (751 bins). The sweep's own values
-/// are also pinned bit for bit, through a hash.
+/// The iterative backward sweep must agree with the recursive reference
+/// (tests/oracles/mpc_reference.hh) on randomized lookaheads, horizons,
+/// buffers and multi-outcome distributions. The two differ only by
+/// floating-point reassociation of the expectation sum, so values match to
+/// ~1e-6 and the argmax may flip only on a floating tie. Outcome times are
+/// off-grid, on the TTP grid (the precomputed next-bin rows), or a mix of
+/// both, and some trials use a fine 0.02 s buffer grid (751 bins). The
+/// sweep's own values are also pinned bit for bit, through a hash.
 TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
   Rng meta{909};
   // Every trial's plan() value and root values, bit for bit.
@@ -387,9 +388,11 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
       append_bits(plan_bits, root);
     }
 
-    const int reference = mpc.plan_reference(obs, lookahead, predictor);
-    const double reference_value = mpc.last_plan_value();
-    const std::span<const double> reference_roots = mpc.last_root_values();
+    const oracle::ReferencePlan plan =
+        oracle::plan_reference(mpc, obs, lookahead);
+    const int reference = plan.rung;
+    const double reference_value = plan.value;
+    const std::span<const double> reference_roots = plan.root_values;
 
     const double tol = 1e-6 * std::max(1.0, std::abs(reference_value));
     EXPECT_NEAR(iterative_value, reference_value, tol) << "trial " << trial;
@@ -429,10 +432,11 @@ TEST(Mpc, IterativeMatchesReferenceWithNegativeSsimVersions) {
   obs.prev_ssim_db = 14.0;
   const int iterative = mpc.plan(obs, lookahead, predictor);
   const double iterative_value = mpc.last_plan_value();
-  const int reference = mpc.plan_reference(obs, lookahead, predictor);
-  EXPECT_EQ(iterative, reference);
-  EXPECT_NEAR(iterative_value, mpc.last_plan_value(),
-              1e-6 * std::max(1.0, std::abs(mpc.last_plan_value())));
+  const oracle::ReferencePlan reference =
+      oracle::plan_reference(mpc, obs, lookahead);
+  EXPECT_EQ(iterative, reference.rung);
+  EXPECT_NEAR(iterative_value, reference.value,
+              1e-6 * std::max(1.0, std::abs(reference.value)));
 }
 
 TEST(Mpc, IterativePlanDeterministicAcrossRepeatedRuns) {
