@@ -134,7 +134,7 @@ void StochasticMpc::prepare_plan(
 }
 
 int StochasticMpc::plan_root(const AbrObservation& obs,
-                             const std::span<const double> value_of_next) {
+                             const std::span<const double> next_values) {
   // Root step: continuous buffer, previous quality from the observation.
   int best_action = 0;
   double best_value = -std::numeric_limits<double>::infinity();
@@ -151,9 +151,9 @@ int StochasticMpc::plan_root(const AbrObservation& obs,
                        media::kChunkDurationS,
                    media::kMaxBufferS);
       const double continuation =
-          value_of_next[static_cast<size_t>(action) *
-                            static_cast<size_t>(num_bins_ + 1) +
-                        static_cast<size_t>(buffer_to_bin(next_buffer))];
+          next_values[static_cast<size_t>(action) *
+                          static_cast<size_t>(num_bins_ + 1) +
+                      static_cast<size_t>(buffer_to_bin(next_buffer))];
       expected += outcome.probability * (qoe + continuation);
     }
     root_values_[static_cast<size_t>(action)] = expected;

@@ -114,10 +114,9 @@ class StochasticMpc {
                     TxTimePredictor& predictor);
 
   /// Root maximization over the continuous (un-binned) buffer, reading
-  /// step-1 values from `value_of_next` (the V[1] plane, or zeros when the
+  /// step-1 values from `next_values` (the V[1] plane, or zeros when the
   /// horizon is 1). Returns the argmax rung and fills root_values_.
-  int plan_root(const AbrObservation& obs,
-                std::span<const double> value_of_next);
+  int plan_root(const AbrObservation& obs, std::span<const double> next_values);
 
   /// QoE of choosing `version` given previous quality `prev_ssim_db`
   /// (variation term skipped when prev_ssim_db < 0) and the stall implied by
