@@ -20,6 +20,7 @@
 #include "obs/prof.hh"
 #include "obs/trace.hh"
 #include "util/binary_io.hh"
+#include "util/file_io.hh"
 #include "util/json.hh"
 #include "util/require.hh"
 
@@ -535,9 +536,7 @@ void Campaign::save_checkpoint() const {
   const obs::ProfScope checkpoint_scope{"campaign.checkpoint"};
   const std::string final_path = checkpoint_path();
   const std::string tmp_path = final_path + ".tmp";
-  {
-    std::ofstream out{tmp_path, std::ios::binary | std::ios::trunc};
-    require(out.is_open(), "campaign checkpoint: cannot open " + tmp_path);
+  write_file(tmp_path, [this](std::ostream& out) {
     write_u64(out, kCampaignMagic);
     write_u64(out, kCampaignVersion);
     write_u64(out, config_.fingerprint());
@@ -557,14 +556,10 @@ void Campaign::save_checkpoint() const {
         save_ttp(*deployed_[i], out);
       }
     }
-    // Flush before validating: the destructor's implicit flush reports
-    // nothing, and committing a short write via the rename would wedge
-    // every future resume.
-    out.flush();
-    require(bool(out), "campaign checkpoint: write failed for " + tmp_path);
-  }
-  // The rename is the commit point: a kill at any earlier moment leaves the
-  // previous checkpoint intact, so resume restarts the interrupted day from
+  });
+  // write_file throws on a short write, so only complete bytes reach the
+  // rename. The rename is the commit point: a kill at any earlier moment
+  // leaves the previous checkpoint intact, so resume restarts the interrupted day from
   // its beginning with exactly the prior day's state. The fsyncs extend the
   // guarantee to power loss — the rename must never become durable before
   // the bytes it names.
@@ -574,16 +569,11 @@ void Campaign::save_checkpoint() const {
 }
 
 void Campaign::write_reports() const {
-  const std::string csv_path = config_.checkpoint_dir + "/report.csv";
-  std::ofstream csv{csv_path, std::ios::trunc};
-  require(csv.is_open(), "campaign reports: cannot open " + csv_path);
-  csv << campaign_report_csv(days_);
-  require(bool(csv), "campaign reports: write failed for " + csv_path);
-  const std::string json_path = config_.checkpoint_dir + "/report.json";
-  std::ofstream json{json_path, std::ios::trunc};
-  require(json.is_open(), "campaign reports: cannot open " + json_path);
-  json << campaign_report_json(days_);
-  require(bool(json), "campaign reports: write failed for " + json_path);
+  write_file(config_.checkpoint_dir + "/report.csv", [this](std::ostream& out) {
+    out << campaign_report_csv(days_);
+  });
+  write_file(config_.checkpoint_dir + "/report.json",
+             [this](std::ostream& out) { out << campaign_report_json(days_); });
 }
 
 void Campaign::run_one_day(const int day) {

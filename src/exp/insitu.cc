@@ -1,12 +1,10 @@
 #include "exp/insitu.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <new>
-#include <stdexcept>
 
 #include "nn/serialize.hh"
 #include "util/binary_io.hh"
+#include "util/file_io.hh"
 #include "util/require.hh"
 
 namespace puffer::exp {
@@ -25,6 +23,47 @@ double read_f64(std::istream& in) {
   return puffer::read_f64(in, kIoContext);
 }
 
+fugu::TtpModel load_ttp(const fugu::TtpConfig& config, std::istream& in) {
+  require(read_u64(in) == kTtpMagic, "insitu: bad TTP magic");
+  const uint64_t count = read_u64(in);
+  require(count == static_cast<uint64_t>(config.horizon),
+          "insitu: TTP horizon differs from the config");
+  fugu::TtpModel model{config, /*seed=*/0};
+  for (uint64_t k = 0; k < count; k++) {
+    nn::Mlp net = nn::load_mlp(in);
+    require(net.layer_sizes() == model.networks()[k].layer_sizes(),
+            "insitu: TTP architecture differs from the config");
+    model.networks()[k] = std::move(net);
+  }
+  return model;
+}
+
+fugu::TtpDataset load_dataset(std::istream& in) {
+  require(read_u64(in) == kDataMagic, "insitu: bad dataset magic");
+  fugu::TtpDataset dataset;
+  const uint64_t num_streams = read_u64(in);
+  dataset.reserve(capped_reservation(num_streams));
+  for (uint64_t s = 0; s < num_streams; s++) {
+    fugu::StreamLog stream;
+    stream.day = static_cast<int>(read_u64(in));
+    const uint64_t num_chunks = read_u64(in);
+    stream.chunks.reserve(capped_reservation(num_chunks));
+    for (uint64_t c = 0; c < num_chunks; c++) {
+      fugu::ChunkLog chunk;
+      chunk.size_mb = read_f64(in);
+      chunk.tx_time_s = read_f64(in);
+      chunk.tcp_at_send.cwnd_pkts = read_f64(in);
+      chunk.tcp_at_send.in_flight_pkts = read_f64(in);
+      chunk.tcp_at_send.min_rtt_s = read_f64(in);
+      chunk.tcp_at_send.srtt_s = read_f64(in);
+      chunk.tcp_at_send.delivery_rate_bps = read_f64(in);
+      stream.chunks.push_back(chunk);
+    }
+    dataset.push_back(std::move(stream));
+  }
+  return dataset;
+}
+
 }  // namespace
 
 void save_ttp(const fugu::TtpModel& model, std::ostream& out) {
@@ -36,53 +75,21 @@ void save_ttp(const fugu::TtpModel& model, std::ostream& out) {
 }
 
 void save_ttp(const fugu::TtpModel& model, const std::string& path) {
-  std::ofstream out{path, std::ios::binary};
-  require(out.is_open(), "save_ttp: cannot open " + path);
-  save_ttp(model, out);
-  out.flush();
-  require(bool(out), "save_ttp: write failed for " + path);
+  write_file(path, [&model](std::ostream& out) { save_ttp(model, out); });
 }
 
 std::optional<fugu::TtpModel> try_load_ttp(const fugu::TtpConfig& config,
                                            std::istream& in) {
-  // Any structural failure while parsing (bad magic, truncation, implausible
-  // sizes — load_mlp and the read helpers raise RequirementError; a corrupt
-  // header that slips past the plausibility checks can still surface as an
-  // allocation failure) means "no usable model here": report nullopt rather
-  // than crashing the caller.
-  try {
-    if (read_u64(in) != kTtpMagic) {
-      return std::nullopt;
-    }
-    const uint64_t count = read_u64(in);
-    if (count != static_cast<uint64_t>(config.horizon)) {
-      return std::nullopt;
-    }
-    fugu::TtpModel model{config, /*seed=*/0};
-    for (uint64_t k = 0; k < count; k++) {
-      nn::Mlp net = nn::load_mlp(in);
-      if (net.layer_sizes() != model.networks()[k].layer_sizes()) {
-        return std::nullopt;  // architecture mismatch with requested config
-      }
-      model.networks()[k] = std::move(net);
-    }
-    return model;
-  } catch (const RequirementError&) {
-    return std::nullopt;
-  } catch (const std::bad_alloc&) {
-    return std::nullopt;
-  } catch (const std::length_error&) {
-    return std::nullopt;
-  }
+  return try_read(in, [&config](std::istream& stream) {
+    return load_ttp(config, stream);
+  });
 }
 
 std::optional<fugu::TtpModel> try_load_ttp(const fugu::TtpConfig& config,
                                            const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in.is_open()) {
-    return std::nullopt;
-  }
-  return try_load_ttp(config, in);
+  return try_read_file(path, [&config](std::istream& stream) {
+    return load_ttp(config, stream);
+  });
 }
 
 void save_dataset(const fugu::TtpDataset& dataset, std::ostream& out) {
@@ -104,57 +111,16 @@ void save_dataset(const fugu::TtpDataset& dataset, std::ostream& out) {
 }
 
 void save_dataset(const fugu::TtpDataset& dataset, const std::string& path) {
-  std::ofstream out{path, std::ios::binary};
-  require(out.is_open(), "save_dataset: cannot open " + path);
-  save_dataset(dataset, out);
-  out.flush();
-  require(bool(out), "save_dataset: write failed for " + path);
+  write_file(path,
+             [&dataset](std::ostream& out) { save_dataset(dataset, out); });
 }
 
 std::optional<fugu::TtpDataset> try_load_dataset(std::istream& in) {
-  try {
-    if (read_u64(in) != kDataMagic) {
-      return std::nullopt;
-    }
-    fugu::TtpDataset dataset;
-    const uint64_t num_streams = read_u64(in);
-    // Reservations are capped: a corrupt header must not be able to request
-    // terabytes before the (truncated) payload reads fail.
-    dataset.reserve(std::min<uint64_t>(num_streams, 1u << 16));
-    for (uint64_t s = 0; s < num_streams; s++) {
-      fugu::StreamLog stream;
-      stream.day = static_cast<int>(read_u64(in));
-      const uint64_t num_chunks = read_u64(in);
-      stream.chunks.reserve(std::min<uint64_t>(num_chunks, 1u << 16));
-      for (uint64_t c = 0; c < num_chunks; c++) {
-        fugu::ChunkLog chunk;
-        chunk.size_mb = read_f64(in);
-        chunk.tx_time_s = read_f64(in);
-        chunk.tcp_at_send.cwnd_pkts = read_f64(in);
-        chunk.tcp_at_send.in_flight_pkts = read_f64(in);
-        chunk.tcp_at_send.min_rtt_s = read_f64(in);
-        chunk.tcp_at_send.srtt_s = read_f64(in);
-        chunk.tcp_at_send.delivery_rate_bps = read_f64(in);
-        stream.chunks.push_back(chunk);
-      }
-      dataset.push_back(std::move(stream));
-    }
-    return dataset;
-  } catch (const RequirementError&) {
-    return std::nullopt;
-  } catch (const std::bad_alloc&) {
-    return std::nullopt;
-  } catch (const std::length_error&) {
-    return std::nullopt;
-  }
+  return try_read(in, load_dataset);
 }
 
 std::optional<fugu::TtpDataset> try_load_dataset(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in.is_open()) {
-    return std::nullopt;
-  }
-  return try_load_dataset(in);
+  return try_read_file(path, load_dataset);
 }
 
 fugu::TtpDataset collect_telemetry(const net::ScenarioSpec& scenario,

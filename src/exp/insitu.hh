@@ -17,16 +17,16 @@ void save_ttp(const fugu::TtpModel& model, std::ostream& out);
 void save_ttp(const fugu::TtpModel& model, const std::string& path);
 
 /// Load a TTP if the input exists, parses, and matches `config`; nullopt
-/// otherwise. A truncated or corrupt input yields nullopt, never a crash or
-/// an exception — callers treat any failure as "retrain from scratch".
+/// otherwise (the miss contract of util/file_io.hh) — callers treat any
+/// failure as "retrain from scratch". The path overloads write and read
+/// through util/file_io.hh.
 std::optional<fugu::TtpModel> try_load_ttp(const fugu::TtpConfig& config,
                                            std::istream& in);
 std::optional<fugu::TtpModel> try_load_ttp(const fugu::TtpConfig& config,
                                            const std::string& path);
 
 /// Serialize a raw telemetry dataset (Appendix B-style chunk logs). Loading
-/// follows the same contract as try_load_ttp: any malformed input is
-/// rejected with nullopt.
+/// follows the same contract as try_load_ttp.
 void save_dataset(const fugu::TtpDataset& dataset, std::ostream& out);
 void save_dataset(const fugu::TtpDataset& dataset, const std::string& path);
 std::optional<fugu::TtpDataset> try_load_dataset(std::istream& in);

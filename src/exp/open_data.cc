@@ -1,12 +1,12 @@
 #include "exp/open_data.hh"
 
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "media/ladder.hh"
 #include "media/ssim.hh"
+#include "util/file_io.hh"
 #include "util/require.hh"
 #include "util/running_stats.hh"
 
@@ -157,15 +157,14 @@ std::vector<AnalyzedStream> analyze_open_data(
 
 void OpenDataWriter::write_all(const std::string& directory,
                                const std::string& prefix) const {
-  auto write_file = [&](const std::string& name, const std::string& body) {
-    const std::string path = directory + "/" + prefix + "_" + name + ".csv";
-    std::ofstream out{path};
-    require(out.is_open(), "OpenDataWriter: cannot open " + path);
-    out << body;
+  const auto write_table = [&](const std::string& name,
+                               const std::string& body) {
+    write_file(directory + "/" + prefix + "_" + name + ".csv",
+               [&body](std::ostream& out) { out << body; });
   };
-  write_file("video_sent", video_sent_csv());
-  write_file("video_acked", video_acked_csv());
-  write_file("client_buffer", client_buffer_csv());
+  write_table("video_sent", video_sent_csv());
+  write_table("video_acked", video_acked_csv());
+  write_table("client_buffer", client_buffer_csv());
 }
 
 }  // namespace puffer::exp

@@ -1,12 +1,12 @@
 #include "exp/trial_cache.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "exp/models.hh"
 #include "media/ladder.hh"
 #include "util/binary_io.hh"
+#include "util/file_io.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 
@@ -76,11 +76,7 @@ uint64_t config_fingerprint(const TrialConfig& config) {
   return stable_hash(key.str());
 }
 
-}  // namespace
-
-void save_trial(const TrialResult& trial, const std::string& path) {
-  std::ofstream out{path, std::ios::binary};
-  require(out.is_open(), "save_trial: cannot open " + path);
+void write_trial(std::ostream& out, const TrialResult& trial) {
   write_u64(out, kTrialMagic);
   write_u64(out, trial.schemes.size());
   for (const auto& scheme : trial.schemes) {
@@ -104,58 +100,51 @@ void save_trial(const TrialResult& trial, const std::string& path) {
   }
 }
 
+uint64_t read_count(std::istream& in) {
+  constexpr uint64_t kMaxPlausible = 1u << 24;
+  const uint64_t count = read_u64(in);
+  require(count <= kMaxPlausible, "trial cache: implausible count");
+  return count;
+}
+
+TrialResult read_trial(std::istream& in) {
+  require(read_u64(in) == kTrialMagic, "trial cache: bad magic");
+  TrialResult trial;
+  const uint64_t num_schemes = read_count(in);
+  for (uint64_t s = 0; s < num_schemes; s++) {
+    SchemeResult result;
+    result.scheme = read_string(in);
+    const uint64_t num_figures = read_count(in);
+    result.considered.reserve(capped_reservation(num_figures));
+    for (uint64_t i = 0; i < num_figures; i++) {
+      result.considered.push_back(read_figures(in));
+    }
+    const uint64_t num_durations = read_count(in);
+    result.session_durations_s.reserve(capped_reservation(num_durations));
+    for (uint64_t i = 0; i < num_durations; i++) {
+      result.session_durations_s.push_back(read_f64(in));
+    }
+    auto& c = result.consort;
+    c.sessions = static_cast<int64_t>(read_u64(in));
+    c.streams = static_cast<int64_t>(read_u64(in));
+    c.never_began = static_cast<int64_t>(read_u64(in));
+    c.under_min_watch = static_cast<int64_t>(read_u64(in));
+    c.decoder_failure = static_cast<int64_t>(read_u64(in));
+    c.truncated = static_cast<int64_t>(read_u64(in));
+    c.considered = static_cast<int64_t>(read_u64(in));
+    trial.schemes.push_back(std::move(result));
+  }
+  return trial;
+}
+
+}  // namespace
+
+void save_trial(const TrialResult& trial, const std::string& path) {
+  write_file(path, [&trial](std::ostream& out) { write_trial(out, trial); });
+}
+
 std::optional<TrialResult> try_load_trial(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in.is_open()) {
-    return std::nullopt;
-  }
-  // A cache entry is disposable, so every flavour of corruption (bad magic,
-  // truncation, garbled counts) is a miss, never an error: the caller
-  // recomputes. Contrast with the campaign checkpoint, where corruption
-  // throws because the data cannot be regenerated cheaply.
-  try {
-    if (read_u64(in) != kTrialMagic) {
-      return std::nullopt;
-    }
-    constexpr uint64_t kMaxPlausible = 1u << 24;
-    TrialResult trial;
-    const uint64_t num_schemes = read_u64(in);
-    if (num_schemes > kMaxPlausible) {
-      return std::nullopt;
-    }
-    for (uint64_t s = 0; s < num_schemes; s++) {
-      SchemeResult result;
-      result.scheme = read_string(in);
-      const uint64_t num_figures = read_u64(in);
-      if (num_figures > kMaxPlausible) {
-        return std::nullopt;
-      }
-      result.considered.reserve(num_figures);
-      for (uint64_t i = 0; i < num_figures; i++) {
-        result.considered.push_back(read_figures(in));
-      }
-      const uint64_t num_durations = read_u64(in);
-      if (num_durations > kMaxPlausible) {
-        return std::nullopt;
-      }
-      result.session_durations_s.reserve(num_durations);
-      for (uint64_t i = 0; i < num_durations; i++) {
-        result.session_durations_s.push_back(read_f64(in));
-      }
-      auto& c = result.consort;
-      c.sessions = static_cast<int64_t>(read_u64(in));
-      c.streams = static_cast<int64_t>(read_u64(in));
-      c.never_began = static_cast<int64_t>(read_u64(in));
-      c.under_min_watch = static_cast<int64_t>(read_u64(in));
-      c.decoder_failure = static_cast<int64_t>(read_u64(in));
-      c.truncated = static_cast<int64_t>(read_u64(in));
-      c.considered = static_cast<int64_t>(read_u64(in));
-      trial.schemes.push_back(std::move(result));
-    }
-    return trial;
-  } catch (const RequirementError&) {
-    return std::nullopt;  // truncated or garbled entry
-  }
+  return try_read_file(path, read_trial);
 }
 
 TrialResult run_trial_cached(const TrialConfig& config,

@@ -10,7 +10,9 @@ namespace puffer::exp {
 
 /// Serialize a TrialResult (scheme figures, session durations, CONSORT
 /// counts — not the raw chunk logs) so that the five figure benches that
-/// analyze the same primary experiment share one simulation run.
+/// analyze the same primary experiment share one simulation run. Both go
+/// through util/file_io.hh: the save throws on any write failure, and a
+/// missing or damaged entry loads as nullopt — a cache miss, never an error.
 void save_trial(const TrialResult& trial, const std::string& path);
 std::optional<TrialResult> try_load_trial(const std::string& path);
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "util/file_io.hh"
 #include "util/require.hh"
 
 namespace puffer::net {
@@ -90,10 +91,7 @@ void TraceFile::write(std::ostream& out) const {
 }
 
 void TraceFile::save(const std::string& path) const {
-  std::ofstream out{path};
-  require(out.is_open(), "TraceFile::save: cannot open " + path);
-  write(out);
-  require(bool(out), "TraceFile::save: write failed for " + path);
+  write_file(path, [this](std::ostream& out) { write(out); });
 }
 
 TraceFile TraceFile::from_trace(const ThroughputTrace& trace) {

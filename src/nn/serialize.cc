@@ -1,11 +1,11 @@
 #include "nn/serialize.hh"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
 #include "util/binary_io.hh"
+#include "util/file_io.hh"
 #include "util/require.hh"
 
 namespace puffer::nn {
@@ -70,23 +70,11 @@ Mlp load_mlp(std::istream& in) {
 }
 
 void save_mlp_file(const Mlp& net, const std::string& path) {
-  std::ofstream out{path, std::ios::binary};
-  require(out.is_open(), "save_mlp_file: cannot open " + path);
-  save_mlp(net, out);
+  write_file(path, [&net](std::ostream& out) { save_mlp(net, out); });
 }
 
 std::optional<Mlp> try_load_mlp_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in.is_open()) {
-    return std::nullopt;
-  }
-  // load_mlp raises RequirementError on bad magic, implausible sizes or
-  // truncation.
-  try {
-    return load_mlp(in);
-  } catch (const RequirementError&) {
-    return std::nullopt;
-  }
+  return try_read_file(path, load_mlp);
 }
 
 }  // namespace puffer::nn

@@ -16,10 +16,10 @@ namespace puffer::nn {
 void save_mlp(const Mlp& net, std::ostream& out);
 Mlp load_mlp(std::istream& in);
 
+/// File forms of the above, through util/file_io.hh: the save throws on any
+/// write failure; the load returns nullopt for a missing or damaged file
+/// (callers retrain), so a save killed half-way never wedges later runs.
 void save_mlp_file(const Mlp& net, const std::string& path);
-/// The Mlp in the file at `path`, or nullopt when the file is missing,
-/// truncated or corrupt: callers treat any failure as "retrain", so a save
-/// killed half-way never wedges later runs.
 std::optional<Mlp> try_load_mlp_file(const std::string& path);
 
 }  // namespace puffer::nn

@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
+#include "util/file_io.hh"
 #include "util/json.hh"
+#include "util/require.hh"
 
 namespace puffer::obs {
 
@@ -149,12 +150,12 @@ std::string TraceWriter::str() const {
 }
 
 bool TraceWriter::write_file(const std::string& path) const {
-  std::ofstream file{path, std::ios::binary | std::ios::trunc};
-  if (!file) {
+  try {
+    puffer::write_file(path, [this](std::ostream& out) { out << str(); });
+  } catch (const RequirementError&) {
     return false;
   }
-  file << str();
-  return static_cast<bool>(file);
+  return true;
 }
 
 }  // namespace puffer::obs

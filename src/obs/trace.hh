@@ -64,8 +64,8 @@ class TraceWriter {
 
   [[nodiscard]] size_t event_count() const { return events_.size(); }
   [[nodiscard]] std::string str() const;
-  /// Write str() to `path`; returns false (and leaves no partial file
-  /// behind on open failure) if the file cannot be written.
+  /// Write str() to `path` through util/file_io.hh's write_file; returns
+  /// false instead of throwing when the file cannot be written in full.
   bool write_file(const std::string& path) const;
 
  private:

@@ -1,6 +1,7 @@
 #ifndef PUFFER_UTIL_BINARY_IO_HH
 #define PUFFER_UTIL_BINARY_IO_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -12,9 +13,10 @@
 namespace puffer {
 
 /// Little-endian fixed-width primitives shared by every binary format in the
-/// repo (nn model files, insitu datasets, campaign checkpoints). Readers
-/// raise RequirementError on truncation, tagged with the caller's context so
-/// the failing format is identifiable.
+/// repo (nn model files, insitu datasets, trial caches, campaign
+/// checkpoints). Readers raise RequirementError on truncation, tagged with
+/// the caller's context so the failing format is identifiable; opening,
+/// flushing and the nullopt-on-damage contract live in util/file_io.hh.
 
 inline void write_u64(std::ostream& out, const uint64_t value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -36,6 +38,13 @@ inline double read_f64(std::istream& in, const std::string_view context) {
   in.read(reinterpret_cast<char*>(&value), sizeof(value));
   require(bool(in), std::string{context} + ": truncated stream");
   return value;
+}
+
+/// How many elements to reserve for a count read from a file: capped, so a
+/// corrupt count fails on the payload reads hitting EOF instead of
+/// reserving gigabytes first.
+inline size_t capped_reservation(const uint64_t count) {
+  return static_cast<size_t>(std::min<uint64_t>(count, uint64_t{1} << 16));
 }
 
 /// Length-prefixed string. `max_size` bounds what the reader will accept —
