@@ -14,6 +14,7 @@
 #include "exp/models.hh"
 #include "exp/trial_cache.hh"
 #include "stats/summary.hh"
+#include "util/file_io.hh"
 #include "util/json.hh"
 #include "util/require.hh"
 
@@ -69,19 +70,11 @@ class JsonWriter {
     return out;
   }
 
-  /// Write to `path`; returns false (after a warning) when the file cannot
-  /// be opened, matching the benches' best-effort JSON behavior.
-  bool write_file(const std::string& path) const {
-    std::FILE* file = std::fopen(path.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-      return false;
-    }
-    const std::string body = str();
-    std::fwrite(body.data(), 1, body.size(), file);
-    std::fclose(file);
+  /// Write to `path`; throws RequirementError naming the path when the
+  /// file cannot be written in full.
+  void write_file(const std::string& path) const {
+    puffer::write_file(path, [this](std::ostream& out) { out << str(); });
     std::printf("\nwrote %s\n", path.c_str());
-    return true;
   }
 
  private:

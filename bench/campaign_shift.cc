@@ -25,6 +25,7 @@
 #include "exp/campaign.hh"
 #include "obs/prof.hh"
 #include "obs/trace.hh"
+#include "util/file_io.hh"
 #include "util/require.hh"
 #include "util/table.hh"
 
@@ -122,20 +123,15 @@ int main(int argc, char** argv) {
     obs::TraceWriter trace;
     campaign.export_trace(trace);  // virtual-time day lanes (deterministic)
     obs::prof_export_trace(trace);  // wall-clock lanes (perf plane)
-    trace.write_file(trace_path);
+    write_file(trace_path, [&trace](std::ostream& out) { out << trace.str(); });
     std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
                 trace.event_count());
   }
   if (!metrics_path.empty()) {
-    std::FILE* file = std::fopen(metrics_path.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", metrics_path.c_str());
-    } else {
-      const std::string body = campaign.metrics().to_json();
-      std::fwrite(body.data(), 1, body.size(), file);
-      std::fclose(file);
-      std::printf("wrote %s\n", metrics_path.c_str());
-    }
+    write_file(metrics_path, [&campaign](std::ostream& out) {
+      out << campaign.metrics().to_json();
+    });
+    std::printf("wrote %s\n", metrics_path.c_str());
   }
   return holds ? 0 : 1;
 }

@@ -55,11 +55,10 @@ int main() {
     for (const auto& figures : scheme.considered) {
       all_watch += figures.watch_time_s;
       all_stall += figures.stall_time_s;
-      if (figures.mean_delivery_rate_mbps < 6.0 &&
-          figures.mean_delivery_rate_mbps > 0.0) {
-        slow_watch += figures.watch_time_s;
-        slow_stall += figures.stall_time_s;
-      }
+    }
+    for (const auto& figures : scheme.slow_paths()) {
+      slow_watch += figures.watch_time_s;
+      slow_stall += figures.stall_time_s;
     }
   }
   std::printf("Slow paths carried %.0f%% of viewing time and %.0f%% of "

@@ -29,6 +29,7 @@
 #include "obs/prof.hh"
 #include "obs/trace.hh"
 #include "stats/summary.hh"
+#include "util/file_io.hh"
 #include "util/require.hh"
 #include "util/table.hh"
 
@@ -137,20 +138,26 @@ int main(int argc, char** argv) {
                            point.time_s * 1e6, point.level);
     }
     obs::prof_export_trace(trace_writer);
-    trace_writer.write_file(trace_path);
-    std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
-                trace_writer.event_count());
   }
-  if (!metrics_path.empty()) {
-    std::FILE* file = std::fopen(metrics_path.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", metrics_path.c_str());
-    } else {
-      const std::string body = fleet.metrics.to_json();
-      std::fwrite(body.data(), 1, body.size(), file);
-      std::fclose(file);
+  // The run is done; an output that cannot be written in full still fails
+  // the program, naming the file.
+  try {
+    if (!trace_path.empty()) {
+      write_file(trace_path, [&trace_writer](std::ostream& out) {
+        out << trace_writer.str();
+      });
+      std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
+                  trace_writer.event_count());
+    }
+    if (!metrics_path.empty()) {
+      write_file(metrics_path, [&fleet](std::ostream& out) {
+        out << fleet.metrics.to_json();
+      });
       std::printf("wrote %s\n", metrics_path.c_str());
     }
+  } catch (const RequirementError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
   }
   return 0;
 }
