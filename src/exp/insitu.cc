@@ -25,15 +25,14 @@ double read_f64(std::istream& in) {
 
 fugu::TtpModel load_ttp(const fugu::TtpConfig& config, std::istream& in) {
   require(read_u64(in) == kTtpMagic, "insitu: bad TTP magic");
-  const uint64_t count = read_u64(in);
-  require(count == static_cast<uint64_t>(config.horizon),
+  require(read_u64(in) == static_cast<uint64_t>(config.horizon),
           "insitu: TTP horizon differs from the config");
   fugu::TtpModel model{config, /*seed=*/0};
-  for (uint64_t k = 0; k < count; k++) {
+  for (nn::Mlp& slot : model.networks()) {
     nn::Mlp net = nn::load_mlp(in);
-    require(net.layer_sizes() == model.networks()[k].layer_sizes(),
+    require(net.layer_sizes() == slot.layer_sizes(),
             "insitu: TTP architecture differs from the config");
-    model.networks()[k] = std::move(net);
+    slot = std::move(net);
   }
   return model;
 }

@@ -25,14 +25,6 @@ double read_f64(std::istream& in) {
   return puffer::read_f64(in, kIoContext);
 }
 
-void write_string(std::ostream& out, const std::string& s) {
-  puffer::write_string(out, s);
-}
-
-std::string read_string(std::istream& in) {
-  return puffer::read_string(in, kIoContext, (1u << 20) - 1);
-}
-
 void write_figures(std::ostream& out, const stats::StreamFigures& f) {
   write_f64(out, f.watch_time_s);
   write_f64(out, f.stall_time_s);
@@ -113,7 +105,7 @@ TrialResult read_trial(std::istream& in) {
   const uint64_t num_schemes = read_count(in);
   for (uint64_t s = 0; s < num_schemes; s++) {
     SchemeResult result;
-    result.scheme = read_string(in);
+    result.scheme = read_string(in, kIoContext, (1u << 20) - 1);
     const uint64_t num_figures = read_count(in);
     result.considered.reserve(capped_reservation(num_figures));
     for (uint64_t i = 0; i < num_figures; i++) {

@@ -152,10 +152,10 @@ std::string TraceWriter::str() const {
 bool TraceWriter::write_file(const std::string& path) const {
   try {
     puffer::write_file(path, [this](std::ostream& out) { out << str(); });
+    return true;
   } catch (const RequirementError&) {
     return false;
   }
-  return true;
 }
 
 }  // namespace puffer::obs

@@ -40,9 +40,8 @@ inline double read_f64(std::istream& in, const std::string_view context) {
   return value;
 }
 
-/// How many elements to reserve for a count read from a file: capped, so a
-/// corrupt count fails on the payload reads hitting EOF instead of
-/// reserving gigabytes first.
+/// Elements to reserve for a count read from a file: capped, so a corrupt
+/// count fails at EOF instead of reserving gigabytes first.
 inline size_t capped_reservation(const uint64_t count) {
   return static_cast<size_t>(std::min<uint64_t>(count, uint64_t{1} << 16));
 }

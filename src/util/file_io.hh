@@ -2,10 +2,8 @@
 #define PUFFER_UTIL_FILE_IO_HH
 
 #include <fstream>
-#include <istream>
 #include <new>
 #include <optional>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -15,22 +13,18 @@
 
 namespace puffer {
 
-/// The one file layer every cache, checkpoint and export goes through.
+/// The file layer every cache, checkpoint and export goes through.
 ///
-/// Writing: write_file(path, write) opens `path` truncating, runs
-/// `write(out)`, then flushes and closes, and throws RequirementError naming
-/// the path if any step fails — a full disk or a failed close is an error,
-/// never a silent short file.
+/// write_file(path, write) opens `path` truncating, runs `write(out)`, then
+/// closes (flushing), and throws RequirementError naming the path if any
+/// step fails: a full disk is an error, never a silent short file.
 ///
-/// Reading (the cache-miss contract): a format's reader throws on anything
-/// it cannot parse; try_read(in, read) turns that into nullopt. Bad magic,
-/// truncation and implausible sizes raise RequirementError; a corrupt count
-/// that slips past a plausibility bound can still surface as bad_alloc or
-/// length_error. All three mean "no usable value here", and callers
-/// recompute. try_read_file(path, read) adds "the file does not open" to
-/// the misses. The campaign checkpoint is the one reader outside this
-/// contract: its days of state cannot be regenerated cheaply, so its
-/// restore treats damage as an error.
+/// The cache-miss contract: a format's reader throws on input it cannot
+/// parse (RequirementError; or bad_alloc/length_error from a corrupt count
+/// that passed its plausibility bound), and try_read maps all three to
+/// nullopt. try_read_file adds "the file does not open" to the misses.
+/// The campaign checkpoint's restore alone treats damage as an error: its
+/// state cannot be regenerated cheaply.
 
 template <typename Write>
 void write_file(const std::string& path, Write&& write) {
