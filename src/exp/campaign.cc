@@ -559,10 +559,10 @@ void Campaign::save_checkpoint() const {
   });
   // write_file throws on a short write, so only complete bytes reach the
   // rename. The rename is the commit point: a kill at any earlier moment
-  // leaves the previous checkpoint intact, so resume restarts the interrupted day from
-  // its beginning with exactly the prior day's state. The fsyncs extend the
-  // guarantee to power loss — the rename must never become durable before
-  // the bytes it names.
+  // leaves the previous checkpoint intact, so resume restarts the
+  // interrupted day from its beginning with exactly the prior day's state.
+  // The fsyncs extend the guarantee to power loss — the rename must never
+  // become durable before the bytes it names.
   fsync_path(tmp_path, /*directory=*/false);
   std::filesystem::rename(tmp_path, final_path);
   fsync_path(config_.checkpoint_dir, /*directory=*/true);
