@@ -35,6 +35,7 @@
 #include "oracles/ttp_reference.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace {
 
@@ -44,6 +45,7 @@ namespace fugu = puffer::fugu;
 namespace media = puffer::media;
 namespace nn = puffer::nn;
 namespace oracle = puffer::oracle;
+namespace util = puffer::util;
 
 constexpr size_t kTtpShape[] = {22, 64, 64, 21};
 
@@ -242,10 +244,10 @@ int main(int argc, char** argv) {
     audit.check(rows_match, "batched == single-row bitwise");
 
     if (nn::gemm_simd_available()) {
-      nn::set_gemm_force_portable(true);
+      util::set_force_portable(true);
       nn::Matrix portable;
       net.forward(batch, portable, scratch);
-      nn::set_gemm_force_portable(false);
+      util::set_force_portable(false);
       audit.check(same_bits(a, portable), "SIMD == portable bitwise");
     }
   }

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 
+#include "abr/mpc_sweep.hh"
 #include "media/ladder.hh"
 #include "util/require.hh"
+#include "util/simd.hh"
 
 namespace puffer::abr {
 
@@ -38,7 +40,29 @@ void prune_distribution(TxTimeDistribution& dist, const double min_probability) 
   }
 }
 
+/// The AVX2 sweep when it was compiled in and the CPU runs it, else nullptr.
+/// The cpuid check runs here, at the baseline ISA, once per process.
+const detail::SweepKernels* avx2_sweep() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const detail::SweepKernels* const kernels =
+      __builtin_cpu_supports("avx2") ? detail::avx2_sweep_kernels() : nullptr;
+  return kernels;
+#else
+  return nullptr;
+#endif
+}
+
+const detail::SweepKernels& active_sweep() {
+  const detail::SweepKernels* const avx2 =
+      util::force_portable() ? nullptr : avx2_sweep();
+  return avx2 != nullptr ? *avx2 : detail::kSweepKernels;
+}
+
 }  // namespace
+
+std::string mpc_active_path() {
+  return &active_sweep() == &detail::kSweepKernels ? "portable" : "avx2";
+}
 
 StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   require(config_.horizon >= 1, "StochasticMpc: horizon must be >= 1");
@@ -57,7 +81,7 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
 
 int StochasticMpc::buffer_to_bin(const double buffer_s) const {
   const double clamped = std::clamp(buffer_s, 0.0, media::kMaxBufferS);
-  return static_cast<int>(std::lround(clamped / config_.buffer_bin_s));
+  return round_nonnegative(clamped / config_.buffer_bin_s);
 }
 
 void StochasticMpc::fill_next_bin_row(const double tx_time_s,
@@ -73,9 +97,9 @@ void StochasticMpc::fill_next_bin_row(const double tx_time_s,
   }
 
   // Each run is checked against the row it summarizes, never assumed from
-  // the arithmetic: the clamped top, an lround flip on an off-grid time or
+  // the arithmetic: the clamped top, a rounding flip on an off-grid time or
   // a bin width that does not divide the buffer falls to the tail.
-  NextBinRuns& runs = next_bin_runs_[row];
+  detail::NextBinRuns& runs = next_bin_runs_[row];
   int b = 0;
   while (b <= num_bins_ && tx_time_s > b * config_.buffer_bin_s &&
          next_bin[b] == next_bin[0]) {
@@ -182,9 +206,8 @@ int StochasticMpc::plan(const AbrObservation& obs,
   expect_base_.resize(static_cast<size_t>(R) * bins);
   switch_penalty_.resize(static_cast<size_t>(R) * R);
 
-  // The stall cost of a bin that does not stall, as the per-bin expression
-  // computes it (mu * 0.0), so the shift run adds the same bits.
-  const double no_stall_cost = config_.mu * 0.0;
+  const detail::SweepKernels& sweep = active_sweep();
+  const detail::SweepGrid grid{bins, config_.buffer_bin_s, config_.mu};
 
   for (int step = effective_horizon_ - 1; step >= 1; step--) {
     // 1. Fold the outcome expectation once per (action, bin):
@@ -192,10 +215,7 @@ int StochasticMpc::plan(const AbrObservation& obs,
     //    The bin transition nb of each (outcome time, bin) comes from the
     //    next-bin table, so the fold never calls buffer_to_bin; and (unlike
     //    the recursion) the expectation no longer re-runs per previous rung.
-    //    Each outcome adds from contiguous slices of the action's V row:
-    //    one value over the stall run, the row shifted over the shift run,
-    //    and a per-bin gather only over the tail. Every bin still sums its
-    //    outcomes in order with the per-bin expression, so the bits match.
+    //    Every bin sums its outcomes in order with the per-bin expression.
     for (int action = 0; action < R; action++) {
       double* const base =
           expect_base_.data() + static_cast<size_t>(action) * bins;
@@ -206,25 +226,11 @@ int StochasticMpc::plan(const AbrObservation& obs,
           distributions_[static_cast<size_t>(step) * R +
                          static_cast<size_t>(action)];
       for (const TxTimeOutcome& outcome : dist) {
-        const double t = outcome.time_s;
-        const double p = outcome.probability;
-        const size_t row = next_bin_row(t);
-        const uint16_t* const next_bin =
-            next_bin_.data() + row * static_cast<size_t>(bins);
-        const NextBinRuns runs = next_bin_runs_[row];
-        const double stalled_value = value_row[next_bin[0]];
-        for (int b = 0; b < runs.stall_end; b++) {
-          const double buffer_s = b * config_.buffer_bin_s;
-          base[b] += p * (stalled_value - config_.mu * (t - buffer_s));
-        }
-        for (int b = runs.stall_end; b < runs.shift_end; b++) {
-          base[b] += p * (value_row[b + runs.shift] - no_stall_cost);
-        }
-        for (int b = runs.shift_end; b < bins; b++) {
-          const double buffer_s = b * config_.buffer_bin_s;
-          const double stall = t > buffer_s ? t - buffer_s : 0.0;
-          base[b] += p * (value_row[next_bin[b]] - config_.mu * stall);
-        }
+        const size_t row = next_bin_row(outcome.time_s);
+        sweep.fold(base, value_row,
+                   next_bin_.data() + row * static_cast<size_t>(bins),
+                   next_bin_runs_[row], outcome.time_s, outcome.probability,
+                   grid);
       }
     }
 
@@ -248,25 +254,9 @@ int StochasticMpc::plan(const AbrObservation& obs,
       }
     }
 
-    // 3. Maximize over actions for every (previous rung, bin) state, one
-    //    V row per previous rung. Actions go in ascending order, which fixes
-    //    which of two tied values (+0.0 and -0.0) is kept.
-    for (int prev = 0; prev < R; prev++) {
-      double* const out_row =
-          value_cur_.data() + static_cast<size_t>(prev) * bins;
-      std::fill(out_row, out_row + bins,
-                -std::numeric_limits<double>::infinity());
-      for (int action = 0; action < R; action++) {
-        const double switch_value =
-            switch_penalty_[static_cast<size_t>(action) * R +
-                            static_cast<size_t>(prev)];
-        const double* const base =
-            expect_base_.data() + static_cast<size_t>(action) * bins;
-        for (int b = 0; b < bins; b++) {
-          out_row[b] = std::max(out_row[b], switch_value + base[b]);
-        }
-      }
-    }
+    // 3. Maximize over actions for every (previous rung, bin) state.
+    sweep.maximize(value_cur_.data(), expect_base_.data(),
+                   switch_penalty_.data(), bins);
     std::swap(value_cur_, value_next_);
   }
 

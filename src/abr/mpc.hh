@@ -2,6 +2,7 @@
 #define PUFFER_ABR_MPC_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "abr/predictor.hh"
@@ -25,6 +26,58 @@ struct MpcConfig {
   double prune_probability = 1e-4;
 };
 
+/// lround for a non-negative finite x that fits an int, without the libm
+/// call: x - trunc(x) is exact, so comparing it with 0.5 rounds halves away
+/// from zero exactly as lround does (x + 0.5 would round up
+/// 0.49999999999999994). Exposed for its test.
+[[nodiscard]] inline int round_nonnegative(const double x) {
+  const int whole = static_cast<int>(x);
+  return x - whole >= 0.5 ? whole + 1 : whole;
+}
+
+namespace detail {
+
+/// A next-bin row split into runs the fold adds without a per-bin gather:
+/// bins [0, stall_end) stall (t > b*bin) and all land in next_bin[0];
+/// bins [stall_end, shift_end) do not stall and land in bin b + shift;
+/// bins [shift_end, bins) are the tail. shift is negative for outcome times
+/// longer than a chunk, so the fold indexes row[b + shift] rather than
+/// forming a pointer before the row.
+struct NextBinRuns {
+  int stall_end = 0;
+  int shift_end = 0;
+  int shift = 0;
+};
+
+/// The buffer grid a sweep step runs on, and the stall weight.
+struct SweepGrid {
+  int bins = 0;  ///< num_bins + 1 bins per row
+  double bin_s = 0.0;
+  double mu = 0.0;
+};
+
+/// One copy of the backward sweep's inner loops (abr/mpc_sweep.hh).
+struct SweepKernels {
+  /// Adds one outcome (time t, probability p) of an action into the
+  /// action's folded row: base[b] += p * (V[next_bin[b]] - mu * stall(b)).
+  void (*fold)(double* base, const double* value_row, const uint16_t* next_bin,
+               NextBinRuns runs, double t, double p, const SweepGrid& grid);
+  /// value_cur[prev][b] = max over actions a, in ascending order, of
+  /// switch_penalty[a][prev] + expect_base[a][b].
+  void (*maximize)(double* value_cur, const double* expect_base,
+                   const double* switch_penalty, int bins);
+};
+
+/// Defined in mpc_avx2.cc: the AVX2 copy, or nullptr when it was not
+/// compiled in (non-x86 target, no compiler support, or PUFFER_SIMD=OFF).
+/// It does not check the CPU; mpc.cc does, at the baseline ISA.
+const SweepKernels* avx2_sweep_kernels();
+
+}  // namespace detail
+
+/// "avx2" or "portable": the sweep copy StochasticMpc::plan runs now.
+[[nodiscard]] std::string mpc_active_path();
+
 /// Stochastic model-predictive controller: maximizes expected cumulative QoE
 /// over the lookahead horizon — exactly the paper's section 4.4 formulation.
 /// Works with any TxTimePredictor:
@@ -44,15 +97,21 @@ struct MpcConfig {
 /// (kTtpBinMidpointsS, the only times Fugu's outcomes take); any other time
 /// (MPC-HM's point masses, the throughput ablation) has its row computed
 /// into a scratch row with the same expressions. Each row is split into
-/// three runs (NextBinRuns), fixed with the row: a stall run, whose bins all
-/// land in the same next bin; a shift run, whose bins land in b + shift;
-/// and a tail gathered per bin. The value planes are [rung][bin], so the
-/// fold adds from contiguous slices of one V row and the maximization
-/// writes whole rows; the compiler vectorizes both at the baseline ISA.
-/// Every bin still sums its outcomes in order with the same expressions, so
-/// plans are bitwise those of a per-bin gather. There is no AVX2
-/// translation unit: one would need cpuid dispatch and a forced-portable
-/// test path, as nn/gemm_avx2.cc has.
+/// three runs (detail::NextBinRuns), fixed with the row: a stall run, whose
+/// bins all land in the same next bin; a shift run, whose bins land in
+/// b + shift; and a tail gathered per bin. The value planes are
+/// [rung][bin], so the fold adds from contiguous slices of one V row and the
+/// maximization writes whole rows. Every bin still sums its outcomes in
+/// order with the same expressions, so plans are bitwise those of a per-bin
+/// gather.
+///
+/// The fold and the maximization (abr/mpc_sweep.hh) are compiled twice: at
+/// the baseline ISA in mpc.cc, and with -mavx2 -ffp-contract=off (no FMA) in
+/// mpc_avx2.cc. plan() runs the AVX2 copy when it was compiled in and the
+/// CPU reports AVX2, unless util::set_force_portable(true) is in effect.
+/// Both copies perform the same IEEE operations per bin in the same order,
+/// so they give the same bits; tests run both and compare
+/// (mpc_active_path() names the copy plan() runs).
 ///
 /// The seed's recursive, memoized value iteration is the oracle the tests
 /// pin plan() against; it lives outside the library
@@ -87,18 +146,6 @@ class StochasticMpc {
  private:
   [[nodiscard]] int buffer_to_bin(double buffer_s) const;
 
-  /// A next-bin row split into runs the fold adds without a per-bin gather:
-  /// bins [0, stall_end) stall (t > b*bin) and all land in next_bin[0];
-  /// bins [stall_end, shift_end) do not stall and land in bin b + shift;
-  /// bins [shift_end, num_bins_] are the tail. shift is negative for
-  /// outcome times longer than a chunk, so the fold indexes row[b + shift]
-  /// rather than forming a pointer before the row.
-  struct NextBinRuns {
-    int stall_end = 0;
-    int shift_end = 0;
-    int shift = 0;
-  };
-
   /// Fills table row `row` with the bin index after a chunk of `tx_time_s`
   /// lands on each grid buffer b,
   /// next_bin[b] = buffer_to_bin(min(max(b*bin - t, 0) + chunk, max buffer)),
@@ -129,7 +176,7 @@ class StochasticMpc {
   // [row * (num_bins_+1) + bin]: one row per kTtpBinMidpointsS time, then
   // the scratch row for off-grid times.
   std::vector<uint16_t> next_bin_;
-  std::vector<NextBinRuns> next_bin_runs_;  // [row], refilled with its row
+  std::vector<detail::NextBinRuns> next_bin_runs_;  // [row], refilled with it
 
   // Per-plan scratch (kept across calls to avoid reallocation).
   std::span<const media::ChunkOptions> lookahead_;

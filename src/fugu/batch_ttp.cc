@@ -110,15 +110,14 @@ void BatchTtpPredictor::enqueue_rows(
   }
 }
 
-abr::TxTimeDistribution BatchTtpPredictor::distribution_of(
-    const TtpInferenceBatch& batch, const TtpInferenceBatch::Slot& slot,
-    const int64_t size_bytes) const {
-  abr::TxTimeDistribution dist =
-      ttp_distribution_of(model_->config(), batch.probs(slot), size_bytes);
+void BatchTtpPredictor::distribution_into(const TtpInferenceBatch& batch,
+                                          const TtpInferenceBatch::Slot& slot,
+                                          const int64_t size_bytes,
+                                          abr::TxTimeDistribution& out) const {
+  ttp_distribution_into(model_->config(), batch.probs(slot), size_bytes, out);
   if (point_estimate_) {
-    return point_estimate_of(dist);
+    collapse_to_point_estimate(out);
   }
-  return dist;
 }
 
 abr::TxTimeDistribution BatchTtpPredictor::predict(const int step,
@@ -129,7 +128,9 @@ abr::TxTimeDistribution BatchTtpPredictor::predict(const int step,
   local_batch_.clear();
   enqueue_rows({&query, 1}, local_batch_, local_slots_);
   local_batch_.run();
-  return distribution_of(local_batch_, local_slots_[0], size_bytes);
+  abr::TxTimeDistribution dist;
+  distribution_into(local_batch_, local_slots_[0], size_bytes, dist);
+  return dist;
 }
 
 void BatchTtpPredictor::predict_batch(
@@ -142,14 +143,13 @@ void BatchTtpPredictor::predict_batch(
     staged_batch_ = nullptr;
     require(queries.size() == staged_queries_.size(),
             "BatchTtpPredictor: staged decision does not match the plan");
-    out.clear();
-    out.reserve(queries.size());
+    out.resize(queries.size());
     for (size_t i = 0; i < queries.size(); i++) {
       require(queries[i].step == staged_queries_[i].step &&
                   queries[i].size_bytes == staged_queries_[i].size_bytes,
               "BatchTtpPredictor: staged query order mismatch");
-      out.push_back(
-          distribution_of(batch, staged_slots_[i], queries[i].size_bytes));
+      distribution_into(batch, staged_slots_[i], queries[i].size_bytes,
+                        out[i]);
     }
     staged_queries_.clear();
     staged_slots_.clear();
@@ -161,11 +161,10 @@ void BatchTtpPredictor::predict_batch(
   local_batch_.clear();
   enqueue_rows(queries, local_batch_, local_slots_);
   local_batch_.run();
-  out.clear();
-  out.reserve(queries.size());
+  out.resize(queries.size());
   for (size_t i = 0; i < queries.size(); i++) {
-    out.push_back(
-        distribution_of(local_batch_, local_slots_[i], queries[i].size_bytes));
+    distribution_into(local_batch_, local_slots_[i], queries[i].size_bytes,
+                      out[i]);
   }
 }
 

@@ -125,9 +125,11 @@ class BatchTtpPredictor final : public abr::TxTimePredictor {
   void enqueue_rows(std::span<const abr::TxTimeQuery> queries,
                     TtpInferenceBatch& batch,
                     std::vector<TtpInferenceBatch::Slot>& slots);
-  [[nodiscard]] abr::TxTimeDistribution distribution_of(
-      const TtpInferenceBatch& batch, const TtpInferenceBatch::Slot& slot,
-      int64_t size_bytes) const;
+  /// The distribution of one answered row, into `out` (capacity kept).
+  void distribution_into(const TtpInferenceBatch& batch,
+                         const TtpInferenceBatch::Slot& slot,
+                         int64_t size_bytes,
+                         abr::TxTimeDistribution& out) const;
 
   std::shared_ptr<const TtpModel> model_;
   bool point_estimate_;

@@ -164,13 +164,14 @@ void ttp_featurize_into(const TtpConfig& config, const TtpHistory& history,
           "ttp_featurize: dimension mismatch");
 }
 
-abr::TxTimeDistribution ttp_distribution_of(const TtpConfig& config,
-                                            const std::span<const float> probs,
-                                            const int64_t proposed_size_bytes) {
+void ttp_distribution_into(const TtpConfig& config,
+                           const std::span<const float> probs,
+                           const int64_t proposed_size_bytes,
+                           abr::TxTimeDistribution& out) {
   require(probs.size() == static_cast<size_t>(kTtpBins),
-          "ttp_distribution_of: wrong bin count");
-  abr::TxTimeDistribution dist;
-  dist.reserve(kTtpBins);
+          "ttp_distribution_into: wrong bin count");
+  out.clear();
+  out.reserve(kTtpBins);
   for (int bin = 0; bin < kTtpBins; bin++) {
     double time_s;
     if (config.target == TtpTarget::kTransmissionTime) {
@@ -183,20 +184,20 @@ abr::TxTimeDistribution ttp_distribution_of(const TtpConfig& config,
                throughput_bin_midpoint_bps(bin);
       time_s = std::clamp(time_s, 1e-3, 60.0);
     }
-    dist.push_back(
+    out.push_back(
         {time_s, static_cast<double>(probs[static_cast<size_t>(bin)])});
   }
-  return dist;
 }
 
-abr::TxTimeDistribution point_estimate_of(const abr::TxTimeDistribution& dist) {
-  require(!dist.empty(), "point_estimate_of: empty distribution");
+void collapse_to_point_estimate(abr::TxTimeDistribution& dist) {
+  require(!dist.empty(), "collapse_to_point_estimate: empty distribution");
   const auto best = std::max_element(
       dist.begin(), dist.end(),
       [](const abr::TxTimeOutcome& a, const abr::TxTimeOutcome& b) {
         return a.probability < b.probability;
       });
-  return {abr::TxTimeOutcome{best->time_s, 1.0}};
+  dist.front() = {best->time_s, 1.0};
+  dist.resize(1);
 }
 
 int ttp_label_of(const TtpConfig& config, const double tx_time_s,

@@ -75,14 +75,18 @@ void ttp_featurize_into(const TtpConfig& config, const TtpHistory& history,
                         std::vector<float>& out);
 
 /// Convert one post-softmax bin row into a transmission-time distribution
-/// (handling the throughput-ablation conversion t = size / throughput).
-abr::TxTimeDistribution ttp_distribution_of(const TtpConfig& config,
-                                            std::span<const float> probs,
-                                            int64_t proposed_size_bytes);
+/// (handling the throughput-ablation conversion t = size / throughput),
+/// into `out`: cleared and refilled, keeping its capacity, so a planner's
+/// per-query distributions are reused across plans without allocating.
+void ttp_distribution_into(const TtpConfig& config,
+                           std::span<const float> probs,
+                           int64_t proposed_size_bytes,
+                           abr::TxTimeDistribution& out);
 
-/// Collapse a distribution to its max-likelihood outcome — the paper's
-/// "Point Estimate" ablation (section 4.6).
-abr::TxTimeDistribution point_estimate_of(const abr::TxTimeDistribution& dist);
+/// Collapse a distribution, in place, to its max-likelihood outcome (the
+/// first of equal ones) with probability 1 — the paper's "Point Estimate"
+/// ablation (section 4.6).
+void collapse_to_point_estimate(abr::TxTimeDistribution& dist);
 
 /// Training label for an observed transfer under a given config.
 int ttp_label_of(const TtpConfig& config, double tx_time_s, double size_mb);

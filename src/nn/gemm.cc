@@ -1,21 +1,15 @@
 #include "nn/gemm.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "obs/prof.hh"
 #include "util/require.hh"
+#include "util/simd.hh"
 
 namespace puffer::nn {
 
 namespace {
-
-/// Kernel-dispatch override for tests/benches (set_gemm_force_portable).
-/// Both paths are bit-identical, so the flag can never change results —
-/// it only selects which of two equal implementations runs.
-// DETLINT-OK(global-state): annotated singleton — process-wide dispatch toggle, flipped only in single-threaded test/bench setup
-std::atomic<bool> force_portable_{false};
 
 /// Portable micro-kernel: the exact blocking of the AVX2 kernel with
 /// std::fmaf standing in for vfmaddps lane-for-lane. fmaf is the IEEE-754
@@ -55,7 +49,7 @@ constexpr detail::KernelTable kPortableKernels{
      &kernel_portable<4>}};
 
 const detail::KernelTable& active_kernels() {
-  if (!force_portable_.load(std::memory_order_relaxed)) {
+  if (!util::force_portable()) {
     const detail::KernelTable* simd = detail::avx2_kernel_table();
     if (simd != nullptr) {
       return *simd;
@@ -68,10 +62,6 @@ const detail::KernelTable& active_kernels() {
 
 bool gemm_simd_available() {
   return detail::avx2_kernel_table() != nullptr;
-}
-
-void set_gemm_force_portable(const bool force) {
-  force_portable_.store(force, std::memory_order_relaxed);
 }
 
 std::string gemm_active_path() {

@@ -83,12 +83,9 @@ void gemm(const Matrix& a, const PackedMatrix& b, Matrix& out,
           std::span<const float> bias = {});
 
 /// True when the AVX2/FMA micro-kernels were compiled in AND the running CPU
-/// supports them. The portable fallback is bit-identical either way.
+/// supports them. The portable fallback is bit-identical either way, and
+/// util::set_force_portable(true) selects it even when SIMD is available.
 [[nodiscard]] bool gemm_simd_available();
-
-/// Force the portable kernels even when SIMD is available (tests use this to
-/// audit the cross-path bitwise-identity contract; benches to measure both).
-void set_gemm_force_portable(bool force);
 
 /// "avx2" or "portable" — whichever path gemm() will actually run.
 [[nodiscard]] std::string gemm_active_path();

@@ -14,7 +14,10 @@ abr::TxTimeDistribution predict_tx_time(const fugu::TtpModel& model,
   const std::vector<float> probs = model.predict_bins(
       step, fugu::ttp_featurize(model.config(), history, tcp,
                                 proposed_size_bytes));
-  return fugu::ttp_distribution_of(model.config(), probs, proposed_size_bytes);
+  abr::TxTimeDistribution dist;
+  fugu::ttp_distribution_into(model.config(), probs, proposed_size_bytes,
+                              dist);
+  return dist;
 }
 
 ScalarTtpPredictor::ScalarTtpPredictor(
@@ -31,11 +34,12 @@ abr::TxTimeDistribution ScalarTtpPredictor::predict(const int step,
                                                     const int64_t size_bytes) {
   fugu::ttp_featurize_into(model_->config(), history_, current_tcp_,
                            size_bytes, features_);
-  abr::TxTimeDistribution dist = fugu::ttp_distribution_of(
-      model_->config(), model_->predict_bins(step, features_, forward_),
-      size_bytes);
+  abr::TxTimeDistribution dist;
+  fugu::ttp_distribution_into(model_->config(),
+                              model_->predict_bins(step, features_, forward_),
+                              size_bytes, dist);
   if (point_estimate_) {
-    return fugu::point_estimate_of(dist);
+    fugu::collapse_to_point_estimate(dist);
   }
   return dist;
 }

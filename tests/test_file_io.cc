@@ -33,6 +33,9 @@
 namespace puffer {
 namespace {
 
+using test::sample_dataset;
+using test::small_ttp_config;
+
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/file_io_" + name;
 }
@@ -41,35 +44,6 @@ std::string file_bytes(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   EXPECT_TRUE(in.is_open()) << path;
   return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-}
-
-fugu::TtpConfig small_ttp() {
-  fugu::TtpConfig config;
-  config.history = 4;
-  config.hidden_layers = {8};
-  config.horizon = 2;
-  return config;
-}
-
-fugu::TtpDataset sample_dataset() {
-  fugu::TtpDataset dataset;
-  for (int day = 0; day < 3; day++) {
-    fugu::StreamLog stream;
-    stream.day = day;
-    for (int c = 0; c < 4; c++) {
-      fugu::ChunkLog chunk;
-      chunk.size_mb = 0.25 * (c + 1) + day;
-      chunk.tx_time_s = 0.125 * (c + 1);
-      chunk.tcp_at_send.cwnd_pkts = 10.0 + c;
-      chunk.tcp_at_send.in_flight_pkts = 5.5 + c;
-      chunk.tcp_at_send.min_rtt_s = 0.04;
-      chunk.tcp_at_send.srtt_s = 0.0625 + 0.001 * day;
-      chunk.tcp_at_send.delivery_rate_bps = 1e6 * (day + 1) + 0.375;
-      stream.chunks.push_back(chunk);
-    }
-    dataset.push_back(stream);
-  }
-  return dataset;
 }
 
 exp::TrialResult sample_trial() {
@@ -111,7 +85,7 @@ TEST(FormatPins, MlpFile) {
 
 TEST(FormatPins, TtpFile) {
   const std::string path = temp_path("ttp.bin");
-  const fugu::TtpConfig config = small_ttp();
+  const fugu::TtpConfig config = small_ttp_config();
   exp::save_ttp(fugu::TtpModel{config, /*seed=*/42}, path);
   const std::string bytes = file_bytes(path);
   EXPECT_EQ(stable_hash(bytes), 1119304709419735657u);
@@ -366,7 +340,9 @@ TEST_F(FullDisk, TraceWriterReturnsFalse) {
 
 TEST_F(FullDisk, SaveTtpThrows) {
   test::expect_rejected(
-      [] { exp::save_ttp(fugu::TtpModel{small_ttp(), /*seed=*/3}, kPath); },
+      [] {
+        exp::save_ttp(fugu::TtpModel{small_ttp_config(), /*seed=*/3}, kPath);
+      },
       {kPath});
 }
 

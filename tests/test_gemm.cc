@@ -16,6 +16,7 @@
 #include "nn/matrix.hh"
 #include "nn/mlp.hh"
 #include "oracles/naive_gemm.hh"
+#include "test_helpers.hh"
 #include "util/rng.hh"
 
 namespace puffer::nn {
@@ -53,14 +54,6 @@ void expect_near(const Matrix& actual, const Matrix& expected,
         << what << " element " << i;
   }
 }
-
-/// Restores the dispatch override even when an assertion fires.
-struct ForcePortableGuard {
-  explicit ForcePortableGuard(const bool force) {
-    set_gemm_force_portable(force);
-  }
-  ~ForcePortableGuard() { set_gemm_force_portable(false); }
-};
 
 // Shapes exercising full tiles, SIMD tail lanes (panel width 16, row tile
 // 4), and degenerate 1xN / Nx1 / k=1 cases.
@@ -174,7 +167,7 @@ TEST(Gemm, PortableAndSimdPathsBitwiseIdentical) {
       Matrix simd, portable;
       matmul(a, b, simd);
       {
-        ForcePortableGuard guard{true};
+        test::ForcePortableGuard guard;
         EXPECT_EQ(gemm_active_path(), "portable");
         matmul(a, b, portable);
       }

@@ -15,12 +15,15 @@
 #include "abr/abr.hh"
 #include "exp/session_task.hh"
 #include "exp/trial.hh"
+#include "fugu/dataset.hh"
+#include "fugu/ttp.hh"
 #include "media/ladder.hh"
 #include "media/vbr_source.hh"
 #include "net/scenario.hh"
 #include "nn/serialize.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace puffer::test {
 
@@ -66,6 +69,15 @@ inline abr::ChunkRecord record_at_throughput(const int64_t index,
   return record;
 }
 
+/// Forces every SIMD dispatcher onto its portable path for the guard's
+/// scope, and restores SIMD dispatch even when an assertion fires.
+struct ForcePortableGuard {
+  ForcePortableGuard() { util::set_force_portable(true); }
+  ~ForcePortableGuard() { util::set_force_portable(false); }
+  ForcePortableGuard(const ForcePortableGuard&) = delete;
+  ForcePortableGuard& operator=(const ForcePortableGuard&) = delete;
+};
+
 /// Hash of a network's serialized architecture and parameters: pins what
 /// a training run produced, bit for bit.
 inline uint64_t mlp_hash(const nn::Mlp& net) {
@@ -89,6 +101,40 @@ void expect_rejected(Action&& action,
           << "'" << fragment << "' missing from: " << message;
     }
   }
+}
+
+/// A small TTP architecture (history 4, one hidden layer of 8, horizon 2)
+/// for the file-format tests: cheap to build, and pinned byte hashes
+/// depend on it.
+inline fugu::TtpConfig small_ttp_config() {
+  fugu::TtpConfig config;
+  config.history = 4;
+  config.hidden_layers = {8};
+  config.horizon = 2;
+  return config;
+}
+
+/// Three days of four chunks each, with values exact in binary so a round
+/// trip through any format can be compared bit for bit.
+inline fugu::TtpDataset sample_dataset() {
+  fugu::TtpDataset dataset;
+  for (int day = 0; day < 3; day++) {
+    fugu::StreamLog stream;
+    stream.day = day;
+    for (int c = 0; c < 4; c++) {
+      fugu::ChunkLog chunk;
+      chunk.size_mb = 0.25 * (c + 1) + day;
+      chunk.tx_time_s = 0.125 * (c + 1);
+      chunk.tcp_at_send.cwnd_pkts = 10.0 + c;
+      chunk.tcp_at_send.in_flight_pkts = 5.5 + c;
+      chunk.tcp_at_send.min_rtt_s = 0.04;
+      chunk.tcp_at_send.srtt_s = 0.0625 + 0.001 * day;
+      chunk.tcp_at_send.delivery_rate_bps = 1e6 * (day + 1) + 0.375;
+      stream.chunks.push_back(chunk);
+    }
+    dataset.push_back(stream);
+  }
+  return dataset;
 }
 
 /// Bitwise double equality: trial runs promise *bit-identical* results,

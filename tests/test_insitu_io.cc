@@ -11,43 +11,18 @@
 #include <string>
 
 #include "exp/insitu.hh"
+#include "test_helpers.hh"
 
 namespace puffer::exp {
 namespace {
 
-fugu::TtpConfig small_config() {
-  fugu::TtpConfig config;
-  config.history = 4;
-  config.hidden_layers = {8};
-  config.horizon = 2;
-  return config;
-}
+using test::sample_dataset;
+using test::small_ttp_config;
 
 std::string serialized_ttp(const fugu::TtpModel& model) {
   std::ostringstream out{std::ios::binary};
   save_ttp(model, out);
   return out.str();
-}
-
-fugu::TtpDataset sample_dataset() {
-  fugu::TtpDataset dataset;
-  for (int day = 0; day < 3; day++) {
-    fugu::StreamLog stream;
-    stream.day = day;
-    for (int c = 0; c < 4; c++) {
-      fugu::ChunkLog chunk;
-      chunk.size_mb = 0.25 * (c + 1) + day;
-      chunk.tx_time_s = 0.125 * (c + 1);
-      chunk.tcp_at_send.cwnd_pkts = 10.0 + c;
-      chunk.tcp_at_send.in_flight_pkts = 5.5 + c;
-      chunk.tcp_at_send.min_rtt_s = 0.04;
-      chunk.tcp_at_send.srtt_s = 0.0625 + 0.001 * day;
-      chunk.tcp_at_send.delivery_rate_bps = 1e6 * (day + 1) + 0.375;
-      stream.chunks.push_back(chunk);
-    }
-    dataset.push_back(stream);
-  }
-  return dataset;
 }
 
 std::string serialized_dataset(const fugu::TtpDataset& dataset) {
@@ -57,7 +32,7 @@ std::string serialized_dataset(const fugu::TtpDataset& dataset) {
 }
 
 TEST(TtpIo, StreamRoundTripIsExact) {
-  const fugu::TtpConfig config = small_config();
+  const fugu::TtpConfig config = small_ttp_config();
   const fugu::TtpModel model{config, 77};
   std::istringstream in{serialized_ttp(model), std::ios::binary};
   const auto loaded = try_load_ttp(config, in);
@@ -69,7 +44,7 @@ TEST(TtpIo, StreamRoundTripIsExact) {
 }
 
 TEST(TtpIo, RejectsTruncationAtEveryBoundary) {
-  const fugu::TtpConfig config = small_config();
+  const fugu::TtpConfig config = small_ttp_config();
   const std::string bytes = serialized_ttp(fugu::TtpModel{config, 78});
   // Cut inside the header, inside the first network, and one byte short.
   for (const size_t keep : {size_t{0}, size_t{4}, size_t{12}, bytes.size() / 2,
@@ -80,7 +55,7 @@ TEST(TtpIo, RejectsTruncationAtEveryBoundary) {
 }
 
 TEST(TtpIo, RejectsBadMagicAndGarbageBody) {
-  const fugu::TtpConfig config = small_config();
+  const fugu::TtpConfig config = small_ttp_config();
   std::string bytes = serialized_ttp(fugu::TtpModel{config, 79});
   std::string flipped = bytes;
   flipped[0] = static_cast<char>(flipped[0] ^ 0x5a);
@@ -101,7 +76,7 @@ TEST(TtpIo, RejectsImplausibleParameterCounts) {
   // Individually-plausible layer sizes whose product implies terabytes of
   // weights: the loader must reject the header outright instead of trying
   // (and possibly failing) to allocate.
-  const fugu::TtpConfig config = small_config();
+  const fugu::TtpConfig config = small_ttp_config();
   std::ostringstream out{std::ios::binary};
   const auto put = [&out](const uint64_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -118,7 +93,7 @@ TEST(TtpIo, RejectsImplausibleParameterCounts) {
 }
 
 TEST(TtpIo, RejectsConfigMismatch) {
-  const fugu::TtpConfig saved = small_config();
+  const fugu::TtpConfig saved = small_ttp_config();
   const std::string bytes = serialized_ttp(fugu::TtpModel{saved, 80});
 
   fugu::TtpConfig other_horizon = saved;
@@ -136,8 +111,8 @@ TEST(TtpIo, RejectsConfigMismatch) {
 }
 
 TEST(TtpIo, MissingFileYieldsNullopt) {
-  EXPECT_FALSE(
-      try_load_ttp(small_config(), "/no/such/directory/model.bin").has_value());
+  EXPECT_FALSE(try_load_ttp(small_ttp_config(), "/no/such/directory/model.bin")
+                   .has_value());
 }
 
 TEST(DatasetIo, StreamRoundTripIsExact) {

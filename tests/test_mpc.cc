@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "abr/mpc.hh"
 #include "abr/mpc_abr.hh"
@@ -315,18 +316,21 @@ void append_bits(std::string& bytes, const double value) {
   }
 }
 
-/// The iterative backward sweep must agree with the recursive reference
-/// (tests/oracles/mpc_reference.hh) on randomized lookaheads, horizons,
-/// buffers and multi-outcome distributions. The two differ only by
-/// floating-point reassociation of the expectation sum, so values match to
-/// ~1e-6 and the argmax may flip only on a floating tie. Outcome times are
-/// off-grid, on the TTP grid (the precomputed next-bin rows), or a mix of
-/// both, and some trials use a fine 0.02 s buffer grid (751 bins). The
-/// sweep's own values are also pinned bit for bit, through a hash.
-TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
+/// Pins every plan value and root value of the randomized sweep trials,
+/// bit for bit (stable_hash of sweep_trial_bits).
+constexpr uint64_t kSweepTrialsHash = 15796812151857999831ULL;
+
+/// Plans 80 randomized trials: lookaheads, horizons, buffers and
+/// multi-outcome distributions. Outcome times are off-grid, on the TTP grid
+/// (the precomputed next-bin rows), or a mix of both, and some trials use a
+/// fine 0.02 s buffer grid (751 bins). Appends every trial's plan value and
+/// root values, bit for bit, to `plan_bits`. With `check_reference`, each
+/// plan must also agree with the recursive reference
+/// (tests/oracles/mpc_reference.hh). The two differ only by floating-point
+/// reassociation of the expectation sum, so values match to ~1e-6 and the
+/// argmax may flip only on a floating tie.
+void sweep_trial_bits(const bool check_reference, std::string& plan_bits) {
   Rng meta{909};
-  // Every trial's plan() value and root values, bit for bit.
-  std::string plan_bits;
   for (int trial = 0; trial < 80; trial++) {
     // Trials from 60 on add the rows a fold may treat specially: off-grid
     // times above the 15 s buffer, where every bin stalls (MPC-HM clamps
@@ -388,6 +392,9 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
       append_bits(plan_bits, root);
     }
 
+    if (!check_reference) {
+      continue;
+    }
     const oracle::ReferencePlan plan =
         oracle::plan_reference(mpc, obs, lookahead);
     const int reference = plan.rung;
@@ -407,8 +414,52 @@ TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
           << "trial " << trial << ": argmax flip without a value tie";
     }
   }
+}
+
+TEST(Mpc, IterativeSweepMatchesRecursiveReference) {
+  std::string plan_bits;
+  sweep_trial_bits(/*check_reference=*/true, plan_bits);
   // A faster fold must reproduce every plan exactly, not just to 1e-6.
-  EXPECT_EQ(stable_hash(plan_bits), 15796812151857999831ULL);
+  EXPECT_EQ(stable_hash(plan_bits), kSweepTrialsHash);
+}
+
+/// The baseline and AVX2 copies of the sweep (mpc.cc, mpc_avx2.cc) must
+/// give the same plans, bit for bit.
+TEST(Mpc, PortableAndAvx2SweepsBitwiseIdentical) {
+  std::string portable;
+  {
+    test::ForcePortableGuard guard;
+    ASSERT_EQ(mpc_active_path(), "portable");
+    sweep_trial_bits(/*check_reference=*/false, portable);
+  }
+  EXPECT_EQ(stable_hash(portable), kSweepTrialsHash);
+  if (mpc_active_path() != "avx2") {
+    GTEST_SKIP() << "AVX2 sweep not available (no AVX2 on this CPU, or "
+                    "built with PUFFER_SIMD=OFF)";
+  }
+  std::string avx2;
+  sweep_trial_bits(/*check_reference=*/false, avx2);
+  EXPECT_TRUE(avx2 == portable) << "the AVX2 sweep planned other bits";
+}
+
+/// buffer_to_bin's inline rounding is std::lround on every value it can
+/// see: a dense sweep of [0, 60], every k + 0.5 and both neighbours of each.
+/// nextafter(0.5, 0) = 0.49999999999999994 is the case that rounding by
+/// truncating x + 0.5 gets wrong.
+TEST(Mpc, InlineRoundingMatchesLround) {
+  std::vector<double> values;
+  for (int i = 0; i <= 600000; i++) {
+    values.push_back(i * 1e-4);
+  }
+  for (int k = 0; k < 60; k++) {
+    const double half = k + 0.5;
+    values.insert(values.end(), {std::nextafter(half, 0.0), half,
+                                 std::nextafter(half, 61.0)});
+  }
+  for (const double x : values) {
+    ASSERT_EQ(round_nonnegative(x), std::lround(x)) << std::hexfloat << x;
+  }
+  EXPECT_EQ(round_nonnegative(0.49999999999999994), 0);
 }
 
 /// chunk_qoe treats a negative previous SSIM as "no previous quality" and
