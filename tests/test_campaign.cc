@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <utility>
 
 #include "exp/campaign.hh"
+#include "exp/insitu.hh"
 #include "net/trace_file.hh"
 #include "test_helpers.hh"
 #include "util/require.hh"
@@ -83,6 +86,13 @@ const SharedCampaign& shared_campaign() {
   return *shared;
 }
 
+/// The serialized bytes of an arm's deployed TTP (every step network).
+std::string deployed_bytes(const Campaign& campaign, const std::string& arm) {
+  std::ostringstream bytes;
+  save_ttp(*campaign.deployed_model(arm), bytes);
+  return bytes.str();
+}
+
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
@@ -154,6 +164,31 @@ TEST(Campaign, BitIdenticalAtOneThreadAndAcrossObjectContinuation) {
   EXPECT_EQ(partial.days.size(), 1u);
   const CampaignResult result = campaign.run();
   EXPECT_EQ(result.days, shared_campaign().result.days);
+  for (const std::string arm : {"fugu-warm", "fugu-cold"}) {
+    EXPECT_EQ(deployed_bytes(campaign, arm),
+              deployed_bytes(shared_campaign().campaign, arm))
+        << arm;
+  }
+}
+
+/// A learner with the paper's five step networks, one day, at several
+/// thread counts: the nightly retrain deploys the same bytes at each.
+TEST(Campaign, FullHorizonRetrainDeploysTheSameModelAtAnyThreadCount) {
+  CampaignConfig config = tiny_config();
+  config.arms = {learner_arm("fugu", /*warm_start=*/false)};
+  config.arms[0].ttp.horizon = 5;
+  config.phases = {CampaignPhase{net::ScenarioSpec{"puffer"}, 1}};
+  const auto run_at = [&](const int threads) {
+    config.num_threads = threads;
+    Campaign campaign{config};
+    return std::pair{campaign.run().days, deployed_bytes(campaign, "fugu")};
+  };
+  const auto serial = run_at(1);
+  for (const int threads : {2, 4}) {
+    const auto parallel = run_at(threads);
+    EXPECT_EQ(parallel.first, serial.first) << threads << " threads";
+    EXPECT_EQ(parallel.second, serial.second) << threads << " threads";
+  }
 }
 
 TEST(Campaign, ResumeAfterKillIsBitIdenticalAtTwoThreads) {
@@ -183,6 +218,8 @@ TEST(Campaign, ResumeAfterKillIsBitIdenticalAtTwoThreads) {
   const CampaignResult again = finished.run();
   EXPECT_EQ(again.restored_days, 3);
   EXPECT_EQ(again.days, shared_campaign().result.days);
+  EXPECT_EQ(deployed_bytes(finished, "fugu-warm"),
+            deployed_bytes(shared_campaign().campaign, "fugu-warm"));
 
   // The checkpoint encodes the campaign's fingerprint: a different
   // configuration must refuse to adopt this directory, at construction.

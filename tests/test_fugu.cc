@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "fugu/batch_ttp.hh"
 #include "fugu/dataset.hh"
@@ -245,6 +247,61 @@ TEST(TtpTraining, LossDecreasesAndBeatsChance) {
   // The trained weights, bit for bit: a moved training constant (learning
   // rate, recency decay, Adam's moments) changes this hash.
   EXPECT_EQ(test::mlp_hash(model.networks()[0]), 2444146523535958860ULL);
+}
+
+/// What one full-horizon training run hands back, hashed: every step
+/// network's bytes, the report, and the caller's next draw (training must
+/// leave the caller's stream where it found the last shuffle).
+struct TrainingPin {
+  uint64_t networks = 0;
+  uint64_t report = 0;
+  uint64_t next_draw = 0;
+
+  bool operator==(const TrainingPin&) const = default;
+};
+
+TrainingPin train_and_pin(const TtpConfig& config,
+                          const TtpTrainConfig& train_config) {
+  // 30 streams x 40 chunks over days 0-2: three recency weights.
+  TtpDataset dataset = synthetic_dataset(30, 30);
+  for (size_t s = 0; s < dataset.size(); s++) {
+    dataset[s].day = static_cast<int>(s % 3);
+  }
+  Rng rng{31};
+  TtpTrainReport report;
+  const TtpModel model = train_ttp(config, dataset, /*current_day=*/2,
+                                   train_config, rng, nullptr, &report);
+  std::string networks;
+  for (const nn::Mlp& net : model.networks()) {
+    networks += std::to_string(test::mlp_hash(net)) + ";";
+  }
+  std::string losses = std::to_string(report.examples_per_step) + ";";
+  for (const double loss : report.loss_per_epoch) {
+    losses += std::to_string(std::bit_cast<uint64_t>(loss)) + ";";
+  }
+  return {stable_hash(networks), stable_hash(losses), rng.engine()()};
+}
+
+/// The trainer, bit for bit, on all five step networks: both targets, and a
+/// cap of 1150 examples that truncates steps 0-1 (1200 and 1170 examples)
+/// but not steps 2-4.
+TEST(TtpTraining, EveryStepNetworkIsPinned) {
+  const TtpTrainConfig train{.epochs = 2, .batch_size = 64};
+  TtpConfig throughput;
+  throughput.target = TtpTarget::kThroughput;
+  TtpTrainConfig capped = train;
+  capped.max_examples_per_step = 1150;
+
+  const TrainingPin tx = train_and_pin(TtpConfig{}, train);
+  const TrainingPin tput = train_and_pin(throughput, train);
+  const TrainingPin cap = train_and_pin(TtpConfig{}, capped);
+  EXPECT_EQ(tx, (TrainingPin{1903123284910392838ULL, 6498098977201272363ULL,
+                              10219769645572454987ULL}));
+  EXPECT_EQ(tput,
+            (TrainingPin{13043704501254975948ULL, 7794782541875544141ULL,
+                         10219769645572454987ULL}));
+  EXPECT_EQ(cap, (TrainingPin{9057663497613872282ULL, 12949721035150882564ULL,
+                              16271660297312410432ULL}));
 }
 
 TEST(TtpTraining, WarmStartImprovesInitialLoss) {
