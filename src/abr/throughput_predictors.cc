@@ -16,6 +16,13 @@ constexpr double kColdStartThroughputBps = 3e6 / 8.0;
 constexpr double kMinTxTimeS = 1e-3;
 constexpr double kMaxTxTimeS = 60.0;
 
+/// Point-estimate transmission time of `size_bytes` at `throughput_bps`.
+double tx_time_at(const int64_t size_bytes, const double throughput_bps) {
+  return std::clamp(static_cast<double>(size_bytes) /
+                        std::max(throughput_bps, 1.0),
+                    kMinTxTimeS, kMaxTxTimeS);
+}
+
 }  // namespace
 
 void HarmonicMeanPredictor::begin_decision(const AbrObservation& /*obs*/) {
@@ -34,13 +41,27 @@ double HarmonicMeanPredictor::predicted_throughput() const {
   return static_cast<double>(throughput_samples_.size()) / denominator;
 }
 
+double HarmonicMeanPredictor::planning_throughput() const {
+  return predicted_throughput();
+}
+
 TxTimeDistribution HarmonicMeanPredictor::predict(const int /*step*/,
                                                   const int64_t size_bytes) {
-  const double throughput = predicted_throughput();
-  const double tx_time = std::clamp(
-      static_cast<double>(size_bytes) / std::max(throughput, 1.0), kMinTxTimeS,
-      kMaxTxTimeS);
-  return {TxTimeOutcome{tx_time, 1.0}};
+  return {TxTimeOutcome{tx_time_at(size_bytes, planning_throughput()), 1.0}};
+}
+
+void HarmonicMeanPredictor::predict_batch(
+    const std::span<const TxTimeQuery> queries,
+    std::vector<TxTimeDistribution>& out) {
+  out.resize(queries.size());
+  if (queries.empty()) {
+    return;
+  }
+  const double throughput = planning_throughput();
+  for (size_t i = 0; i < queries.size(); i++) {
+    out[i].assign(
+        1, TxTimeOutcome{tx_time_at(queries[i].size_bytes, throughput), 1.0});
+  }
 }
 
 void HarmonicMeanPredictor::on_chunk_complete(const ChunkRecord& record) {
@@ -58,19 +79,12 @@ void HarmonicMeanPredictor::reset_session() {
   throughput_samples_.clear();
 }
 
-TxTimeDistribution RobustThroughputPredictor::predict(const int /*step*/,
-                                                      const int64_t size_bytes) {
+double RobustThroughputPredictor::planning_throughput() const {
   double max_error = 0.0;
   for (const double err : relative_errors_) {
     max_error = std::max(max_error, err);
   }
-  const double robust_throughput = predicted_throughput() / (1.0 + max_error);
-  last_prediction_bps_ = robust_throughput;
-  const double tx_time =
-      std::clamp(static_cast<double>(size_bytes) /
-                     std::max(robust_throughput, 1.0),
-                 kMinTxTimeS, kMaxTxTimeS);
-  return {TxTimeOutcome{tx_time, 1.0}};
+  return predicted_throughput() / (1.0 + max_error);
 }
 
 void RobustThroughputPredictor::on_chunk_complete(const ChunkRecord& record) {
@@ -92,7 +106,6 @@ void RobustThroughputPredictor::on_chunk_complete(const ChunkRecord& record) {
 void RobustThroughputPredictor::reset_session() {
   HarmonicMeanPredictor::reset_session();
   relative_errors_.clear();
-  last_prediction_bps_ = 0.0;
 }
 
 }  // namespace puffer::abr

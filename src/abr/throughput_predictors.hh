@@ -16,7 +16,11 @@ class HarmonicMeanPredictor : public TxTimePredictor {
   static constexpr size_t kWindow = 5;
 
   void begin_decision(const AbrObservation& obs) override;
-  TxTimeDistribution predict(int step, int64_t size_bytes) override;
+  TxTimeDistribution predict(int step, int64_t size_bytes) final;
+  /// One estimate for the whole decision; each query's one-outcome
+  /// distribution is refilled in place, so a warm `out` allocates nothing.
+  void predict_batch(std::span<const TxTimeQuery> queries,
+                     std::vector<TxTimeDistribution>& out) final;
   void on_chunk_complete(const ChunkRecord& record) override;
   void reset_session() override;
 
@@ -24,6 +28,9 @@ class HarmonicMeanPredictor : public TxTimePredictor {
   [[nodiscard]] double predicted_throughput() const;
 
  protected:
+  /// The throughput chunk sizes are divided by: the harmonic mean here.
+  [[nodiscard]] virtual double planning_throughput() const;
+
   std::deque<double> throughput_samples_;  ///< bytes per second
 };
 
@@ -32,13 +39,13 @@ class HarmonicMeanPredictor : public TxTimePredictor {
 /// C_robust = C_hm / (1 + max_err) (Yin et al. [43], section 5.2).
 class RobustThroughputPredictor final : public HarmonicMeanPredictor {
  public:
-  TxTimeDistribution predict(int step, int64_t size_bytes) override;
   void on_chunk_complete(const ChunkRecord& record) override;
   void reset_session() override;
 
  private:
+  [[nodiscard]] double planning_throughput() const override;
+
   std::deque<double> relative_errors_;
-  double last_prediction_bps_ = 0.0;
 };
 
 }  // namespace puffer::abr

@@ -693,8 +693,6 @@ void Campaign::run_one_day(const int day) {
     if (!arm.retrain) {
       continue;
     }
-    const fugu::TtpDataset window =
-        telemetry_.window(day, arm.train.window_days);
     const Rng train_base = Rng{config_.seed}
                                .split("campaign/train")
                                .split(static_cast<uint64_t>(i))
@@ -726,7 +724,9 @@ void Campaign::run_one_day(const int day) {
               ? train_base
               : train_base.split("retry").split(static_cast<uint64_t>(attempt));
       deployed_[i] = std::make_shared<const fugu::TtpModel>(
-          fugu::train_ttp(arm.ttp, window, day, arm.train, train_rng, warm));
+          fugu::train_ttp(arm.ttp, telemetry_.all(), day, arm.train,
+                          train_rng, warm, /*report=*/nullptr,
+                          config_.num_threads));
       metrics_.add(retrains_metric_);
       trained = true;
       break;

@@ -57,9 +57,11 @@ struct CampaignConfig {
   /// Fresh held-out sessions per day for evaluate_ttp (TTP cross-entropy).
   int holdout_sessions_per_day = 8;
   uint64_t seed = 1;
-  /// Worker threads for every inner trial (0 = all cores). Results are
-  /// bit-identical at any value — every day trial runs on the fleet engine
-  /// and inherits its merge discipline.
+  /// Worker threads for every inner trial and for the nightly retrain,
+  /// which trains the TTP's step networks concurrently (0 = all cores).
+  /// Results and deployed models are bit-identical at any value: every day
+  /// trial runs on the fleet engine and inherits its merge discipline, and
+  /// train_ttp draws its shuffles in serial order before its jobs start.
   int num_threads = 0;
   /// Directory for the resumable checkpoint + per-day reports. Empty: the
   /// campaign runs in memory only.

@@ -165,8 +165,10 @@ fugu::TtpModel train_ttp_on_scenario(const net::ScenarioSpec& scenario,
     }
   }
   Rng rng = Rng{seed}.split("ttp-train");
+  // All cores, like the telemetry trials above (num_threads = 0).
   return fugu::train_ttp(config, dataset, /*current_day=*/days - 1,
-                         train_config, rng, /*warm_start=*/nullptr, report);
+                         train_config, rng, /*warm_start=*/nullptr, report,
+                         /*num_threads=*/0);
 }
 
 }  // namespace puffer::exp

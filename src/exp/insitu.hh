@@ -48,8 +48,10 @@ fugu::TtpDataset collect_telemetry(const net::ScenarioSpec& scenario,
 /// the last day — "learning in situ" when the scenario is the deployment
 /// world ("puffer"), and the "Emulation-trained Fugu" arm when it is
 /// "fcc-emulation". Any registered scenario family works: this is how a TTP
-/// is specialized to a new workload. For the full day-after-day loop with
-/// warm starts, checkpoints, and multiple arms, see exp::Campaign.
+/// is specialized to a new workload. Collection and training both use all
+/// cores; the model does not depend on the core count. For the full
+/// day-after-day loop with warm starts, checkpoints, and multiple arms, see
+/// exp::Campaign.
 fugu::TtpModel train_ttp_on_scenario(const net::ScenarioSpec& scenario,
                                      const fugu::TtpConfig& config,
                                      const fugu::TtpTrainConfig& train_config,

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
+#include <random>
 
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
 #include "util/require.hh"
+#include "util/thread_pool.hh"
 
 namespace puffer::fugu {
 
@@ -52,46 +54,131 @@ void TtpTrainConfig::validate() const {
           "TtpTrainConfig: max_examples_per_step must be >= 1");
 }
 
-std::vector<TtpExample> build_examples(const TtpConfig& config,
-                                       const TtpDataset& dataset,
-                                       const int step, const int current_day,
-                                       const double recency_decay) {
-  std::vector<TtpExample> examples;
-  TtpHistory history;
-  for (const auto& stream : dataset) {
-    history.clear();
-    const float weight = static_cast<float>(
-        std::pow(recency_decay, std::max(0, current_day - stream.day)));
-    const auto n = static_cast<int64_t>(stream.chunks.size());
-    for (int64_t i = 0; i + step < n; i++) {
-      const ChunkLog& decision_chunk = stream.chunks[static_cast<size_t>(i)];
-      const ChunkLog& target_chunk =
-          stream.chunks[static_cast<size_t>(i + step)];
-
-      // At this point `history` holds chunks 0..i-1 — exactly what the
-      // server knew when it decided chunk i.
-      TtpExample example;
-      example.features = ttp_featurize(
-          config, history, decision_chunk.tcp_at_send,
-          static_cast<int64_t>(target_chunk.size_mb * 1e6));
-      example.label =
-          ttp_label_of(config, target_chunk.tx_time_s, target_chunk.size_mb);
-      example.weight = weight;
-      example.true_tx_time_s = target_chunk.tx_time_s;
-      example.size_mb = target_chunk.size_mb;
-      examples.push_back(std::move(example));
-
-      history.record(decision_chunk.size_mb, decision_chunk.tx_time_s,
-                     config.history);
+TtpFeatureTable::TtpFeatureTable(const TtpConfig& config,
+                                 const TtpDataset& dataset,
+                                 const int current_day, const int window_days,
+                                 const double recency_decay)
+    : dim_(static_cast<size_t>(config.input_dim())),
+      has_size_input_(config.target == TtpTarget::kTransmissionTime) {
+  const auto in_window = [&](const StreamLog& stream) {
+    return stream.day > current_day - window_days && stream.day <= current_day;
+  };
+  size_t rows = 0;
+  for (const StreamLog& stream : dataset) {
+    rows += in_window(stream) ? stream.chunks.size() : 0;
+  }
+  reserve(rows);
+  for (const StreamLog& stream : dataset) {
+    if (in_window(stream)) {
+      add_stream(config, stream,
+                 static_cast<float>(
+                     std::pow(recency_decay, current_day - stream.day)));
     }
   }
-  return examples;
 }
+
+TtpFeatureTable::TtpFeatureTable(const TtpConfig& config,
+                                 const TtpDataset& dataset)
+    : dim_(static_cast<size_t>(config.input_dim())),
+      has_size_input_(config.target == TtpTarget::kTransmissionTime) {
+  size_t rows = 0;
+  for (const StreamLog& stream : dataset) {
+    rows += stream.chunks.size();
+  }
+  reserve(rows);
+  for (const StreamLog& stream : dataset) {
+    add_stream(config, stream, 1.0f);
+  }
+}
+
+void TtpFeatureTable::reserve(const size_t rows) {
+  require(rows <= std::numeric_limits<uint32_t>::max(),
+          "TtpFeatureTable: too many rows");
+  inputs_.reserve(rows * dim_);
+  labels_.reserve(rows);
+  weights_.reserve(rows);
+  transfers_.reserve(rows);
+}
+
+void TtpFeatureTable::add_stream(const TtpConfig& config,
+                                 const StreamLog& stream, const float weight) {
+  TtpHistory history;
+  std::vector<float> features;
+  for (const ChunkLog& chunk : stream.chunks) {
+    // At this point `history` holds the stream's earlier chunks — exactly
+    // what the server knew when it decided this one.
+    ttp_featurize_into(config, history, chunk.tcp_at_send,
+                       static_cast<int64_t>(chunk.size_mb * 1e6), features);
+    inputs_.insert(inputs_.end(), features.begin(), features.end());
+    labels_.push_back(ttp_label_of(config, chunk.tx_time_s, chunk.size_mb));
+    weights_.push_back(weight);
+    transfers_.push_back({chunk.tx_time_s, chunk.size_mb});
+    history.record(chunk.size_mb, chunk.tx_time_s, config.history);
+  }
+  stream_ends_.push_back(labels_.size());
+}
+
+size_t TtpFeatureTable::num_examples(const int step) const {
+  size_t count = 0;
+  size_t begin = 0;
+  for (const size_t end : stream_ends_) {
+    count += end - begin > static_cast<size_t>(step)
+                 ? end - begin - static_cast<size_t>(step)
+                 : 0;
+    begin = end;
+  }
+  return count;
+}
+
+std::vector<uint32_t> TtpFeatureTable::example_rows(const int step) const {
+  std::vector<uint32_t> rows;
+  rows.reserve(num_examples(step));
+  size_t begin = 0;
+  for (const size_t end : stream_ends_) {
+    for (size_t row = begin; row + static_cast<size_t>(step) < end; row++) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+    begin = end;
+  }
+  return rows;
+}
+
+void TtpFeatureTable::copy_inputs(const size_t row, const int step,
+                                  float* out) const {
+  const float* inputs = inputs_.data() + row * dim_;
+  std::copy(inputs, inputs + dim_, out);
+  if (has_size_input_) {
+    out[dim_ - 1] = inputs[static_cast<size_t>(step) * dim_ + dim_ - 1];
+  }
+}
+
+namespace {
+
+/// One step network's shuffles (section 4.3), drawn from `engine`: shuffle
+/// the step's example rows and keep the first `cap` (subsampling), then
+/// shuffle once per epoch and call on_epoch(epoch). std::shuffle's draws and
+/// swaps depend only on the length, so any row list of the same length
+/// consumes `engine` identically.
+template <typename OnEpoch>
+void shuffle_epochs(std::vector<uint32_t>& rows, const size_t cap,
+                    const int epochs, std::mt19937_64& engine,
+                    const OnEpoch& on_epoch) {
+  std::shuffle(rows.begin(), rows.end(), engine);
+  if (rows.size() > cap) {
+    rows.resize(cap);
+  }
+  for (int epoch = 0; epoch < epochs; epoch++) {
+    std::shuffle(rows.begin(), rows.end(), engine);
+    on_epoch(epoch);
+  }
+}
+
+}  // namespace
 
 TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
                    const int current_day, const TtpTrainConfig& train_config,
                    Rng& rng, const TtpModel* warm_start,
-                   TtpTrainReport* report) {
+                   TtpTrainReport* report, const int num_threads) {
   train_config.validate();
   TtpModel model{config, rng.engine()()};
   if (warm_start != nullptr) {
@@ -105,100 +192,112 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
     model.networks() = warm_start->networks();
   }
 
-  const TtpDataset window = [&] {
-    TtpDataset filtered;
-    for (const auto& stream : dataset) {
-      if (stream.day > current_day - train_config.window_days &&
-          stream.day <= current_day) {
-        filtered.push_back(stream);
-      }
-    }
-    return filtered;
-  }();
-  require(!window.empty(), "train_ttp: no data in training window");
+  const TtpFeatureTable table{config, dataset, current_day,
+                              train_config.window_days,
+                              TtpTrainConfig::kRecencyDecay};
+  require(table.rows() > 0, "train_ttp: no data in training window");
+  const auto horizon = static_cast<size_t>(config.horizon);
+  const size_t cap = train_config.max_examples_per_step;
 
-  if (report != nullptr) {
-    report->loss_per_epoch.assign(static_cast<size_t>(train_config.epochs),
-                                  0.0);
+  // Serial pre-pass: make every step's draws in the order one-network-
+  // after-another training makes them, recording where each step starts.
+  // The jobs replay their step's draws from that start, and `rng` ends
+  // where serial training leaves it.
+  std::vector<std::mt19937_64> step_engines;
+  step_engines.reserve(horizon);
+  std::vector<uint32_t> positions;
+  for (size_t step = 0; step < horizon; step++) {
+    positions.resize(table.num_examples(static_cast<int>(step)));
+    require(!positions.empty(), "train_ttp: no examples for step");
+    step_engines.push_back(rng.engine());
+    shuffle_epochs(positions, cap, train_config.epochs, rng.engine(),
+                   [](int /*epoch*/) {});
   }
 
-  for (int step = 0; step < config.horizon; step++) {
-    std::vector<TtpExample> examples = build_examples(
-        config, window, step, current_day, TtpTrainConfig::kRecencyDecay);
-    require(!examples.empty(), "train_ttp: no examples for step");
+  // losses[step][epoch]: each job writes only its own step's slots.
+  std::vector<std::vector<double>> losses(
+      horizon, std::vector<double>(static_cast<size_t>(train_config.epochs)));
+  ThreadPool::run(
+      config.horizon,
+      num_threads <= 0 ? ThreadPool::hardware_threads() : num_threads,
+      [&](const int64_t job) {
+        const auto step = static_cast<size_t>(job);
+        nn::Mlp& net = model.networks()[step];
+        nn::AdamOptimizer optimizer{TtpTrainConfig::kLearningRate};
+        // Minibatch buffers hoisted out of the inner loop: the tape,
+        // gradients and staging matrices resize in place, so the
+        // steady-state training step allocates nothing.
+        nn::Matrix inputs;
+        nn::Matrix dlogits;
+        nn::Tape tape;
+        nn::Gradients grads = net.make_gradients();
+        std::vector<int> labels;
+        std::vector<float> weights;
 
-    // Subsample if oversized, then shuffle (section 4.3).
-    std::shuffle(examples.begin(), examples.end(), rng.engine());
-    if (examples.size() > train_config.max_examples_per_step) {
-      examples.resize(train_config.max_examples_per_step);
-    }
-    if (report != nullptr) {
-      report->examples_per_step = examples.size();
-    }
+        const size_t batch = static_cast<size_t>(train_config.batch_size);
+        std::vector<uint32_t> rows =
+            table.example_rows(static_cast<int>(step));
+        const auto train_epoch = [&](const int epoch) {
+          double epoch_loss = 0.0;
+          size_t batches = 0;
+          for (size_t begin = 0; begin < rows.size(); begin += batch) {
+            const size_t end = std::min(begin + batch, rows.size());
+            const size_t n = end - begin;
+            inputs.resize_no_zero(n, table.input_dim());
+            labels.resize(n);
+            weights.resize(n);
+            for (size_t r = 0; r < n; r++) {
+              const uint32_t row = rows[begin + r];
+              table.copy_inputs(row, static_cast<int>(step),
+                                inputs.data() + r * inputs.cols());
+              labels[r] = table.label(row, static_cast<int>(step));
+              weights[r] = table.weight(row);
+            }
+            net.forward_tape(inputs, tape);
+            const double loss = nn::softmax_cross_entropy(
+                tape.activations.back(), labels, weights, dlogits);
+            grads.zero();
+            net.backward(tape, dlogits, grads);
+            optimizer.step(net, grads);
+            epoch_loss += loss;
+            batches++;
+          }
+          losses[step][static_cast<size_t>(epoch)] =
+              epoch_loss / static_cast<double>(batches) / config.horizon;
+        };
+        shuffle_epochs(rows, cap, train_config.epochs, step_engines[step],
+                       train_epoch);
+      });
 
-    nn::Mlp& net = model.networks()[static_cast<size_t>(step)];
-    nn::AdamOptimizer optimizer{TtpTrainConfig::kLearningRate};
-
-    // Minibatch buffers hoisted out of the inner loop: the tape, gradients
-    // and staging matrices resize in place, so the steady-state training
-    // step allocates nothing.
-    nn::Matrix inputs;
-    nn::Matrix dlogits;
-    nn::Tape tape;
-    nn::Gradients grads = net.make_gradients();
-    std::vector<int> labels;
-    std::vector<float> weights;
-
-    const size_t batch = static_cast<size_t>(train_config.batch_size);
-    for (int epoch = 0; epoch < train_config.epochs; epoch++) {
-      std::shuffle(examples.begin(), examples.end(), rng.engine());
-      double epoch_loss = 0.0;
-      size_t batches = 0;
-      for (size_t begin = 0; begin < examples.size(); begin += batch) {
-        const size_t end = std::min(begin + batch, examples.size());
-        const size_t rows = end - begin;
-        inputs.resize_no_zero(rows, static_cast<size_t>(config.input_dim()));
-        labels.resize(rows);
-        weights.resize(rows);
-        for (size_t r = 0; r < rows; r++) {
-          const TtpExample& ex = examples[begin + r];
-          std::copy(ex.features.begin(), ex.features.end(),
-                    inputs.data() + r * inputs.cols());
-          labels[r] = ex.label;
-          weights[r] = ex.weight;
-        }
-        net.forward_tape(inputs, tape);
-        const double loss = nn::softmax_cross_entropy(
-            tape.activations.back(), labels, weights, dlogits);
-        grads.zero();
-        net.backward(tape, dlogits, grads);
-        optimizer.step(net, grads);
-        epoch_loss += loss;
-        batches++;
+  if (report != nullptr) {
+    // Summed in step order: the floating-point order of serial training.
+    report->loss_per_epoch.assign(static_cast<size_t>(train_config.epochs),
+                                  0.0);
+    for (const std::vector<double>& step_losses : losses) {
+      for (size_t epoch = 0; epoch < step_losses.size(); epoch++) {
+        report->loss_per_epoch[epoch] += step_losses[epoch];
       }
-      if (report != nullptr && batches > 0) {
-        report->loss_per_epoch[static_cast<size_t>(epoch)] +=
-            epoch_loss / static_cast<double>(batches) / config.horizon;
-      }
     }
+    report->examples_per_step = std::min(
+        table.num_examples(config.horizon - 1), cap);
   }
   return model;
 }
 
 TtpEvaluation evaluate_ttp(const TtpModel& model, const TtpDataset& dataset) {
   const TtpConfig& config = model.config();
-  std::vector<TtpExample> examples =
-      build_examples(config, dataset, /*step=*/0, /*current_day=*/0,
-                     /*recency_decay=*/1.0);
-  require(!examples.empty(), "evaluate_ttp: empty dataset");
+  const TtpFeatureTable table{config, dataset};
+  require(table.rows() > 0, "evaluate_ttp: empty dataset");
 
   TtpEvaluation eval;
   double se_expected = 0.0;
   double se_point = 0.0;
-  for (const auto& example : examples) {
-    const std::vector<float> probs = model.predict_bins(0, example.features);
-    const int label =
-        model.label_of(example.true_tx_time_s, example.size_mb);
+  std::vector<float> features(table.input_dim());
+  for (size_t row = 0; row < table.rows(); row++) {
+    table.copy_inputs(row, /*step=*/0, features.data());
+    const std::vector<float> probs = model.predict_bins(0, features);
+    const int label = table.label(row, 0);
+    const double true_tx_time_s = table.tx_time_s(row, 0);
     const double p_true =
         std::max<double>(probs[static_cast<size_t>(label)], 1e-12);
     eval.cross_entropy += -std::log(p_true);
@@ -214,18 +313,17 @@ TtpEvaluation evaluate_ttp(const TtpModel& model, const TtpDataset& dataset) {
     }
 
     const auto [expected, point] =
-        implied_tx_times(config, probs, example.size_mb);
-    se_expected += (expected - example.true_tx_time_s) *
-                   (expected - example.true_tx_time_s);
-    se_point += (point - example.true_tx_time_s) *
-                (point - example.true_tx_time_s);
+        implied_tx_times(config, probs, table.size_mb(row, 0));
+    se_expected +=
+        (expected - true_tx_time_s) * (expected - true_tx_time_s);
+    se_point += (point - true_tx_time_s) * (point - true_tx_time_s);
   }
-  const double n = static_cast<double>(examples.size());
+  const double n = static_cast<double>(table.rows());
   eval.cross_entropy /= n;
   eval.top1_accuracy /= n;
   eval.rmse_expected_s = std::sqrt(se_expected / n);
   eval.rmse_point_s = std::sqrt(se_point / n);
-  eval.examples = examples.size();
+  eval.examples = table.rows();
   return eval;
 }
 

@@ -1,7 +1,8 @@
 #ifndef PUFFER_FUGU_TTP_TRAINER_HH
 #define PUFFER_FUGU_TTP_TRAINER_HH
 
-#include <optional>
+#include <cstdint>
+#include <vector>
 
 #include "fugu/dataset.hh"
 #include "fugu/ttp.hh"
@@ -32,28 +33,84 @@ struct TtpTrainReport {
   size_t examples_per_step = 0;
 };
 
-/// One featurized training/evaluation example for a single horizon step.
-struct TtpExample {
-  std::vector<float> features;
-  int label = 0;
-  float weight = 1.0f;
-  double true_tx_time_s = 0.0;
-  double size_mb = 0.0;
-};
+/// A dataset featurized once, one row per chunk: the one featurization path
+/// training and evaluation share. Row r, chunk i of its stream, holds the
+/// state the server knew when it decided chunk i (history through i-1,
+/// tcp_info at i) and, for the transmission-time target, chunk i's own size
+/// as the last input. Its label, transmission time and size are chunk i's.
+///
+/// The step-k example at row r asks how long the chunk k ahead will take:
+/// row r's inputs with the size input taken from row r + k, labeled by row
+/// r + k (BatchTtpPredictor::enqueue_rows patches the size input the same
+/// way). It exists while r + k stays inside r's stream.
+class TtpFeatureTable {
+ public:
+  /// The streams of `dataset` whose day lies in
+  /// (current_day - window_days, current_day], each stream's rows weighted
+  /// recency_decay^(current_day - day) (section 4.3's sliding window).
+  TtpFeatureTable(const TtpConfig& config, const TtpDataset& dataset,
+                  int current_day, int window_days, double recency_decay);
+  /// Every stream of `dataset`, each row weighted 1: the evaluation view.
+  TtpFeatureTable(const TtpConfig& config, const TtpDataset& dataset);
 
-/// Build step-`step` examples from raw stream logs: features are the state
-/// at chunk i (history through i-1, tcp_info at i, proposed size of chunk
-/// i+step); the label is the observed transmission time of chunk i+step.
-std::vector<TtpExample> build_examples(const TtpConfig& config,
-                                       const TtpDataset& dataset, int step,
-                                       int current_day, double recency_decay);
+  [[nodiscard]] size_t rows() const { return labels_.size(); }
+  [[nodiscard]] size_t input_dim() const { return dim_; }
+
+  /// Number of step-`step` examples: rows at least `step` from their
+  /// stream's end.
+  [[nodiscard]] size_t num_examples(int step) const;
+  /// The rows that have a step-`step` example, in dataset order.
+  [[nodiscard]] std::vector<uint32_t> example_rows(int step) const;
+
+  /// Write the step-`step` example's inputs at `row` to out[0, input_dim).
+  void copy_inputs(size_t row, int step, float* out) const;
+  [[nodiscard]] int label(const size_t row, const int step) const {
+    return labels_[row + static_cast<size_t>(step)];
+  }
+  [[nodiscard]] float weight(const size_t row) const { return weights_[row]; }
+  /// The observed transfer of the chunk the step-`step` example at `row`
+  /// proposes.
+  [[nodiscard]] double tx_time_s(const size_t row, const int step) const {
+    return transfers_[row + static_cast<size_t>(step)].tx_time_s;
+  }
+  [[nodiscard]] double size_mb(const size_t row, const int step) const {
+    return transfers_[row + static_cast<size_t>(step)].size_mb;
+  }
+
+ private:
+  struct Transfer {
+    double tx_time_s;
+    double size_mb;
+  };
+
+  void reserve(size_t rows);
+  void add_stream(const TtpConfig& config, const StreamLog& stream,
+                  float weight);
+
+  size_t dim_;
+  bool has_size_input_;
+  std::vector<float> inputs_;  ///< rows() x dim_, row-major
+  std::vector<int> labels_;
+  std::vector<float> weights_;
+  std::vector<Transfer> transfers_;
+  /// Row index one past each stream's last row, in dataset order.
+  std::vector<size_t> stream_ends_;
+};
 
 /// Train a TTP (optionally warm-started from `warm_start`, which must share
 /// the same config) on the dataset's last `window_days` days.
+///
+/// The step networks share no weight, batch or optimizer, so they train
+/// concurrently: min(num_threads, horizon) workers (0 = all cores), one job
+/// per network. The result does not depend on num_threads: every network's
+/// bytes, the report and the position `rng` is left at are those of
+/// training the networks one after another, because every shuffle is drawn
+/// from `rng` in that serial order before the jobs start, and the report's
+/// per-step losses are summed in step order after they finish.
 TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
                    int current_day, const TtpTrainConfig& train_config,
                    Rng& rng, const TtpModel* warm_start = nullptr,
-                   TtpTrainReport* report = nullptr);
+                   TtpTrainReport* report = nullptr, int num_threads = 1);
 
 /// Held-out evaluation of a TTP's step-0 networks (Figure 7's metric family).
 struct TtpEvaluation {

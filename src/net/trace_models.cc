@@ -50,19 +50,21 @@ NetworkPath PufferPathModel::sample_path(Rng& rng, const double duration_s) cons
   double regime = 0.0;         // cumulative log regime shift
   double outage_left_s = 0.0;  // remaining outage duration
 
+  // Per-segment arrival probabilities of the two Poisson processes.
+  const double dt = kSegmentDurationS;
+  const double p_regime_shift = 1.0 - std::exp(-kRegimeShiftRateHz * dt);
+  const double p_outage = 1.0 - std::exp(-outage_rate_hz_ * dt);
   for (size_t i = 0; i < n; i++) {
-    const double dt = kSegmentDurationS;
     // OU drift.
     drift += -kOuReversion * drift + rng.normal(0.0, kOuVolatility);
     // Regime shifts arrive as a Poisson process.
-    if (rng.bernoulli(1.0 - std::exp(-kRegimeShiftRateHz * dt))) {
+    if (rng.bernoulli(p_regime_shift)) {
       regime += rng.normal(0.0, kRegimeShiftSigma);
       // Pull extreme regimes gently back toward the base rate.
       regime = std::clamp(regime, -2.5, 1.5);
     }
     // Outages.
-    if (outage_left_s <= 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-outage_rate_hz_ * dt))) {
+    if (outage_left_s <= 0.0 && rng.bernoulli(p_outage)) {
       outage_left_s = rng.exponential(1.0 / kOutageMeanDurationS);
     }
 
@@ -240,14 +242,14 @@ NetworkPath WifiPathModel::sample_path(Rng& rng,
 
   std::vector<double> rates(n);
   double fade_left_s = 0.0;
+  const double dt = kSegmentDurationS;
+  const double p_fade = 1.0 - std::exp(-kFadeRateHz * dt);
   for (size_t i = 0; i < n; i++) {
-    const double dt = kSegmentDurationS;
     const double t = phase_s + static_cast<double>(i) * dt;
     const double cycle_pos = t / period_s - std::floor(t / period_s);
     double rate_mbps = cycle_pos < duty_cycle_ ? good_mbps : degraded_mbps;
 
-    if (fade_left_s <= 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-kFadeRateHz * dt))) {
+    if (fade_left_s <= 0.0 && rng.bernoulli(p_fade)) {
       fade_left_s = rng.exponential(1.0 / kFadeMeanDurationS);
     }
     if (fade_left_s > 0.0) {
@@ -282,10 +284,10 @@ NetworkPath SatellitePathModel::sample_path(Rng& rng,
 
   std::vector<double> rates(n);
   double fade_left_s = 0.0;
+  const double dt = kSegmentDurationS;
+  const double p_fade = 1.0 - std::exp(-kRainFadeRateHz * dt);
   for (size_t i = 0; i < n; i++) {
-    const double dt = kSegmentDurationS;
-    if (fade_left_s <= 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-kRainFadeRateHz * dt))) {
+    if (fade_left_s <= 0.0 && rng.bernoulli(p_fade)) {
       fade_left_s = rng.exponential(1.0 / kRainFadeMeanDurationS);
     }
     double rate_mbps = base_mbps * std::exp(rng.normal(0.0, kNoiseSigma));

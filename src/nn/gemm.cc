@@ -172,12 +172,23 @@ void matmul_at(const Matrix& a, const Matrix& b, Matrix& out) {
   const size_t m = a.cols();   // output rows
   // Materialize a^T (m x k) into a thread-local scratch so the kernel reads
   // contiguous rows; the transpose copy is O(mk) against the O(mkn) GEMM.
+  // It copies square tiles: one row of `a` at a time would write m
+  // destinations k floats apart, and when k is a multiple of 256 (a full
+  // training minibatch) those lines all map to a few L1 sets and evict each
+  // other. A tile touches kTile lines on each side.
+  constexpr size_t kTile = 16;
   std::vector<float>& at = transpose_scratch();
   at.resize(m * k);
-  for (size_t p = 0; p < k; p++) {
-    const float* arow = a.data() + p * m;
-    for (size_t i = 0; i < m; i++) {
-      at[i * k + p] = arow[i];
+  for (size_t i0 = 0; i0 < m; i0 += kTile) {
+    const size_t i1 = std::min(i0 + kTile, m);
+    for (size_t p0 = 0; p0 < k; p0 += kTile) {
+      const size_t p1 = std::min(p0 + kTile, k);
+      for (size_t i = i0; i < i1; i++) {
+        float* at_row = at.data() + i * k;
+        for (size_t p = p0; p < p1; p++) {
+          at_row[p] = a.data()[p * m + i];
+        }
+      }
     }
   }
   PackedMatrix& packed = pack_scratch();

@@ -156,11 +156,12 @@ void Mlp::backward(Tape& tape, const Matrix& dlogits, Gradients& grads) const {
     // Propagate: next_delta = delta * W^T, masked by ReLU derivative of the
     // layer-(l-1) output (which is post-ReLU, so derivative = output > 0).
     matmul_bt(delta, weights_[l], next_delta);
-    const Matrix& activation = tape.activations[l];
+    // Written as a select (not a conditional store) so it vectorizes; a NaN
+    // activation keeps its delta either way, since NaN <= 0 is false.
+    const float* activation = tape.activations[l].data();
+    float* masked = next_delta.data();
     for (size_t i = 0; i < next_delta.size(); i++) {
-      if (activation.data()[i] <= 0.0f) {
-        next_delta.data()[i] = 0.0f;
-      }
+      masked[i] = activation[i] <= 0.0f ? 0.0f : masked[i];
     }
     std::swap(delta, next_delta);
   }

@@ -186,47 +186,67 @@ TtpDataset synthetic_dataset(const uint64_t seed, const int streams,
   return dataset;
 }
 
-TEST(BuildExamples, AlignmentOfHistoryAndLabels) {
+TEST(TtpFeatureTable, AlignmentOfHistoryAndLabels) {
   Rng rng{6};
   TtpDataset dataset = {synthetic_stream(rng, 10, 8.0)};
-  const TtpConfig config;
-  const auto examples = build_examples(config, dataset, /*step=*/0,
-                                       /*current_day=*/0, 1.0);
-  ASSERT_EQ(examples.size(), 10u);
-  // Example i's label must be the bin of chunk i's own transmission time.
-  for (size_t i = 0; i < examples.size(); i++) {
-    EXPECT_EQ(examples[i].label,
-              ttp_bin_of(dataset[0].chunks[i].tx_time_s));
-    EXPECT_DOUBLE_EQ(examples[i].true_tx_time_s,
-                     dataset[0].chunks[i].tx_time_s);
-    // The proposed-size feature (last) is chunk i's size.
-    EXPECT_NEAR(examples[i].features.back(), dataset[0].chunks[i].size_mb,
-                1e-5);
+  const TtpFeatureTable table{TtpConfig{}, dataset};
+  ASSERT_EQ(table.rows(), 10u);
+  ASSERT_EQ(table.num_examples(0), 10u);
+  std::vector<float> inputs(table.input_dim());
+  // Row i's label must be the bin of chunk i's own transmission time.
+  for (size_t i = 0; i < table.rows(); i++) {
+    EXPECT_EQ(table.label(i, 0), ttp_bin_of(dataset[0].chunks[i].tx_time_s));
+    EXPECT_DOUBLE_EQ(table.tx_time_s(i, 0), dataset[0].chunks[i].tx_time_s);
+    // The proposed-size input (last) is chunk i's size.
+    table.copy_inputs(i, 0, inputs.data());
+    EXPECT_NEAR(inputs.back(), dataset[0].chunks[i].size_mb, 1e-5);
   }
-  // Example 3's history must end with chunk 2's size.
-  EXPECT_NEAR(examples[3].features[7], dataset[0].chunks[2].size_mb, 1e-5);
-  EXPECT_FLOAT_EQ(examples[0].features[7], 0.0f);  // no history yet
+  // Row 3's history must end with chunk 2's size.
+  table.copy_inputs(3, 0, inputs.data());
+  EXPECT_NEAR(inputs[7], dataset[0].chunks[2].size_mb, 1e-5);
+  table.copy_inputs(0, 0, inputs.data());
+  EXPECT_FLOAT_EQ(inputs[7], 0.0f);  // no history yet
 }
 
-TEST(BuildExamples, FutureStepLabels) {
+TEST(TtpFeatureTable, FutureStepExamples) {
   Rng rng{7};
-  TtpDataset dataset = {synthetic_stream(rng, 10, 8.0)};
+  TtpDataset dataset = {synthetic_stream(rng, 10, 8.0),
+                        synthetic_stream(rng, 4, 8.0)};
   const TtpConfig config;
-  const auto examples =
-      build_examples(config, dataset, /*step=*/2, 0, 1.0);
-  ASSERT_EQ(examples.size(), 8u);  // i + 2 < 10
-  EXPECT_EQ(examples[0].label, ttp_bin_of(dataset[0].chunks[2].tx_time_s));
+  const TtpFeatureTable table{config, dataset};
+  // i + 2 < 10 in the first stream, i + 2 < 4 in the second.
+  const std::vector<uint32_t> rows = table.example_rows(/*step=*/2);
+  EXPECT_EQ(rows, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 10, 11}));
+  EXPECT_EQ(table.num_examples(2), rows.size());
+  EXPECT_EQ(table.label(0, 2), ttp_bin_of(dataset[0].chunks[2].tx_time_s));
+
+  // The step-2 example at chunk 1 is chunk 1's state proposing chunk 3's
+  // size: exactly what featurizing it that way gives, bit for bit.
+  TtpHistory history;
+  history.record(dataset[0].chunks[0].size_mb, dataset[0].chunks[0].tx_time_s,
+                 config.history);
+  const std::vector<float> expected = ttp_featurize(
+      config, history, dataset[0].chunks[1].tcp_at_send,
+      static_cast<int64_t>(dataset[0].chunks[3].size_mb * 1e6));
+  std::vector<float> inputs(table.input_dim());
+  table.copy_inputs(1, 2, inputs.data());
+  EXPECT_EQ(inputs, expected);
 }
 
-TEST(BuildExamples, RecencyWeights) {
+TEST(TtpFeatureTable, RecencyWeightsAndWindow) {
   Rng rng{8};
   TtpDataset dataset = {synthetic_stream(rng, 5, 8.0, /*day=*/0),
-                        synthetic_stream(rng, 5, 8.0, /*day=*/3)};
-  const auto examples =
-      build_examples(TtpConfig{}, dataset, 0, /*current_day=*/3, 0.5);
-  // Day-0 stream is 3 days old: weight 0.5^3.
-  EXPECT_NEAR(examples[0].weight, 0.125f, 1e-5);
-  EXPECT_NEAR(examples[5].weight, 1.0f, 1e-5);
+                        synthetic_stream(rng, 5, 8.0, /*day=*/3),
+                        synthetic_stream(rng, 5, 8.0, /*day=*/4)};
+  const TtpFeatureTable table{TtpConfig{}, dataset, /*current_day=*/3,
+                              /*window_days=*/14, 0.5};
+  // The day-4 stream is after the window; the day-0 one is 3 days old.
+  ASSERT_EQ(table.rows(), 10u);
+  EXPECT_NEAR(table.weight(0), 0.125f, 1e-5);
+  EXPECT_NEAR(table.weight(5), 1.0f, 1e-5);
+  const TtpFeatureTable recent{TtpConfig{}, dataset, 3, /*window_days=*/3,
+                               0.5};
+  EXPECT_EQ(recent.rows(), 5u);
 }
 
 TEST(TtpTraining, LossDecreasesAndBeatsChance) {
@@ -261,7 +281,8 @@ struct TrainingPin {
 };
 
 TrainingPin train_and_pin(const TtpConfig& config,
-                          const TtpTrainConfig& train_config) {
+                          const TtpTrainConfig& train_config,
+                          const int num_threads) {
   // 30 streams x 40 chunks over days 0-2: three recency weights.
   TtpDataset dataset = synthetic_dataset(30, 30);
   for (size_t s = 0; s < dataset.size(); s++) {
@@ -269,8 +290,9 @@ TrainingPin train_and_pin(const TtpConfig& config,
   }
   Rng rng{31};
   TtpTrainReport report;
-  const TtpModel model = train_ttp(config, dataset, /*current_day=*/2,
-                                   train_config, rng, nullptr, &report);
+  const TtpModel model =
+      train_ttp(config, dataset, /*current_day=*/2, train_config, rng, nullptr,
+                &report, num_threads);
   std::string networks;
   for (const nn::Mlp& net : model.networks()) {
     networks += std::to_string(test::mlp_hash(net)) + ";";
@@ -282,26 +304,28 @@ TrainingPin train_and_pin(const TtpConfig& config,
   return {stable_hash(networks), stable_hash(losses), rng.engine()()};
 }
 
-/// The trainer, bit for bit, on all five step networks: both targets, and a
-/// cap of 1150 examples that truncates steps 0-1 (1200 and 1170 examples)
-/// but not steps 2-4.
-TEST(TtpTraining, EveryStepNetworkIsPinned) {
+/// The trainer, bit for bit, on all five step networks at 1, 2, 4 and 8
+/// threads: both targets, and a cap of 1150 examples that truncates steps
+/// 0-1 (1200 and 1170 examples) but not steps 2-4.
+TEST(TtpTraining, EveryStepNetworkIsPinnedAtAnyThreadCount) {
   const TtpTrainConfig train{.epochs = 2, .batch_size = 64};
   TtpConfig throughput;
   throughput.target = TtpTarget::kThroughput;
   TtpTrainConfig capped = train;
   capped.max_examples_per_step = 1150;
 
-  const TrainingPin tx = train_and_pin(TtpConfig{}, train);
-  const TrainingPin tput = train_and_pin(throughput, train);
-  const TrainingPin cap = train_and_pin(TtpConfig{}, capped);
-  EXPECT_EQ(tx, (TrainingPin{1903123284910392838ULL, 6498098977201272363ULL,
-                              10219769645572454987ULL}));
-  EXPECT_EQ(tput,
-            (TrainingPin{13043704501254975948ULL, 7794782541875544141ULL,
-                         10219769645572454987ULL}));
-  EXPECT_EQ(cap, (TrainingPin{9057663497613872282ULL, 12949721035150882564ULL,
-                              16271660297312410432ULL}));
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    EXPECT_EQ(train_and_pin(TtpConfig{}, train, threads),
+              (TrainingPin{1903123284910392838ULL, 6498098977201272363ULL,
+                           10219769645572454987ULL}));
+    EXPECT_EQ(train_and_pin(throughput, train, threads),
+              (TrainingPin{13043704501254975948ULL, 7794782541875544141ULL,
+                           10219769645572454987ULL}));
+    EXPECT_EQ(train_and_pin(TtpConfig{}, capped, threads),
+              (TrainingPin{9057663497613872282ULL, 12949721035150882564ULL,
+                           16271660297312410432ULL}));
+  }
 }
 
 TEST(TtpTraining, WarmStartImprovesInitialLoss) {
