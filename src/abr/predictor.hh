@@ -63,17 +63,17 @@ class TxTimePredictor {
   virtual TxTimeDistribution predict(int step, int64_t size_bytes) = 0;
 
   /// Batch hook: answer every query of one decision at once, one
-  /// distribution per query in query order, into `out` (resized to the
-  /// query count). The default loops over predict(). The harmonic-mean
-  /// predictors override it to compute their estimate once per decision and
-  /// refill `out`'s distributions in place; learned predictors override it
-  /// to fuse all rows of the decision into one forward pass per
-  /// step-network (see fugu::BatchTtpPredictor).
+  /// distribution per query in query order. The default loops over
+  /// predict(). The harmonic-mean predictors override it to compute their
+  /// estimate once per decision and refill `out`'s distributions in place;
+  /// learned predictors override it to fuse all rows of the decision into
+  /// one forward pass per step-network (see fugu::BatchTtpPredictor).
   virtual void predict_batch(std::span<const TxTimeQuery> queries,
                              std::vector<TxTimeDistribution>& out) {
-    out.resize(queries.size());
-    for (size_t i = 0; i < queries.size(); i++) {
-      out[i] = predict(queries[i].step, queries[i].size_bytes);
+    out.clear();
+    out.reserve(queries.size());
+    for (const TxTimeQuery& query : queries) {
+      out.push_back(predict(query.step, query.size_bytes));
     }
   }
 

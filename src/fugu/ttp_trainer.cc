@@ -118,21 +118,8 @@ void TtpFeatureTable::add_stream(const TtpConfig& config,
   stream_ends_.push_back(labels_.size());
 }
 
-size_t TtpFeatureTable::num_examples(const int step) const {
-  size_t count = 0;
-  size_t begin = 0;
-  for (const size_t end : stream_ends_) {
-    count += end - begin > static_cast<size_t>(step)
-                 ? end - begin - static_cast<size_t>(step)
-                 : 0;
-    begin = end;
-  }
-  return count;
-}
-
 std::vector<uint32_t> TtpFeatureTable::example_rows(const int step) const {
   std::vector<uint32_t> rows;
-  rows.reserve(num_examples(step));
   size_t begin = 0;
   for (const size_t end : stream_ends_) {
     for (size_t row = begin; row + static_cast<size_t>(step) < end; row++) {
@@ -205,13 +192,14 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
   // where serial training leaves it.
   std::vector<std::mt19937_64> step_engines;
   step_engines.reserve(horizon);
-  std::vector<uint32_t> positions;
+  size_t examples_per_step = 0;
   for (size_t step = 0; step < horizon; step++) {
-    positions.resize(table.num_examples(static_cast<int>(step)));
-    require(!positions.empty(), "train_ttp: no examples for step");
+    std::vector<uint32_t> rows = table.example_rows(static_cast<int>(step));
+    require(!rows.empty(), "train_ttp: no examples for step");
     step_engines.push_back(rng.engine());
-    shuffle_epochs(positions, cap, train_config.epochs, rng.engine(),
+    shuffle_epochs(rows, cap, train_config.epochs, rng.engine(),
                    [](int /*epoch*/) {});
+    examples_per_step = rows.size();
   }
 
   // losses[step][epoch]: each job writes only its own step's slots.
@@ -278,8 +266,7 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
         report->loss_per_epoch[epoch] += step_losses[epoch];
       }
     }
-    report->examples_per_step = std::min(
-        table.num_examples(config.horizon - 1), cap);
+    report->examples_per_step = examples_per_step;
   }
   return model;
 }
@@ -297,7 +284,7 @@ TtpEvaluation evaluate_ttp(const TtpModel& model, const TtpDataset& dataset) {
     table.copy_inputs(row, /*step=*/0, features.data());
     const std::vector<float> probs = model.predict_bins(0, features);
     const int label = table.label(row, 0);
-    const double true_tx_time_s = table.tx_time_s(row, 0);
+    const double true_tx_time_s = table.tx_time_s(row);
     const double p_true =
         std::max<double>(probs[static_cast<size_t>(label)], 1e-12);
     eval.cross_entropy += -std::log(p_true);
@@ -313,7 +300,7 @@ TtpEvaluation evaluate_ttp(const TtpModel& model, const TtpDataset& dataset) {
     }
 
     const auto [expected, point] =
-        implied_tx_times(config, probs, table.size_mb(row, 0));
+        implied_tx_times(config, probs, table.size_mb(row));
     se_expected +=
         (expected - true_tx_time_s) * (expected - true_tx_time_s);
     se_point += (point - true_tx_time_s) * (point - true_tx_time_s);

@@ -56,9 +56,6 @@ class TtpFeatureTable {
   [[nodiscard]] size_t rows() const { return labels_.size(); }
   [[nodiscard]] size_t input_dim() const { return dim_; }
 
-  /// Number of step-`step` examples: rows at least `step` from their
-  /// stream's end.
-  [[nodiscard]] size_t num_examples(int step) const;
   /// The rows that have a step-`step` example, in dataset order.
   [[nodiscard]] std::vector<uint32_t> example_rows(int step) const;
 
@@ -68,13 +65,12 @@ class TtpFeatureTable {
     return labels_[row + static_cast<size_t>(step)];
   }
   [[nodiscard]] float weight(const size_t row) const { return weights_[row]; }
-  /// The observed transfer of the chunk the step-`step` example at `row`
-  /// proposes.
-  [[nodiscard]] double tx_time_s(const size_t row, const int step) const {
-    return transfers_[row + static_cast<size_t>(step)].tx_time_s;
+  /// The observed transfer of the row's own chunk.
+  [[nodiscard]] double tx_time_s(const size_t row) const {
+    return transfers_[row].tx_time_s;
   }
-  [[nodiscard]] double size_mb(const size_t row, const int step) const {
-    return transfers_[row + static_cast<size_t>(step)].size_mb;
+  [[nodiscard]] double size_mb(const size_t row) const {
+    return transfers_[row].size_mb;
   }
 
  private:

@@ -191,12 +191,12 @@ TEST(TtpFeatureTable, AlignmentOfHistoryAndLabels) {
   TtpDataset dataset = {synthetic_stream(rng, 10, 8.0)};
   const TtpFeatureTable table{TtpConfig{}, dataset};
   ASSERT_EQ(table.rows(), 10u);
-  ASSERT_EQ(table.num_examples(0), 10u);
+  ASSERT_EQ(table.example_rows(0).size(), 10u);
   std::vector<float> inputs(table.input_dim());
   // Row i's label must be the bin of chunk i's own transmission time.
   for (size_t i = 0; i < table.rows(); i++) {
     EXPECT_EQ(table.label(i, 0), ttp_bin_of(dataset[0].chunks[i].tx_time_s));
-    EXPECT_DOUBLE_EQ(table.tx_time_s(i, 0), dataset[0].chunks[i].tx_time_s);
+    EXPECT_DOUBLE_EQ(table.tx_time_s(i), dataset[0].chunks[i].tx_time_s);
     // The proposed-size input (last) is chunk i's size.
     table.copy_inputs(i, 0, inputs.data());
     EXPECT_NEAR(inputs.back(), dataset[0].chunks[i].size_mb, 1e-5);
@@ -217,7 +217,6 @@ TEST(TtpFeatureTable, FutureStepExamples) {
   // i + 2 < 10 in the first stream, i + 2 < 4 in the second.
   const std::vector<uint32_t> rows = table.example_rows(/*step=*/2);
   EXPECT_EQ(rows, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 10, 11}));
-  EXPECT_EQ(table.num_examples(2), rows.size());
   EXPECT_EQ(table.label(0, 2), ttp_bin_of(dataset[0].chunks[2].tx_time_s));
 
   // The step-2 example at chunk 1 is chunk 1's state proposing chunk 3's
