@@ -97,7 +97,6 @@ void TtpFeatureTable::reserve(const size_t rows) {
   inputs_.reserve(rows * dim_);
   labels_.reserve(rows);
   weights_.reserve(rows);
-  transfers_.reserve(rows);
 }
 
 void TtpFeatureTable::add_stream(const TtpConfig& config,
@@ -112,7 +111,6 @@ void TtpFeatureTable::add_stream(const TtpConfig& config,
     inputs_.insert(inputs_.end(), features.begin(), features.end());
     labels_.push_back(ttp_label_of(config, chunk.tx_time_s, chunk.size_mb));
     weights_.push_back(weight);
-    transfers_.push_back({chunk.tx_time_s, chunk.size_mb});
     history.record(chunk.size_mb, chunk.tx_time_s, config.history);
   }
   stream_ends_.push_back(labels_.size());
@@ -280,30 +278,33 @@ TtpEvaluation evaluate_ttp(const TtpModel& model, const TtpDataset& dataset) {
   double se_expected = 0.0;
   double se_point = 0.0;
   std::vector<float> features(table.input_dim());
-  for (size_t row = 0; row < table.rows(); row++) {
-    table.copy_inputs(row, /*step=*/0, features.data());
-    const std::vector<float> probs = model.predict_bins(0, features);
-    const int label = table.label(row, 0);
-    const double true_tx_time_s = table.tx_time_s(row);
-    const double p_true =
-        std::max<double>(probs[static_cast<size_t>(label)], 1e-12);
-    eval.cross_entropy += -std::log(p_true);
+  size_t row = 0;  // the table's rows are the dataset's chunks, in order
+  for (const StreamLog& stream : dataset) {
+    for (const ChunkLog& chunk : stream.chunks) {
+      table.copy_inputs(row, /*step=*/0, features.data());
+      const std::vector<float> probs = model.predict_bins(0, features);
+      const int label = table.label(row, 0);
+      row++;
+      const double p_true =
+          std::max<double>(probs[static_cast<size_t>(label)], 1e-12);
+      eval.cross_entropy += -std::log(p_true);
 
-    int argmax = 0;
-    for (int bin = 1; bin < kTtpBins; bin++) {
-      if (probs[static_cast<size_t>(bin)] > probs[static_cast<size_t>(argmax)]) {
-        argmax = bin;
+      int argmax = 0;
+      for (int bin = 1; bin < kTtpBins; bin++) {
+        if (probs[static_cast<size_t>(bin)] >
+            probs[static_cast<size_t>(argmax)]) {
+          argmax = bin;
+        }
       }
-    }
-    if (argmax == label) {
-      eval.top1_accuracy += 1.0;
-    }
+      if (argmax == label) {
+        eval.top1_accuracy += 1.0;
+      }
 
-    const auto [expected, point] =
-        implied_tx_times(config, probs, table.size_mb(row));
-    se_expected +=
-        (expected - true_tx_time_s) * (expected - true_tx_time_s);
-    se_point += (point - true_tx_time_s) * (point - true_tx_time_s);
+      const auto [expected, point] =
+          implied_tx_times(config, probs, chunk.size_mb);
+      se_expected += (expected - chunk.tx_time_s) * (expected - chunk.tx_time_s);
+      se_point += (point - chunk.tx_time_s) * (point - chunk.tx_time_s);
+    }
   }
   const double n = static_cast<double>(table.rows());
   eval.cross_entropy /= n;

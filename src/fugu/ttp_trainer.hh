@@ -37,7 +37,7 @@ struct TtpTrainReport {
 /// training and evaluation share. Row r, chunk i of its stream, holds the
 /// state the server knew when it decided chunk i (history through i-1,
 /// tcp_info at i) and, for the transmission-time target, chunk i's own size
-/// as the last input. Its label, transmission time and size are chunk i's.
+/// as the last input. Its label bins chunk i's observed transfer.
 ///
 /// The step-k example at row r asks how long the chunk k ahead will take:
 /// row r's inputs with the size input taken from row r + k, labeled by row
@@ -50,7 +50,8 @@ class TtpFeatureTable {
   /// recency_decay^(current_day - day) (section 4.3's sliding window).
   TtpFeatureTable(const TtpConfig& config, const TtpDataset& dataset,
                   int current_day, int window_days, double recency_decay);
-  /// Every stream of `dataset`, each row weighted 1: the evaluation view.
+  /// Every stream of `dataset`, each row weighted 1: the evaluation view,
+  /// whose row r is the dataset's r-th chunk.
   TtpFeatureTable(const TtpConfig& config, const TtpDataset& dataset);
 
   [[nodiscard]] size_t rows() const { return labels_.size(); }
@@ -65,20 +66,8 @@ class TtpFeatureTable {
     return labels_[row + static_cast<size_t>(step)];
   }
   [[nodiscard]] float weight(const size_t row) const { return weights_[row]; }
-  /// The observed transfer of the row's own chunk.
-  [[nodiscard]] double tx_time_s(const size_t row) const {
-    return transfers_[row].tx_time_s;
-  }
-  [[nodiscard]] double size_mb(const size_t row) const {
-    return transfers_[row].size_mb;
-  }
 
  private:
-  struct Transfer {
-    double tx_time_s;
-    double size_mb;
-  };
-
   void reserve(size_t rows);
   void add_stream(const TtpConfig& config, const StreamLog& stream,
                   float weight);
@@ -88,7 +77,6 @@ class TtpFeatureTable {
   std::vector<float> inputs_;  ///< rows() x dim_, row-major
   std::vector<int> labels_;
   std::vector<float> weights_;
-  std::vector<Transfer> transfers_;
   /// Row index one past each stream's last row, in dataset order.
   std::vector<size_t> stream_ends_;
 };
