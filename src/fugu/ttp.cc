@@ -215,13 +215,6 @@ std::vector<float> TtpModel::featurize(const TtpHistory& history,
   return ttp_featurize(config_, history, tcp, proposed_size_bytes);
 }
 
-std::vector<float> TtpModel::predict_bins(
-    const int step, const std::vector<float>& features) const {
-  nn::ForwardScratch scratch;
-  const std::span<const float> probs = predict_bins(step, features, scratch);
-  return {probs.begin(), probs.end()};
-}
-
 std::span<const float> TtpModel::predict_bins(
     const int step, const std::span<const float> features,
     nn::ForwardScratch& scratch) const {

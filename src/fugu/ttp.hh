@@ -106,13 +106,9 @@ class TtpModel {
                                              const net::TcpInfo& tcp,
                                              int64_t proposed_size_bytes) const;
 
-  /// Full probability distribution over bins for horizon step `step`.
-  [[nodiscard]] std::vector<float> predict_bins(
-      int step, const std::vector<float>& features) const;
-
-  /// Scratch-reusing variant: no allocation once `scratch` has warmed to
-  /// shape. The returned span aliases the scratch and is valid until its
-  /// next use; values are bit-identical to the allocating overload.
+  /// Full probability distribution over bins for horizon step `step`. No
+  /// allocation once `scratch` has warmed to shape. The returned span
+  /// aliases the scratch and is valid until its next use.
   std::span<const float> predict_bins(int step,
                                       std::span<const float> features,
                                       nn::ForwardScratch& scratch) const;

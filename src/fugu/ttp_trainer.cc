@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <random>
+#include <span>
 
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
@@ -17,7 +17,7 @@ namespace {
 /// Expected and max-likelihood transmission times implied by a bin
 /// distribution, honoring the model's target type.
 std::pair<double, double> implied_tx_times(const TtpConfig& config,
-                                           const std::vector<float>& probs,
+                                           const std::span<const float> probs,
                                            const double size_mb) {
   double expected = 0.0;
   int argmax = 0;
@@ -146,7 +146,7 @@ namespace {
 /// consumes `engine` identically.
 template <typename OnEpoch>
 void shuffle_epochs(std::vector<uint32_t>& rows, const size_t cap,
-                    const int epochs, std::mt19937_64& engine,
+                    const int epochs, Mt19937_64& engine,
                     const OnEpoch& on_epoch) {
   std::shuffle(rows.begin(), rows.end(), engine);
   if (rows.size() > cap) {
@@ -188,7 +188,7 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
   // after-another training makes them, recording where each step starts.
   // The jobs replay their step's draws from that start, and `rng` ends
   // where serial training leaves it.
-  std::vector<std::mt19937_64> step_engines;
+  std::vector<Mt19937_64> step_engines;
   step_engines.reserve(horizon);
   size_t examples_per_step = 0;
   for (size_t step = 0; step < horizon; step++) {
@@ -278,11 +278,13 @@ TtpEvaluation evaluate_ttp(const TtpModel& model, const TtpDataset& dataset) {
   double se_expected = 0.0;
   double se_point = 0.0;
   std::vector<float> features(table.input_dim());
+  nn::ForwardScratch scratch;
   size_t row = 0;  // the table's rows are the dataset's chunks, in order
   for (const StreamLog& stream : dataset) {
     for (const ChunkLog& chunk : stream.chunks) {
       table.copy_inputs(row, /*step=*/0, features.data());
-      const std::vector<float> probs = model.predict_bins(0, features);
+      const std::span<const float> probs =
+          model.predict_bins(0, features, scratch);
       const int label = table.label(row, 0);
       row++;
       const double p_true =

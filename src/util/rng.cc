@@ -1,6 +1,7 @@
 #include "util/rng.hh"
 
 #include <cmath>
+#include <random>
 
 #include "util/require.hh"
 
@@ -22,6 +23,38 @@ uint64_t mix64(uint64_t value) {
   return value ^ (value >> 31);
 }
 
+Mt19937_64::Mt19937_64(const uint64_t seed) {
+  state_[0] = seed;
+  for (size_t i = 1; i < kStateWords; i++) {
+    const uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::refill() {
+  constexpr size_t kShift = 156;  // the recurrence's middle offset, m
+  constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+  constexpr uint64_t kLower = ~kUpper;
+  // Without a branch on y's low bit, so that the loops vectorize.
+  const auto twist = [](const uint64_t word, const uint64_t next,
+                        const uint64_t far) {
+    const uint64_t y = (word & kUpper) | (next & kLower);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9ull);
+  };
+  // Words below kStateWords - kShift read words not yet twisted; the rest
+  // read words this pass has already twisted, kStateWords - kShift back.
+  for (size_t k = 0; k < kStateWords - kShift; k++) {
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kShift]);
+  }
+  for (size_t k = kStateWords - kShift; k < kStateWords - 1; k++) {
+    state_[k] = twist(state_[k], state_[k + 1],
+                      state_[k + kShift - kStateWords]);
+  }
+  state_[kStateWords - 1] =
+      twist(state_[kStateWords - 1], state_[0], state_[kShift - 1]);
+  next_ = 0;
+}
+
 Rng::Rng(const uint64_t seed) : seed_(seed), engine_(mix64(seed)) {}
 
 Rng Rng::split(const std::string_view label) const {
@@ -32,45 +65,15 @@ Rng Rng::split(const uint64_t index) const {
   return Rng{mix64(seed_ + 0x632be59bd9b4e019ull * (index + 1))};
 }
 
-double Rng::uniform() {
-  return std::uniform_real_distribution<double>{0.0, 1.0}(engine_);
-}
-
-double Rng::uniform(const double lo, const double hi) {
-  require(lo <= hi, "uniform: lo must be <= hi");
-  return std::uniform_real_distribution<double>{lo, hi}(engine_);
-}
-
 int64_t Rng::uniform_int(const int64_t lo, const int64_t hi) {
   require(lo <= hi, "uniform_int: lo must be <= hi");
   return std::uniform_int_distribution<int64_t>{lo, hi}(engine_);
-}
-
-double Rng::normal() {
-  return std::normal_distribution<double>{0.0, 1.0}(engine_);
-}
-
-double Rng::normal(const double mean, const double stddev) {
-  return std::normal_distribution<double>{mean, stddev}(engine_);
-}
-
-double Rng::lognormal(const double mu, const double sigma) {
-  return std::lognormal_distribution<double>{mu, sigma}(engine_);
-}
-
-double Rng::exponential(const double rate) {
-  require(rate > 0.0, "exponential: rate must be positive");
-  return std::exponential_distribution<double>{rate}(engine_);
 }
 
 double Rng::pareto(const double xm, const double alpha) {
   require(xm > 0.0 && alpha > 0.0, "pareto: xm and alpha must be positive");
   const double u = 1.0 - uniform();  // in (0, 1]
   return xm / std::pow(u, 1.0 / alpha);
-}
-
-bool Rng::bernoulli(const double p) {
-  return uniform() < p;
 }
 
 size_t Rng::categorical(const std::vector<double>& weights) {

@@ -11,12 +11,13 @@ abr::TxTimeDistribution predict_tx_time(const fugu::TtpModel& model,
                                         const fugu::TtpHistory& history,
                                         const net::TcpInfo& tcp,
                                         const int64_t proposed_size_bytes) {
-  const std::vector<float> probs = model.predict_bins(
-      step, fugu::ttp_featurize(model.config(), history, tcp,
-                                proposed_size_bytes));
+  const std::vector<float> features =
+      fugu::ttp_featurize(model.config(), history, tcp, proposed_size_bytes);
+  nn::ForwardScratch scratch;
   abr::TxTimeDistribution dist;
-  fugu::ttp_distribution_into(model.config(), probs, proposed_size_bytes,
-                              dist);
+  fugu::ttp_distribution_into(model.config(),
+                              model.predict_bins(step, features, scratch),
+                              proposed_size_bytes, dist);
   return dist;
 }
 

@@ -79,6 +79,12 @@ TEST(Detlint, R1EntropySourcesFlagged) {
   EXPECT_EQ(report.findings.front().tag, "nondet-source");
 }
 
+TEST(Detlint, R1StdEnginesAndFloatDistributionsFlagged) {
+  const auto report = expect_marked_findings("bad_r1_std_random.cc");
+  ASSERT_FALSE(report.findings.empty());
+  EXPECT_EQ(report.findings.front().tag, "nondet-source");
+}
+
 TEST(Detlint, R2UnorderedIterationFlagged) {
   const auto report = expect_marked_findings("bad_r2_unordered_iter.cc");
   ASSERT_FALSE(report.findings.empty());
@@ -221,13 +227,16 @@ TEST(Detlint, CleanFixtureHasNoFindings) {
 }
 
 TEST(Detlint, RngImplementationIsExemptFromR1) {
-  // The same entropy-laden content relabeled as the sanctioned RNG module
-  // must not produce R1 findings (R5/R6 etc. still apply).
-  const std::string content = read_fixture("bad_r1_entropy.cc");
-  const detlint::FileReport report =
-      detlint::lint_file("src/util/rng.cc", content, detlint::Config{});
-  for (const detlint::Finding& finding : report.findings) {
-    EXPECT_NE(finding.rule, "R1") << finding.str();
+  // The same R1-laden content relabeled as the sanctioned RNG module must
+  // not produce R1 findings (R5/R6 etc. still apply).
+  for (const char* fixture : {"bad_r1_entropy.cc", "bad_r1_std_random.cc"}) {
+    for (const char* path : {"src/util/rng.cc", "src/util/rng.hh"}) {
+      const detlint::FileReport report = detlint::lint_file(
+          path, read_fixture(fixture), detlint::Config{});
+      for (const detlint::Finding& finding : report.findings) {
+        EXPECT_NE(finding.rule, "R1") << fixture << ": " << finding.str();
+      }
+    }
   }
 }
 

@@ -4,9 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
+#include <random>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -157,6 +161,180 @@ TEST(Rng, CategoricalRespectsWeights) {
 TEST(Rng, CategoricalRejectsAllZero) {
   Rng rng{6};
   EXPECT_THROW(rng.categorical({0.0, 0.0}), RequirementError);
+}
+
+// The oracle engine. The standard fixes std::mt19937_64's output sequence,
+// and Mt19937_64 must give that sequence for every seed.
+// DETLINT-OK(nondet-source): test oracle that Mt19937_64 must reproduce
+using StdMt = std::mt19937_64;
+
+TEST(Mt19937_64, MatchesStdEngineAcrossRefills) {
+  const uint64_t seeds[] = {0,        1,        UINT64_MAX,
+                            mix64(1), mix64(7), mix64(UINT64_MAX)};
+  for (const uint64_t seed : seeds) {
+    Mt19937_64 ours{seed};
+    StdMt theirs{seed};
+    // 2,000 draws: six refills of the 312-word state.
+    for (int i = 0; i < 2000; i++) {
+      ASSERT_EQ(ours(), theirs()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, CopyTakenMidBlockContinuesIdentically) {
+  Mt19937_64 engine{mix64(3)};
+  StdMt oracle{mix64(3)};
+  for (int i = 0; i < 100; i++) {
+    ASSERT_EQ(engine(), oracle());
+  }
+  Mt19937_64 copy = engine;
+  for (int i = 0; i < 1000; i++) {
+    const uint64_t expected = oracle();
+    ASSERT_EQ(copy(), expected) << "draw " << i;
+    ASSERT_EQ(engine(), expected) << "draw " << i;
+  }
+}
+
+TEST(Mt19937_64, ShuffleAndUniformIntMatchStdEngine) {
+  Mt19937_64 ours{mix64(5)};
+  StdMt theirs{mix64(5)};
+  std::vector<int> a(1000);
+  std::iota(a.begin(), a.end(), 0);
+  std::vector<int> b = a;
+  std::shuffle(a.begin(), a.end(), ours);
+  std::shuffle(b.begin(), b.end(), theirs);
+  EXPECT_EQ(a, b);
+  for (int64_t i = 0; i < 1000; i++) {
+    std::uniform_int_distribution<int64_t> range{-5, 3 * i};
+    std::uniform_int_distribution<int64_t> full{INT64_MIN, INT64_MAX};
+    ASSERT_EQ(range(ours), range(theirs)) << "draw " << i;
+    ASSERT_EQ(full(ours), full(theirs)) << "draw " << i;
+  }
+  EXPECT_EQ(ours(), theirs());
+}
+
+TEST(Rng, CanonicalDoubleMapsDrawsIntoUnitInterval) {
+  EXPECT_EQ(canonical_double(0), 0.0);
+  EXPECT_EQ(canonical_double(uint64_t{1} << 53), 0x1p-11);
+  // Both round to 2^64 in the conversion to double, so both would reach
+  // 1.0; they give the largest double below 1 instead.
+  const double below_one = std::nextafter(1.0, 0.0);
+  EXPECT_EQ(canonical_double(UINT64_MAX), below_one);
+  EXPECT_EQ(canonical_double(UINT64_MAX - 1023), below_one);
+}
+
+enum class DrawKind {
+  kUniform,
+  kUniformRange,
+  kNormal,
+  kNormalScaled,
+  kExponential,
+  kLognormal,
+};
+
+constexpr DrawKind kDrawKinds[] = {
+    DrawKind::kUniform,      DrawKind::kUniformRange, DrawKind::kNormal,
+    DrawKind::kNormalScaled, DrawKind::kExponential,  DrawKind::kLognormal,
+};
+constexpr int kDistributionDraws = 100000;
+constexpr uint64_t kDistributionSeed = 11;
+
+double rng_draw(Rng& rng, const DrawKind kind) {
+  switch (kind) {
+    case DrawKind::kUniform:
+      return rng.uniform();
+    case DrawKind::kUniformRange:
+      return rng.uniform(-3.0, 7.5);
+    case DrawKind::kNormal:
+      return rng.normal();
+    case DrawKind::kNormalScaled:
+      return rng.normal(3.0, 2.0);
+    case DrawKind::kExponential:
+      return rng.exponential(0.5);
+    case DrawKind::kLognormal:
+      return rng.lognormal(-1.0, 0.7);
+  }
+  return 0.0;
+}
+
+std::vector<double> rng_draws(const DrawKind kind) {
+  Rng rng{kDistributionSeed};
+  std::vector<double> draws(kDistributionDraws);
+  for (double& draw : draws) {
+    draw = rng_draw(rng, kind);
+  }
+  return draws;
+}
+
+#ifdef __GLIBCXX__
+// libstdc++'s distributions, the oracle for Rng's draws. Each is built fresh
+// per draw, as Rng's draws were before it wrote the expressions out.
+// DETLINT-OK(nondet-source): libstdc++ oracle for Rng::uniform
+using StdUniform = std::uniform_real_distribution<double>;
+// DETLINT-OK(nondet-source): libstdc++ oracle for Rng::normal
+using StdNormal = std::normal_distribution<double>;
+// DETLINT-OK(nondet-source): libstdc++ oracle for Rng::exponential
+using StdExponential = std::exponential_distribution<double>;
+// DETLINT-OK(nondet-source): libstdc++ oracle for Rng::lognormal
+using StdLognormal = std::lognormal_distribution<double>;
+
+double libstdcxx_draw(StdMt& engine, const DrawKind kind) {
+  switch (kind) {
+    case DrawKind::kUniform:
+      return StdUniform{0.0, 1.0}(engine);
+    case DrawKind::kUniformRange:
+      return StdUniform{-3.0, 7.5}(engine);
+    case DrawKind::kNormal:
+      return StdNormal{0.0, 1.0}(engine);
+    case DrawKind::kNormalScaled:
+      return StdNormal{3.0, 2.0}(engine);
+    case DrawKind::kExponential:
+      return StdExponential{0.5}(engine);
+    case DrawKind::kLognormal:
+      return StdLognormal{-1.0, 0.7}(engine);
+  }
+  return 0.0;
+}
+
+TEST(Rng, DrawsEqualLibstdcxxDistributions) {
+  for (const DrawKind kind : kDrawKinds) {
+    const std::vector<double> ours = rng_draws(kind);
+    // Rng{seed} seeds its engine with mix64(seed).
+    StdMt engine{mix64(kDistributionSeed)};
+    for (int i = 0; i < kDistributionDraws; i++) {
+      ASSERT_EQ(ours[static_cast<size_t>(i)], libstdcxx_draw(engine, kind))
+          << "kind " << static_cast<int>(kind) << " draw " << i;
+    }
+  }
+}
+#endif  // __GLIBCXX__
+
+TEST(Rng, UniformIntEqualsStdDistributionOverStdEngine) {
+  Rng rng{kDistributionSeed};
+  StdMt engine{mix64(kDistributionSeed)};
+  for (int64_t i = 0; i < kDistributionDraws; i++) {
+    const int64_t hi = i % 1000;
+    ASSERT_EQ(rng.uniform_int(-7, hi),
+              (std::uniform_int_distribution<int64_t>{-7, hi}(engine)))
+        << "draw " << i;
+  }
+}
+
+TEST(Rng, DrawsArePinnedBitForBit) {
+  // FNV-1a of each kind's draws, as bytes: these hold on any standard
+  // library, because Rng no longer draws through std's float distributions.
+  const uint64_t pinned[] = {
+      17863139444989456710u, 6854971031405191483u, 14738262217484931492u,
+      438293092592168625u,   9585221324638867737u, 2725766505374493382u,
+  };
+  size_t index = 0;
+  for (const DrawKind kind : kDrawKinds) {
+    const std::vector<double> draws = rng_draws(kind);
+    const std::string_view bytes{reinterpret_cast<const char*>(draws.data()),
+                                 draws.size() * sizeof(double)};
+    EXPECT_EQ(stable_hash(bytes), pinned[index++])
+        << "kind " << static_cast<int>(kind);
+  }
 }
 
 TEST(StableHash, DistinctStringsDistinctHashes) {

@@ -391,7 +391,8 @@ class Linter {
 
   // R1: nondeterministic sources. Flags calls (identifier followed by '(')
   // to the libc/std entropy, clock and environment APIs, plus any mention
-  // of std::random_device and the std::chrono clock ::now() readers.
+  // of std::random_device, the std::chrono clock ::now() readers, and std's
+  // Mersenne Twister engines and float distributions.
   void rule_r1() {
     static const std::set<std::string, std::less<>> kCalls = {
         "rand", "srand", "rand_r", "random", "srandom", "drand48", "lrand48",
@@ -402,6 +403,17 @@ class Linter {
         "system_clock", "steady_clock", "high_resolution_clock",
         "utc_clock", "file_clock",
     };
+    // The float distributions' algorithms are the library's choice, and a
+    // std engine is a stream no Rng::split label owns. util::Rng pins both
+    // its engine and its draws bit for bit.
+    static const std::set<std::string, std::less<>> kStdRandom = {
+        "mt19937",
+        "mt19937_64",
+        "normal_distribution",
+        "uniform_real_distribution",
+        "exponential_distribution",
+        "lognormal_distribution",
+    };
     for (size_t i = 0; i < tokens_.size(); i++) {
       if (!tok(i).ident) {
         continue;
@@ -411,6 +423,11 @@ class Linter {
         flag("R1", tok(i).line,
              "std::random_device is nondeterministic — derive streams from "
              "util::Rng (seeded, splittable) instead");
+      } else if (kStdRandom.count(t) > 0) {
+        flag("R1", tok(i).line,
+             "std::" + t +
+                 " draws outside util::Rng — split a util::Rng and draw "
+                 "through it (engine() is the pinned Mt19937_64)");
       } else if (kClocks.count(t) > 0 && text(i + 1) == "::" &&
                  text(i + 2) == "now") {
         flag("R1", tok(i).line,

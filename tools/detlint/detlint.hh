@@ -14,8 +14,11 @@
 /// the source-level half of that contract as machine-checked policy:
 ///
 ///   R1 nondet-source     no nondeterministic sources (rand, random_device,
-///                        time(), *_clock::now, getenv, ...) outside
-///                        src/util/rng.* and allowlisted I/O/timing files
+///                        time(), *_clock::now, getenv, ...) and no std
+///                        mt19937/mt19937_64 engines or float
+///                        distributions (their draws are the library's)
+///                        outside src/util/rng.* and allowlisted
+///                        I/O/timing files
 ///   R2 ordered-sink      no iteration over std::unordered_{map,set}
 ///                        (hash-order is result-affecting); suppress with
 ///                        a reason where order provably cannot escape
