@@ -58,6 +58,10 @@ class PackedMatrix {
   }
 
  private:
+  /// Zero the tail panel's lanes past n: the kernels multiply them too, and
+  /// a stale subnormal there would slow every FMA it enters.
+  void zero_padding();
+
   size_t k_ = 0;
   size_t n_ = 0;
   std::vector<float> data_;
@@ -97,12 +101,16 @@ namespace detail {
 /// into the output matrix (row stride ldc) with the epilogue fused:
 /// `bias` (pre-offset to this panel's columns, or nullptr) is added and, if
 /// `relu`, the result is clamped at zero. mr = table index + 1.
+/// A's element (r, p) is a[r * lda + p]; a kernel in `fn_transposed_a`
+/// reads it at a[p * lda + r] instead, so A^T's storage (k x mr and wider,
+/// row stride lda) serves as A without a transposed copy.
 using GemmKernelFn = void (*)(const float* a, size_t lda, const float* panel,
                               size_t k, float* c, size_t ldc, size_t nc,
                               const float* bias, bool relu);
 
 struct KernelTable {
   GemmKernelFn fn[kRowTile];
+  GemmKernelFn fn_transposed_a[kRowTile];
 };
 
 /// Defined in gemm_avx2.cc; returns nullptr when the AVX2/FMA kernels were

@@ -23,7 +23,8 @@ namespace {
 /// what makes row results independent of batch size and tile position (the
 /// batched==scalar bitwise contract). The epilogue is an IEEE add + max per
 /// element, bit-identical to the portable fallback's scalar epilogue.
-template <size_t MR>
+/// TransposedA reads A's element (r, p) at a[p * lda + r].
+template <size_t MR, bool TransposedA>
 void kernel_avx2(const float* a, const size_t lda, const float* panel,
                  const size_t k, float* c, const size_t ldc, const size_t nc,
                  const float* bias, const bool relu) {
@@ -36,7 +37,8 @@ void kernel_avx2(const float* a, const size_t lda, const float* panel,
     const __m256 b0 = _mm256_loadu_ps(panel + p * kPanelWidth);
     const __m256 b1 = _mm256_loadu_ps(panel + p * kPanelWidth + 8);
     for (size_t r = 0; r < MR; r++) {
-      const __m256 av = _mm256_set1_ps(a[r * lda + p]);
+      const __m256 av =
+          _mm256_set1_ps(TransposedA ? a[p * lda + r] : a[r * lda + p]);
       acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
@@ -85,7 +87,10 @@ void kernel_avx2(const float* a, const size_t lda, const float* panel,
 }
 
 constexpr KernelTable kAvx2Kernels{
-    {&kernel_avx2<1>, &kernel_avx2<2>, &kernel_avx2<3>, &kernel_avx2<4>}};
+    {&kernel_avx2<1, false>, &kernel_avx2<2, false>, &kernel_avx2<3, false>,
+     &kernel_avx2<4, false>},
+    {&kernel_avx2<1, true>, &kernel_avx2<2, true>, &kernel_avx2<3, true>,
+     &kernel_avx2<4, true>}};
 
 bool cpu_supports_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)
