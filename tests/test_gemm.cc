@@ -3,7 +3,8 @@
 // (tests/oracles/naive_gemm.hh) over randomized shapes (including SIMD tail
 // lanes and degenerate vectors), the fused epilogues, the packed-weight Mlp
 // forward, and the kernel determinism contract (repeat-run,
-// batch-independence, SIMD==portable).
+// batch-independence, SIMD==portable, the backward pass's transposed
+// products bitwise equal to one ascending FMA chain per output).
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,87 @@ TEST(Gemm, TransposedVariantsMatchNaive) {
       }
     }
   }
+}
+
+/// Entries like the backward pass's: mostly normal, with subnormals (the
+/// loss gradient has some), signed zeros and large magnitudes mixed in.
+Matrix extreme_matrix(Rng& rng, const size_t rows, const size_t cols) {
+  Matrix m{rows, cols};
+  for (size_t i = 0; i < m.size(); i++) {
+    const double kind = rng.uniform();
+    float v = static_cast<float>(rng.normal());
+    if (kind < 0.05) {
+      v *= 1e-39f;  // subnormal
+    } else if (kind < 0.10) {
+      v = kind < 0.075 ? 0.0f : -0.0f;
+    } else if (kind < 0.13) {
+      v *= 1e15f;
+    }
+    m.data()[i] = v;
+  }
+  return m;
+}
+
+/// The kernel contract written out: out[i][j] is one fmaf chain from +0.0
+/// over ascending p of a^T's (i, p) entry times b's (p, j) entry.
+Matrix fma_chain_matmul_at(const Matrix& a, const Matrix& b) {
+  Matrix out{a.cols(), b.cols()};
+  for (size_t i = 0; i < out.rows(); i++) {
+    for (size_t j = 0; j < out.cols(); j++) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < a.rows(); p++) {
+        acc = std::fmaf(a.at(p, i), b.at(p, j), acc);
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+/// The same for a * b^T.
+Matrix fma_chain_matmul_bt(const Matrix& a, const Matrix& b) {
+  Matrix out{a.rows(), b.rows()};
+  for (size_t i = 0; i < out.rows(); i++) {
+    for (size_t j = 0; j < out.cols(); j++) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < a.cols(); p++) {
+        acc = std::fmaf(a.at(i, p), b.at(j, p), acc);
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+/// matmul_at and matmul_bt on the TTP's training shapes (a 256-row
+/// minibatch, layer widths 22, 64 and 21) against the FMA chains, bitwise.
+void expect_transposed_products_match_fma_chains() {
+  Rng rng{101};
+  const size_t k = 256;
+  for (const size_t m : {22u, 64u}) {
+    for (const size_t n : {21u, 64u}) {
+      const std::string shape = std::to_string(m) + "x" + std::to_string(n);
+      // dW = input^T * delta: a is (k x m), b is (k x n).
+      const Matrix input = extreme_matrix(rng, k, m);
+      const Matrix delta = extreme_matrix(rng, k, n);
+      Matrix dw;
+      matmul_at(input, delta, dw);
+      EXPECT_TRUE(same_bits(dw, fma_chain_matmul_at(input, delta)))
+          << "matmul_at " << shape << " on " << gemm_active_path();
+      // next delta = delta * W^T: W is (m x n).
+      const Matrix weights = extreme_matrix(rng, m, n);
+      Matrix next;
+      matmul_bt(delta, weights, next);
+      EXPECT_TRUE(same_bits(next, fma_chain_matmul_bt(delta, weights)))
+          << "matmul_bt " << shape << " on " << gemm_active_path();
+    }
+  }
+}
+
+TEST(Gemm, TransposedVariantsEqualFmaChainsBitwise) {
+  expect_transposed_products_match_fma_chains();
+  test::ForcePortableGuard guard;
+  expect_transposed_products_match_fma_chains();
 }
 
 TEST(Gemm, FusedBiasReluMatchesUnfusedBitwise) {
@@ -197,6 +279,47 @@ TEST(PackedMatrix, TransposedPackingMatchesExplicitTranspose) {
               0)
         << "panel " << p;
   }
+}
+
+TEST(PackedMatrix, TailPaddingIsPositiveZeroAfterAWiderPack) {
+  // Fill the scratch with subnormals and negative zeros first: packing a
+  // narrower matrix into it must leave +0.0 in every padding lane.
+  Matrix wide{256, 32};
+  for (size_t i = 0; i < wide.size(); i++) {
+    wide.data()[i] = i % 2 == 0 ? -1e-40f : -0.0f;
+  }
+  Rng rng{29};
+  const Matrix narrow = random_matrix(rng, 256, 21);  // (k x n)
+  Matrix narrow_t{21, 256};
+  for (size_t r = 0; r < narrow.rows(); r++) {
+    for (size_t c = 0; c < narrow.cols(); c++) {
+      narrow_t.at(c, r) = narrow.at(r, c);
+    }
+  }
+  const auto expect_zero_padding = [&](const PackedMatrix& packed,
+                                       const char* how) {
+    ASSERT_EQ(packed.num_panels(), 2u) << how;
+    const float* tail = packed.panel(1);
+    for (size_t p = 0; p < packed.k(); p++) {
+      for (size_t lane = 0; lane < kPanelWidth; lane++) {
+        const float v = tail[p * kPanelWidth + lane];
+        if (lane < 5) {
+          ASSERT_EQ(v, narrow.at(p, 16 + lane)) << how;
+        } else {
+          uint32_t bits = 0;
+          std::memcpy(&bits, &v, sizeof(bits));
+          ASSERT_EQ(bits, 0u) << how << " row " << p << " lane " << lane;
+        }
+      }
+    }
+  };
+  PackedMatrix packed;
+  packed.pack_from(wide);
+  packed.pack_from(narrow);
+  expect_zero_padding(packed, "pack_from");
+  packed.pack_from(wide);
+  packed.pack_from_transposed(narrow_t);
+  expect_zero_padding(packed, "pack_from_transposed");
 }
 
 TEST(MlpPacked, ForwardMatchesNaiveReferenceNetwork) {
