@@ -6,9 +6,10 @@
 //   ./nn_kernels [--smoke] [--json PATH]
 //
 // Measures rows/s for single-row inference (forward_one), batched GEMM
-// inference (forward), batched TTP prediction (BatchTtpPredictor), and the
-// training step (forward_tape + cross-entropy + backward + Adam), each next
-// to its naive-kernel baseline. Before timing anything it audits the kernel
+// inference (forward), batched TTP prediction (BatchTtpPredictor), the
+// training step (forward_tape + cross-entropy + backward + Adam) at the TTP
+// trainer's minibatch size, and the backward pass alone, each next to its
+// naive-kernel baseline. Before timing anything it audits the kernel
 // determinism contract — repeated runs bitwise identical, batched rows
 // bitwise equal to single-row results, SIMD bitwise equal to the portable
 // fallback, training bitwise reproducible, batched TTP bitwise equal to the
@@ -27,6 +28,7 @@
 #include "bench_common.hh"
 #include "fugu/batch_ttp.hh"
 #include "fugu/ttp.hh"
+#include "fugu/ttp_trainer.hh"
 #include "nn/gemm.hh"
 #include "nn/loss.hh"
 #include "nn/mlp.hh"
@@ -103,32 +105,13 @@ void naive_forward(const nn::Mlp& net, const nn::Matrix& input,
   }
 }
 
-/// One seed-style training step on the naive kernels (fresh tape and
-/// gradient buffers per call, exactly like the pre-kernel-layer trainer).
-double naive_train_step(nn::Mlp& net, const nn::Matrix& inputs,
-                        const std::vector<int>& labels,
-                        nn::AdamOptimizer& optimizer) {
-  const nn::Mlp& cnet = net;
-  std::vector<nn::Matrix> acts;
-  acts.push_back(inputs);
-  for (size_t l = 0; l < cnet.num_layers(); l++) {
-    nn::Matrix next;
-    oracle::naive_matmul(acts.back(), cnet.weights()[l], next);
-    nn::add_row_bias(next, cnet.biases()[l]);
-    if (l + 1 < cnet.num_layers()) {
-      for (size_t i = 0; i < next.size(); i++) {
-        next.data()[i] = std::max(next.data()[i], 0.0f);
-      }
-    }
-    acts.push_back(std::move(next));
-  }
-  nn::Matrix dlogits;
-  const double loss =
-      nn::softmax_cross_entropy(acts.back(), labels, dlogits);
-  nn::Gradients grads = net.make_gradients();
+/// The seed's backward pass on the naive kernels, from the activations of
+/// a forward pass (input first, logits last) and dL/dlogits.
+void naive_backward(const nn::Mlp& net, const std::vector<nn::Matrix>& acts,
+                    const nn::Matrix& dlogits, nn::Gradients& grads) {
   nn::Matrix delta = dlogits;
   nn::Matrix next_delta, dw;
-  for (size_t l = cnet.num_layers(); l-- > 0;) {
+  for (size_t l = net.num_layers(); l-- > 0;) {
     oracle::naive_matmul_at(acts[l], delta, dw);
     grads.weights[l].add_inplace(dw);
     for (size_t r = 0; r < delta.rows(); r++) {
@@ -140,7 +123,7 @@ double naive_train_step(nn::Mlp& net, const nn::Matrix& inputs,
     if (l == 0) {
       break;
     }
-    oracle::naive_matmul_bt(delta, cnet.weights()[l], next_delta);
+    oracle::naive_matmul_bt(delta, net.weights()[l], next_delta);
     for (size_t i = 0; i < next_delta.size(); i++) {
       if (acts[l].data()[i] <= 0.0f) {
         next_delta.data()[i] = 0.0f;
@@ -148,6 +131,38 @@ double naive_train_step(nn::Mlp& net, const nn::Matrix& inputs,
     }
     std::swap(delta, next_delta);
   }
+}
+
+/// The seed's forward pass keeping every layer's output (input first).
+std::vector<nn::Matrix> naive_forward_tape(const nn::Mlp& net,
+                                           const nn::Matrix& inputs) {
+  std::vector<nn::Matrix> acts;
+  acts.push_back(inputs);
+  for (size_t l = 0; l < net.num_layers(); l++) {
+    nn::Matrix next;
+    oracle::naive_matmul(acts.back(), net.weights()[l], next);
+    nn::add_row_bias(next, net.biases()[l]);
+    if (l + 1 < net.num_layers()) {
+      for (size_t i = 0; i < next.size(); i++) {
+        next.data()[i] = std::max(next.data()[i], 0.0f);
+      }
+    }
+    acts.push_back(std::move(next));
+  }
+  return acts;
+}
+
+/// One seed-style training step on the naive kernels (fresh tape and
+/// gradient buffers per call, exactly like the pre-kernel-layer trainer).
+double naive_train_step(nn::Mlp& net, const nn::Matrix& inputs,
+                        const std::vector<int>& labels,
+                        nn::AdamOptimizer& optimizer) {
+  const std::vector<nn::Matrix> acts = naive_forward_tape(net, inputs);
+  nn::Matrix dlogits;
+  const double loss =
+      nn::softmax_cross_entropy(acts.back(), labels, dlogits);
+  nn::Gradients grads = net.make_gradients();
+  naive_backward(net, acts, dlogits, grads);
   optimizer.step(net, grads);
   return loss;
 }
@@ -341,9 +356,11 @@ int main(int argc, char** argv) {
       query_rows;
 
   // -------------------------------------------------------------------
-  // Training step (nightly retrain inner loop), minibatch of 64.
+  // Training step (nightly retrain inner loop) at the trainer's minibatch
+  // size, and its backward pass alone.
   // -------------------------------------------------------------------
-  const size_t train_rows = 64;
+  const auto train_rows =
+      static_cast<size_t>(fugu::TtpTrainConfig{}.batch_size);
   const nn::Matrix train_batch = random_batch(rng, train_rows, net.input_size());
   std::vector<int> train_labels(train_rows);
   for (size_t r = 0; r < train_rows; r++) {
@@ -367,6 +384,26 @@ int main(int argc, char** argv) {
   const double naive_train_examples =
       naive_train_steps * static_cast<double>(train_rows);
 
+  // The trained network's backward pass, from one forward pass and loss.
+  train_net.forward_tape(train_batch, train_tape);
+  (void)nn::softmax_cross_entropy(train_tape.activations.back(), train_labels,
+                                  train_dlogits);
+  const double backward_calls = time_loop(target_s, [&] {
+    train_grads.zero();
+    train_net.backward(train_tape, train_dlogits, train_grads);
+  });
+  const std::vector<nn::Matrix> naive_acts =
+      naive_forward_tape(train_net, train_batch);
+  nn::Gradients naive_grads = train_net.make_gradients();
+  const double naive_backward_calls = time_loop(target_s, [&] {
+    naive_grads.zero();
+    naive_backward(train_net, naive_acts, train_dlogits, naive_grads);
+  });
+  const double backward_rows =
+      backward_calls * static_cast<double>(train_rows);
+  const double naive_backward_rows =
+      naive_backward_calls * static_cast<double>(train_rows);
+
   std::printf("\n  %-22s %14s %14s %9s\n", "path (rows/s)", "kernel layer",
               "naive ref", "speedup");
   const auto line = [](const char* name, const double fast,
@@ -377,7 +414,8 @@ int main(int argc, char** argv) {
   line("forward_one", forward_one_rows, forward_one_naive_rows);
   line("forward (batch 256)", forward_rows, forward_naive_rows);
   line("batched TTP decision", ttp_batched_rows, ttp_scalar_rows);
-  line("train step (batch 64)", train_examples, naive_train_examples);
+  line("train step (batch 256)", train_examples, naive_train_examples);
+  line("backward (batch 256)", backward_rows, naive_backward_rows);
 
   puffer::bench::JsonWriter json;
   json.field("bench", "nn_kernels");
@@ -396,6 +434,9 @@ int main(int argc, char** argv) {
   json.field("train_rows_per_s", train_examples, 0);
   json.field("train_naive_rows_per_s", naive_train_examples, 0);
   json.field("train_speedup", train_examples / naive_train_examples, 3);
+  json.field("backward_rows_per_s", backward_rows, 0);
+  json.field("backward_naive_rows_per_s", naive_backward_rows, 0);
+  json.field("backward_speedup", backward_rows / naive_backward_rows, 3);
   json.field("bitwise_deterministic", audit.ok);
   json.write_file(json_path);
 
