@@ -11,7 +11,7 @@
 // Trains every variant on the same in-situ telemetry and evaluates on a
 // held-out split.
 
-#include <algorithm>
+#include <span>
 
 #include "bench_common.hh"
 #include "exp/insitu.hh"
@@ -25,7 +25,7 @@ int main() {
   fugu::TtpDataset dataset = exp::get_insitu_dataset();
   // Split by stream: 80% train / 20% held out.
   Rng split_rng{77};
-  std::shuffle(dataset.begin(), dataset.end(), split_rng.engine());
+  shuffle(std::span{dataset}, split_rng);
   const size_t train_count = dataset.size() * 4 / 5;
   const fugu::TtpDataset train_set{dataset.begin(),
                                    dataset.begin() + static_cast<long>(train_count)};

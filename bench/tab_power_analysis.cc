@@ -11,7 +11,7 @@
 // stall ratio as a function of accumulated watch time, and an A/B
 // detectability sweep with a synthetic 15% injected effect.
 
-#include <algorithm>
+#include <span>
 
 #include "bench_common.hh"
 #include "stats/bootstrap.hh"
@@ -30,7 +30,7 @@ int main() {
     }
   }
   Rng rng{12};
-  std::shuffle(pool.begin(), pool.end(), rng.engine());
+  shuffle(std::span{pool}, rng);
 
   const double year_s = 365.25 * 24 * 3600;
   double pool_years = 0.0;

@@ -139,21 +139,20 @@ void TtpFeatureTable::copy_inputs(const size_t row, const int step,
 
 namespace {
 
-/// One step network's shuffles (section 4.3), drawn from `engine`: shuffle
+/// One step network's shuffles (section 4.3), drawn from `rng`: shuffle
 /// the step's example rows and keep the first `cap` (subsampling), then
-/// shuffle once per epoch and call on_epoch(epoch). std::shuffle's draws and
-/// swaps depend only on the length, so any row list of the same length
-/// consumes `engine` identically.
+/// shuffle once per epoch and call on_epoch(epoch). puffer::shuffle's draws
+/// and swaps depend only on the length, so any row list of the same length
+/// consumes `rng` identically.
 template <typename OnEpoch>
 void shuffle_epochs(std::vector<uint32_t>& rows, const size_t cap,
-                    const int epochs, Mt19937_64& engine,
-                    const OnEpoch& on_epoch) {
-  std::shuffle(rows.begin(), rows.end(), engine);
+                    const int epochs, Rng& rng, const OnEpoch& on_epoch) {
+  shuffle(std::span{rows}, rng);
   if (rows.size() > cap) {
     rows.resize(cap);
   }
   for (int epoch = 0; epoch < epochs; epoch++) {
-    std::shuffle(rows.begin(), rows.end(), engine);
+    shuffle(std::span{rows}, rng);
     on_epoch(epoch);
   }
 }
@@ -188,14 +187,14 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
   // after-another training makes them, recording where each step starts.
   // The jobs replay their step's draws from that start, and `rng` ends
   // where serial training leaves it.
-  std::vector<Mt19937_64> step_engines;
-  step_engines.reserve(horizon);
+  std::vector<Rng> step_rngs;
+  step_rngs.reserve(horizon);
   size_t examples_per_step = 0;
   for (size_t step = 0; step < horizon; step++) {
     std::vector<uint32_t> rows = table.example_rows(static_cast<int>(step));
     require(!rows.empty(), "train_ttp: no examples for step");
-    step_engines.push_back(rng.engine());
-    shuffle_epochs(rows, cap, train_config.epochs, rng.engine(),
+    step_rngs.push_back(rng);
+    shuffle_epochs(rows, cap, train_config.epochs, rng,
                    [](int /*epoch*/) {});
     examples_per_step = rows.size();
   }
@@ -251,7 +250,7 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
           losses[step][static_cast<size_t>(epoch)] =
               epoch_loss / static_cast<double>(batches) / config.horizon;
         };
-        shuffle_epochs(rows, cap, train_config.epochs, step_engines[step],
+        shuffle_epochs(rows, cap, train_config.epochs, step_rngs[step],
                        train_epoch);
       });
 

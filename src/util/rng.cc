@@ -1,7 +1,6 @@
 #include "util/rng.hh"
 
 #include <cmath>
-#include <random>
 
 #include "util/require.hh"
 
@@ -63,11 +62,6 @@ Rng Rng::split(const std::string_view label) const {
 
 Rng Rng::split(const uint64_t index) const {
   return Rng{mix64(seed_ + 0x632be59bd9b4e019ull * (index + 1))};
-}
-
-int64_t Rng::uniform_int(const int64_t lo, const int64_t hi) {
-  require(lo <= hi, "uniform_int: lo must be <= hi");
-  return std::uniform_int_distribution<int64_t>{lo, hi}(engine_);
 }
 
 double Rng::pareto(const double xm, const double alpha) {

@@ -6,7 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/require.hh"
@@ -21,8 +23,8 @@ namespace puffer {
 /// operator() tempers one word per draw, inline. Like std's engine it keeps
 /// only the 312 state words and a position, so copies are as cheap and as
 /// large as before. It satisfies UniformRandomBitGenerator with std's
-/// min()/max(), so std::shuffle and std::uniform_int_distribution make the
-/// same draws from it as from std's engine.
+/// min()/max(), so any std algorithm makes the same draws from it as from
+/// std's engine.
 class Mt19937_64 {
  public:
   using result_type = uint64_t;
@@ -64,6 +66,25 @@ inline double canonical_double(const uint64_t bits) {
   return u < 1.0 ? u : std::nextafter(1.0, 0.0);
 }
 
+/// A uniform integer in [0, range), range >= 1: libstdc++ 12's
+/// uniform_int_distribution over a 64-bit engine (`_S_nd`), which is
+/// Lemire's nearly divisionless method with a 128-bit product (Lemire 2019,
+/// arXiv 1805.10941). It makes one draw, and more only when the first falls
+/// in the biased sliver below 2^64 mod range.
+inline uint64_t uniform_below(Mt19937_64& engine, const uint64_t range) {
+  __extension__ using Wide = unsigned __int128;
+  Wide product = static_cast<Wide>(engine()) * range;
+  auto low = static_cast<uint64_t>(product);
+  if (low < range) {
+    const uint64_t threshold = (0 - range) % range;
+    while (low < threshold) {
+      product = static_cast<Wide>(engine()) * range;
+      low = static_cast<uint64_t>(product);
+    }
+  }
+  return static_cast<uint64_t>(product >> 64);
+}
+
 /// Deterministic, splittable random-number generator.
 ///
 /// Every stochastic component of the simulator draws from an Rng obtained by
@@ -76,9 +97,12 @@ inline double canonical_double(const uint64_t bits) {
 /// 12's expressions for a freshly built std::*_distribution<double> over
 /// that engine, written out here because the standard leaves those
 /// algorithms to the library; so they are the same on any library. pareto,
-/// bernoulli and categorical build on uniform. uniform_int is
-/// std::uniform_int_distribution<int64_t> over the engine, so its bits are
-/// the library's.
+/// bernoulli and categorical build on uniform. uniform_int and
+/// puffer::shuffle are libstdc++ 12's std::uniform_int_distribution<int64_t>
+/// and std::shuffle over the engine, written out the same way. What still
+/// depends on the platform is libm: normal, lognormal, exponential and
+/// pareto call glibc's log, exp, sqrt and pow, so those draws hold bit for
+/// bit only where those functions round the same way.
 class Rng {
  public:
   explicit Rng(uint64_t seed);
@@ -96,7 +120,16 @@ class Rng {
     return uniform() * (hi - lo) + lo;
   }
   /// Uniform integer in [lo, hi] inclusive.
-  int64_t uniform_int(int64_t lo, int64_t hi);
+  int64_t uniform_int(const int64_t lo, const int64_t hi) {
+    require(lo <= hi, "uniform_int: lo must be <= hi");
+    const uint64_t span =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    // The full 64-bit span takes the draw as it is, like libstdc++.
+    const uint64_t offset = span == std::numeric_limits<uint64_t>::max()
+                                ? engine_()
+                                : uniform_below(engine_, span + 1);
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
+  }
   /// Standard normal.
   double normal() { return normal(0.0, 1.0); }
   /// Normal with given mean / stddev: the polar method, keeping only the
@@ -128,8 +161,7 @@ class Rng {
   /// Sample an index from an (unnormalized) weight vector.
   size_t categorical(const std::vector<double>& weights);
 
-  /// Access to the underlying engine (for seeds, std::shuffle and
-  /// std::uniform_int_distribution).
+  /// Access to the underlying engine (for seeds).
   Mt19937_64& engine() { return engine_; }
 
   uint64_t seed() const { return seed_; }
@@ -138,6 +170,39 @@ class Rng {
   uint64_t seed_;
   Mt19937_64 engine_;
 };
+
+/// Shuffle `items` with libstdc++ 12's std::shuffle draws. While the length
+/// squared fits in 64 bits, one draw picks two swap positions
+/// (`__gen_two_uniform_ints`), after one lone swap when the length is even;
+/// longer ranges draw one position per element. The draws depend only on
+/// the length.
+template <typename T>
+void shuffle(const std::span<T> items, Rng& rng) {
+  Mt19937_64& engine = rng.engine();
+  const uint64_t n = items.size();
+  if (n == 0) {
+    return;
+  }
+  if (std::numeric_limits<uint64_t>::max() / n < n) {
+    for (uint64_t i = 1; i < n; i++) {
+      std::swap(items[i], items[uniform_below(engine, i + 1)]);
+    }
+    return;
+  }
+  uint64_t i = 1;
+  if (n % 2 == 0) {
+    std::swap(items[i], items[uniform_below(engine, 2)]);
+    i++;
+  }
+  while (i != n) {
+    const uint64_t first_range = i + 1;
+    const uint64_t second_range = i + 2;
+    const uint64_t x = uniform_below(engine, first_range * second_range);
+    std::swap(items[i], items[x / second_range]);
+    std::swap(items[i + 1], items[x % second_range]);
+    i += 2;
+  }
+}
 
 /// Stable 64-bit hash of a string (FNV-1a), used for seed derivation.
 uint64_t stable_hash(std::string_view text);

@@ -10,8 +10,10 @@
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <span>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.hh"
@@ -167,6 +169,16 @@ TEST(Rng, CategoricalRejectsAllZero) {
 // and Mt19937_64 must give that sequence for every seed.
 // DETLINT-OK(nondet-source): test oracle that Mt19937_64 must reproduce
 using StdMt = std::mt19937_64;
+// DETLINT-OK(nondet-source): the library's algorithm, oracle for uniform_int
+using StdUniformInt = std::uniform_int_distribution<int64_t>;
+
+/// std::shuffle over `engine`: the library's algorithm, the oracle for
+/// puffer::shuffle.
+template <typename Engine>
+void std_shuffle(std::vector<int>& items, Engine& engine) {
+  // DETLINT-OK(nondet-source): the library's algorithm, oracle for shuffle
+  std::shuffle(items.begin(), items.end(), engine);
+}
 
 TEST(Mt19937_64, MatchesStdEngineAcrossRefills) {
   const uint64_t seeds[] = {0,        1,        UINT64_MAX,
@@ -201,12 +213,12 @@ TEST(Mt19937_64, ShuffleAndUniformIntMatchStdEngine) {
   std::vector<int> a(1000);
   std::iota(a.begin(), a.end(), 0);
   std::vector<int> b = a;
-  std::shuffle(a.begin(), a.end(), ours);
-  std::shuffle(b.begin(), b.end(), theirs);
+  std_shuffle(a, ours);
+  std_shuffle(b, theirs);
   EXPECT_EQ(a, b);
   for (int64_t i = 0; i < 1000; i++) {
-    std::uniform_int_distribution<int64_t> range{-5, 3 * i};
-    std::uniform_int_distribution<int64_t> full{INT64_MIN, INT64_MAX};
+    StdUniformInt range{-5, 3 * i};
+    StdUniformInt full{INT64_MIN, INT64_MAX};
     ASSERT_EQ(range(ours), range(theirs)) << "draw " << i;
     ASSERT_EQ(full(ours), full(theirs)) << "draw " << i;
   }
@@ -309,15 +321,75 @@ TEST(Rng, DrawsEqualLibstdcxxDistributions) {
 }
 #endif  // __GLIBCXX__
 
-TEST(Rng, UniformIntEqualsStdDistributionOverStdEngine) {
+#ifdef __GLIBCXX__
+// Ranges for the integer draws: tiny, typical, the full 64-bit span, and
+// spans just above 2^63, where Lemire's method rejects almost half of the
+// first draws.
+constexpr std::pair<int64_t, int64_t> kIntRanges[] = {
+    {5, 5},
+    {-1, 1},
+    {0, 20},
+    {-7, 999},
+    {0, 5'999'999},
+    {INT64_MIN, INT64_MAX},
+    {INT64_MIN, 12345},
+    {-3, INT64_MAX},
+};
+
+TEST(Rng, UniformIntEqualsLibstdcxxDistribution) {
   Rng rng{kDistributionSeed};
   StdMt engine{mix64(kDistributionSeed)};
   for (int64_t i = 0; i < kDistributionDraws; i++) {
     const int64_t hi = i % 1000;
-    ASSERT_EQ(rng.uniform_int(-7, hi),
-              (std::uniform_int_distribution<int64_t>{-7, hi}(engine)))
+    ASSERT_EQ(rng.uniform_int(-7, hi), (StdUniformInt{-7, hi}(engine)))
         << "draw " << i;
   }
+  for (const auto& [lo, hi] : kIntRanges) {
+    for (int i = 0; i < 1000; i++) {
+      ASSERT_EQ(rng.uniform_int(lo, hi), (StdUniformInt{lo, hi}(engine)))
+          << "[" << lo << ", " << hi << "] draw " << i;
+    }
+  }
+  EXPECT_EQ(rng.engine()(), engine());
+}
+
+TEST(Shuffle, EqualsLibstdcxxShuffle) {
+  for (const size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 16u, 17u, 1000u, 20001u}) {
+    Rng rng{n};
+    StdMt engine{mix64(n)};
+    std::vector<int> ours(n);
+    std::iota(ours.begin(), ours.end(), 0);
+    std::vector<int> theirs = ours;
+    shuffle(std::span{ours}, rng);
+    std_shuffle(theirs, engine);
+    EXPECT_EQ(ours, theirs) << "length " << n;
+    // The same number of engine draws, too.
+    EXPECT_EQ(rng.engine()(), engine()) << "length " << n;
+  }
+}
+#endif  // __GLIBCXX__
+
+TEST(Rng, IntegerDrawsArePinnedBitForBit) {
+  // FNV-1a of uniform_int draws over small, full and near-2^63 spans, and
+  // of a shuffled index list: these hold on any standard library, because
+  // the integer algorithms are written out in rng.hh.
+  Rng rng{kDistributionSeed};
+  std::vector<int64_t> draws;
+  for (int64_t i = 0; i < 10000; i++) {
+    draws.push_back(rng.uniform_int(-7, i % 1000));
+    draws.push_back(rng.uniform_int(INT64_MIN, INT64_MAX));
+    draws.push_back(rng.uniform_int(-3, INT64_MAX));
+  }
+  EXPECT_EQ(stable_hash({reinterpret_cast<const char*>(draws.data()),
+                         draws.size() * sizeof(int64_t)}),
+            7550171791161516581u);
+  std::vector<uint32_t> rows(20001);
+  std::iota(rows.begin(), rows.end(), 0u);
+  shuffle(std::span{rows}, rng);
+  shuffle(std::span{rows}.first(256), rng);
+  EXPECT_EQ(stable_hash({reinterpret_cast<const char*>(rows.data()),
+                         rows.size() * sizeof(uint32_t)}),
+            7723181116307204747u);
 }
 
 TEST(Rng, DrawsArePinnedBitForBit) {
