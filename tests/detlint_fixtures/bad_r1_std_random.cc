@@ -22,11 +22,4 @@ double std_tails(std::mt19937& engine) {  // FLAG:R1
          std::lognormal_distribution<double>{0.0, 1.0}(engine);  // FLAG:R1
 }
 
-// Integer draws and shuffles over util::Rng's engine stay allowed: the
-// engine is pinned, and std::uniform_int_distribution is what
-// Rng::uniform_int itself uses.
-long long std_int(puffer::Mt19937_64& engine) {
-  return std::uniform_int_distribution<long long>{0, 9}(engine);
-}
-
 }  // namespace fixture

@@ -85,6 +85,12 @@ TEST(Detlint, R1StdEnginesAndFloatDistributionsFlagged) {
   EXPECT_EQ(report.findings.front().tag, "nondet-source");
 }
 
+TEST(Detlint, R1StdIntegerDrawsAndShufflesFlagged) {
+  const auto report = expect_marked_findings("bad_r1_std_integer.cc");
+  ASSERT_EQ(report.findings.size(), 4u);
+  EXPECT_EQ(report.findings.front().tag, "nondet-source");
+}
+
 TEST(Detlint, R2UnorderedIterationFlagged) {
   const auto report = expect_marked_findings("bad_r2_unordered_iter.cc");
   ASSERT_FALSE(report.findings.empty());
@@ -229,7 +235,8 @@ TEST(Detlint, CleanFixtureHasNoFindings) {
 TEST(Detlint, RngImplementationIsExemptFromR1) {
   // The same R1-laden content relabeled as the sanctioned RNG module must
   // not produce R1 findings (R5/R6 etc. still apply).
-  for (const char* fixture : {"bad_r1_entropy.cc", "bad_r1_std_random.cc"}) {
+  for (const char* fixture : {"bad_r1_entropy.cc", "bad_r1_std_random.cc",
+                              "bad_r1_std_integer.cc"}) {
     for (const char* path : {"src/util/rng.cc", "src/util/rng.hh"}) {
       const detlint::FileReport report = detlint::lint_file(
           path, read_fixture(fixture), detlint::Config{});

@@ -391,8 +391,9 @@ class Linter {
 
   // R1: nondeterministic sources. Flags calls (identifier followed by '(')
   // to the libc/std entropy, clock and environment APIs, plus any mention
-  // of std::random_device, the std::chrono clock ::now() readers, and std's
-  // Mersenne Twister engines and float distributions.
+  // of std::random_device, the std::chrono clock ::now() readers, std's
+  // Mersenne Twister engines and distributions, and std::shuffle and
+  // std::sample (std::ranges:: too).
   void rule_r1() {
     static const std::set<std::string, std::less<>> kCalls = {
         "rand", "srand", "rand_r", "random", "srandom", "drand48", "lrand48",
@@ -403,9 +404,9 @@ class Linter {
         "system_clock", "steady_clock", "high_resolution_clock",
         "utc_clock", "file_clock",
     };
-    // The float distributions' algorithms are the library's choice, and a
-    // std engine is a stream no Rng::split label owns. util::Rng pins both
-    // its engine and its draws bit for bit.
+    // The distributions' algorithms are the library's choice, and a std
+    // engine is a stream no Rng::split label owns. util::Rng pins both its
+    // engine and its draws bit for bit.
     static const std::set<std::string, std::less<>> kStdRandom = {
         "mt19937",
         "mt19937_64",
@@ -413,6 +414,13 @@ class Linter {
         "uniform_real_distribution",
         "exponential_distribution",
         "lognormal_distribution",
+        "uniform_int_distribution",
+    };
+    // So are these algorithms' draws from an engine; puffer::shuffle
+    // (util/rng.hh) writes std::shuffle's out.
+    static const std::set<std::string, std::less<>> kStdAlgorithms = {
+        "shuffle",
+        "sample",
     };
     for (size_t i = 0; i < tokens_.size(); i++) {
       if (!tok(i).ident) {
@@ -428,6 +436,12 @@ class Linter {
              "std::" + t +
                  " draws outside util::Rng — split a util::Rng and draw "
                  "through it (engine() is the pinned Mt19937_64)");
+      } else if (kStdAlgorithms.count(t) > 0 && prev(i) == "::" &&
+                 (text(i - 2) == "std" || text(i - 2) == "ranges")) {
+        flag("R1", tok(i).line,
+             "std::" + t +
+                 " draws through the library's own algorithm — use "
+                 "puffer::shuffle or Rng::uniform_int (util/rng.hh)");
       } else if (kClocks.count(t) > 0 && text(i + 1) == "::" &&
                  text(i + 2) == "now") {
         flag("R1", tok(i).line,
