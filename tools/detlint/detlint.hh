@@ -15,8 +15,9 @@
 ///
 ///   R1 nondet-source     no nondeterministic sources (rand, random_device,
 ///                        time(), *_clock::now, getenv, ...) and no std
-///                        mt19937/mt19937_64 engines or float
-///                        distributions (their draws are the library's)
+///                        mt19937/mt19937_64 engines, distributions,
+///                        std::shuffle or std::sample (their draws are
+///                        the library's)
 ///                        outside src/util/rng.* and allowlisted
 ///                        I/O/timing files
 ///   R2 ordered-sink      no iteration over std::unordered_{map,set}
