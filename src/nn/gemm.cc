@@ -75,21 +75,15 @@ void PackedMatrix::pack_from(const Matrix& b) {
   k_ = b.rows();
   n_ = b.cols();
   data_.resize(num_panels() * k_ * kPanelWidth);
-  // Each panel row is one contiguous kPanelWidth-float slice of a row of b;
-  // only the tail panel copies fewer columns and zeroes its padding lanes.
+  // Each panel row is one contiguous slice of a row of b: kPanelWidth
+  // floats, fewer in the tail panel, whose padding lanes are zeroed after.
   for (size_t index = 0; index < num_panels(); index++) {
     const size_t j0 = index * kPanelWidth;
     const size_t nc = std::min(kPanelWidth, n_ - j0);
     const float* src = b.data() + j0;
     float* dst = data_.data() + index * k_ * kPanelWidth;
-    if (nc == kPanelWidth) {
-      for (size_t p = 0; p < k_; p++) {
-        std::copy_n(src + p * n_, kPanelWidth, dst + p * kPanelWidth);
-      }
-    } else {
-      for (size_t p = 0; p < k_; p++) {
-        std::copy_n(src + p * n_, nc, dst + p * kPanelWidth);
-      }
+    for (size_t p = 0; p < k_; p++) {
+      std::copy_n(src + p * n_, nc, dst + p * kPanelWidth);
     }
   }
   zero_padding();

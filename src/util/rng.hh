@@ -171,22 +171,18 @@ class Rng {
   Mt19937_64 engine_;
 };
 
-/// Shuffle `items` with libstdc++ 12's std::shuffle draws. While the length
-/// squared fits in 64 bits, one draw picks two swap positions
-/// (`__gen_two_uniform_ints`), after one lone swap when the length is even;
-/// longer ranges draw one position per element. The draws depend only on
-/// the length.
+/// Shuffle `items` with libstdc++ 12's std::shuffle draws: one draw picks
+/// two swap positions (`__gen_two_uniform_ints`), after one lone swap when
+/// the length is even. The draws depend only on the length. (libstdc++
+/// draws one position per element once the length squared overflows 64
+/// bits; lengths that long are refused.)
 template <typename T>
 void shuffle(const std::span<T> items, Rng& rng) {
   Mt19937_64& engine = rng.engine();
   const uint64_t n = items.size();
+  require(n <= std::numeric_limits<uint32_t>::max(),
+          "shuffle: at most 2^32 - 1 items");
   if (n == 0) {
-    return;
-  }
-  if (std::numeric_limits<uint64_t>::max() / n < n) {
-    for (uint64_t i = 1; i < n; i++) {
-      std::swap(items[i], items[uniform_below(engine, i + 1)]);
-    }
     return;
   }
   uint64_t i = 1;
