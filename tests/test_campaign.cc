@@ -422,8 +422,10 @@ TEST(Campaign, FingerprintIsPinned) {
   EXPECT_EQ(CampaignConfig{}.fingerprint(), 14730459082425319125ULL);
 
   CampaignConfig faulted = tiny_config();
-  faulted.faults =
-      sim::parse_fault_plan("retrain-crash=0.5,checkpoint-load=0.25", 99);
+  faulted.faults.enabled = true;
+  faulted.faults.seed = 99;
+  faulted.faults.add(sim::kFaultRetrainCrash, 0.5);
+  faulted.faults.add(sim::kFaultCheckpointLoad, 0.25);
   EXPECT_EQ(faulted.fingerprint(), 341523930490714578ULL);
 }
 

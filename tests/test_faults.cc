@@ -128,6 +128,15 @@ TEST(FaultPlan, ParseAndFingerprint) {
   EXPECT_DOUBLE_EQ(plan.probability(sim::kFaultLinkOutage), 0.3);
   EXPECT_DOUBLE_EQ(plan.duration_s(sim::kFaultLinkOutage), 30.0);
 
+  // add() in the string's order builds the same plan.
+  sim::FaultPlan added;
+  added.enabled = true;
+  added.seed = 9;
+  added.add(sim::kFaultTtpInference, 0.05);
+  added.add(sim::kFaultLinkOutage, 0.3, 30.0);
+  EXPECT_EQ(plan, added);
+  EXPECT_EQ(plan.fingerprint_key(), added.fingerprint_key());
+
   EXPECT_THROW(sim::parse_fault_plan("", 1), RequirementError);
   EXPECT_THROW(sim::parse_fault_plan("=0.5", 1), RequirementError);
   EXPECT_THROW(sim::parse_fault_plan("ttp-inference=abc", 1),

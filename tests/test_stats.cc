@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "stats/bootstrap.hh"
 #include "stats/ccdf.hh"
@@ -140,6 +143,24 @@ TEST(BootstrapMean, CoversTrueMeanMostOfTheTime) {
     }
   }
   EXPECT_GE(covered, static_cast<int>(0.80 * experiments));
+}
+
+/// The interval's bits depend on the order of the resampling draws, on the
+/// left-to-right sum of each replicate and on the percentile picks; pinning
+/// them keeps all three from drifting.
+TEST(BootstrapMean, IntervalBitsArePinned) {
+  Rng draw{21};
+  std::vector<double> sample(37);
+  for (auto& x : sample) {
+    x = draw.lognormal(0.0, 1.0);
+  }
+  Rng rng{5};
+  const ConfidenceInterval ci = bootstrap_mean_ci(sample, rng, 250);
+  std::string bits;
+  for (const double v : {ci.point, ci.lower, ci.upper}) {
+    bits += std::to_string(std::bit_cast<uint64_t>(v)) + ";";
+  }
+  EXPECT_EQ(stable_hash(bits), 5024583217983577883u) << bits;
 }
 
 TEST(BootstrapStatistic, CustomStatistic) {
