@@ -74,8 +74,6 @@ void append_scheme_result(SchemeResult& into, SchemeResult& from) {
 struct TrialMetrics {
   obs::MetricRegistry registry;
   obs::MetricRegistry::Id tasks_created;
-  obs::MetricRegistry::Id algo_pool_hits;
-  obs::MetricRegistry::Id algo_pool_misses;
   obs::MetricRegistry::Id plan_cache_hits;
   obs::MetricRegistry::Id plan_cache_misses;
   obs::MetricRegistry::Id contention_groups;
@@ -93,12 +91,7 @@ struct TrialMetrics {
   obs::MetricRegistry::Id faults_max_session_fallbacks;
 
   TrialMetrics() {
-    const obs::MetricOptions local{.shard_local = true};
     tasks_created = registry.counter("trial.tasks_created");
-    // Pool reuse depends on how the shard partition groups sessions,
-    // exactly like the engine's batching counters.
-    algo_pool_hits = registry.counter("trial.algo_pool_hits", local);
-    algo_pool_misses = registry.counter("trial.algo_pool_misses", local);
     // Paired plans are colocated by shard_group, so cache behavior is a
     // per-plan property: 1 miss + (schemes-1) hits at any shard count.
     plan_cache_hits = registry.counter("trial.plan_cache_hits");
@@ -128,7 +121,7 @@ struct TrialMetrics {
   }
 };
 
-/// What a pooled session owns. A base class of PooledSessionTask so that it
+/// What a fleet session owns. A base class of MeasuredSessionTask so that it
 /// is built before, and destroyed after, the SessionTask that refers to it.
 struct SessionResources {
   // Paired-mode tasks of one plan share a single immutable SessionPlan (the
@@ -139,33 +132,29 @@ struct SessionResources {
 };
 
 /// The fleet's per-session step, for private-path sessions and contention-
-/// group members alike: a SessionTask plus algorithm-instance pooling and
-/// the session's faults.* metrics. Sessions overlap in fleet time, so each
-/// active session needs its own algorithm instance; returning the instance
-/// to a per-scheme free list on completion keeps the number of live
-/// instances at the peak concurrency instead of the session count.
-/// (SessionTask resets the algorithm at session start, so pooling cannot
-/// change results.) Destroyed on the owning shard's worker — by the engine,
-/// or by the group that owns it — so the pool push and the shard registry
-/// are exclusively ours.
-class PooledSessionTask final : private SessionResources, public SessionTask {
+/// group members alike: a SessionTask that owns its algorithm instance and
+/// records the session's faults.* metrics. Sessions overlap in fleet time,
+/// so each active session has its own instance, built at admission and
+/// freed with the session. Destroyed on the owning shard's worker — by the
+/// engine, or by the group that owns it — so the shard registry is
+/// exclusively ours.
+class MeasuredSessionTask final : private SessionResources,
+                                  public SessionTask {
  public:
-  PooledSessionTask(SessionResources resources, const TrialConfig& config,
-                    SchemeResult& result, const Connection connection,
-                    std::vector<std::unique_ptr<abr::AbrAlgorithm>>& pool,
-                    TrialMetrics& metrics)
+  MeasuredSessionTask(SessionResources resources, const TrialConfig& config,
+                      SchemeResult& result, const Connection connection,
+                      TrialMetrics& metrics)
       : SessionResources(std::move(resources)),
         SessionTask(*SessionResources::plan, *algo, config, result,
                     connection),
-        pool_(pool),
         metrics_(metrics) {}
 
-  PooledSessionTask(const PooledSessionTask&) = delete;
-  PooledSessionTask& operator=(const PooledSessionTask&) = delete;
+  MeasuredSessionTask(const MeasuredSessionTask&) = delete;
+  MeasuredSessionTask& operator=(const MeasuredSessionTask&) = delete;
 
-  ~PooledSessionTask() override {
-    // Harvest the session's fault/degradation accounting before the
-    // algorithm instance (and its wrapper state) returns to the pool.
+  ~MeasuredSessionTask() override {
+    // Harvest the session's fault/degradation accounting while the
+    // algorithm instance (and its wrapper state) is still alive.
     obs::MetricRegistry& reg = metrics_.registry;
     if (const fugu::ResilientPredictor* res = resilient()) {
       const fugu::SessionFaultStats& s = res->session_stats();
@@ -180,11 +169,9 @@ class PooledSessionTask final : private SessionResources, public SessionTask {
                   s.fallback_decisions);
     }
     reg.add(metrics_.faults_session_aborts, aborted_streams());
-    pool_.push_back(std::move(algo));
   }
 
  private:
-  std::vector<std::unique_ptr<abr::AbrAlgorithm>>& pool_;
   TrialMetrics& metrics_;
 };
 
@@ -223,34 +210,14 @@ class MeasuredGroupTask final : public ContentionGroupTask {
   TrialMetrics& metrics_;
 };
 
-/// Mutable state a shard's worker owns exclusively: its schemes' algorithm
-/// free lists and the paired-mode plan cache. shard_group colocates a
-/// plan's per-scheme task copies on one shard, so the cache keeps its
-/// back-to-back hit pattern under sharding.
+/// Mutable state a shard's worker owns exclusively: the paired-mode plan
+/// cache and the trial metrics. shard_group colocates a plan's per-scheme
+/// task copies on one shard, so the cache keeps its back-to-back hit
+/// pattern under sharding.
 struct ShardState {
-  std::vector<std::vector<std::unique_ptr<abr::AbrAlgorithm>>> pools;
   int64_t cached_plan_index = -1;
   std::shared_ptr<const SessionPlan> cached_plan;
   TrialMetrics metrics;
-
-  /// An instance of `config.schemes[scheme]` for a new session: recycled
-  /// from the scheme's free list when one is idle, else built by `factory`.
-  std::unique_ptr<abr::AbrAlgorithm> take_algorithm(
-      const TrialConfig& config, const SchemeFactory& factory,
-      const size_t scheme) {
-    auto& pool = pools[scheme];
-    if (!pool.empty()) {
-      std::unique_ptr<abr::AbrAlgorithm> algo = std::move(pool.back());
-      pool.pop_back();
-      metrics.registry.add(metrics.algo_pool_hits);
-      return algo;
-    }
-    std::unique_ptr<abr::AbrAlgorithm> algo = factory(config.schemes[scheme]);
-    require(algo != nullptr, "run_fleet_trial: factory returned null for '" +
-                                 config.schemes[scheme] + "'");
-    metrics.registry.add(metrics.algo_pool_misses);
-    return algo;
-  }
 };
 
 /// Streaming ascending-order merge: shards complete sessions out of global
@@ -367,9 +334,6 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
       static_cast<size_t>(num_tasks));
   std::vector<size_t> scheme_of(static_cast<size_t>(num_tasks), 0);
   std::vector<ShardState> shards(static_cast<size_t>(num_shards));
-  for (ShardState& shard : shards) {
-    shard.pools.resize(trial_config.schemes.size());
-  }
 
   FleetTrialResult result;
   result.trial.schemes = empty_scheme_results(trial_config);
@@ -382,7 +346,8 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   // The per-plan draw both factories share: the plan (cached across a
   // paired plan's per-scheme copies), the RCT scheme draw from the
   // session's own RNG right after its plan (same position at any shard
-  // count), an algorithm instance and the session's partial-result slot.
+  // count), a fresh algorithm instance and the session's partial-result
+  // slot.
   // Grouping changes the world the sessions run in, never which sessions
   // exist.
   const auto make_session =
@@ -412,12 +377,15 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
               session_rng.uniform_int(0, num_schemes - 1));
         }
         scheme_of[static_cast<size_t>(task_index)] = scheme;
-        resources.algo = shard.take_algorithm(trial_config, factory, scheme);
+        resources.algo = factory(trial_config.schemes[scheme]);
+        require(resources.algo != nullptr,
+                "run_fleet_trial: factory returned null for '" +
+                    trial_config.schemes[scheme] + "'");
         auto& partial = partials[static_cast<size_t>(task_index)];
         partial = std::make_unique<SchemeResult>();
-        return std::make_unique<PooledSessionTask>(
+        return std::make_unique<MeasuredSessionTask>(
             std::move(resources), trial_config, *partial, connection,
-            shard.pools[scheme], shard.metrics);
+            shard.metrics);
       };
 
   const auto task_factory =
@@ -429,7 +397,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   };
 
   // Contention factory: builds group `group_index` from its member
-  // sessions, each a PooledSessionTask on a shared connection.
+  // sessions, each a MeasuredSessionTask on a shared connection.
   const auto contention_factory =
       [&](const int64_t group_index,
           const int shard_index) -> std::unique_ptr<sim::FleetTask> {

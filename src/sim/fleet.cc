@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -94,10 +95,11 @@ using EventQueue =
 
 /// Drive one shard's sessions to completion on the calling thread.
 /// `sessions` holds the shard's global session indices in ascending order;
-/// `arrivals` is the full (global) arrival-time array. The shard's stats —
-/// including its share of the load-series deltas — accumulate into `stats`,
+/// `arrivals` is the full (global) arrival-time array. The shard's load-
+/// series deltas, virtual duration and metric snapshot land in `stats`,
 /// which the caller owns exclusively for this shard; stats.load is left
-/// un-finalized so the caller can merge shards before folding.
+/// un-finalized so the caller can merge shards before folding. The event
+/// counts are kept once, in the shard's metric registry.
 void run_shard(const std::span<const double> arrivals,
                const std::span<const int64_t> sessions,
                const FleetEngine::TaskFactory& factory,
@@ -121,8 +123,8 @@ void run_shard(const std::span<const double> arrivals,
   std::vector<char> completed;  // per batch entry: task finished
   std::vector<FleetTask::FaultEvent> fault_events;
 
-  // Tear down a finished session: record the completion, free the task
-  // (slot memory is recycled by the caller's pool via on_complete).
+  // Tear down a finished session: record the completion, free the task,
+  // then tell the caller (on_complete).
   const auto complete = [&](const size_t slot, const double end_time) {
     tasks[slot]->record_load(stats.load, arrival_time[slot], end_time);
     stats.virtual_duration_s = std::max(stats.virtual_duration_s, end_time);
@@ -164,7 +166,6 @@ void run_shard(const std::span<const double> arrivals,
       tasks[slot] = factory(id, shard);
       require(tasks[slot] != nullptr, "FleetEngine: factory returned null");
       arrival_time[slot] = t;
-      stats.sessions += tasks[slot]->session_count();
       stats.virtual_duration_s = std::max(stats.virtual_duration_s, t);
       m.registry.add(m.arrivals);
       m.registry.add(m.sessions, tasks[slot]->session_count());
@@ -215,8 +216,6 @@ void run_shard(const std::span<const double> arrivals,
         shared_batch.run();
       }
       batch_rows = shared_batch.total_rows() - rows_before;
-      stats.coalesced_rows += batch_rows;
-      stats.gemm_calls += shared_batch.total_forward_calls() - forwards_before;
       m.registry.add(m.coalesced_rows, batch_rows);
       m.registry.add(m.gemm_calls,
                      shared_batch.total_forward_calls() - forwards_before);
@@ -243,10 +242,8 @@ void run_shard(const std::span<const double> arrivals,
     int64_t staged_count = 0;
     for (size_t i = 0; i < batch.size(); i++) {
       const auto slot = static_cast<size_t>(batch[i].slot);
-      stats.decisions++;
       m.registry.add(m.decisions);
       if (staged[i] == 0) {
-        stats.inline_decisions++;
         m.registry.add(m.inline_decisions);
       } else {
         staged_count++;
@@ -362,11 +359,6 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
   stats.num_shards = shards;
   stats.num_workers = workers;
   for (FleetRunStats& shard : shard_stats) {
-    stats.sessions += shard.sessions;
-    stats.decisions += shard.decisions;
-    stats.coalesced_rows += shard.coalesced_rows;
-    stats.gemm_calls += shard.gemm_calls;
-    stats.inline_decisions += shard.inline_decisions;
     stats.virtual_duration_s =
         std::max(stats.virtual_duration_s, shard.virtual_duration_s);
     stats.load.merge_from(shard.load);
@@ -374,6 +366,17 @@ FleetRunStats FleetEngine::run(const std::span<const double> arrivals,
     stats.shard_metrics.push_back(std::move(shard.metrics));
   }
   stats.load.finalize();
+  const auto total = [&stats](const std::string_view name) {
+    const obs::MetricSnapshot::Metric* metric = stats.metrics.find(name);
+    require(metric != nullptr,
+            "FleetEngine: no metric '" + std::string{name} + "'");
+    return metric->value;
+  };
+  stats.sessions = total("fleet.sessions");
+  stats.decisions = total("fleet.decisions");
+  stats.coalesced_rows = total("fleet.coalesced_rows");
+  stats.gemm_calls = total("fleet.gemm_calls");
+  stats.inline_decisions = total("fleet.inline_decisions");
   if (config_.trace != nullptr) {
     config_.trace->process_name(obs::kSimTracePid, "virtual time (sim)");
     for (int s = 0; s < shards; s++) {

@@ -120,9 +120,11 @@ struct FleetConfig {
   obs::TraceWriter* trace = nullptr;
 };
 
-/// What a fleet run measured about itself.
+/// What a fleet run measured about itself. The five event counts are read
+/// from the merged `metrics` counters of the same names (fleet.sessions,
+/// fleet.decisions, ...), where the shards count them.
 struct FleetRunStats {
-  int64_t sessions = 0;          ///< tasks created (= arrivals consumed)
+  int64_t sessions = 0;          ///< sessions admitted
   int64_t decisions = 0;         ///< chunk decisions processed
   int64_t coalesced_rows = 0;    ///< TTP rows answered via shared batches
   int64_t gemm_calls = 0;        ///< fused forward passes run
@@ -171,8 +173,8 @@ class FleetEngine {
 
   /// Invoked after a session's task completed and was destroyed, on the
   /// worker driving `shard` — completion order holds within a shard only.
-  /// Callers use this to recycle per-session state or stream partial
-  /// results into a merge frontier (which must be lock-protected).
+  /// Callers use this to stream partial results into a merge frontier
+  /// (which must be lock-protected).
   using CompletionSink = std::function<void(int64_t session_index, int shard)>;
 
   explicit FleetEngine(FleetConfig config = {});
