@@ -7,7 +7,6 @@
 
 #include "bench_common.hh"
 #include "stats/bootstrap.hh"
-#include "stats/ccdf.hh"
 #include "util/table.hh"
 
 int main() {

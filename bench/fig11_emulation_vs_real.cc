@@ -7,7 +7,6 @@
 //   Right:  the throughput distributions of the two worlds.
 
 #include "bench_common.hh"
-#include "stats/ccdf.hh"
 #include "util/table.hh"
 
 namespace {

@@ -102,15 +102,6 @@ TtpModel::TtpModel(TtpConfig config, const uint64_t seed)
   }
 }
 
-std::vector<float> ttp_featurize(const TtpConfig& config,
-                                 const TtpHistory& history,
-                                 const net::TcpInfo& tcp,
-                                 const int64_t proposed_size_bytes) {
-  std::vector<float> features;
-  ttp_featurize_into(config, history, tcp, proposed_size_bytes, features);
-  return features;
-}
-
 void ttp_featurize_into(const TtpConfig& config, const TtpHistory& history,
                         const net::TcpInfo& tcp,
                         const int64_t proposed_size_bytes,
@@ -161,7 +152,7 @@ void ttp_featurize_into(const TtpConfig& config, const TtpHistory& history,
         static_cast<float>(static_cast<double>(proposed_size_bytes) / 1e6));
   }
   require(features.size() == static_cast<size_t>(config.input_dim()),
-          "ttp_featurize: dimension mismatch");
+          "ttp_featurize_into: dimension mismatch");
 }
 
 void ttp_distribution_into(const TtpConfig& config,
@@ -209,12 +200,6 @@ int ttp_label_of(const TtpConfig& config, const double tx_time_s,
   return throughput_bin_of(throughput_bps);
 }
 
-std::vector<float> TtpModel::featurize(const TtpHistory& history,
-                                       const net::TcpInfo& tcp,
-                                       const int64_t proposed_size_bytes) const {
-  return ttp_featurize(config_, history, tcp, proposed_size_bytes);
-}
-
 std::span<const float> TtpModel::predict_bins(
     const int step, const std::span<const float> features,
     nn::ForwardScratch& scratch) const {
@@ -224,10 +209,6 @@ std::span<const float> TtpModel::predict_bins(
                                                                scratch);
   nn::softmax_inplace(logits);
   return logits;
-}
-
-int TtpModel::label_of(const double tx_time_s, const double size_mb) const {
-  return ttp_label_of(config_, tx_time_s, size_mb);
 }
 
 }  // namespace puffer::fugu

@@ -60,16 +60,11 @@ struct TtpHistory {
   void clear();
 };
 
-/// Build the TTP input vector for a given config. Featurization depends only
-/// on the config (not on network weights), so training-data pipelines can
-/// featurize without a model instance.
-std::vector<float> ttp_featurize(const TtpConfig& config,
-                                 const TtpHistory& history,
-                                 const net::TcpInfo& tcp,
-                                 int64_t proposed_size_bytes);
-
-/// Same, into a caller-owned buffer — the allocation-free form the per-chunk
-/// hot paths use (`out` is cleared and refilled, keeping its capacity).
+/// Build the TTP input vector for a given config into a caller-owned buffer
+/// (`out` is cleared and refilled, keeping its capacity, so the per-chunk
+/// hot paths do not allocate). Featurization depends only on the config
+/// (not on network weights), so training-data pipelines can featurize
+/// without a model instance.
 void ttp_featurize_into(const TtpConfig& config, const TtpHistory& history,
                         const net::TcpInfo& tcp, int64_t proposed_size_bytes,
                         std::vector<float>& out);
@@ -101,19 +96,12 @@ class TtpModel {
 
   [[nodiscard]] const TtpConfig& config() const { return config_; }
 
-  /// Build the input feature vector.
-  [[nodiscard]] std::vector<float> featurize(const TtpHistory& history,
-                                             const net::TcpInfo& tcp,
-                                             int64_t proposed_size_bytes) const;
-
   /// Full probability distribution over bins for horizon step `step`. No
   /// allocation once `scratch` has warmed to shape. The returned span
   /// aliases the scratch and is valid until its next use.
   std::span<const float> predict_bins(int step,
                                       std::span<const float> features,
                                       nn::ForwardScratch& scratch) const;
-
-  [[nodiscard]] int label_of(double tx_time_s, double size_mb) const;
 
   std::vector<nn::Mlp>& networks() { return networks_; }
   [[nodiscard]] const std::vector<nn::Mlp>& networks() const {

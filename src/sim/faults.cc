@@ -10,28 +10,6 @@ namespace puffer::sim {
 static_assert(std::ranges::is_sorted(kFaultFamilies),
               "kFaultFamilies must stay sorted");
 
-namespace {
-
-/// The whole of `field` as a double. An empty, non-numeric or partly
-/// numeric field ("0.5x", "30s") is an error naming the offending token.
-double parse_number(const std::string_view field, const std::string_view what,
-                    const std::string_view token) {
-  const std::string text{field};
-  size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  require(consumed > 0 && consumed == text.size(),
-          "parse_fault_plan: bad " + std::string{what} + " in '" +
-              std::string{token} + "'");
-  return value;
-}
-
-}  // namespace
-
 void FaultPlan::add(const std::string_view family, const double probability,
                     const double duration_s) {
   if (std::ranges::find(kFaultFamilies, family) == kFaultFamilies.end()) {
@@ -107,38 +85,6 @@ std::string FaultPlan::fingerprint_key() const {
           << spec.duration_s;
   }
   return canon.str();
-}
-
-FaultPlan parse_fault_plan(const std::string_view text, const uint64_t seed) {
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.seed = seed;
-  require(!text.empty(), "parse_fault_plan: empty fault spec");
-  size_t start = 0;
-  while (start <= text.size()) {
-    const size_t comma = text.find(',', start);
-    const std::string_view token = text.substr(
-        start, comma == std::string_view::npos ? std::string_view::npos
-                                               : comma - start);
-    const size_t eq = token.find('=');
-    require(eq != std::string_view::npos && eq > 0 && eq + 1 < token.size(),
-            "parse_fault_plan: want family=prob[:duration], got '" +
-                std::string{token} + "'");
-    const std::string_view family = token.substr(0, eq);
-    std::string_view value = token.substr(eq + 1);
-    double duration_s = 0.0;
-    const size_t colon = value.find(':');
-    if (colon != std::string_view::npos) {
-      duration_s = parse_number(value.substr(colon + 1), "duration", token);
-      value = value.substr(0, colon);
-    }
-    plan.add(family, parse_number(value, "probability", token), duration_s);
-    if (comma == std::string_view::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return plan;
 }
 
 }  // namespace puffer::sim

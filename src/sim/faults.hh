@@ -88,11 +88,6 @@ struct FaultPlan {
   bool operator==(const FaultPlan&) const = default;
 };
 
-/// Parse "family=prob[:duration_s][,family=prob...]" into an enabled plan
-/// (e.g. "ttp-inference=0.05,link-outage=0.3:30"). Unknown families and
-/// malformed numbers are errors naming the offending token.
-[[nodiscard]] FaultPlan parse_fault_plan(std::string_view text, uint64_t seed);
-
 }  // namespace puffer::sim
 
 #endif  // PUFFER_SIM_FAULTS_HH

@@ -76,42 +76,31 @@ ConfidenceInterval bootstrap_ratio_ci(
   return ci;
 }
 
-ConfidenceInterval bootstrap_statistic_ci(
-    const std::span<const double> values,
-    const std::function<double(std::span<const double>)>& statistic, Rng& rng,
-    const int replicates) {
-  require(!values.empty(), "bootstrap_statistic_ci: empty sample");
+ConfidenceInterval bootstrap_mean_ci(const std::span<const double> values,
+                                     Rng& rng, const int replicates) {
+  require(!values.empty(), "bootstrap_mean_ci: empty sample");
 
-  std::vector<double> resample(values.size());
   std::vector<double> replicate_values(static_cast<size_t>(replicates));
+  const size_t n = values.size();
   for (auto& value : replicate_values) {
-    for (auto& x : resample) {
+    double total = 0.0;
+    for (size_t i = 0; i < n; i++) {
       const auto pick = static_cast<size_t>(
-          rng.uniform_int(0, static_cast<int64_t>(values.size()) - 1));
-      x = values[pick];
+          rng.uniform_int(0, static_cast<int64_t>(n) - 1));
+      total += values[pick];
     }
-    value = statistic(resample);
+    value = total / static_cast<double>(n);
   }
 
+  double total = 0.0;
+  for (const double v : values) {
+    total += v;
+  }
   ConfidenceInterval ci;
-  ci.point = statistic(values);
+  ci.point = total / static_cast<double>(n);
   ci.lower = quantile(replicate_values, kAlpha);
   ci.upper = quantile(replicate_values, 1.0 - kAlpha);
   return ci;
-}
-
-ConfidenceInterval bootstrap_mean_ci(const std::span<const double> values,
-                                     Rng& rng, const int replicates) {
-  return bootstrap_statistic_ci(
-      values,
-      [](const std::span<const double> sample) {
-        double total = 0.0;
-        for (const double v : sample) {
-          total += v;
-        }
-        return total / static_cast<double>(sample.size());
-      },
-      rng, replicates);
 }
 
 }  // namespace puffer::stats

@@ -1,7 +1,6 @@
 #ifndef PUFFER_STATS_BOOTSTRAP_HH
 #define PUFFER_STATS_BOOTSTRAP_HH
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -43,13 +42,8 @@ struct RatioObservation {
 ConfidenceInterval bootstrap_ratio_ci(std::span<const RatioObservation> streams,
                                       Rng& rng, int replicates = 1000);
 
-/// Percentile-bootstrap CI for an arbitrary statistic of a sample of doubles.
-ConfidenceInterval bootstrap_statistic_ci(
-    std::span<const double> values,
-    const std::function<double(std::span<const double>)>& statistic, Rng& rng,
-    int replicates = 1000);
-
-/// Simple mean CI via bootstrap (convenience).
+/// Percentile-bootstrap CI for the mean of a sample, resampling values with
+/// replacement.
 ConfidenceInterval bootstrap_mean_ci(std::span<const double> values, Rng& rng,
                                      int replicates = 1000);
 

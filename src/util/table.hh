@@ -17,9 +17,6 @@ class Table {
   /// Render with column alignment; headers underlined.
   [[nodiscard]] std::string to_string() const;
 
-  /// Render as CSV (for machine consumption / plotting).
-  [[nodiscard]] std::string to_csv() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -11,8 +11,9 @@ abr::TxTimeDistribution predict_tx_time(const fugu::TtpModel& model,
                                         const fugu::TtpHistory& history,
                                         const net::TcpInfo& tcp,
                                         const int64_t proposed_size_bytes) {
-  const std::vector<float> features =
-      fugu::ttp_featurize(model.config(), history, tcp, proposed_size_bytes);
+  std::vector<float> features;
+  fugu::ttp_featurize_into(model.config(), history, tcp, proposed_size_bytes,
+                           features);
   nn::ForwardScratch scratch;
   abr::TxTimeDistribution dist;
   fugu::ttp_distribution_into(model.config(),

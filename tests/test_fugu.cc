@@ -80,7 +80,8 @@ TEST(TtpFeaturize, PaddingAndOrdering) {
   net::TcpInfo tcp;
   tcp.cwnd_pkts = 50.0;
   tcp.delivery_rate_bps = 1.25e6;
-  const auto features = ttp_featurize(config, history, tcp, 3'000'000);
+  std::vector<float> features;
+  ttp_featurize_into(config, history, tcp, 3'000'000, features);
   ASSERT_EQ(features.size(), 22u);
   // Sizes oldest-first, left padded: slots 0..5 zero, 6 -> 1.0 MB, 7 -> 2.0.
   EXPECT_FLOAT_EQ(features[5], 0.0f);
@@ -223,9 +224,10 @@ TEST(TtpFeatureTable, FutureStepExamples) {
   TtpHistory history;
   history.record(dataset[0].chunks[0].size_mb, dataset[0].chunks[0].tx_time_s,
                  config.history);
-  const std::vector<float> expected = ttp_featurize(
-      config, history, dataset[0].chunks[1].tcp_at_send,
-      static_cast<int64_t>(dataset[0].chunks[3].size_mb * 1e6));
+  std::vector<float> expected;
+  ttp_featurize_into(config, history, dataset[0].chunks[1].tcp_at_send,
+                     static_cast<int64_t>(dataset[0].chunks[3].size_mb * 1e6),
+                     expected);
   std::vector<float> inputs(table.input_dim());
   table.copy_inputs(1, 2, inputs.data());
   EXPECT_EQ(inputs, expected);

@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
 
 #include "stats/bootstrap.hh"
-#include "stats/ccdf.hh"
 #include "stats/summary.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
@@ -161,112 +159,6 @@ TEST(BootstrapMean, IntervalBitsArePinned) {
     bits += std::to_string(std::bit_cast<uint64_t>(v)) + ";";
   }
   EXPECT_EQ(stable_hash(bits), 5024583217983577883u) << bits;
-}
-
-TEST(BootstrapStatistic, CustomStatistic) {
-  const std::vector<double> values = {1, 2, 3, 4, 100};
-  Rng rng{8};
-  const auto ci = bootstrap_statistic_ci(
-      values,
-      [](const std::span<const double> s) {
-        std::vector<double> copy{s.begin(), s.end()};
-        return quantile(copy, 0.5);
-      },
-      rng, 200);
-  EXPECT_DOUBLE_EQ(ci.point, 3.0);
-}
-
-TEST(Ccdf, MonotoneNonIncreasingAndSpansRange) {
-  Rng rng{9};
-  std::vector<double> values(500);
-  for (auto& v : values) {
-    v = rng.lognormal(0.0, 1.0);
-  }
-  const auto curve = empirical_ccdf(values, 40);
-  ASSERT_GE(curve.size(), 2u);
-  for (size_t i = 1; i < curve.size(); i++) {
-    EXPECT_GE(curve[i].value, curve[i - 1].value);
-    EXPECT_LE(curve[i].probability, curve[i - 1].probability + 1e-12);
-  }
-  EXPECT_DOUBLE_EQ(curve.back().probability, 0.0);
-}
-
-TEST(Ccdf, MedianPointNearHalf) {
-  std::vector<double> values(1001);
-  for (size_t i = 0; i < values.size(); i++) {
-    values[i] = static_cast<double>(i);
-  }
-  const auto curve = empirical_ccdf(values, 100);
-  for (const auto& point : curve) {
-    if (std::abs(point.value - 500.0) < 6.0) {
-      EXPECT_NEAR(point.probability, 0.5, 0.02);
-    }
-  }
-}
-
-TEST(Ccdf, EmptyInputRejected) {
-  EXPECT_THROW(static_cast<void>(empirical_ccdf({})), RequirementError);
-  EXPECT_THROW(static_cast<void>(empirical_cdf({})), RequirementError);
-  const std::vector<double> one = {1.0};
-  EXPECT_THROW(static_cast<void>(empirical_ccdf(one, 1)), RequirementError);
-}
-
-TEST(Ccdf, SingleSample) {
-  const std::vector<double> one = {3.5};
-  const auto ccdf = empirical_ccdf(one);
-  ASSERT_GE(ccdf.size(), 1u);
-  for (const auto& point : ccdf) {
-    EXPECT_DOUBLE_EQ(point.value, 3.5);
-  }
-  EXPECT_DOUBLE_EQ(ccdf.front().probability, 0.0);  // P(X > max) = 0
-
-  const auto cdf = empirical_cdf(one);
-  EXPECT_DOUBLE_EQ(cdf.front().value, 3.5);
-  EXPECT_DOUBLE_EQ(cdf.back().probability, 1.0);
-}
-
-TEST(Ccdf, AllEqualSamplesCollapseToOneValue) {
-  const std::vector<double> values(100, 7.0);
-  const auto ccdf = empirical_ccdf(values, 10);
-  for (const auto& point : ccdf) {
-    EXPECT_DOUBLE_EQ(point.value, 7.0);
-    EXPECT_GE(point.probability, 0.0);
-    EXPECT_LE(point.probability, 1.0);
-  }
-  EXPECT_DOUBLE_EQ(ccdf.back().probability, 0.0);
-  const auto cdf = empirical_cdf(values, 10);
-  EXPECT_DOUBLE_EQ(cdf.back().probability, 1.0);
-}
-
-TEST(Ccdf, DownsamplingRespectsMaxPoints) {
-  Rng rng{99};
-  for (const int n : {1, 2, 59, 60, 61, 500, 1000, 10007}) {
-    std::vector<double> values(static_cast<size_t>(n));
-    for (auto& v : values) {
-      v = rng.uniform();
-    }
-    for (const int max_points : {2, 10, 60}) {
-      const auto curve = empirical_ccdf(values, max_points);
-      // At most max_points strided entries plus the appended maximum.
-      EXPECT_LE(curve.size(), static_cast<size_t>(max_points) + 1)
-          << "n=" << n << " max_points=" << max_points;
-      EXPECT_GE(curve.size(), 2u);
-      for (size_t i = 1; i < curve.size(); i++) {
-        EXPECT_GE(curve[i].value, curve[i - 1].value);
-      }
-      EXPECT_DOUBLE_EQ(curve.back().probability, 0.0);
-    }
-  }
-}
-
-TEST(Cdf, ComplementOfCcdf) {
-  std::vector<double> values = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const auto cdf = empirical_cdf(values, 10);
-  const auto ccdf = empirical_ccdf(values, 10);
-  ASSERT_EQ(cdf.size(), ccdf.size());
-  for (size_t i = 0; i < cdf.size(); i++) {
-    EXPECT_NEAR(cdf[i].probability + ccdf[i].probability, 1.0, 1e-12);
-  }
 }
 
 StreamFigures make_stream(const double watch, const double stall,

@@ -484,12 +484,6 @@ TEST(Table, RendersAlignedColumnsAndRows) {
   EXPECT_NE(out.find("0.19%"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table table{{"a", "b"}};
-  table.add_row({"1", "2"});
-  EXPECT_EQ(table.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(Table, RejectsMismatchedRow) {
   Table table{{"a", "b"}};
   EXPECT_THROW(table.add_row({"only-one"}), RequirementError);
