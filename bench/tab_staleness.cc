@@ -21,15 +21,22 @@ int main() {
   // "Stale" TTP: trained on telemetry from a different (earlier) collection
   // period of the same deployment. The simulated environment is stationary
   // across periods — as, evidently, was Puffer's real one (section 4.6).
-  const std::string stale_path = exp::model_cache_dir() + "/ttp_stale.bin";
+  // Its cache file is named by everything that trains it.
+  constexpr uint64_t kStaleSeed = 1043;
+  fugu::TtpTrainConfig train_config;
+  train_config.epochs = 8;
+  const std::string stale_path =
+      exp::model_cache_dir() + "/ttp_stale_v1_" + std::to_string(kStaleSeed) +
+      "_e" + std::to_string(train_config.epochs) + "_b" +
+      std::to_string(train_config.batch_size) + "_w" +
+      std::to_string(train_config.window_days) + "_m" +
+      std::to_string(train_config.max_examples_per_step) + ".bin";
   std::shared_ptr<const fugu::TtpModel> stale_ttp;
   if (auto cached = exp::try_load_ttp(fugu::TtpConfig{}, stale_path)) {
     stale_ttp = std::make_shared<const fugu::TtpModel>(std::move(*cached));
   } else {
-    const fugu::TtpDataset old_period = exp::get_insitu_dataset(1043);
-    Rng train_rng{1043};
-    fugu::TtpTrainConfig train_config;
-    train_config.epochs = 8;
+    const fugu::TtpDataset old_period = exp::get_insitu_dataset(kStaleSeed);
+    Rng train_rng{kStaleSeed};
     fugu::TtpModel model = fugu::train_ttp(fugu::TtpConfig{}, old_period, 1,
                                            train_config, train_rng);
     exp::save_ttp(model, stale_path);
@@ -43,25 +50,16 @@ int main() {
   config.sessions_per_scheme = bench::sessions_per_scheme(150);
   config.seed = 808;
 
-  const std::string cache_path =
-      exp::model_cache_dir() + "/trial_staleness_" +
-      std::to_string(config.sessions_per_scheme) + ".bin";
-  exp::TrialResult trial;
-  if (auto cached = exp::try_load_trial(cache_path)) {
-    trial = std::move(*cached);
-  } else {
-    trial = exp::run_trial(
-        config, [&](const std::string& name) -> std::unique_ptr<abr::AbrAlgorithm> {
-          if (name == "Fugu (live TTP)") {
-            return fugu::make_fugu(live_ttp, name);
-          }
-          if (name == "Fugu (months-stale TTP)") {
-            return fugu::make_fugu(stale_ttp, name);
-          }
-          return fugu::make_fugu(emulation_ttp, name);
-        });
-    exp::save_trial(trial, cache_path);
-  }
+  const exp::TrialResult trial = exp::run_trial(
+      config, [&](const std::string& name) -> std::unique_ptr<abr::AbrAlgorithm> {
+        if (name == "Fugu (live TTP)") {
+          return fugu::make_fugu(live_ttp, name);
+        }
+        if (name == "Fugu (months-stale TTP)") {
+          return fugu::make_fugu(stale_ttp, name);
+        }
+        return fugu::make_fugu(emulation_ttp, name);
+      });
 
   Rng rng{13};
   Table table{{"Arm", "Stall ratio [95% CI]", "SSIM (dB) +/- SE", "Streams"}};

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <sstream>
 
+#include "exp/insitu.hh"
 #include "exp/models.hh"
 #include "media/ladder.hh"
+#include "nn/serialize.hh"
 #include "util/binary_io.hh"
 #include "util/file_io.hh"
 #include "util/require.hh"
@@ -49,7 +51,8 @@ stats::StreamFigures read_figures(std::istream& in) {
   return f;
 }
 
-uint64_t config_fingerprint(const TrialConfig& config) {
+uint64_t cache_key(const TrialConfig& config,
+                   const SchemeArtifacts& artifacts) {
   std::ostringstream key;
   for (const auto& scheme : config.schemes) {
     key << scheme << '|';
@@ -64,6 +67,24 @@ uint64_t config_fingerprint(const TrialConfig& config) {
   // served a fault-free result (or vice versa).
   if (config.faults.enabled) {
     key << '|' << config.faults.fingerprint_key();
+  }
+  // Each trained model joins the key by the bytes it saves as, so a trial
+  // computed with one set of models is never served after they change. A
+  // null artifact adds nothing: model-free entries keep their filenames.
+  if (artifacts.ttp_insitu != nullptr) {
+    std::ostringstream bytes;
+    save_ttp(*artifacts.ttp_insitu, bytes);
+    key << "|ttp_insitu=" << stable_hash(bytes.str());
+  }
+  if (artifacts.ttp_emulation != nullptr) {
+    std::ostringstream bytes;
+    save_ttp(*artifacts.ttp_emulation, bytes);
+    key << "|ttp_emulation=" << stable_hash(bytes.str());
+  }
+  if (artifacts.pensieve_actor != nullptr) {
+    std::ostringstream bytes;
+    nn::save_mlp(*artifacts.pensieve_actor, bytes);
+    key << "|pensieve_actor=" << stable_hash(bytes.str());
   }
   return stable_hash(key.str());
 }
@@ -143,7 +164,8 @@ TrialResult run_trial_cached(const TrialConfig& config,
                              const SchemeArtifacts& artifacts,
                              const std::string& label) {
   const std::string path = model_cache_dir() + "/trial_" + label + "_" +
-                           std::to_string(config_fingerprint(config)) + ".bin";
+                           std::to_string(cache_key(config, artifacts)) +
+                           ".bin";
   if (auto cached = try_load_trial(path)) {
     return std::move(*cached);
   }

@@ -18,7 +18,8 @@ std::optional<TrialResult> try_load_trial(const std::string& path);
 
 /// Run `config` (via the standard registry and `artifacts`) or load the
 /// cached result from a prior identical run. The cache key hashes the
-/// configuration, so changing the config re-runs the simulation.
+/// configuration and the saved bytes of each trained model in `artifacts`,
+/// so changing either re-runs the simulation.
 TrialResult run_trial_cached(const TrialConfig& config,
                              const SchemeArtifacts& artifacts,
                              const std::string& label);

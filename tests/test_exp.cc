@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "exp/insitu.hh"
 #include "exp/models.hh"
@@ -311,6 +314,43 @@ TEST(TrialCache, CorruptEntryIsEvictedAndRecomputed) {
   ASSERT_TRUE(repaired.has_value());
   EXPECT_EQ(repaired->schemes.size(), first.schemes.size());
   std::remove(entry.c_str());
+}
+
+/// Trial-cache entries are keyed by the trained models too: one config run
+/// with two differently seeded TTPs must not share an entry.
+TEST(TrialCache, EntriesAreKeyedByTheModels) {
+  TrialConfig config = small_trial_config();
+  config.schemes = {"Fugu"};
+  config.sessions_per_scheme = 2;
+  config.seed = 4343;  // private cache identity for this test
+  fugu::TtpConfig tiny;
+  tiny.hidden_layers = {8};
+  const std::string label = "cache_models_test";
+  const auto entries = [&label] {
+    std::vector<std::string> found;
+    for (const auto& file :
+         std::filesystem::directory_iterator(model_cache_dir())) {
+      const std::string name = file.path().filename().string();
+      if (name.rfind("trial_" + label + "_", 0) == 0) {
+        found.push_back(file.path().string());
+      }
+    }
+    return found;
+  };
+  for (const std::string& stale : entries()) {
+    std::remove(stale.c_str());
+  }
+
+  for (const uint64_t seed : {1u, 2u}) {
+    SchemeArtifacts artifacts;
+    artifacts.ttp_insitu = std::make_shared<const fugu::TtpModel>(tiny, seed);
+    static_cast<void>(run_trial_cached(config, artifacts, label));
+  }
+  const std::vector<std::string> written = entries();
+  EXPECT_EQ(written.size(), 2u);
+  for (const std::string& entry : written) {
+    std::remove(entry.c_str());
+  }
 }
 
 }  // namespace
