@@ -697,6 +697,41 @@ TEST(CampaignFaults, ModelLoadFaultColdReinitsArm) {
   EXPECT_EQ(result.restored_days, 1);
 }
 
+/// Pins Campaign's whole metric snapshot (names, order and values) in three
+/// states: a faulted, checkpointed campaign after its first day; a new
+/// object that resumes it (hitting an injected model-load fault) and
+/// finishes; and a checkpoint-load fresh start that then runs a day. With
+/// fault seed 5, day 0's retrain succeeds after one crash and day 1's
+/// retrain crashes three times and degrades, so every counter is exercised.
+TEST(CampaignFaults, MetricsSnapshotIsPinned) {
+  const std::string dir = fresh_dir("faults_metrics_pin");
+  exp::CampaignConfig config = tiny_campaign(2);
+  config.checkpoint_dir = dir;
+  config.telemetry_sessions_per_day = 8;
+  config.faults.enabled = true;
+  config.faults.seed = 5;
+  config.faults.add(sim::kFaultRetrainCrash, 0.6);
+  config.faults.add(sim::kFaultTelemetryLoss, 0.3);
+  config.faults.add(sim::kFaultTelemetryDup, 0.3);
+  config.faults.add(sim::kFaultModelLoad, 1.0);
+  const auto snapshot_hash = [](const exp::Campaign& campaign) {
+    return stable_hash(campaign.metrics().to_json());
+  };
+
+  exp::Campaign first{config};
+  static_cast<void>(first.run(1));
+  EXPECT_EQ(snapshot_hash(first), 15966996363741845111u);
+
+  exp::Campaign resumed{config};
+  static_cast<void>(resumed.run());
+  EXPECT_EQ(snapshot_hash(resumed), 1011279416517641005u);
+
+  config.faults.add(sim::kFaultCheckpointLoad, 1.0);
+  exp::Campaign fresh{config};
+  static_cast<void>(fresh.run(1));
+  EXPECT_EQ(snapshot_hash(fresh), 3824555242994556465u);
+}
+
 /// Telemetry loss and duplication are accounted per day and reach the
 /// metric plane; a resumed campaign replays the same schedule.
 TEST(CampaignFaults, TelemetryLossAndDuplicationAccounted) {
