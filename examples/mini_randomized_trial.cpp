@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
     fleet_config.trace = &trace_writer;
   }
   obs::prof_reset();  // scope the wall lanes to the trial itself
-  exp::FleetTrialResult fleet = exp::run_fleet_trial(fleet_config, artifacts);
+  const exp::FleetTrialResult fleet =
+      exp::run_fleet_trial(fleet_config, artifacts);
   const exp::TrialResult& trial = fleet.trial;
 
   Rng rng{1};
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     // The engine's virtual-time lanes are already in the writer; add the
     // deterministic concurrency counter lane, then the wall-clock lanes.
-    for (const auto& point : fleet.fleet.load.export_points()) {
+    for (const auto& point : fleet.fleet.load.points()) {
       trace_writer.counter(obs::kSimTracePid, "concurrency",
                            point.time_s * 1e6, point.level);
     }

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iomanip>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -346,28 +347,6 @@ std::string campaign_report_json(const std::vector<DayStats>& days) {
 // --- Campaign --------------------------------------------------------------
 
 Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
-  days_run_metric_ = metrics_.counter("campaign.days_run");
-  telemetry_streams_metric_ = metrics_.counter("campaign.telemetry_streams");
-  telemetry_chunks_metric_ = metrics_.counter("campaign.telemetry_chunks");
-  eval_sessions_metric_ = metrics_.counter("campaign.eval_sessions");
-  retrains_metric_ = metrics_.counter("campaign.retrains");
-  checkpoint_writes_metric_ = metrics_.counter("campaign.checkpoint_writes");
-  // Fault-plane accounting. Every fault draw is a pure function of
-  // (plan seed, family, day/arm/attempt keys), so these counters are
-  // deterministic for a given config at any thread count (class: plain).
-  faults_retrain_crashes_metric_ = metrics_.counter("faults.retrain_crashes");
-  faults_retrain_backoff_ms_metric_ =
-      metrics_.counter("faults.retrain_backoff_ms");
-  faults_telemetry_lost_metric_ = metrics_.counter("faults.telemetry_lost");
-  faults_telemetry_dup_metric_ =
-      metrics_.counter("faults.telemetry_duplicated");
-  faults_checkpoint_failures_metric_ =
-      metrics_.counter("faults.checkpoint_load_failures");
-  faults_fresh_starts_metric_ =
-      metrics_.counter("faults.checkpoint_fresh_starts");
-  faults_model_load_metric_ = metrics_.counter("faults.model_load_failures");
-  faults_degraded_days_metric_ = metrics_.counter("faults.degraded_days");
-
   require(!config_.arms.empty(), "Campaign: need at least one arm");
   require(!config_.phases.empty(), "Campaign: need at least one phase");
   for (const auto& phase : config_.phases) {
@@ -452,11 +431,10 @@ void Campaign::initialize_from_checkpoint_dir() {
     int attempt = 0;
     while (config_.faults.draw(sim::kFaultCheckpointLoad,
                                {static_cast<uint64_t>(attempt)})) {
-      metrics_.add(faults_checkpoint_failures_metric_);
+      checkpoint_load_failures_++;
       attempt++;
       if (attempt > kCheckpointRetries) {
         fresh_start_degraded_ = true;
-        metrics_.add(faults_fresh_starts_metric_);
         return;  // keep the cold day-0 models; the checkpoint stays on disk
       }
     }
@@ -517,7 +495,7 @@ bool Campaign::try_restore_checkpoint() {
       // Injected model corruption: the bytes were consumed above so the
       // stream stays aligned; degrade this arm to a fresh cold init (the
       // same weights it deployed on day 0) instead of aborting.
-      metrics_.add(faults_model_load_metric_);
+      model_load_failures_++;
       deployed_[static_cast<size_t>(index)] =
           std::make_shared<const fugu::TtpModel>(
               config_.arms[static_cast<size_t>(index)].ttp,
@@ -593,10 +571,6 @@ void Campaign::run_one_day(const int day) {
   for (const auto& stream : daily) {
     stats.telemetry_chunks += stream.chunks.size();
   }
-  metrics_.add(telemetry_streams_metric_,
-               static_cast<int64_t>(stats.telemetry_streams));
-  metrics_.add(telemetry_chunks_metric_,
-               static_cast<int64_t>(stats.telemetry_chunks));
   // Telemetry-plane faults on the way into the aggregator: a lost stream
   // never reaches training; a duplicated one is ingested twice (double
   // weight). Draws are keyed on (day, stream index) so a resumed campaign
@@ -606,13 +580,11 @@ void Campaign::run_one_day(const int day) {
     if (config_.faults.draw(sim::kFaultTelemetryLoss,
                             {static_cast<uint64_t>(day), j})) {
       stats.telemetry_lost++;
-      metrics_.add(faults_telemetry_lost_metric_);
       continue;
     }
     if (config_.faults.draw(sim::kFaultTelemetryDup,
                             {static_cast<uint64_t>(day), j})) {
       stats.telemetry_duplicated++;
-      metrics_.add(faults_telemetry_dup_metric_);
       telemetry_.add_stream(fugu::StreamLog{stream});
     }
     telemetry_.add_stream(std::move(stream));
@@ -658,7 +630,6 @@ void Campaign::run_one_day(const int day) {
     arm_stats.scheme = arm.scheme;
     arm_stats.sessions = result.consort.sessions;
     arm_stats.considered = result.consort.considered;
-    metrics_.add(eval_sessions_metric_, result.consort.sessions);
     double watch_s = 0.0, stall_s = 0.0, ssim_weighted = 0.0, startup_s = 0.0;
     for (const auto& figures : result.considered) {
       watch_s += figures.watch_time_s;
@@ -712,11 +683,7 @@ void Campaign::run_one_day(const int day) {
                                static_cast<uint64_t>(i),
                                static_cast<uint64_t>(attempt)})) {
         arm_stats.retrain_crashes++;
-        metrics_.add(faults_retrain_crashes_metric_);
-        const double backoff = retrain_backoff_s(attempt + 1);
-        arm_stats.retrain_backoff_s += backoff;
-        metrics_.add(faults_retrain_backoff_ms_metric_,
-                     static_cast<int64_t>(backoff * 1000.0));
+        arm_stats.retrain_backoff_s += retrain_backoff_s(attempt + 1);
         continue;
       }
       Rng train_rng =
@@ -727,7 +694,6 @@ void Campaign::run_one_day(const int day) {
           fugu::train_ttp(arm.ttp, telemetry_.all(), day, arm.train,
                           train_rng, warm, /*report=*/nullptr,
                           config_.num_threads));
-      metrics_.add(retrains_metric_);
       trained = true;
       break;
     }
@@ -736,21 +702,68 @@ void Campaign::run_one_day(const int day) {
       stats.degraded = true;
     }
   }
-  if (stats.degraded) {
-    metrics_.add(faults_degraded_days_metric_);
-  }
 
   // Keep the in-memory dataset (and therefore the checkpoint) bounded by
   // the widest training window: tomorrow trains at current_day = day + 1.
   telemetry_.prune_before(day + 2 - max_window_days_);
 
   days_.push_back(std::move(stats));
-  metrics_.add(days_run_metric_);
   if (!config_.checkpoint_dir.empty()) {
     save_checkpoint();
-    metrics_.add(checkpoint_writes_metric_);
+    checkpoint_writes_++;
     write_reports();
   }
+}
+
+obs::MetricSnapshot Campaign::metrics() const {
+  int64_t telemetry_streams = 0, telemetry_chunks = 0, eval_sessions = 0;
+  int64_t retrains = 0, retrain_crashes = 0, retrain_backoff_ms = 0;
+  int64_t telemetry_lost = 0, telemetry_duplicated = 0, degraded_days = 0;
+  const auto run_days = std::span{days_}.subspan(
+      static_cast<size_t>(restored_days_));
+  for (const DayStats& day : run_days) {
+    telemetry_streams += static_cast<int64_t>(day.telemetry_streams);
+    telemetry_chunks += static_cast<int64_t>(day.telemetry_chunks);
+    telemetry_lost += static_cast<int64_t>(day.telemetry_lost);
+    telemetry_duplicated += static_cast<int64_t>(day.telemetry_duplicated);
+    degraded_days += day.degraded ? 1 : 0;
+    for (size_t i = 0; i < day.arms.size(); i++) {
+      const ArmDayStats& arm = day.arms[i];
+      eval_sessions += arm.sessions;
+      retrains += config_.arms[i].retrain && !arm.degraded ? 1 : 0;
+      retrain_crashes += arm.retrain_crashes;
+      // Crashes are the night's first attempts, each charged its backoff
+      // in whole milliseconds.
+      for (int attempt = 1; attempt <= arm.retrain_crashes; attempt++) {
+        retrain_backoff_ms +=
+            static_cast<int64_t>(retrain_backoff_s(attempt) * 1000.0);
+      }
+    }
+  }
+  // Every fault draw is a pure function of (plan seed, family, day/arm/
+  // attempt keys), so these counters are deterministic for a given config
+  // at any thread count (class: plain).
+  const std::pair<const char*, int64_t> counters[] = {
+      {"campaign.days_run", static_cast<int64_t>(run_days.size())},
+      {"campaign.telemetry_streams", telemetry_streams},
+      {"campaign.telemetry_chunks", telemetry_chunks},
+      {"campaign.eval_sessions", eval_sessions},
+      {"campaign.retrains", retrains},
+      {"campaign.checkpoint_writes", checkpoint_writes_},
+      {"faults.retrain_crashes", retrain_crashes},
+      {"faults.retrain_backoff_ms", retrain_backoff_ms},
+      {"faults.telemetry_lost", telemetry_lost},
+      {"faults.telemetry_duplicated", telemetry_duplicated},
+      {"faults.checkpoint_load_failures", checkpoint_load_failures_},
+      {"faults.checkpoint_fresh_starts", fresh_start_degraded_ ? 1 : 0},
+      {"faults.model_load_failures", model_load_failures_},
+      {"faults.degraded_days", degraded_days},
+  };
+  obs::MetricRegistry registry;
+  for (const auto& [name, value] : counters) {
+    registry.add(registry.counter(name), value);
+  }
+  return registry.snapshot();
 }
 
 void Campaign::export_trace(obs::TraceWriter& trace) const {

@@ -182,12 +182,12 @@ class Campaign {
       const std::string& arm_name) const;
 
   /// Sim-plane counters of the work this object performed (days run,
-  /// telemetry volume, retrains, checkpoint writes). Deterministic for a
+  /// telemetry volume, retrains, checkpoint writes, faults). Derived on each
+  /// call from the day records this object computed, plus the checkpoint
+  /// and model load outcomes that no day record holds. Deterministic for a
   /// given sequence of run() calls; checkpoint-restored days contribute
   /// nothing (they were not run here).
-  [[nodiscard]] obs::MetricSnapshot metrics() const {
-    return metrics_.snapshot();
-  }
+  [[nodiscard]] obs::MetricSnapshot metrics() const;
 
   /// Emit the completed days as virtual-time spans on the sim lane
   /// (ts = day * 86400 s): one "campaign.day" span per day with its
@@ -206,21 +206,11 @@ class Campaign {
   CampaignConfig config_;
   int max_window_days_ = 1;  ///< widest training window over retrain arms
   int restored_days_ = 0;
-  obs::MetricRegistry metrics_;
-  obs::MetricRegistry::Id days_run_metric_ = 0;
-  obs::MetricRegistry::Id telemetry_streams_metric_ = 0;
-  obs::MetricRegistry::Id telemetry_chunks_metric_ = 0;
-  obs::MetricRegistry::Id eval_sessions_metric_ = 0;
-  obs::MetricRegistry::Id retrains_metric_ = 0;
-  obs::MetricRegistry::Id checkpoint_writes_metric_ = 0;
-  obs::MetricRegistry::Id faults_retrain_crashes_metric_ = 0;
-  obs::MetricRegistry::Id faults_retrain_backoff_ms_metric_ = 0;
-  obs::MetricRegistry::Id faults_telemetry_lost_metric_ = 0;
-  obs::MetricRegistry::Id faults_telemetry_dup_metric_ = 0;
-  obs::MetricRegistry::Id faults_checkpoint_failures_metric_ = 0;
-  obs::MetricRegistry::Id faults_fresh_starts_metric_ = 0;
-  obs::MetricRegistry::Id faults_model_load_metric_ = 0;
-  obs::MetricRegistry::Id faults_degraded_days_metric_ = 0;
+  // What metrics() cannot derive from days_: checkpoint writes and
+  // injected checkpoint-load / model-load failures.
+  int64_t checkpoint_writes_ = 0;
+  int64_t checkpoint_load_failures_ = 0;
+  int64_t model_load_failures_ = 0;
   bool fresh_start_degraded_ = false;
   fugu::DataAggregator telemetry_;
   /// Deployed model per arm, config.arms order; null for model-free arms.

@@ -73,10 +73,8 @@ void append_scheme_result(SchemeResult& into, SchemeResult& from) {
 /// positional merge in ascending shard order, like the engine's).
 struct TrialMetrics {
   obs::MetricRegistry registry;
-  obs::MetricRegistry::Id tasks_created;
   obs::MetricRegistry::Id plan_cache_hits;
   obs::MetricRegistry::Id plan_cache_misses;
-  obs::MetricRegistry::Id contention_groups;
   obs::MetricRegistry::Id contention_offered_bytes;
   obs::MetricRegistry::Id contention_delivered_bytes;
   obs::MetricRegistry::Id contention_lost_bytes;
@@ -91,14 +89,12 @@ struct TrialMetrics {
   obs::MetricRegistry::Id faults_max_session_fallbacks;
 
   TrialMetrics() {
-    tasks_created = registry.counter("trial.tasks_created");
     // Paired plans are colocated by shard_group, so cache behavior is a
     // per-plan property: 1 miss + (schemes-1) hits at any shard count.
     plan_cache_hits = registry.counter("trial.plan_cache_hits");
     plan_cache_misses = registry.counter("trial.plan_cache_misses");
     // Per-group byte totals and fairness are properties of the groups
     // themselves — sums and multisets are partition-invariant.
-    contention_groups = registry.counter("contention.groups");
     contention_offered_bytes = registry.counter("contention.offered_bytes");
     contention_delivered_bytes =
         registry.counter("contention.delivered_bytes");
@@ -196,7 +192,6 @@ class MeasuredGroupTask final : public ContentionGroupTask {
     const double fairness = fairness_index();
     fairness_slot_ = fairness;
     obs::MetricRegistry& reg = metrics_.registry;
-    reg.add(metrics_.contention_groups);
     reg.add(metrics_.contention_offered_bytes,
             std::llround(shared_offered_bytes()));
     reg.add(metrics_.contention_delivered_bytes,
@@ -392,7 +387,6 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
       [&](const int64_t task_index,
           const int shard_index) -> std::unique_ptr<sim::FleetTask> {
     ShardState& shard = shards[static_cast<size_t>(shard_index)];
-    shard.metrics.registry.add(shard.metrics.tasks_created);
     return make_session(task_index, shard, SessionTask::Connection::kPrivate);
   };
 
@@ -457,7 +451,6 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
         shard.metrics.registry.add(shard.metrics.faults_link_outages);
       }
     }
-    shard.metrics.registry.add(shard.metrics.tasks_created);
     return std::make_unique<MeasuredGroupTask>(
         std::move(members), contention, std::move(shared_sample),
         result.group_fairness[static_cast<size_t>(group_index)],

@@ -53,7 +53,7 @@ struct FleetTrialResult {
   /// contention group, indexed by group. Empty otherwise.
   std::vector<double> group_fairness;
   /// Combined sim-plane snapshot: the engine's merged metrics, then the
-  /// trial layer's (tasks, plan cache, contention bytes/fairness, faults),
+  /// trial layer's (plan cache, contention bytes/fairness, faults),
   /// then run-level gauges (merge-frontier high-water — the one
   /// scheduling-dependent entry, excluded from determinism comparisons).
   obs::MetricSnapshot metrics;

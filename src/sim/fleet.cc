@@ -33,7 +33,6 @@ struct ShardMetrics {
   obs::MetricRegistry::Id arrivals;
   obs::MetricRegistry::Id sessions;
   obs::MetricRegistry::Id decisions;
-  obs::MetricRegistry::Id completions;
   obs::MetricRegistry::Id inline_decisions;
   obs::MetricRegistry::Id coalesced_rows;
   obs::MetricRegistry::Id gemm_calls;
@@ -51,7 +50,6 @@ struct ShardMetrics {
     arrivals = registry.counter("fleet.arrivals");
     sessions = registry.counter("fleet.sessions");
     decisions = registry.counter("fleet.decisions");
-    completions = registry.counter("fleet.completions");
     inline_decisions = registry.counter("fleet.inline_decisions", local);
     coalesced_rows = registry.counter("fleet.coalesced_rows", local);
     gemm_calls = registry.counter("fleet.gemm_calls", local);
@@ -128,7 +126,6 @@ void run_shard(const std::span<const double> arrivals,
   const auto complete = [&](const size_t slot, const double end_time) {
     tasks[slot]->record_load(stats.load, arrival_time[slot], end_time);
     stats.virtual_duration_s = std::max(stats.virtual_duration_s, end_time);
-    m.registry.add(m.completions);
     if (trace != nullptr) {
       trace->instant(
           obs::kSimTracePid, shard, "complete", end_time * 1e6,

@@ -7,76 +7,35 @@
 namespace puffer::stats {
 
 void LoadSeries::add(const double time_s, const int delta) {
+  require(!finalized_, "LoadSeries: add() after finalize()");
   deltas_.emplace_back(time_s, delta);
-  finalized_ = false;
 }
 
 void LoadSeries::merge_from(const LoadSeries& other) {
   require(&other != this, "LoadSeries: cannot merge a series into itself");
-  deltas_.reserve(deltas_.size() + other.points_.size() +
-                  other.deltas_.size());
-  // A folded point list is itself a delta encoding (each point changes the
-  // level from its predecessor's), so a finalized shard merges losslessly.
-  int previous = 0;
-  for (const Point& p : other.points_) {
-    deltas_.emplace_back(p.time_s, p.level - previous);
-    previous = p.level;
-  }
+  require(!finalized_ && !other.finalized_,
+          "LoadSeries: merge_from() needs two unfinalized series");
   deltas_.insert(deltas_.end(), other.deltas_.begin(), other.deltas_.end());
-  finalized_ = false;
 }
 
 void LoadSeries::finalize() {
   if (finalized_) {
     return;
   }
-  // Sort only the new deltas (pairs order by time, then delta — a
-  // deterministic total order, though equal-time entries merge by sum and
-  // their relative order cannot matter); already-folded points stay sorted
-  // and are decoded back into deltas on the fly during the merge sweep.
+  // Pairs order by time, then delta: a deterministic total order, though
+  // equal-time entries merge by sum, so their relative order cannot matter.
   std::sort(deltas_.begin(), deltas_.end());
-
-  std::vector<Point> folded;
-  folded.reserve(points_.size() + deltas_.size());
-  peak_ = 0;
-  integral_ = 0.0;
-  size_t pi = 0;  // cursor into points_ (old folded step function)
-  size_t di = 0;  // cursor into deltas_ (sorted pending events)
-  int old_level = 0;  // running level of the old points stream
-  int level = 0;      // running level of the merged series
-  while (pi < points_.size() || di < deltas_.size()) {
-    double t;
-    if (pi < points_.size() &&
-        (di >= deltas_.size() || points_[pi].time_s <= deltas_[di].first)) {
-      t = points_[pi].time_s;
-    } else {
-      t = deltas_[di].first;
+  int level = 0;
+  for (size_t i = 0; i < deltas_.size();) {
+    const double t = deltas_[i].first;
+    const int before = level;
+    do {
+      level += deltas_[i++].second;
+    } while (i < deltas_.size() && deltas_[i].first == t);
+    if (level != before) {  // merged deltas that cancel leave no step
+      points_.push_back({t, level});
     }
-    // Fold every event at time t, from both streams, into one level move.
-    if (pi < points_.size() && points_[pi].time_s == t) {
-      level += points_[pi].level - old_level;
-      old_level = points_[pi].level;
-      pi++;
-    }
-    while (di < deltas_.size() && deltas_[di].first == t) {
-      level += deltas_[di].second;
-      di++;
-    }
-    const int previous = folded.empty() ? 0 : folded.back().level;
-    if (level == previous) {
-      continue;  // merged deltas cancelled out; the step did not move
-    }
-    // Single-pass aggregation: peak and the level integral accumulate as
-    // the step function is built, so the queries below stay O(1) however
-    // large the fleet run was.
-    if (!folded.empty()) {
-      integral_ += static_cast<double>(folded.back().level) *
-                   (t - folded.back().time_s);
-    }
-    folded.push_back({t, level});
-    peak_ = std::max(peak_, level);
   }
-  points_ = std::move(folded);
   deltas_.clear();
   deltas_.shrink_to_fit();
   finalized_ = true;
@@ -88,8 +47,11 @@ const std::vector<LoadSeries::Point>& LoadSeries::points() const {
 }
 
 int LoadSeries::peak() const {
-  static_cast<void>(points());  // enforce the finalized-series contract
-  return peak_;
+  int peak = 0;
+  for (const Point& p : points()) {
+    peak = std::max(peak, p.level);
+  }
+  return peak;
 }
 
 double LoadSeries::time_weighted_mean() const {
@@ -103,18 +65,14 @@ double LoadSeries::time_weighted_mean() const {
     // the step function is the constant it ends at, which is its own mean.
     return static_cast<double>(pts.back().level);
   }
-  return integral_ / span;
-}
-
-int LoadSeries::level_at(const double time_s) const {
-  const std::vector<Point>& pts = points();
-  const auto after = std::upper_bound(
-      pts.begin(), pts.end(), time_s,
-      [](const double t, const Point& p) { return t < p.time_s; });
-  if (after == pts.begin()) {
-    return 0;  // pinned: no session exists before the first recorded event
+  // Left to right over the steps, so the sum's bits are a function of the
+  // points alone.
+  double integral = 0.0;
+  for (size_t i = 1; i < pts.size(); i++) {
+    integral += static_cast<double>(pts[i - 1].level) *
+                (pts[i].time_s - pts[i - 1].time_s);
   }
-  return std::prev(after)->level;
+  return integral / span;
 }
 
 }  // namespace puffer::stats

@@ -1,6 +1,7 @@
 #ifndef PUFFER_STATS_LOAD_SERIES_HH
 #define PUFFER_STATS_LOAD_SERIES_HH
 
+#include <utility>
 #include <vector>
 
 namespace puffer::stats {
@@ -12,22 +13,13 @@ namespace puffer::stats {
 ///
 /// Deltas may be added out of time order (the fleet engine discovers
 /// completion times as sessions finish) and from any number of shards
-/// (merge_from): finalize() folds them by time, so the finalized series is
-/// a deterministic function of the delta *multiset* regardless of insertion
-/// order, shard count, or how runs were partitioned.
-///
-/// Aggregation is single-pass: finalize() computes peak, the level
-/// integral, and the event-time span in the same sweep that builds the step
-/// function, so peak() / time_weighted_mean() are O(1) and a series can be
-/// queried millions of times (per-decision telemetry) without re-walking
-/// its points. Pending deltas are folded into the existing points rather
-/// than re-sorted wholesale, so repeated add()+finalize() cycles cost one
-/// sort of the *new* deltas plus a linear merge.
+/// (merge_from): finalize() sorts the delta multiset once and folds it by
+/// time, so the finalized series is a deterministic function of that
+/// multiset regardless of insertion order, shard count, or how runs were
+/// partitioned. A series is built, then finalized once, then read.
 ///
 /// Boundary semantics (pinned by tests/test_fleet.cc):
-///   * level_at(t) for t before the first point — and on an empty series —
-///     is 0: no session exists before the first recorded event.
-///   * time_weighted_mean() of an empty series is 0.0.
+///   * an empty series has no points, peak 0 and time_weighted_mean() 0.0.
 ///   * time_weighted_mean() of a single-point or zero-span series is the
 ///     level of the last point: over a degenerate span the step function is
 ///     the constant it ends at, and that constant is its own mean (the
@@ -40,20 +32,20 @@ class LoadSeries {
     int level = 0;  ///< concurrency from this time until the next point
   };
 
-  /// Record a level change of `delta` at `time_s`.
+  /// Record a level change of `delta` at `time_s`. Not after finalize().
   void add(double time_s, int delta);
 
-  /// Absorb every event of `other` (finalized or not) into this series, as
-  /// if each of other's deltas had been add()ed here. Used by the sharded
-  /// fleet engine to merge per-shard series: because the finalized series
+  /// Absorb every delta of the unfinalized `other` into this unfinalized
+  /// series, as if each had been add()ed here. Used by the sharded fleet
+  /// engine to merge per-shard series: because the finalized series
   /// depends only on the delta multiset, merging shards in any order
   /// reproduces the single-queue series exactly.
   void merge_from(const LoadSeries& other);
 
-  /// Fold pending deltas into the step function; deltas at the same time
-  /// merge into one point (a session that arrives and completes at the same
-  /// instant leaves no trace). Queries below require a finalized series;
-  /// adding (or merging) after finalize() and re-finalizing is fine.
+  /// Fold the deltas into the step function; deltas at the same time merge
+  /// into one point (a session that arrives and completes at the same
+  /// instant leaves no trace). Idempotent. Queries below require a
+  /// finalized series (or an empty one).
   void finalize();
 
   [[nodiscard]] bool empty() const {
@@ -61,32 +53,17 @@ class LoadSeries {
   }
   [[nodiscard]] const std::vector<Point>& points() const;
 
-  /// points(), finalizing first if any deltas are pending — for exporters
-  /// (e.g. the trace counter lane) that should not care whether the series
-  /// they were handed was already folded.
-  [[nodiscard]] const std::vector<Point>& export_points() {
-    finalize();
-    return points();
-  }
-
-  /// Maximum level ever held (0 for an empty series). O(1).
+  /// Maximum level ever held (0 for an empty series).
   [[nodiscard]] int peak() const;
   /// Level integrated over [first event, last event] divided by that span.
   /// 0 for an empty series; the last level for a degenerate (single-point
-  /// or zero-span) series — see the boundary semantics above. O(1).
+  /// or zero-span) series — see the boundary semantics above.
   [[nodiscard]] double time_weighted_mean() const;
-  /// Level in force at `time_s` (0 before the first event and on an empty
-  /// series).
-  [[nodiscard]] int level_at(double time_s) const;
 
  private:
   std::vector<std::pair<double, int>> deltas_;  ///< pending, unsorted
   std::vector<Point> points_;                   ///< folded step function
   bool finalized_ = false;
-
-  // Aggregates computed during the finalize() sweep.
-  int peak_ = 0;
-  double integral_ = 0.0;  ///< level integrated between first/last event
 };
 
 }  // namespace puffer::stats

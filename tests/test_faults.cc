@@ -262,12 +262,7 @@ TEST(ResilientPredictor, StatsInvariantsOverManySeeds) {
 
 using test::expect_identical;
 using test::expect_same_bits;
-
-int64_t metric_value(const obs::MetricSnapshot& snapshot,
-                     const std::string& name) {
-  const obs::MetricSnapshot::Metric* metric = snapshot.find(name);
-  return metric != nullptr ? metric->value : 0;
-}
+using test::metric_value;
 
 const std::vector<std::string>& fault_metric_names() {
   static const std::vector<std::string> names = {

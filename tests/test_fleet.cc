@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "abr/bba.hh"
 #include "exp/fleet_trial.hh"
@@ -76,6 +78,17 @@ TEST(Arrivals, UnknownKindRejected) {
 // Load time series
 // ---------------------------------------------------------------------------
 
+using Steps = std::vector<std::pair<double, int>>;
+
+/// The finalized step function, as (time, level) pairs.
+Steps steps(const stats::LoadSeries& load) {
+  Steps out;
+  for (const stats::LoadSeries::Point& p : load.points()) {
+    out.emplace_back(p.time_s, p.level);
+  }
+  return out;
+}
+
 TEST(LoadSeries, StepFunctionPeakAndMean) {
   stats::LoadSeries load;
   // Out-of-order insertion: completion discovered before a later arrival.
@@ -85,11 +98,7 @@ TEST(LoadSeries, StepFunctionPeakAndMean) {
   load.add(3.0, -1);
   load.finalize();
   EXPECT_EQ(load.peak(), 2);
-  EXPECT_EQ(load.level_at(0.5), 1);
-  EXPECT_EQ(load.level_at(2.0), 2);
-  EXPECT_EQ(load.level_at(3.5), 1);
-  EXPECT_EQ(load.level_at(4.0), 0);
-  EXPECT_EQ(load.level_at(-1.0), 0);
+  EXPECT_EQ(steps(load), (Steps{{0.0, 1}, {1.0, 2}, {3.0, 1}, {4.0, 0}}));
   // Integral: 1*1 + 2*2 + 1*1 over a span of 4.
   EXPECT_NEAR(load.time_weighted_mean(), 6.0 / 4.0, 1e-12);
 }
@@ -111,22 +120,20 @@ TEST(LoadSeries, EmptySeries) {
 }
 
 /// Pinned boundary semantics: queries on an empty series (even one never
-/// finalized) are defined, and level_at before the first point is 0.
+/// finalized) are defined, and the step function starts at the first event
+/// (the level before it is 0).
 TEST(LoadSeries, BoundaryQueriesArePinned) {
   const stats::LoadSeries untouched;
   EXPECT_EQ(untouched.peak(), 0);
   EXPECT_DOUBLE_EQ(untouched.time_weighted_mean(), 0.0);
-  EXPECT_EQ(untouched.level_at(0.0), 0);
-  EXPECT_EQ(untouched.level_at(-100.0), 0);
   EXPECT_TRUE(untouched.points().empty());
 
   stats::LoadSeries load;
-  load.add(10.0, +1);
   load.add(12.0, -1);
+  load.add(10.0, +1);
+  EXPECT_THROW(static_cast<void>(load.points()), RequirementError);
   load.finalize();
-  EXPECT_EQ(load.level_at(9.999), 0);      // before the first point
-  EXPECT_EQ(load.level_at(-1e9), 0);
-  EXPECT_EQ(load.level_at(10.0), 1);       // at the first point
+  EXPECT_EQ(steps(load), (Steps{{10.0, 1}, {12.0, 0}}));
 }
 
 /// Pinned boundary semantics: a single-point (zero-span) series has a
@@ -166,9 +173,6 @@ TEST(LoadSeries, MergeFromMatchesCombinedSeries) {
   add_all(shard_b, {{1.0, +1}, {3.0, -1}});
   combined.finalize();
 
-  // Merge one finalized shard and one pending shard — both forms must fold
-  // identically.
-  shard_a.finalize();
   stats::LoadSeries merged;
   merged.merge_from(shard_a);
   merged.merge_from(shard_b);
@@ -185,20 +189,24 @@ TEST(LoadSeries, MergeFromMatchesCombinedSeries) {
             std::bit_cast<uint64_t>(combined.time_weighted_mean()));
 }
 
-TEST(LoadSeries, ReFinalizeAfterMoreDeltas) {
+/// A series is built, finalized once, then read: adding or merging after
+/// finalize() is refused, and finalizing again changes nothing.
+TEST(LoadSeries, AddAfterFinalizeIsRejected) {
   stats::LoadSeries load;
   load.add(0.0, +1);
   load.add(2.0, -1);
   load.finalize();
-  EXPECT_EQ(load.peak(), 1);
-  // Add more events after finalizing; re-finalize folds them in.
-  load.add(1.0, +1);
-  load.add(3.0, -1);
+  EXPECT_THROW(load.add(1.0, +1), RequirementError);
+
+  stats::LoadSeries pending;
+  pending.add(1.0, +1);
+  EXPECT_THROW(load.merge_from(pending), RequirementError);
+  EXPECT_THROW(pending.merge_from(load), RequirementError);
+  EXPECT_THROW(pending.merge_from(pending), RequirementError);
+
   load.finalize();
-  EXPECT_EQ(load.peak(), 2);
-  EXPECT_EQ(load.level_at(1.5), 2);
-  EXPECT_EQ(load.level_at(2.5), 1);
-  EXPECT_THROW(static_cast<void>(load.merge_from(load)), RequirementError);
+  EXPECT_EQ(steps(load), (Steps{{0.0, 1}, {2.0, 0}}));
+  EXPECT_EQ(load.peak(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +362,7 @@ TEST(BatchTtp, SharedBatchCoalescesAcrossSessionsExactly) {
 
 using test::expect_identical;
 using test::expect_same_bits;
+using test::metric_value;
 using test::run_sessions_in_order;
 
 /// Schemes exercising all three decision paths: coalesced learned inference
@@ -403,6 +412,8 @@ TEST(FleetTrial, MatchesSequentialBaselineInRctMode) {
       static_cast<int64_t>(config.trial.schemes.size()) *
       config.trial.sessions_per_scheme;
   EXPECT_EQ(fleet.fleet.sessions, total);
+  // One engine task per session.
+  EXPECT_EQ(metric_value(fleet.metrics, "fleet.arrivals"), total);
   EXPECT_GT(fleet.fleet.decisions, 0);
   EXPECT_GT(fleet.fleet.gemm_calls, 0);       // Fugu sessions coalesced
   EXPECT_GT(fleet.fleet.coalesced_rows, 0);
@@ -421,6 +432,10 @@ TEST(FleetTrial, MatchesSequentialBaselineInPairedMode) {
   const exp::FleetTrialResult fleet =
       exp::run_fleet_trial(config, fleet_factory());
   expect_identical(sequential, fleet.trial);
+  // One engine task per (plan, scheme) copy.
+  EXPECT_EQ(metric_value(fleet.metrics, "fleet.arrivals"),
+            static_cast<int64_t>(config.trial.schemes.size()) *
+                config.trial.sessions_per_scheme);
   for (const int threads : {1, 3}) {
     config.trial.num_threads = threads;
     expect_identical(sequential, exp::run_trial(config.trial, fleet_factory()));
@@ -656,6 +671,14 @@ TEST(FleetTrial, ContentionGroupShapeAndFairness) {
     EXPECT_EQ(result.fleet.sessions, total);
     EXPECT_EQ(result.group_fairness.size(),
               static_cast<size_t>((total + 3) / 4));
+    // One engine task per group, and one fairness observation per group.
+    EXPECT_EQ(metric_value(result.metrics, "fleet.arrivals"),
+              static_cast<int64_t>(result.group_fairness.size()));
+    const obs::MetricSnapshot::Metric* fairness =
+        result.metrics.find("contention.fairness");
+    ASSERT_NE(fairness, nullptr);
+    EXPECT_EQ(fairness->count,
+              static_cast<int64_t>(result.group_fairness.size()));
     int64_t consort_sessions = 0;
     for (const auto& scheme : result.trial.schemes) {
       consort_sessions += scheme.consort.sessions;

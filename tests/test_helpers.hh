@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "media/ladder.hh"
 #include "media/vbr_source.hh"
 #include "net/scenario.hh"
+#include "obs/metrics.hh"
 #include "nn/serialize.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
@@ -84,6 +86,18 @@ inline uint64_t mlp_hash(const nn::Mlp& net) {
   std::ostringstream bytes;
   nn::save_mlp(net, bytes);
   return stable_hash(bytes.str());
+}
+
+/// A counter's or gauge's value in `snapshot`. A name that is absent fails
+/// the test (and reads -1), so a deleted or renamed metric cannot pass as 0.
+inline int64_t metric_value(const obs::MetricSnapshot& snapshot,
+                            const std::string& name) {
+  const obs::MetricSnapshot::Metric* metric = snapshot.find(name);
+  if (metric == nullptr) {
+    ADD_FAILURE() << "no metric named '" << name << "'";
+    return -1;
+  }
+  return metric->value;
 }
 
 /// Run `action` and expect a RequirementError whose message contains every

@@ -7,7 +7,6 @@
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
 #include "obs/trace.hh"
-#include "stats/load_series.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 
@@ -282,21 +281,6 @@ TEST(Trace, AppendFromSplicesInCallOrder) {
   EXPECT_EQ(merged.event_count(), 2u);
   const std::string json = merged.str();
   EXPECT_LT(json.find("\"a\""), json.find("\"b\""));
-}
-
-// --- LoadSeries export ------------------------------------------------------
-
-TEST(LoadSeries, ExportPointsFinalizesPendingDeltas) {
-  stats::LoadSeries load;
-  load.add(1.0, +1);
-  load.add(3.0, +1);
-  load.add(5.0, -2);
-  const auto& points = load.export_points();  // no explicit finalize()
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_DOUBLE_EQ(points[0].time_s, 1.0);
-  EXPECT_EQ(points[0].level, 1);
-  EXPECT_EQ(points[1].level, 2);
-  EXPECT_EQ(points[2].level, 0);
 }
 
 // --- ProfScope (perf plane) -------------------------------------------------
