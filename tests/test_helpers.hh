@@ -21,8 +21,8 @@
 #include "media/ladder.hh"
 #include "media/vbr_source.hh"
 #include "net/scenario.hh"
-#include "obs/metrics.hh"
 #include "nn/serialize.hh"
+#include "obs/metrics.hh"
 #include "util/require.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
