@@ -90,22 +90,23 @@ class JsonWriter {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// The positive integer in environment variable `name`, or `fallback` when
-/// it is unset. A non-numeric value, trailing characters or a value below 1
-/// is an error naming the variable, so a typo cannot silently shrink a run.
-inline int positive_env_int(const char* name, const int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) {
-    return fallback;
-  }
-  const std::string text{env};
+/// `text` as a positive integer. A non-numeric value, trailing characters
+/// or a value below 1 is an error naming `what`, so a typo cannot silently
+/// shrink a run.
+inline int parse_positive_int(const std::string& text, const std::string& what) {
   int value = 0;
   const char* end = text.data() + text.size();
   const auto [parsed_to, error] = std::from_chars(text.data(), end, value);
   require(error == std::errc{} && parsed_to == end && value >= 1,
-          std::string{name} + " must be a positive integer, got '" + text +
-              "'");
+          what + " must be a positive integer, got '" + text + "'");
   return value;
+}
+
+/// The positive integer in environment variable `name` (parse_positive_int),
+/// or `fallback` when it is unset.
+inline int positive_env_int(const char* name, const int fallback) {
+  const char* env = std::getenv(name);
+  return env == nullptr ? fallback : parse_positive_int(env, name);
 }
 
 /// Sessions per scheme for the trial-based benches. Override with

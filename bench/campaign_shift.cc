@@ -6,12 +6,14 @@
 // Fugu vs static MPC-HM).
 //
 //   ./campaign_shift [familyA] [familyB] [days_per_phase]
-//                    [--trace-out PATH] [--metrics-out PATH]
+//                    [--trace-out PATH] [--metrics-out PATH] [--help]
 //
 // Families accept ScenarioSpec::parse syntax, so "trace-replay:my.trace"
 // works. Defaults: puffer cellular 3. --trace-out writes the completed days
 // as virtual-time lanes (Chrome trace-event JSON) plus the perf plane's
 // wall-clock lanes; --metrics-out dumps the campaign's sim-plane counters.
+// --help prints the usage and exits 0; a bad argument prints the error and
+// the usage to stderr and exits 2.
 //
 //   PUFFER_CAMPAIGN_DAYS     days per phase when argv[3] is absent
 //   PUFFER_BENCH_SESSIONS    telemetry sessions per day (default 48)
@@ -29,34 +31,83 @@
 #include "util/require.hh"
 #include "util/table.hh"
 
-int main(int argc, char** argv) {
-  using namespace puffer;
+using namespace puffer;
 
-  std::string trace_path, metrics_path;
+namespace {
+
+constexpr const char* kUsage =
+    "usage: campaign_shift [familyA] [familyB] [days_per_phase]\n"
+    "                      [--trace-out PATH] [--metrics-out PATH]\n"
+    "\n"
+    "Families take ScenarioSpec::parse syntax (e.g. trace-replay:my.trace).\n"
+    "Defaults: puffer cellular 3; PUFFER_CAMPAIGN_DAYS sets days_per_phase\n"
+    "when it is absent, PUFFER_BENCH_SESSIONS the telemetry sessions per day\n"
+    "(default 48).\n";
+
+struct Args {
+  bool help = false;
+  net::ScenarioSpec before;
+  net::ScenarioSpec after;
+  int per_phase = 0;
+  int telemetry_sessions = 0;
+  std::string trace_path;
+  std::string metrics_path;
+};
+
+/// Throws RequirementError on a missing option value, an unknown option,
+/// an extra argument, an unknown family or a days_per_phase (or
+/// environment knob) that is not a positive integer.
+Args parse_args(const int argc, char** argv) {
+  Args args;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
-      require(i + 1 < argc, "campaign_shift: missing value for " + arg);
+      require(i + 1 < argc, "missing value for " + arg);
       return argv[++i];
     };
+    if (arg == "--help" || arg == "-h") {
+      args.help = true;
+      return args;
+    }
     if (arg == "--trace-out") {
-      trace_path = next();
+      args.trace_path = next();
     } else if (arg == "--metrics-out") {
-      metrics_path = next();
+      args.metrics_path = next();
     } else {
+      require(!arg.starts_with("--"), "unknown option " + arg);
       positional.push_back(arg);
     }
   }
-
-  const net::ScenarioSpec before =
+  require(positional.size() <= 3,
+          "expected at most 3 positional arguments, got " +
+              std::to_string(positional.size()));
+  args.before =
       net::ScenarioSpec::parse(!positional.empty() ? positional[0] : "puffer");
-  const net::ScenarioSpec after = net::ScenarioSpec::parse(
+  args.after = net::ScenarioSpec::parse(
       positional.size() > 1 ? positional[1] : "cellular");
-  const int per_phase =
+  args.per_phase =
       positional.size() > 2
-          ? std::max(1, std::atoi(positional[2].c_str()))
+          ? bench::parse_positive_int(positional[2], "days_per_phase")
           : bench::positive_env_int("PUFFER_CAMPAIGN_DAYS", 3);
+  args.telemetry_sessions = bench::sessions_per_scheme(48);
+  return args;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  try {
+    args = parse_args(argc, argv);
+  } catch (const RequirementError& error) {
+    std::fprintf(stderr, "campaign_shift: %s\n\n%s", error.what(), kUsage);
+    return 2;
+  }
+  if (args.help) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
 
   exp::CampaignArm fugu;
   fugu.name = "fugu-daily";
@@ -70,9 +121,9 @@ int main(int argc, char** argv) {
 
   exp::CampaignConfig config;
   config.arms = {fugu, mpc};
-  config.phases = {exp::CampaignPhase{before, per_phase},
-                   exp::CampaignPhase{after, per_phase}};
-  config.telemetry_sessions_per_day = bench::sessions_per_scheme(48);
+  config.phases = {exp::CampaignPhase{args.before, args.per_phase},
+                   exp::CampaignPhase{args.after, args.per_phase}};
+  config.telemetry_sessions_per_day = args.telemetry_sessions;
   config.eval_sessions_per_day =
       std::max(8, config.telemetry_sessions_per_day / 2);
   config.holdout_sessions_per_day =
@@ -84,8 +135,8 @@ int main(int argc, char** argv) {
 
   std::printf("[setup] scenario shift %s -> %s after %d day(s), %d telemetry "
               "sessions/day (checkpointed in %s)\n\n",
-              before.family.c_str(), after.family.c_str(), per_phase,
-              config.telemetry_sessions_per_day,
+              args.before.family.c_str(), args.after.family.c_str(),
+              args.per_phase, config.telemetry_sessions_per_day,
               config.checkpoint_dir.c_str());
 
   exp::Campaign campaign{config};
@@ -111,7 +162,7 @@ int main(int argc, char** argv) {
   // The shift day streams the new world with a model trained entirely on the
   // old one; by the final day the window is full of new-world telemetry.
   const exp::ArmDayStats& shift_day =
-      result.days[static_cast<size_t>(per_phase)].arms[0];
+      result.days[static_cast<size_t>(args.per_phase)].arms[0];
   const exp::ArmDayStats& final_day = result.days.back().arms[0];
   const bool holds = final_day.cross_entropy < shift_day.cross_entropy;
   std::printf("Shape check: nightly retraining adapts the TTP to the new "
@@ -119,19 +170,20 @@ int main(int argc, char** argv) {
               shift_day.cross_entropy, final_day.cross_entropy,
               result.days.back().day, holds ? "holds" : "VIOLATED");
 
-  if (!trace_path.empty()) {
+  if (!args.trace_path.empty()) {
     obs::TraceWriter trace;
     campaign.export_trace(trace);  // virtual-time day lanes (deterministic)
     obs::prof_export_trace(trace);  // wall-clock lanes (perf plane)
-    write_file(trace_path, [&trace](std::ostream& out) { out << trace.str(); });
-    std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
+    write_file(args.trace_path,
+               [&trace](std::ostream& out) { out << trace.str(); });
+    std::printf("wrote %s (%zu trace events)\n", args.trace_path.c_str(),
                 trace.event_count());
   }
-  if (!metrics_path.empty()) {
-    write_file(metrics_path, [&campaign](std::ostream& out) {
+  if (!args.metrics_path.empty()) {
+    write_file(args.metrics_path, [&campaign](std::ostream& out) {
       out << campaign.metrics().to_json();
     });
-    std::printf("wrote %s\n", metrics_path.c_str());
+    std::printf("wrote %s\n", args.metrics_path.c_str());
   }
   return holds ? 0 : 1;
 }

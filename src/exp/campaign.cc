@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "util/file_io.hh"
 #include "util/json.hh"
 #include "util/require.hh"
+#include "util/thread_pool.hh"
 
 namespace puffer::exp {
 
@@ -590,44 +593,114 @@ void Campaign::run_one_day(const int day) {
     telemetry_.add_stream(std::move(stream));
   }
 
-  // 2. Fresh held-out telemetry for TTP evaluation (never trained on).
-  fugu::TtpDataset holdout;
-  const bool any_model = std::any_of(deployed_.begin(), deployed_.end(),
-                                     [](const auto& m) { return bool(m); });
-  if (any_model) {
-    holdout = collect_telemetry(
-        scenario, config_.holdout_sessions_per_day, day,
-        purpose_seed(config_.seed, "campaign/holdout"), config_.num_threads,
-        config_.stream);
+  // 2. The nightly retrain's serial pre-pass: each learning arm trains on
+  // its window over the shared telemetry, warm-started from the model it
+  // streams with today, and deploys the result tomorrow (paper section
+  // 4.3). Injected retrain crashes retry with bounded virtual-time backoff;
+  // on an exhausted budget the arm keeps serving today's model (the
+  // degraded path the paper's deployment would take). Attempt 0 draws from
+  // the unmodified train stream so zero-fault campaigns stay byte-identical
+  // to pre-fault builds; retries split a dedicated "retry" branch.
+  const size_t num_arms = config_.arms.size();
+  stats.arms.resize(num_arms);
+  std::vector<std::optional<fugu::TtpTrainer>> trainers(num_arms);
+  for (size_t i = 0; i < num_arms; i++) {
+    const CampaignArm& arm = config_.arms[i];
+    if (!arm.retrain) {
+      continue;
+    }
+    const Rng train_base = Rng{config_.seed}
+                               .split("campaign/train")
+                               .split(static_cast<uint64_t>(i))
+                               .split(static_cast<uint64_t>(day));
+    ArmDayStats& arm_stats = stats.arms[i];
+    for (int attempt = 0; attempt < 1 + kRetrainRetries; attempt++) {
+      if (config_.faults.draw(sim::kFaultRetrainCrash,
+                              {static_cast<uint64_t>(day),
+                               static_cast<uint64_t>(i),
+                               static_cast<uint64_t>(attempt)})) {
+        arm_stats.retrain_crashes++;
+        arm_stats.retrain_backoff_s += retrain_backoff_s(attempt + 1);
+        continue;
+      }
+      Rng train_rng =
+          attempt == 0
+              ? train_base
+              : train_base.split("retry").split(static_cast<uint64_t>(attempt));
+      trainers[i].emplace(arm.ttp, telemetry_.all(), day, arm.train,
+                          train_rng,
+                          arm.warm_start ? deployed_[i].get() : nullptr);
+      break;
+    }
+    if (!trainers[i]) {
+      arm_stats.degraded = true;  // tomorrow serves today's model unchanged
+      stats.degraded = true;
+    }
   }
 
-  // 3. One day of sessions per arm with the deployed scheme/model. All arms
-  // share the day's seed, so they stream paired session plans.
+  // 3. One pool for the rest of the day, roughly longest jobs first: one
+  // day of sessions per arm with the deployed scheme/model, every
+  // retrain's step networks, and fresh held-out telemetry (never trained
+  // on) on which each deployed TTP is evaluated. Every job runs on one
+  // thread and writes only its own slots; none reads a trainer's model, and
+  // deployed_ changes only after the join. All arms share the day's seed,
+  // so they stream paired session plans.
   const uint64_t trial_seed =
       mix64(purpose_seed(config_.seed, "campaign/trial") +
             static_cast<uint64_t>(day) * 7919);
-  for (size_t i = 0; i < config_.arms.size(); i++) {
-    const CampaignArm& arm = config_.arms[i];
-    TrialConfig trial_config;
-    trial_config.schemes = {arm.scheme};
-    trial_config.sessions_per_scheme = config_.eval_sessions_per_day;
-    trial_config.scenario = scenario;
-    trial_config.seed = trial_seed;
-    trial_config.day = day;
-    trial_config.num_threads = config_.num_threads;
-    trial_config.stream = config_.stream;
-    // Forward the per-session fault families (TTP inference failures,
-    // session aborts) into the arm's day of sessions.
-    trial_config.faults = config_.faults;
+  std::vector<TrialResult> trials(num_arms);
+  std::vector<std::optional<fugu::TtpEvaluation>> evals(num_arms);
+  std::vector<std::function<void()>> jobs;
+  for (size_t i = 0; i < num_arms; i++) {
+    jobs.emplace_back([&, i] {
+      TrialConfig trial_config;
+      trial_config.schemes = {config_.arms[i].scheme};
+      trial_config.sessions_per_scheme = config_.eval_sessions_per_day;
+      trial_config.scenario = scenario;
+      trial_config.seed = trial_seed;
+      trial_config.day = day;
+      trial_config.num_threads = 1;
+      trial_config.stream = config_.stream;
+      // Forward the per-session fault families (TTP inference failures,
+      // session aborts) into the arm's day of sessions.
+      trial_config.faults = config_.faults;
+      SchemeArtifacts artifacts;
+      artifacts.ttp_insitu = deployed_[i];  // aliased, not copied: immutable
+      trials[i] = run_trial(trial_config, artifacts);
+    });
+  }
+  for (std::optional<fugu::TtpTrainer>& trainer : trainers) {
+    for (int step = 0; trainer && step < trainer->num_steps(); step++) {
+      jobs.emplace_back([&trainer, step] { trainer->train_step(step); });
+    }
+  }
+  if (std::any_of(deployed_.begin(), deployed_.end(),
+                  [](const auto& m) { return bool(m); })) {
+    jobs.emplace_back([&] {
+      const fugu::TtpDataset holdout = collect_telemetry(
+          scenario, config_.holdout_sessions_per_day, day,
+          purpose_seed(config_.seed, "campaign/holdout"), /*num_threads=*/1,
+          config_.stream);
+      if (holdout.empty()) {
+        return;
+      }
+      for (size_t i = 0; i < num_arms; i++) {
+        if (deployed_[i]) {
+          evals[i] = evaluate_ttp(*deployed_[i], holdout);
+        }
+      }
+    });
+  }
+  ThreadPool::run(static_cast<int64_t>(jobs.size()),
+                  config_.num_threads <= 0 ? ThreadPool::hardware_threads()
+                                           : config_.num_threads,
+                  [&jobs](const int64_t j) { jobs[static_cast<size_t>(j)](); });
 
-    SchemeArtifacts artifacts;
-    artifacts.ttp_insitu = deployed_[i];  // aliased, not copied: immutable
-    const TrialResult trial = run_trial(trial_config, artifacts);
-    const SchemeResult& result = trial.schemes.front();
-
-    ArmDayStats arm_stats;
-    arm_stats.arm = arm.name;
-    arm_stats.scheme = arm.scheme;
+  for (size_t i = 0; i < num_arms; i++) {
+    const SchemeResult& result = trials[i].schemes.front();
+    ArmDayStats& arm_stats = stats.arms[i];
+    arm_stats.arm = config_.arms[i].name;
+    arm_stats.scheme = config_.arms[i].scheme;
     arm_stats.sessions = result.consort.sessions;
     arm_stats.considered = result.consort.considered;
     double watch_s = 0.0, stall_s = 0.0, ssim_weighted = 0.0, startup_s = 0.0;
@@ -643,63 +716,15 @@ void Campaign::run_one_day(const int day) {
       arm_stats.startup_delay_s =
           startup_s / static_cast<double>(result.considered.size());
     }
-
-    if (deployed_[i]) {
-      arm_stats.has_model = true;
-      if (!holdout.empty()) {
-        const fugu::TtpEvaluation eval = evaluate_ttp(*deployed_[i], holdout);
-        arm_stats.cross_entropy = eval.cross_entropy;
-        arm_stats.top1_accuracy = eval.top1_accuracy;
-        arm_stats.holdout_examples = eval.examples;
-      }
+    arm_stats.has_model = deployed_[i] != nullptr;
+    if (evals[i]) {
+      arm_stats.cross_entropy = evals[i]->cross_entropy;
+      arm_stats.top1_accuracy = evals[i]->top1_accuracy;
+      arm_stats.holdout_examples = evals[i]->examples;
     }
-    stats.arms.push_back(std::move(arm_stats));
-  }
-
-  // 4. Nightly retrain: each learning arm trains on its window over the
-  // shared telemetry, warm-started from the model it streamed with today,
-  // and deploys the result tomorrow (paper section 4.3).
-  for (size_t i = 0; i < config_.arms.size(); i++) {
-    const CampaignArm& arm = config_.arms[i];
-    if (!arm.retrain) {
-      continue;
-    }
-    const Rng train_base = Rng{config_.seed}
-                               .split("campaign/train")
-                               .split(static_cast<uint64_t>(i))
-                               .split(static_cast<uint64_t>(day));
-    const fugu::TtpModel* warm = arm.warm_start ? deployed_[i].get() : nullptr;
-    // Injected retrain crashes: retry with bounded virtual-time backoff, and
-    // on an exhausted budget keep serving yesterday's deployed model (the
-    // degraded path the paper's deployment would take). Attempt 0 draws from
-    // the unmodified train stream so zero-fault campaigns stay byte-identical
-    // to pre-fault builds; retries split a dedicated "retry" branch.
-    ArmDayStats& arm_stats = stats.arms[i];
-    bool trained = false;
-    const int max_attempts = 1 + kRetrainRetries;
-    for (int attempt = 0; attempt < max_attempts; attempt++) {
-      if (config_.faults.draw(sim::kFaultRetrainCrash,
-                              {static_cast<uint64_t>(day),
-                               static_cast<uint64_t>(i),
-                               static_cast<uint64_t>(attempt)})) {
-        arm_stats.retrain_crashes++;
-        arm_stats.retrain_backoff_s += retrain_backoff_s(attempt + 1);
-        continue;
-      }
-      Rng train_rng =
-          attempt == 0
-              ? train_base
-              : train_base.split("retry").split(static_cast<uint64_t>(attempt));
+    if (trainers[i]) {  // tonight's model serves tomorrow
       deployed_[i] = std::make_shared<const fugu::TtpModel>(
-          fugu::train_ttp(arm.ttp, telemetry_.all(), day, arm.train,
-                          train_rng, warm, /*report=*/nullptr,
-                          config_.num_threads));
-      trained = true;
-      break;
-    }
-    if (!trained) {
-      arm_stats.degraded = true;  // tomorrow serves today's model unchanged
-      stats.degraded = true;
+          std::move(*trainers[i]).finish());
     }
   }
 

@@ -57,11 +57,13 @@ struct CampaignConfig {
   /// Fresh held-out sessions per day for evaluate_ttp (TTP cross-entropy).
   int holdout_sessions_per_day = 8;
   uint64_t seed = 1;
-  /// Worker threads for every inner trial and for the nightly retrain,
-  /// which trains the TTP's step networks concurrently (0 = all cores).
-  /// Results and deployed models are bit-identical at any value: every day
-  /// trial runs on the fleet engine and inherits its merge discipline, and
-  /// train_ttp draws its shuffles in serial order before its jobs start.
+  /// Worker threads of each day (0 = all cores). The telemetry trial runs
+  /// on all of them; then one pool of this many workers runs the arm
+  /// trials, the holdout and every retrain's step networks side by side,
+  /// each job on one thread. Results and deployed models are bit-identical
+  /// at any value: every day trial runs on the fleet engine and inherits
+  /// its merge discipline, and each fugu::TtpTrainer draws its shuffles in
+  /// serial order before its jobs start.
   int num_threads = 0;
   /// Directory for the resumable checkpoint + per-day reports. Empty: the
   /// campaign runs in memory only.
@@ -149,7 +151,9 @@ std::string campaign_report_json(const std::vector<DayStats>& days);
 ///   3. evaluates each deployed TTP on fresh held-out telemetry,
 ///   4. retrains every `retrain` arm on its window (warm-started) and
 ///      redeploys the result for the next day,
-/// then checkpoints the full campaign state (telemetry window, models,
+/// with steps 2-4 sharing one thread pool (the retrain reads only the
+/// telemetry of step 1 and the models deployed this morning), then
+/// checkpoints the full campaign state (telemetry window, models,
 /// per-day stats) atomically to checkpoint_dir. A killed campaign resumes
 /// at the first incomplete day and produces bit-identical per-day stats to
 /// an uninterrupted run, at any thread count: every source of randomness is

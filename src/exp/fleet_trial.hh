@@ -59,6 +59,17 @@ struct FleetTrialResult {
   obs::MetricSnapshot metrics;
 };
 
+/// Shards per worker thread of a back-to-back trial. Back-to-back sessions
+/// never overlap, so there is no cross-session batch to keep together, and
+/// more shards than workers let ThreadPool's next-index hand-out even out
+/// the heavy-tailed session lengths.
+inline constexpr int kBackToBackShardsPerThread = 4;
+
+/// The fleet run behind run_trial(config): arrivals so sparse that each
+/// shard streams its sessions back to back, on kBackToBackShardsPerThread
+/// shards per resolved worker thread (one shard at one thread).
+FleetTrialConfig back_to_back(const TrialConfig& config);
+
 FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
                                  const SchemeArtifacts& artifacts);
 FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,

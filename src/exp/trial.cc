@@ -2,6 +2,7 @@
 
 #include "exp/fleet_trial.hh"
 #include "util/require.hh"
+#include "util/thread_pool.hh"
 
 namespace puffer::exp {
 
@@ -32,14 +33,17 @@ namespace {
 /// to back, one live session (and one sampled path) per shard at a time.
 constexpr double kBackToBackArrivalsPerS = 1e-9;
 
+}  // namespace
+
 FleetTrialConfig back_to_back(const TrialConfig& config) {
   FleetTrialConfig fleet;
   fleet.trial = config;
   fleet.arrivals.rate_per_s = kBackToBackArrivalsPerS;
+  const int threads = config.num_threads <= 0 ? ThreadPool::hardware_threads()
+                                              : config.num_threads;
+  fleet.num_shards = threads == 1 ? 1 : kBackToBackShardsPerThread * threads;
   return fleet;
 }
-
-}  // namespace
 
 TrialResult run_trial(const TrialConfig& config,
                       const SchemeArtifacts& artifacts) {

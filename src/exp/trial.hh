@@ -39,8 +39,10 @@ struct TrialConfig {
   int day = 0;  ///< day tag for collected logs
   sim::StreamRunConfig stream;
   /// Worker threads of the fleet engine that runs the trial. 0 means "use
-  /// all hardware threads"; 1 runs every session on the calling thread. Any
-  /// value yields bit-identical TrialResult contents: sessions are
+  /// all hardware threads"; 1 runs every session on the calling thread.
+  /// run_trial gives each of n > 1 workers kBackToBackShardsPerThread
+  /// shards (fleet_trial.hh). Any value yields bit-identical TrialResult
+  /// contents: sessions are
   /// independent given their plan (each derives from
   /// master.split(session_index) and every scheme fully resets per
   /// session), and partial results are merged in session-index order.
@@ -86,8 +88,8 @@ struct TrialResult {
 
 /// Run a randomized controlled trial: sessions are blindly assigned to
 /// schemes, streamed over sampled paths with sampled viewer behaviour, and
-/// accounted per Figure A1. Runs on the fleet engine (run_fleet_trial) with
-/// arrivals so sparse that each shard streams its sessions back to back.
+/// accounted per Figure A1. Runs on the fleet engine: run_fleet_trial of
+/// back_to_back(config).
 TrialResult run_trial(const TrialConfig& config,
                       const SchemeArtifacts& artifacts);
 

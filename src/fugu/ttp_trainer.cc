@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <utility>
 
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
@@ -157,13 +158,15 @@ void shuffle_epochs(std::vector<uint32_t>& rows, const size_t cap,
   }
 }
 
-}  // namespace
-
-TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
-                   const int current_day, const TtpTrainConfig& train_config,
-                   Rng& rng, const TtpModel* warm_start,
-                   TtpTrainReport* report, const int num_threads) {
+const TtpTrainConfig& validated(const TtpTrainConfig& train_config) {
   train_config.validate();
+  return train_config;
+}
+
+/// The model training starts from: drawn from `rng`, then overwritten by
+/// the warm start's weights when there is one.
+TtpModel initial_model(const TtpConfig& config, Rng& rng,
+                       const TtpModel* warm_start) {
   TtpModel model{config, rng.engine()()};
   if (warm_start != nullptr) {
     require(warm_start->config().horizon == config.horizon,
@@ -175,97 +178,115 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
     }
     model.networks() = warm_start->networks();
   }
+  return model;
+}
 
-  const TtpFeatureTable table{config, dataset, current_day,
-                              train_config.window_days,
-                              TtpTrainConfig::kRecencyDecay};
-  require(table.rows() > 0, "train_ttp: no data in training window");
+}  // namespace
+
+TtpTrainer::TtpTrainer(const TtpConfig& config, const TtpDataset& dataset,
+                       const int current_day,
+                       const TtpTrainConfig& train_config, Rng& rng,
+                       const TtpModel* warm_start)
+    : train_config_(validated(train_config)),
+      model_(initial_model(config, rng, warm_start)),
+      table_(config, dataset, current_day, train_config.window_days,
+             TtpTrainConfig::kRecencyDecay) {
+  require(table_.rows() > 0, "train_ttp: no data in training window");
   const auto horizon = static_cast<size_t>(config.horizon);
-  const size_t cap = train_config.max_examples_per_step;
 
-  // Serial pre-pass: make every step's draws in the order one-network-
-  // after-another training makes them, recording where each step starts.
-  // The jobs replay their step's draws from that start, and `rng` ends
-  // where serial training leaves it.
-  std::vector<Rng> step_rngs;
-  step_rngs.reserve(horizon);
-  size_t examples_per_step = 0;
+  // Make every step's draws in the order one-network-after-another
+  // training makes them, recording where each step starts. The jobs replay
+  // their step's draws from that start, and `rng` ends where serial
+  // training leaves it.
+  step_rngs_.reserve(horizon);
   for (size_t step = 0; step < horizon; step++) {
-    std::vector<uint32_t> rows = table.example_rows(static_cast<int>(step));
+    std::vector<uint32_t> rows = table_.example_rows(static_cast<int>(step));
     require(!rows.empty(), "train_ttp: no examples for step");
-    step_rngs.push_back(rng);
-    shuffle_epochs(rows, cap, train_config.epochs, rng,
-                   [](int /*epoch*/) {});
-    examples_per_step = rows.size();
+    step_rngs_.push_back(rng);
+    shuffle_epochs(rows, train_config.max_examples_per_step,
+                   train_config.epochs, rng, [](int /*epoch*/) {});
+    examples_per_step_ = rows.size();
   }
+  losses_.assign(horizon, std::vector<double>(
+                              static_cast<size_t>(train_config.epochs)));
+}
 
-  // losses[step][epoch]: each job writes only its own step's slots.
-  std::vector<std::vector<double>> losses(
-      horizon, std::vector<double>(static_cast<size_t>(train_config.epochs)));
-  ThreadPool::run(
-      config.horizon,
-      num_threads <= 0 ? ThreadPool::hardware_threads() : num_threads,
-      [&](const int64_t job) {
-        const auto step = static_cast<size_t>(job);
-        nn::Mlp& net = model.networks()[step];
-        nn::AdamOptimizer optimizer{TtpTrainConfig::kLearningRate};
-        // Minibatch buffers hoisted out of the inner loop: the tape,
-        // gradients and staging matrices resize in place, so the
-        // steady-state training step allocates nothing.
-        nn::Matrix inputs;
-        nn::Matrix dlogits;
-        nn::Tape tape;
-        nn::Gradients grads = net.make_gradients();
-        std::vector<int> labels;
-        std::vector<float> weights;
+void TtpTrainer::train_step(const int step) {
+  const auto slot = static_cast<size_t>(step);
+  const int horizon = num_steps();
+  nn::Mlp& net = model_.networks()[slot];
+  nn::AdamOptimizer optimizer{TtpTrainConfig::kLearningRate};
+  // Minibatch buffers hoisted out of the inner loop: the tape, gradients
+  // and staging matrices resize in place, so the steady-state training step
+  // allocates nothing.
+  nn::Matrix inputs;
+  nn::Matrix dlogits;
+  nn::Tape tape;
+  nn::Gradients grads = net.make_gradients();
+  std::vector<int> labels;
+  std::vector<float> weights;
 
-        const size_t batch = static_cast<size_t>(train_config.batch_size);
-        std::vector<uint32_t> rows =
-            table.example_rows(static_cast<int>(step));
-        const auto train_epoch = [&](const int epoch) {
-          double epoch_loss = 0.0;
-          size_t batches = 0;
-          for (size_t begin = 0; begin < rows.size(); begin += batch) {
-            const size_t end = std::min(begin + batch, rows.size());
-            const size_t n = end - begin;
-            inputs.resize_no_zero(n, table.input_dim());
-            labels.resize(n);
-            weights.resize(n);
-            for (size_t r = 0; r < n; r++) {
-              const uint32_t row = rows[begin + r];
-              table.copy_inputs(row, static_cast<int>(step),
-                                inputs.data() + r * inputs.cols());
-              labels[r] = table.label(row, static_cast<int>(step));
-              weights[r] = table.weight(row);
-            }
-            net.forward_tape(inputs, tape);
-            const double loss = nn::softmax_cross_entropy(
-                tape.activations.back(), labels, weights, dlogits);
-            grads.zero();
-            net.backward(tape, dlogits, grads);
-            optimizer.step(net, grads);
-            epoch_loss += loss;
-            batches++;
-          }
-          losses[step][static_cast<size_t>(epoch)] =
-              epoch_loss / static_cast<double>(batches) / config.horizon;
-        };
-        shuffle_epochs(rows, cap, train_config.epochs, step_rngs[step],
-                       train_epoch);
-      });
+  const auto batch = static_cast<size_t>(train_config_.batch_size);
+  std::vector<uint32_t> rows = table_.example_rows(step);
+  const auto train_epoch = [&](const int epoch) {
+    double epoch_loss = 0.0;
+    size_t batches = 0;
+    for (size_t begin = 0; begin < rows.size(); begin += batch) {
+      const size_t end = std::min(begin + batch, rows.size());
+      const size_t n = end - begin;
+      inputs.resize_no_zero(n, table_.input_dim());
+      labels.resize(n);
+      weights.resize(n);
+      for (size_t r = 0; r < n; r++) {
+        const uint32_t row = rows[begin + r];
+        table_.copy_inputs(row, step, inputs.data() + r * inputs.cols());
+        labels[r] = table_.label(row, step);
+        weights[r] = table_.weight(row);
+      }
+      net.forward_tape(inputs, tape);
+      const double loss = nn::softmax_cross_entropy(
+          tape.activations.back(), labels, weights, dlogits);
+      grads.zero();
+      net.backward(tape, dlogits, grads);
+      optimizer.step(net, grads);
+      epoch_loss += loss;
+      batches++;
+    }
+    losses_[slot][static_cast<size_t>(epoch)] =
+        epoch_loss / static_cast<double>(batches) / horizon;
+  };
+  shuffle_epochs(rows, train_config_.max_examples_per_step,
+                 train_config_.epochs, step_rngs_[slot], train_epoch);
+}
 
+TtpModel TtpTrainer::finish(TtpTrainReport* report) && {
   if (report != nullptr) {
     // Summed in step order: the floating-point order of serial training.
-    report->loss_per_epoch.assign(static_cast<size_t>(train_config.epochs),
+    report->loss_per_epoch.assign(static_cast<size_t>(train_config_.epochs),
                                   0.0);
-    for (const std::vector<double>& step_losses : losses) {
+    for (const std::vector<double>& step_losses : losses_) {
       for (size_t epoch = 0; epoch < step_losses.size(); epoch++) {
         report->loss_per_epoch[epoch] += step_losses[epoch];
       }
     }
-    report->examples_per_step = examples_per_step;
+    report->examples_per_step = examples_per_step_;
   }
-  return model;
+  return std::move(model_);
+}
+
+TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
+                   const int current_day, const TtpTrainConfig& train_config,
+                   Rng& rng, const TtpModel* warm_start,
+                   TtpTrainReport* report, const int num_threads) {
+  TtpTrainer trainer{config, dataset, current_day, train_config, rng,
+                     warm_start};
+  ThreadPool::run(
+      trainer.num_steps(),
+      num_threads <= 0 ? ThreadPool::hardware_threads() : num_threads,
+      [&trainer](const int64_t step) {
+        trainer.train_step(static_cast<int>(step));
+      });
+  return std::move(trainer).finish(report);
 }
 
 TtpEvaluation evaluate_ttp(const TtpModel& model, const TtpDataset& dataset) {

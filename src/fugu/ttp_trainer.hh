@@ -81,16 +81,50 @@ class TtpFeatureTable {
   std::vector<size_t> stream_ends_;
 };
 
-/// Train a TTP (optionally warm-started from `warm_start`, which must share
-/// the same config) on the dataset's last `window_days` days.
+/// One TTP training run (optionally warm-started from `warm_start`, which
+/// must share the same config) on the dataset's last `window_days` days,
+/// split into one job per step network so a caller can schedule them in
+/// its own thread pool.
 ///
-/// The step networks share no weight, batch or optimizer, so they train
-/// concurrently: min(num_threads, horizon) workers (0 = all cores), one job
-/// per network. The result does not depend on num_threads: every network's
-/// bytes, the report and the position `rng` is left at are those of
-/// training the networks one after another, because every shuffle is drawn
-/// from `rng` in that serial order before the jobs start, and the report's
-/// per-step losses are summed in step order after they finish.
+/// The step networks share no weight, batch or optimizer. The constructor
+/// makes every draw from `rng` in the order one-network-after-another
+/// training makes them: the model seed, then each step's shuffles. So the
+/// result does not depend on which thread runs a step or in what order:
+/// every network's bytes, the report and the position `rng` is left at are
+/// those of training the networks one after another, and finish() sums the
+/// report's per-step losses in step order.
+class TtpTrainer {
+ public:
+  /// The serial pre-pass: validates `train_config`, draws the model seed,
+  /// copies the warm start, featurizes the window and draws every step's
+  /// shuffles. Neither `dataset` nor `warm_start` is read afterwards.
+  TtpTrainer(const TtpConfig& config, const TtpDataset& dataset,
+             int current_day, const TtpTrainConfig& train_config, Rng& rng,
+             const TtpModel* warm_start = nullptr);
+
+  /// One train_step job per step network.
+  [[nodiscard]] int num_steps() const { return model_.config().horizon; }
+
+  /// Train step network `step`, once. Jobs for distinct steps touch
+  /// disjoint state, so they may run concurrently and in any order.
+  void train_step(int step);
+
+  /// The trained model, once every step's job has returned; writes
+  /// `report` when non-null.
+  [[nodiscard]] TtpModel finish(TtpTrainReport* report = nullptr) &&;
+
+ private:
+  TtpTrainConfig train_config_;
+  TtpModel model_;
+  TtpFeatureTable table_;
+  std::vector<Rng> step_rngs_;  ///< where each step's draws start
+  size_t examples_per_step_ = 0;
+  /// losses_[step][epoch]: each job writes only its own step's slots.
+  std::vector<std::vector<double>> losses_;
+};
+
+/// TtpTrainer's jobs on min(num_threads, horizon) workers (0 = all cores).
+/// The result is bit-identical at any num_threads.
 TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
                    int current_day, const TtpTrainConfig& train_config,
                    Rng& rng, const TtpModel* warm_start = nullptr,

@@ -25,10 +25,6 @@ std::atomic<bool> enabled_{true};
 
 #if PUFFER_PROFILING
 
-/// Per-thread event log cap: histograms keep counting past it, only the
-/// trace lanes saturate (dropped_events records how much).
-constexpr size_t kMaxEventsPerThread = 1 << 16;
-
 struct ScopeStats {
   const char* name = nullptr;
   int64_t count = 0;
@@ -57,8 +53,9 @@ struct ThreadData {
 };
 
 struct Registry {
-  Mutex mutex GUARDS(retired, next_ordinal, epoch_ns);
+  Mutex mutex GUARDS(retired, retired_events, next_ordinal, epoch_ns);
   std::vector<ThreadData> retired GUARDED_BY(mutex);
+  size_t retired_events GUARDED_BY(mutex) = 0;  ///< <= kProfMaxRetiredEvents
   int next_ordinal GUARDED_BY(mutex) = 0;
   int64_t epoch_ns GUARDED_BY(mutex) = -1;  ///< first registration's clock
 };
@@ -94,6 +91,13 @@ struct ThreadSlot {
   ~ThreadSlot() {
     Registry& reg = registry();
     const MutexLock lock{reg.mutex};
+    // Keep the earliest events up to the process-wide cap.
+    const size_t room = kProfMaxRetiredEvents - reg.retired_events;
+    if (data.events.size() > room) {
+      data.dropped_events += static_cast<int64_t>(data.events.size() - room);
+      data.events.resize(room);
+    }
+    reg.retired_events += data.events.size();
     reg.retired.push_back(std::move(data));
   }
 };
@@ -168,7 +172,7 @@ ProfScope::~ProfScope() {
   scope.min_ns = std::min(scope.min_ns, dur_ns);
   scope.max_ns = std::max(scope.max_ns, dur_ns);
   scope.buckets[bucket_of(dur_ns)]++;
-  if (data.events.size() < kMaxEventsPerThread) {
+  if (data.events.size() < kProfMaxEventsPerThread) {
     data.events.push_back(RawEvent{name_, start_ns_ - data.epoch_ns, dur_ns});
   } else {
     data.dropped_events++;
@@ -260,6 +264,7 @@ void prof_reset() {
   Registry& reg = registry();
   const MutexLock lock{reg.mutex};
   reg.retired.clear();
+  reg.retired_events = 0;
 #endif
 }
 
@@ -270,6 +275,9 @@ void prof_export_trace(TraceWriter& trace) {
   }
   trace.process_name(kWallTracePid, "wall time (perf)");
   for (const ProfThreadSnapshot& thread : snap.threads) {
+    if (thread.events.empty()) {
+      continue;  // every event dropped at a cap: no lane to name
+    }
     trace.thread_name(kWallTracePid, thread.ordinal,
                       "worker " + std::to_string(thread.ordinal));
     for (const ProfEventCopy& event : thread.events) {

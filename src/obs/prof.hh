@@ -1,6 +1,7 @@
 #ifndef PUFFER_OBS_PROF_HH
 #define PUFFER_OBS_PROF_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -61,6 +62,14 @@ class ProfScope {
 /// Runtime gate (on by default). Disabling skips the clock reads; data
 /// already recorded stays until prof_reset().
 void set_prof_enabled(bool enabled);
+
+/// Event-log caps: a thread keeps at most kProfMaxEventsPerThread events,
+/// and the retired threads together at most kProfMaxRetiredEvents (every
+/// ThreadPool::run spawns fresh threads, so a long run retires many).
+/// Events past a cap are counted in dropped_events; histograms keep
+/// counting.
+inline constexpr size_t kProfMaxEventsPerThread = size_t{1} << 16;
+inline constexpr size_t kProfMaxRetiredEvents = size_t{1} << 18;
 
 /// Power-of-two duration buckets: bucket i counts durations
 /// <= 256ns << i, for i in [0, kProfNumBounds); one overflow bucket after.

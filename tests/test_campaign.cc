@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "exp/campaign.hh"
@@ -184,11 +185,51 @@ TEST(Campaign, FullHorizonRetrainDeploysTheSameModelAtAnyThreadCount) {
     return std::pair{campaign.run().days, deployed_bytes(campaign, "fugu")};
   };
   const auto serial = run_at(1);
-  for (const int threads : {2, 4}) {
+  for (const int threads : {2, 3, 4, 8}) {
     const auto parallel = run_at(threads);
     EXPECT_EQ(parallel.first, serial.first) << threads << " threads";
     EXPECT_EQ(parallel.second, serial.second) << threads << " threads";
   }
+}
+
+/// One faulted day whose retrain crashes leave the warm learner trained on
+/// its first retry and the cold learner degraded: at 1 and 4 threads it
+/// gives the same day record, deployed bytes and metrics.
+TEST(Campaign, FaultedRetrainDayIsTheSameAtAnyThreadCount) {
+  CampaignConfig config = tiny_config();
+  config.phases = {CampaignPhase{net::ScenarioSpec{"puffer"}, 1}};
+  config.faults.enabled = true;
+  config.faults.add(sim::kFaultRetrainCrash, 0.5);
+  // The first fault seed whose day-0 draws crash fugu-warm (arm 1) once
+  // and every attempt of fugu-cold (arm 2).
+  const auto crashes = [&config](const uint64_t arm, const uint64_t attempt) {
+    return config.faults.draw(sim::kFaultRetrainCrash, {0, arm, attempt});
+  };
+  for (config.faults.seed = 0; config.faults.seed < 1000;
+       config.faults.seed++) {
+    if (crashes(1, 0) && !crashes(1, 1) && crashes(2, 0) && crashes(2, 1) &&
+        crashes(2, 2)) {
+      break;
+    }
+  }
+  ASSERT_LT(config.faults.seed, 1000u);
+
+  const auto run_at = [&config](const int threads) {
+    config.num_threads = threads;
+    Campaign campaign{config};
+    const CampaignResult result = campaign.run();
+    return std::tuple{result.days, deployed_bytes(campaign, "fugu-warm"),
+                      deployed_bytes(campaign, "fugu-cold"),
+                      campaign.metrics().to_json()};
+  };
+  const auto serial = run_at(1);
+  const DayStats& day = std::get<0>(serial).front();
+  EXPECT_TRUE(day.degraded);
+  EXPECT_EQ(day.arms[1].retrain_crashes, 1);
+  EXPECT_FALSE(day.arms[1].degraded);
+  EXPECT_EQ(day.arms[2].retrain_crashes, 3);
+  EXPECT_TRUE(day.arms[2].degraded);
+  EXPECT_EQ(run_at(4), serial);
 }
 
 TEST(Campaign, ResumeAfterKillIsBitIdenticalAtTwoThreads) {

@@ -442,6 +442,29 @@ TEST(FleetTrial, MatchesSequentialBaselineInPairedMode) {
   }
 }
 
+/// run_trial's fleet run: kBackToBackShardsPerThread shards per worker (12
+/// at three threads, one at one thread), bit-identical to the serial oracle
+/// in RCT and paired mode, where shard_group colocates each plan's copies.
+TEST(FleetTrial, BackToBackRunsFourShardsPerThread) {
+  for (const bool paired : {false, true}) {
+    SCOPED_TRACE(paired ? "paired" : "rct");
+    exp::TrialConfig trial = fleet_config().trial;
+    trial.paired_paths = paired;
+    const exp::TrialResult sequential =
+        run_sessions_in_order(trial, fleet_factory());
+    for (const int threads : {1, 3}) {
+      trial.num_threads = threads;
+      const exp::FleetTrialConfig config = exp::back_to_back(trial);
+      EXPECT_EQ(config.num_shards, threads == 1 ? 1 : 4 * threads);
+      const exp::FleetTrialResult fleet =
+          exp::run_fleet_trial(config, fleet_factory());
+      EXPECT_EQ(fleet.fleet.num_shards, config.num_shards);
+      EXPECT_EQ(fleet.fleet.num_workers, threads);
+      expect_identical(sequential, fleet.trial);
+    }
+  }
+}
+
 /// Acceptance criterion (b): bit-identical results at any thread count —
 /// including the load series the engine records. Pinned to four shards so
 /// the runs really are threaded and the batching counters are comparable

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "fugu/batch_ttp.hh"
@@ -9,6 +10,7 @@
 #include "fugu/fugu.hh"
 #include "fugu/ttp.hh"
 #include "fugu/ttp_trainer.hh"
+#include "nn/serialize.hh"
 #include "oracles/ttp_reference.hh"
 #include "test_helpers.hh"
 #include "util/require.hh"
@@ -325,6 +327,53 @@ TEST(TtpTraining, EveryStepNetworkIsPinnedAtAnyThreadCount) {
     EXPECT_EQ(train_and_pin(TtpConfig{}, capped, threads),
               (TrainingPin{9057663497613872282ULL, 12949721035150882564ULL,
                            16271660297312410432ULL}));
+  }
+}
+
+/// Every step network's serialized bytes, concatenated in step order.
+std::string network_bytes(const TtpModel& model) {
+  std::ostringstream bytes;
+  for (const nn::Mlp& net : model.networks()) {
+    nn::save_mlp(net, bytes);
+  }
+  return bytes.str();
+}
+
+/// The trainer's jobs, run on one thread in reverse step order, hand back
+/// what train_ttp does at 1 and 4 threads: every network's bytes, the same
+/// report (losses compared exactly) and the caller's stream at the same
+/// position. The cap truncates steps 0-1 only, so the steps differ in size.
+TEST(TtpTraining, TrainerJobsInAnyOrderMatchTrainTtp) {
+  TtpDataset dataset = synthetic_dataset(30, 30);
+  for (size_t s = 0; s < dataset.size(); s++) {
+    dataset[s].day = static_cast<int>(s % 3);
+  }
+  const TtpConfig config;
+  const TtpTrainConfig train{
+      .epochs = 2, .batch_size = 64, .max_examples_per_step = 1150};
+  const TtpModel warm_start{config, 5};
+
+  Rng rng{31};
+  TtpTrainer trainer{config, dataset, /*current_day=*/2, train, rng,
+                     &warm_start};
+  ASSERT_EQ(trainer.num_steps(), config.horizon);
+  for (int step = trainer.num_steps() - 1; step >= 0; step--) {
+    trainer.train_step(step);
+  }
+  TtpTrainReport report;
+  const TtpModel model = std::move(trainer).finish(&report);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    Rng expected_rng{31};
+    TtpTrainReport expected_report;
+    const TtpModel expected =
+        train_ttp(config, dataset, /*current_day=*/2, train, expected_rng,
+                  &warm_start, &expected_report, threads);
+    EXPECT_EQ(network_bytes(model), network_bytes(expected));
+    EXPECT_EQ(report.loss_per_epoch, expected_report.loss_per_epoch);
+    EXPECT_EQ(report.examples_per_step, expected_report.examples_per_step);
+    EXPECT_EQ(Rng{rng}.engine()(), expected_rng.engine()());
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -343,6 +344,57 @@ TEST(Prof, ExportTraceEmitsWallLanes) {
   } else {
     EXPECT_EQ(trace.event_count(), 0u);
   }
+  obs::prof_reset();
+}
+
+/// Threads that run one after another, each overflowing its own event cap:
+/// together the retired threads keep kProfMaxRetiredEvents events, the
+/// earliest first, and count the rest as dropped, while the histograms
+/// count every scope.
+TEST(Prof, RetiredEventsAreCappedProcessWide) {
+  obs::prof_reset();
+  obs::set_prof_enabled(true);
+  constexpr size_t kThreads = 5;
+  constexpr size_t kPerThread = obs::kProfMaxEventsPerThread + 100;
+  static_assert((kThreads - 1) * obs::kProfMaxEventsPerThread >=
+                obs::kProfMaxRetiredEvents);
+  for (size_t t = 0; t < kThreads; t++) {
+    std::thread{[] {
+      for (size_t i = 0; i < kPerThread; i++) {
+        const obs::ProfScope scope{"capped.scope"};
+      }
+    }}.join();
+  }
+  const obs::ProfSnapshot snapshot = obs::prof_snapshot();
+  if (!obs::kProfilingCompiled) {
+    EXPECT_TRUE(snapshot.threads.empty());
+    return;
+  }
+  ASSERT_EQ(snapshot.threads.size(), kThreads);
+  size_t kept = 0;
+  int64_t dropped = 0;
+  for (const obs::ProfThreadSnapshot& thread : snapshot.threads) {
+    EXPECT_LE(thread.events.size(), obs::kProfMaxEventsPerThread);
+    kept += thread.events.size();
+    dropped += thread.dropped_events;
+  }
+  EXPECT_EQ(kept, obs::kProfMaxRetiredEvents);
+  EXPECT_EQ(kept + static_cast<size_t>(dropped), kThreads * kPerThread);
+  EXPECT_EQ(snapshot.threads.front().events.size(),
+            obs::kProfMaxEventsPerThread);
+  EXPECT_TRUE(snapshot.threads.back().events.empty());
+  const std::vector<obs::ProfScopeStats> merged = snapshot.merged();
+  const obs::ProfScopeStats* stats =
+      obs::ProfSnapshot::find(merged, "capped.scope");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->count, static_cast<int64_t>(kThreads * kPerThread));
+
+  // A reset frees the budget for the threads that follow.
+  obs::prof_reset();
+  std::thread{[] { const obs::ProfScope scope{"capped.scope"}; }}.join();
+  const obs::ProfSnapshot after = obs::prof_snapshot();
+  ASSERT_EQ(after.threads.size(), 1u);
+  EXPECT_EQ(after.threads.front().events.size(), 1u);
   obs::prof_reset();
 }
 
