@@ -638,37 +638,22 @@ void Campaign::run_one_day(const int day) {
     }
   }
 
-  // 3. One pool for the rest of the day, roughly longest jobs first: one
-  // day of sessions per arm with the deployed scheme/model, every
-  // retrain's step networks, and fresh held-out telemetry (never trained
-  // on) on which each deployed TTP is evaluated. Every job runs on one
-  // thread and writes only its own slots; none reads a trainer's model, and
-  // deployed_ changes only after the join. All arms share the day's seed,
-  // so they stream paired session plans.
+  // 3. One pool for the rest of the day: every retrain's step networks
+  // first (they cannot be split), then fresh held-out telemetry (never
+  // trained on) on which each deployed TTP is evaluated, then one day of
+  // sessions per arm with the deployed scheme/model. The holdout and the
+  // arm trials run their fleet shards as nested runs on the same workers
+  // (ThreadPool::run), so a worker without a job of its own helps them and
+  // the day never has more than num_threads workers. Every job writes only
+  // its own slots; none reads a trainer's model, and deployed_ changes only
+  // after the join. All arms share the day's seed, so they stream paired
+  // session plans.
   const uint64_t trial_seed =
       mix64(purpose_seed(config_.seed, "campaign/trial") +
             static_cast<uint64_t>(day) * 7919);
   std::vector<TrialResult> trials(num_arms);
   std::vector<std::optional<fugu::TtpEvaluation>> evals(num_arms);
   std::vector<std::function<void()>> jobs;
-  for (size_t i = 0; i < num_arms; i++) {
-    jobs.emplace_back([&, i] {
-      TrialConfig trial_config;
-      trial_config.schemes = {config_.arms[i].scheme};
-      trial_config.sessions_per_scheme = config_.eval_sessions_per_day;
-      trial_config.scenario = scenario;
-      trial_config.seed = trial_seed;
-      trial_config.day = day;
-      trial_config.num_threads = 1;
-      trial_config.stream = config_.stream;
-      // Forward the per-session fault families (TTP inference failures,
-      // session aborts) into the arm's day of sessions.
-      trial_config.faults = config_.faults;
-      SchemeArtifacts artifacts;
-      artifacts.ttp_insitu = deployed_[i];  // aliased, not copied: immutable
-      trials[i] = run_trial(trial_config, artifacts);
-    });
-  }
   for (std::optional<fugu::TtpTrainer>& trainer : trainers) {
     for (int step = 0; trainer && step < trainer->num_steps(); step++) {
       jobs.emplace_back([&trainer, step] { trainer->train_step(step); });
@@ -679,7 +664,7 @@ void Campaign::run_one_day(const int day) {
     jobs.emplace_back([&] {
       const fugu::TtpDataset holdout = collect_telemetry(
           scenario, config_.holdout_sessions_per_day, day,
-          purpose_seed(config_.seed, "campaign/holdout"), /*num_threads=*/1,
+          purpose_seed(config_.seed, "campaign/holdout"), config_.num_threads,
           config_.stream);
       if (holdout.empty()) {
         return;
@@ -691,9 +676,26 @@ void Campaign::run_one_day(const int day) {
       }
     });
   }
+  for (size_t i = 0; i < num_arms; i++) {
+    jobs.emplace_back([&, i] {
+      TrialConfig trial_config;
+      trial_config.schemes = {config_.arms[i].scheme};
+      trial_config.sessions_per_scheme = config_.eval_sessions_per_day;
+      trial_config.scenario = scenario;
+      trial_config.seed = trial_seed;
+      trial_config.day = day;
+      trial_config.num_threads = config_.num_threads;
+      trial_config.stream = config_.stream;
+      // Forward the per-session fault families (TTP inference failures,
+      // session aborts) into the arm's day of sessions.
+      trial_config.faults = config_.faults;
+      SchemeArtifacts artifacts;
+      artifacts.ttp_insitu = deployed_[i];  // aliased, not copied: immutable
+      trials[i] = run_trial(trial_config, artifacts);
+    });
+  }
   ThreadPool::run(static_cast<int64_t>(jobs.size()),
-                  config_.num_threads <= 0 ? ThreadPool::hardware_threads()
-                                           : config_.num_threads,
+                  ThreadPool::resolve(config_.num_threads),
                   [&jobs](const int64_t j) { jobs[static_cast<size_t>(j)](); });
 
   for (size_t i = 0; i < num_arms; i++) {

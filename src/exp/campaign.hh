@@ -58,9 +58,10 @@ struct CampaignConfig {
   int holdout_sessions_per_day = 8;
   uint64_t seed = 1;
   /// Worker threads of each day (0 = all cores). The telemetry trial runs
-  /// on all of them; then one pool of this many workers runs the arm
-  /// trials, the holdout and every retrain's step networks side by side,
-  /// each job on one thread. Results and deployed models are bit-identical
+  /// on all of them; then one pool of this many workers runs every
+  /// retrain's step networks, the holdout and the arm trials side by side,
+  /// and workers without a job of their own help the holdout's and the
+  /// trials' fleet shards. Results and deployed models are bit-identical
   /// at any value: every day trial runs on the fleet engine and inherits
   /// its merge discipline, and each fugu::TtpTrainer draws its shuffles in
   /// serial order before its jobs start.

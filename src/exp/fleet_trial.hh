@@ -67,7 +67,7 @@ inline constexpr int kBackToBackShardsPerThread = 4;
 
 /// The fleet run behind run_trial(config): arrivals so sparse that each
 /// shard streams its sessions back to back, on kBackToBackShardsPerThread
-/// shards per resolved worker thread (one shard at one thread).
+/// shards per resolved worker thread.
 FleetTrialConfig back_to_back(const TrialConfig& config);
 
 FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,

@@ -39,9 +39,8 @@ FleetTrialConfig back_to_back(const TrialConfig& config) {
   FleetTrialConfig fleet;
   fleet.trial = config;
   fleet.arrivals.rate_per_s = kBackToBackArrivalsPerS;
-  const int threads = config.num_threads <= 0 ? ThreadPool::hardware_threads()
-                                              : config.num_threads;
-  fleet.num_shards = threads == 1 ? 1 : kBackToBackShardsPerThread * threads;
+  fleet.num_shards =
+      kBackToBackShardsPerThread * ThreadPool::resolve(config.num_threads);
   return fleet;
 }
 

@@ -40,10 +40,9 @@ struct TrialConfig {
   sim::StreamRunConfig stream;
   /// Worker threads of the fleet engine that runs the trial. 0 means "use
   /// all hardware threads"; 1 runs every session on the calling thread.
-  /// run_trial gives each of n > 1 workers kBackToBackShardsPerThread
-  /// shards (fleet_trial.hh). Any value yields bit-identical TrialResult
-  /// contents: sessions are
-  /// independent given their plan (each derives from
+  /// run_trial gives each of n workers kBackToBackShardsPerThread shards
+  /// (fleet_trial.hh). Any value yields bit-identical TrialResult contents:
+  /// sessions are independent given their plan (each derives from
   /// master.split(session_index) and every scheme fully resets per
   /// session), and partial results are merged in session-index order.
   int num_threads = 0;

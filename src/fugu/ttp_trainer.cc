@@ -282,7 +282,7 @@ TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
                      warm_start};
   ThreadPool::run(
       trainer.num_steps(),
-      num_threads <= 0 ? ThreadPool::hardware_threads() : num_threads,
+      ThreadPool::resolve(num_threads),
       [&trainer](const int64_t step) {
         trainer.train_step(static_cast<int>(step));
       });

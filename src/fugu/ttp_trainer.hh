@@ -123,8 +123,9 @@ class TtpTrainer {
   std::vector<std::vector<double>> losses_;
 };
 
-/// TtpTrainer's jobs on min(num_threads, horizon) workers (0 = all cores).
-/// The result is bit-identical at any num_threads.
+/// TtpTrainer's jobs, one per step network, on one ThreadPool::run of
+/// num_threads workers (0 = all cores). The result is bit-identical at any
+/// num_threads.
 TtpModel train_ttp(const TtpConfig& config, const TtpDataset& dataset,
                    int current_day, const TtpTrainConfig& train_config,
                    Rng& rng, const TtpModel* warm_start = nullptr,

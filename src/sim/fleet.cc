@@ -301,8 +301,7 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
 }
 
 int FleetEngine::resolved_num_threads() const {
-  return std::max(1, config_.num_threads <= 0 ? ThreadPool::hardware_threads()
-                                              : config_.num_threads);
+  return ThreadPool::resolve(config_.num_threads);
 }
 
 int FleetEngine::resolved_num_shards() const {

@@ -92,9 +92,10 @@ class FleetTask {
 struct FleetConfig {
   /// Worker threads. 0 = all hardware threads. Each worker drives whole
   /// shards, so at most num_shards workers are used; with one worker the
-  /// shards run in order on the calling thread. Any value yields
-  /// bit-identical per-session results: tasks are independent and results
-  /// land in pre-indexed slots.
+  /// shards run in order on the calling thread; a run called from inside
+  /// a ThreadPool::run job queues its shards on that run's workers. Any
+  /// value yields bit-identical per-session results: tasks are independent
+  /// and results land in pre-indexed slots.
   int num_threads = 1;
   /// Event-queue shards. Sessions are assigned to shards by session index
   /// (see shard_group); each shard owns its own event queue, virtual clock,
@@ -130,7 +131,9 @@ struct FleetRunStats {
   int64_t gemm_calls = 0;        ///< fused forward passes run
   int64_t inline_decisions = 0;  ///< decisions that ran inference inline
   int num_shards = 0;            ///< event-queue shards the run used
-  int num_workers = 0;           ///< worker threads the run used
+  /// Worker threads the run asked for; a run nested in another
+  /// ThreadPool::run job shares that run's workers instead.
+  int num_workers = 0;
   double virtual_duration_s = 0.0;  ///< global time of the last event
   stats::LoadSeries load;  ///< concurrent sessions over virtual time
   /// Sim-plane metric snapshots (obs::MetricRegistry): one per shard in

@@ -442,8 +442,8 @@ TEST(FleetTrial, MatchesSequentialBaselineInPairedMode) {
   }
 }
 
-/// run_trial's fleet run: kBackToBackShardsPerThread shards per worker (12
-/// at three threads, one at one thread), bit-identical to the serial oracle
+/// run_trial's fleet run: kBackToBackShardsPerThread shards per worker (4
+/// at one thread, 12 at three), bit-identical to the serial oracle
 /// in RCT and paired mode, where shard_group colocates each plan's copies.
 TEST(FleetTrial, BackToBackRunsFourShardsPerThread) {
   for (const bool paired : {false, true}) {
@@ -455,7 +455,7 @@ TEST(FleetTrial, BackToBackRunsFourShardsPerThread) {
     for (const int threads : {1, 3}) {
       trial.num_threads = threads;
       const exp::FleetTrialConfig config = exp::back_to_back(trial);
-      EXPECT_EQ(config.num_shards, threads == 1 ? 1 : 4 * threads);
+      EXPECT_EQ(config.num_shards, 4 * threads);
       const exp::FleetTrialResult fleet =
           exp::run_fleet_trial(config, fleet_factory());
       EXPECT_EQ(fleet.fleet.num_shards, config.num_shards);

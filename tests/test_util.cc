@@ -11,6 +11,7 @@
 #include <random>
 #include <stdexcept>
 #include <span>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -546,6 +547,78 @@ TEST(ThreadPool, RunWithOneWorkerRunsInOrderOnCallingThread) {
     });
     EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4})) << threads;
   }
+}
+
+TEST(ThreadPool, NestedRunsShareTheOuterWorkers) {
+  // Three outer jobs on four workers, each nesting 20 jobs that ask for
+  // eight: every nested index runs once, and all of it runs on the four
+  // outer workers (a nested run starts no thread of its own).
+  constexpr int64_t kOuter = 3;
+  constexpr int64_t kInner = 20;
+  std::vector<std::thread::id> ran_on(kOuter * (kInner + 1));
+  std::vector<int> runs(kOuter * kInner, 0);
+  ThreadPool::run(kOuter, 4, [&](const int64_t outer) {
+    ran_on[static_cast<size_t>(outer)] = std::this_thread::get_id();
+    ThreadPool::run(kInner, 8, [&, outer](const int64_t inner) {
+      const auto slot = static_cast<size_t>(outer * kInner + inner);
+      runs[slot]++;
+      ran_on[kOuter + slot] = std::this_thread::get_id();
+    });
+  });
+  EXPECT_EQ(runs, std::vector<int>(kOuter * kInner, 1));
+  std::sort(ran_on.begin(), ran_on.end());
+  const auto distinct = std::unique(ran_on.begin(), ran_on.end());
+  EXPECT_LE(distinct - ran_on.begin(), 4);
+  EXPECT_EQ(std::find(ran_on.begin(), distinct, std::this_thread::get_id()),
+            distinct);  // the outermost caller only waits
+}
+
+TEST(ThreadPool, IdleWorkerHelpsANestedRun) {
+  // One outer job nests four; its worker takes nested job 0, which waits
+  // until another nested job has started. Only an outer worker that had no
+  // job of its own can start it.
+  std::atomic<bool> helped{false};
+  ThreadPool::run(2, 3, [&helped](const int64_t outer) {
+    if (outer != 0) {
+      return;
+    }
+    const std::thread::id owner = std::this_thread::get_id();
+    ThreadPool::run(4, 3, [&helped, owner](const int64_t inner) {
+      if (inner != 0) {
+        if (std::this_thread::get_id() != owner) {
+          helped.store(true);
+        }
+        return;
+      }
+      // At most ~20 s, so a pool that never helps fails instead of hanging.
+      for (int wait_ms = 0; wait_ms < 20000 && !helped.load(); wait_ms++) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  EXPECT_TRUE(helped.load());
+}
+
+TEST(ThreadPool, NestedRunRethrowsItsLowestFailingIndex) {
+  std::vector<std::string> caught(2);
+  ThreadPool::run(2, 2, [&caught](const int64_t outer) {
+    try {
+      ThreadPool::run(6, 2, [outer](const int64_t inner) {
+        if (inner >= 2 + outer) {
+          throw std::runtime_error("job-" + std::to_string(inner));
+        }
+      });
+    } catch (const std::runtime_error& error) {
+      caught[static_cast<size_t>(outer)] = error.what();
+    }
+  });
+  EXPECT_EQ(caught, (std::vector<std::string>{"job-2", "job-3"}));
+}
+
+TEST(ThreadPool, ResolveMapsZeroAndNegativeToAllCores) {
+  EXPECT_EQ(ThreadPool::resolve(3), 3);
+  EXPECT_EQ(ThreadPool::resolve(0), ThreadPool::hardware_threads());
+  EXPECT_EQ(ThreadPool::resolve(-1), ThreadPool::hardware_threads());
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
