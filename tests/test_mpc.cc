@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -440,6 +441,106 @@ TEST(Mpc, PortableAndAvx2SweepsBitwiseIdentical) {
   std::string avx2;
   sweep_trial_bits(/*check_reference=*/false, avx2);
   EXPECT_TRUE(avx2 == portable) << "the AVX2 sweep planned other bits";
+}
+
+/// Pins every plan of the shapes the fleet plans with, bit for bit
+/// (stable_hash of shaped_plan_bits).
+constexpr uint64_t kShapedPlansHash = 7105206536753119000ULL;
+
+/// A distribution shaped like the TTP's softmax: all 21 grid rows in
+/// ascending order, peaked at the point estimate size / bps. Its tails fall
+/// below MpcConfig::prune_probability, so after pruning each rung keeps its
+/// own run of rows and some rows are missing from some rungs.
+TxTimeDistribution ttp_shaped(const int64_t size, const double bps,
+                              const double spread) {
+  const double center = static_cast<double>(size) / bps;
+  TxTimeDistribution dist;
+  double mass = 0.0;
+  for (const double time_s : kTtpBinMidpointsS) {
+    const double d = (time_s - center) / spread;
+    const double w = 1.0 / ((1.0 + d * d) * (1.0 + d * d) * (1.0 + d * d));
+    dist.push_back({time_s, w});
+    mass += w;
+  }
+  for (auto& outcome : dist) {
+    outcome.probability /= mass;
+  }
+  return dist;
+}
+
+/// Plans 150 decisions with TTP-shaped distributions, the harmonic-mean
+/// predictor's point masses (times up to its 60 s clamp, far above the
+/// 15 s buffer) and steps alternating between the two. Horizons run 1-5,
+/// lookaheads may be shorter than the horizon, bins are 0.25 s, 0.02 s or
+/// 0.7 s, buffers sit on bin edges, at 0 and 15 s or between, and the
+/// previous SSIM is sometimes absent (< 0). Appends every plan's rung,
+/// value and root values, bit for bit, to `plan_bits`.
+void shaped_plan_bits(std::string& plan_bits) {
+  Rng meta{3030};
+  for (int trial = 0; trial < 150; trial++) {
+    MpcConfig config;
+    config.horizon = 1 + trial % 5;
+    config.lambda = meta.uniform(0.0, 2.0);
+    config.buffer_bin_s = trial % 6 == 4 ? 0.02 : trial % 6 == 5 ? 0.7 : 0.25;
+    const auto lookahead =
+        make_lookahead(std::max(1, config.horizon - (trial / 5) % 3));
+    constexpr std::array<double, 6> kMbps = {0.1, 0.4, 1.0, 3.0, 8.0, 25.0};
+    const double bps =
+        kMbps[static_cast<size_t>(meta.uniform_int(0, 5))] *
+        meta.uniform(0.8, 1.25) * 1e6 / 8.0;
+    const double spread = meta.uniform(0.2, 3.0);
+
+    AbrObservation obs;
+    const int edges =
+        static_cast<int>(std::ceil(media::kMaxBufferS / config.buffer_bin_s));
+    obs.buffer_s =
+        trial % 4 == 0 ? static_cast<double>(meta.uniform_int(0, edges)) *
+                             config.buffer_bin_s
+        : trial % 4 == 1 ? (meta.bernoulli(0.5) ? 0.0 : media::kMaxBufferS)
+                         : meta.uniform(0.0, media::kMaxBufferS);
+    obs.prev_ssim_db = trial % 3 == 0 ? -1.0 : meta.uniform(9.0, 17.0);
+
+    StochasticMpc mpc{config};
+    int rung = 0;
+    const int kind = trial % 7 % 3;
+    if (kind == 1) {
+      HarmonicMeanPredictor predictor;
+      for (int i = 0; i < 5; i++) {
+        predictor.on_chunk_complete(
+            record_at_throughput(i, 1e6, bps * meta.uniform(0.7, 1.4)));
+      }
+      predictor.begin_decision(obs);
+      rung = mpc.plan(obs, lookahead, predictor);
+    } else {
+      ScriptedPredictor predictor{
+          [kind, bps, spread](const int step, const int64_t size) {
+            if (kind == 2 && step % 2 == 1) {
+              return TxTimeDistribution{
+                  {std::min(static_cast<double>(size) / bps, 60.0), 1.0}};
+            }
+            return ttp_shaped(size, bps, spread);
+          }};
+      rung = mpc.plan(obs, lookahead, predictor);
+    }
+    append_bits(plan_bits, rung);
+    append_bits(plan_bits, mpc.last_plan_value());
+    for (const double root : mpc.last_root_values()) {
+      append_bits(plan_bits, root);
+    }
+  }
+}
+
+/// The fleet's plan shapes, through both copies of the sweep.
+TEST(Mpc, TtpAndHmShapedPlansArePinned) {
+  std::string portable;
+  {
+    test::ForcePortableGuard guard;
+    shaped_plan_bits(portable);
+  }
+  EXPECT_EQ(stable_hash(portable), kShapedPlansHash);
+  std::string active;
+  shaped_plan_bits(active);
+  EXPECT_EQ(stable_hash(active), kShapedPlansHash);
 }
 
 /// buffer_to_bin's inline rounding is std::lround on every value it can
