@@ -40,6 +40,34 @@ void prune_distribution(TxTimeDistribution& dist, const double min_probability) 
   }
 }
 
+/// The kTtpBinMidpointsS row whose time is exactly `tx_time_s`, or -1. The
+/// grid's times are 0.125 s, then k/2 s for k = 1..19, then 10.5 s, so the
+/// candidate row is 2t rounded and clamped to the grid (NaN goes to the last
+/// row, whose check then fails). The static_assert below pins that every
+/// grid time finds its own row.
+constexpr int grid_row(const double tx_time_s) {
+  constexpr int kLastRow = static_cast<int>(kTtpBinMidpointsS.size()) - 1;
+  const double twice = 2.0 * tx_time_s;
+  int row = kLastRow;
+  if (twice < 0.5) {
+    row = 0;
+  } else if (twice < kLastRow + 0.5) {
+    row = static_cast<int>(twice + 0.5);
+  }
+  return kTtpBinMidpointsS[static_cast<size_t>(row)] == tx_time_s ? row : -1;
+}
+
+static_assert(
+    [] {
+      for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
+        if (grid_row(kTtpBinMidpointsS[row]) != static_cast<int>(row)) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "grid_row must find every kTtpBinMidpointsS time in its own row");
+
 /// The AVX2 sweep when it was compiled in and the CPU runs it, else nullptr.
 /// The cpuid check runs here, at the baseline ISA, once per process.
 const detail::SweepKernels* avx2_sweep() {
@@ -67,16 +95,28 @@ std::string mpc_active_path() {
 StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
   require(config_.horizon >= 1, "StochasticMpc: horizon must be >= 1");
   require(config_.buffer_bin_s > 0.0, "StochasticMpc: bin size must be > 0");
+  // The merged-row fold weights a row a rung lacks by 0, which adds nothing
+  // only while every value and stall cost is finite.
+  require(std::isfinite(config_.lambda), "StochasticMpc: lambda must be finite");
+  require(std::isfinite(config_.mu) && config_.mu >= 0.0,
+          "StochasticMpc: mu must be finite and >= 0");
+  require(config_.prune_probability >= 0.0 && config_.prune_probability < 1.0,
+          "StochasticMpc: prune_probability must be in [0, 1)");
   const double num_bins = std::ceil(media::kMaxBufferS / config_.buffer_bin_s);
   require(num_bins <= std::numeric_limits<uint16_t>::max(),
           "StochasticMpc: bin size too small for the next-bin table");
   num_bins_ = static_cast<int>(num_bins);
   const size_t bins = static_cast<size_t>(num_bins_ + 1);
-  next_bin_.resize((kTtpBinMidpointsS.size() + 1) * bins);
-  next_bin_runs_.resize(kTtpBinMidpointsS.size() + 1);
+  next_bin_.resize(kTtpBinMidpointsS.size() * bins);
   for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
-    fill_next_bin_row(kTtpBinMidpointsS[row], row);
+    for (int b = 0; b <= num_bins_; b++) {
+      next_bin_[row * bins + static_cast<size_t>(b)] = static_cast<uint16_t>(
+          landing_bin(b * config_.buffer_bin_s, kTtpBinMidpointsS[row]));
+    }
   }
+  reached_.assign(bins, 0);
+  value_cur_.resize(bins);
+  value_next_.resize(bins);
 }
 
 int StochasticMpc::buffer_to_bin(const double buffer_s) const {
@@ -84,44 +124,12 @@ int StochasticMpc::buffer_to_bin(const double buffer_s) const {
   return round_nonnegative(clamped / config_.buffer_bin_s);
 }
 
-void StochasticMpc::fill_next_bin_row(const double tx_time_s,
-                                      const size_t row) {
-  uint16_t* const next_bin =
-      next_bin_.data() + row * static_cast<size_t>(num_bins_ + 1);
-  for (int b = 0; b <= num_bins_; b++) {
-    const double buffer_s = b * config_.buffer_bin_s;
-    const double next_buffer =
-        std::min(std::max(buffer_s - tx_time_s, 0.0) + media::kChunkDurationS,
-                 media::kMaxBufferS);
-    next_bin[b] = static_cast<uint16_t>(buffer_to_bin(next_buffer));
-  }
-
-  // Each run is checked against the row it summarizes, never assumed from
-  // the arithmetic: the clamped top, a rounding flip on an off-grid time or
-  // a bin width that does not divide the buffer falls to the tail.
-  detail::NextBinRuns& runs = next_bin_runs_[row];
-  int b = 0;
-  while (b <= num_bins_ && tx_time_s > b * config_.buffer_bin_s &&
-         next_bin[b] == next_bin[0]) {
-    b++;
-  }
-  runs.stall_end = b;
-  runs.shift = b <= num_bins_ ? next_bin[b] - b : 0;
-  while (b <= num_bins_ && !(tx_time_s > b * config_.buffer_bin_s) &&
-         next_bin[b] - b == runs.shift) {
-    b++;
-  }
-  runs.shift_end = b;
-}
-
-size_t StochasticMpc::next_bin_row(const double tx_time_s) {
-  const size_t row = static_cast<size_t>(
-      std::find(kTtpBinMidpointsS.begin(), kTtpBinMidpointsS.end(), tx_time_s) -
-      kTtpBinMidpointsS.begin());
-  if (row == kTtpBinMidpointsS.size()) {
-    fill_next_bin_row(tx_time_s, row);
-  }
-  return row;
+int StochasticMpc::landing_bin(const double buffer_s,
+                               const double tx_time_s) const {
+  const double next_buffer =
+      std::min(std::max(buffer_s - tx_time_s, 0.0) + media::kChunkDurationS,
+               media::kMaxBufferS);
+  return buffer_to_bin(next_buffer);
 }
 
 double StochasticMpc::chunk_qoe(const double ssim_db, const double prev_ssim_db,
@@ -157,27 +165,148 @@ void StochasticMpc::prepare_plan(
   }
 }
 
-int StochasticMpc::plan_root(const AbrObservation& obs,
-                             const std::span<const double> next_values) {
+uint32_t StochasticMpc::merged_row_mask(const int step) const {
+  constexpr int R = media::kNumRungs;
+  uint32_t mask = 0;
+  for (int action = 0; action < R; action++) {
+    int last_row = -1;
+    for (const TxTimeOutcome& outcome : distribution(step, action)) {
+      const int row = grid_row(outcome.time_s);
+      if (row <= last_row) {  // off the grid (-1), repeated or descending
+        return 0;
+      }
+      mask |= uint32_t{1} << row;
+      last_row = row;
+    }
+  }
+  return mask;
+}
+
+int StochasticMpc::merge_rows(const int step, const uint32_t row_mask) {
+  constexpr int R = media::kNumRungs;
+  const size_t bins = static_cast<size_t>(num_bins_ + 1);
+  // slot[row]: the row's place among the mask's rows, ascending.
+  std::array<int, kTtpBinMidpointsS.size()> slot{};
+  int num_rows = 0;
+  for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
+    if ((row_mask >> row & 1U) != 0) {
+      slot[row] = num_rows;
+      merged_rows_[static_cast<size_t>(num_rows++)] = {
+          detail::RungLanes{}, kTtpBinMidpointsS[row],
+          next_bin_.data() + row * bins};
+    }
+  }
+  for (int action = 0; action < R; action++) {
+    for (const TxTimeOutcome& outcome : distribution(step, action)) {
+      const auto row = static_cast<size_t>(grid_row(outcome.time_s));
+      merged_rows_[static_cast<size_t>(slot[row])].probability.lane[action] =
+          outcome.probability;
+    }
+  }
+  return num_rows;
+}
+
+int StochasticMpc::close_reachable_set() {
+  for (int b = 0; b <= num_bins_; b++) {
+    if (reached_[static_cast<size_t>(b)] != 0) {
+      reachable_.push_back(b);
+      reached_[static_cast<size_t>(b)] = 0;
+    }
+  }
+  return static_cast<int>(reachable_.size());
+}
+
+void StochasticMpc::collect_reachable(const AbrObservation& obs) {
+  constexpr int R = media::kNumRungs;
+  const size_t bins = static_cast<size_t>(num_bins_ + 1);
+  steps_.assign(static_cast<size_t>(effective_horizon_), StepSweep{});
+  reachable_.clear();
+  if (effective_horizon_ == 1) {
+    return;
+  }
+  // S_1: the bins the root's outcomes land in, by plan_root's expression.
+  for (int action = 0; action < R; action++) {
+    for (const TxTimeOutcome& outcome : distribution(0, action)) {
+      reached_[static_cast<size_t>(landing_bin(obs.buffer_s,
+                                               outcome.time_s))] = 1;
+    }
+  }
+  steps_[1].bins_end = close_reachable_set();
+
+  for (int step = 1; step < effective_horizon_; step++) {
+    StepSweep& sweep = steps_[static_cast<size_t>(step)];
+    sweep.row_mask = merged_row_mask(step);
+    if (step + 1 == effective_horizon_) {
+      break;  // V[horizon] = 0 everywhere: no set to collect.
+    }
+    // S_{step+1}: the next bins the step's fold reads, from S_step.
+    const auto bins_begin = reachable_.begin() + sweep.bins_begin;
+    const auto bins_end = reachable_.begin() + sweep.bins_end;
+    if (sweep.row_mask != 0) {
+      for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
+        if ((sweep.row_mask >> row & 1U) == 0) {
+          continue;
+        }
+        const uint16_t* const next_bin = next_bin_.data() + row * bins;
+        for (auto b = bins_begin; b != bins_end; ++b) {
+          reached_[next_bin[*b]] = 1;
+        }
+      }
+    } else {
+      for (int action = 0; action < R; action++) {
+        for (const TxTimeOutcome& outcome : distribution(step, action)) {
+          for (auto b = bins_begin; b != bins_end; ++b) {
+            reached_[static_cast<size_t>(landing_bin(
+                *b * config_.buffer_bin_s, outcome.time_s))] = 1;
+          }
+        }
+      }
+    }
+    StepSweep& next = steps_[static_cast<size_t>(step) + 1];
+    next.bins_begin = sweep.bins_end;
+    next.bins_end = close_reachable_set();
+  }
+}
+
+void StochasticMpc::fold_per_rung(const int step, const detail::SweepBins& at) {
+  constexpr int R = media::kNumRungs;
+  expect_.resize(std::max(expect_.size(), static_cast<size_t>(at.count)));
+  for (int action = 0; action < R; action++) {
+    const TxTimeDistribution& dist = distribution(step, action);
+    for (int i = 0; i < at.count; i++) {
+      const double buffer_s = at.bins[i] * at.bin_s;
+      double sum = 0.0;
+      for (const TxTimeOutcome& outcome : dist) {
+        const double t = outcome.time_s;
+        const double stall = t > buffer_s ? t - buffer_s : 0.0;
+        const double value =
+            value_next_[static_cast<size_t>(landing_bin(buffer_s, t))]
+                .lane[action];
+        sum += outcome.probability * (value - at.mu * stall);
+      }
+      expect_[static_cast<size_t>(i)].lane[action] = sum;
+    }
+  }
+}
+
+int StochasticMpc::plan_root(
+    const AbrObservation& obs,
+    const std::span<const detail::RungLanes> next_values) {
   // Root step: continuous buffer, previous quality from the observation.
   int best_action = 0;
   double best_value = -std::numeric_limits<double>::infinity();
   root_values_.assign(media::kNumRungs, 0.0);
   for (int action = 0; action < media::kNumRungs; action++) {
     const auto& version = lookahead_[0].versions[static_cast<size_t>(action)];
-    const TxTimeDistribution& dist = distributions_[static_cast<size_t>(action)];
+    const TxTimeDistribution& dist = distribution(0, action);
     double expected = 0.0;
     for (const auto& outcome : dist) {
       const double qoe = chunk_qoe(version.ssim_db, obs.prev_ssim_db,
                                    outcome.time_s, obs.buffer_s);
-      const double next_buffer =
-          std::min(std::max(obs.buffer_s - outcome.time_s, 0.0) +
-                       media::kChunkDurationS,
-                   media::kMaxBufferS);
       const double continuation =
-          next_values[static_cast<size_t>(action) *
-                          static_cast<size_t>(num_bins_ + 1) +
-                      static_cast<size_t>(buffer_to_bin(next_buffer))];
+          next_values[static_cast<size_t>(
+                          landing_bin(obs.buffer_s, outcome.time_s))]
+              .lane[action];
       expected += outcome.probability * (qoe + continuation);
     }
     root_values_[static_cast<size_t>(action)] = expected;
@@ -194,47 +323,21 @@ int StochasticMpc::plan(const AbrObservation& obs,
                         const std::span<const media::ChunkOptions> lookahead,
                         TxTimePredictor& predictor) {
   prepare_plan(lookahead, predictor);
+  collect_reachable(obs);
 
   constexpr int R = media::kNumRungs;
-  const int bins = num_bins_ + 1;
-  const size_t plane = static_cast<size_t>(bins) * R;
-
-  // Backward sweep over the (step x buffer-bin x previous-rung) lattice.
-  // value_next_ holds V[step + 1]; V[effective_horizon_] = 0.
-  value_next_.assign(plane, 0.0);
-  value_cur_.resize(plane);
-  expect_base_.resize(static_cast<size_t>(R) * bins);
-  switch_penalty_.resize(static_cast<size_t>(R) * R);
-
   const detail::SweepKernels& sweep = active_sweep();
-  const detail::SweepGrid grid{bins, config_.buffer_bin_s, config_.mu};
 
+  // Backward sweep over the reachable bins. value_next_ holds V[step + 1];
+  // V[effective_horizon_] = 0.
+  std::fill(value_next_.begin(), value_next_.end(), detail::RungLanes{});
   for (int step = effective_horizon_ - 1; step >= 1; step--) {
-    // 1. Fold the outcome expectation once per (action, bin):
-    //      expect_base_[a][b] = sum_o p_o * (V[step+1][a][nb] - mu * stall)
-    //    The bin transition nb of each (outcome time, bin) comes from the
-    //    next-bin table, so the fold never calls buffer_to_bin; and (unlike
-    //    the recursion) the expectation no longer re-runs per previous rung.
-    //    Every bin sums its outcomes in order with the per-bin expression.
-    for (int action = 0; action < R; action++) {
-      double* const base =
-          expect_base_.data() + static_cast<size_t>(action) * bins;
-      const double* const value_row =
-          value_next_.data() + static_cast<size_t>(action) * bins;
-      std::fill(base, base + bins, 0.0);
-      const TxTimeDistribution& dist =
-          distributions_[static_cast<size_t>(step) * R +
-                         static_cast<size_t>(action)];
-      for (const TxTimeOutcome& outcome : dist) {
-        const size_t row = next_bin_row(outcome.time_s);
-        sweep.fold(base, value_row,
-                   next_bin_.data() + row * static_cast<size_t>(bins),
-                   next_bin_runs_[row], outcome.time_s, outcome.probability,
-                   grid);
-      }
-    }
+    const StepSweep& step_sweep = steps_[static_cast<size_t>(step)];
+    const detail::SweepBins at{reachable_.data() + step_sweep.bins_begin,
+                               step_sweep.bins_end - step_sweep.bins_begin,
+                               config_.buffer_bin_s, config_.mu};
 
-    // 2. Quality + switch-penalty term per (action, previous rung) — does
+    // 1. Quality + switch-penalty term per (action, previous rung) — does
     //    not depend on the buffer, so it is hoisted out of the bin loop.
     //    Matches chunk_qoe: a negative previous SSIM means "no previous
     //    quality", so the variation term is skipped.
@@ -249,18 +352,29 @@ int StochasticMpc::plan(const AbrObservation& obs,
         const double penalty =
             prev_ssim >= 0.0 ? config_.lambda * std::abs(ssim - prev_ssim)
                              : 0.0;
-        switch_penalty_[static_cast<size_t>(action) * R +
-                        static_cast<size_t>(prev)] = ssim - penalty;
+        switch_penalty_[static_cast<size_t>(action)].lane[prev] =
+            ssim - penalty;
       }
     }
 
-    // 3. Maximize over actions for every (previous rung, bin) state.
-    sweep.maximize(value_cur_.data(), expect_base_.data(),
-                   switch_penalty_.data(), bins);
+    // 2. Per bin of S_step, fold the outcome expectation once per action,
+    //      E[b][a] = sum_o p_o * (V[step+1][nb][a] - mu * stall),
+    //    (unlike the recursion, not again per previous rung) and maximize
+    //    over actions for every previous rung.
+    if (step_sweep.row_mask != 0) {
+      const int num_rows = merge_rows(step, step_sweep.row_mask);
+      sweep.sweep_rows(value_cur_.data(), value_next_.data(),
+                       merged_rows_.data(), num_rows, switch_penalty_.data(),
+                       at);
+    } else {
+      fold_per_rung(step, at);
+      sweep.maximize(value_cur_.data(), expect_.data(),
+                     switch_penalty_.data(), at);
+    }
     std::swap(value_cur_, value_next_);
   }
 
-  // value_next_ now holds V[1] (or zeros when the horizon is 1).
+  // value_next_ now holds V[1] at S_1 (or zeros when the horizon is 1).
   return plan_root(obs, value_next_);
 }
 

@@ -1,6 +1,7 @@
 #ifndef PUFFER_ABR_MPC_HH
 #define PUFFER_ABR_MPC_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,35 +38,43 @@ struct MpcConfig {
 
 namespace detail {
 
-/// A next-bin row split into runs the fold adds without a per-bin gather:
-/// bins [0, stall_end) stall (t > b*bin) and all land in next_bin[0];
-/// bins [stall_end, shift_end) do not stall and land in bin b + shift;
-/// bins [shift_end, bins) are the tail. shift is negative for outcome times
-/// longer than a chunk, so the fold indexes row[b + shift] rather than
-/// forming a pointer before the row.
-struct NextBinRuns {
-  int stall_end = 0;
-  int shift_end = 0;
-  int shift = 0;
+/// One buffer bin's values over the rungs, padded to whole 4-double vectors.
+/// The sweep's planes are [bin][rung] rows of these, so one outcome row
+/// updates every rung of a bin with contiguous vector loads.
+inline constexpr int kRungLanes = 12;
+static_assert(kRungLanes >= media::kNumRungs && kRungLanes % 4 == 0);
+struct alignas(32) RungLanes {
+  double lane[kRungLanes];
 };
 
-/// The buffer grid a sweep step runs on, and the stall weight.
-struct SweepGrid {
-  int bins = 0;  ///< num_bins + 1 bins per row
+/// One TTP grid row of a merged step: its time, its next-bin table row and
+/// each rung's probability on it (0 for a rung with no outcome there).
+struct MergedRow {
+  RungLanes probability;
+  double time_s = 0.0;
+  const uint16_t* next_bin = nullptr;  ///< [bin]
+};
+
+/// The bins a step is read at, ascending, and the sweep's constants.
+struct SweepBins {
+  const int* bins = nullptr;
+  int count = 0;
   double bin_s = 0.0;
   double mu = 0.0;
 };
 
-/// One copy of the backward sweep's inner loops (abr/mpc_sweep.hh).
+/// One copy of the backward sweep's inner loops (abr/mpc_sweep.hh). Both
+/// write value_cur[b][prev] = max over actions a, in ascending order, of
+/// switch_penalty[a][prev] + E[b][a] at every bin b of `at`.
 struct SweepKernels {
-  /// Adds one outcome (time t, probability p) of an action into the
-  /// action's folded row: base[b] += p * (V[next_bin[b]] - mu * stall(b)).
-  void (*fold)(double* base, const double* value_row, const uint16_t* next_bin,
-               NextBinRuns runs, double t, double p, const SweepGrid& grid);
-  /// value_cur[prev][b] = max over actions a, in ascending order, of
-  /// switch_penalty[a][prev] + expect_base[a][b].
-  void (*maximize)(double* value_cur, const double* expect_base,
-                   const double* switch_penalty, int bins);
+  /// A merged step: E[b][a] = sum over rows, in order from +0.0, of
+  /// p_row[a] * (value_next[next_bin_row[b]][a] - mu * stall(b)).
+  void (*sweep_rows)(RungLanes* value_cur, const RungLanes* value_next,
+                     const MergedRow* rows, int num_rows,
+                     const RungLanes* switch_penalty, const SweepBins& at);
+  /// E[at.bins[i]] = expect[i], folded by the caller.
+  void (*maximize)(RungLanes* value_cur, const RungLanes* expect,
+                   const RungLanes* switch_penalty, const SweepBins& at);
 };
 
 /// Defined in mpc_avx2.cc: the AVX2 copy, or nullptr when it was not
@@ -84,33 +93,37 @@ const SweepKernels* avx2_sweep_kernels();
 ///  * degenerate (point-mass) distributions reproduce classical MPC;
 ///  * Fugu's probabilistic TTP makes it a stochastic optimal controller.
 ///
-/// plan() runs the dynamic program as an iterative backward sweep over the
-/// (step x previous-rung x buffer-bin) lattice: per step, the expectation
-/// over transmission-time outcomes is folded once per (action, bin), and the
-/// per-(prev-rung, bin) maximization then reads those folded values. No
-/// recursion, no memo probing, and the outcome loop no longer repeats per
-/// previous rung (a kNumRungs-fold reduction in expectation work vs. the
-/// memoized recursion).
+/// plan() runs the dynamic program over the (step x buffer-bin x
+/// previous-rung) lattice in two passes, and only at the bins a decision can
+/// reach:
+///  * Forward: S_1 is the set of bins the root's outcomes land in, and
+///    S_{k+1} the set of next bins of every outcome of every rung at step k
+///    from S_k. The next bins are exactly the ones the fold reads: a table
+///    built at construction for the TTP grid times (kTtpBinMidpointsS, the
+///    only times Fugu's outcomes take) and the landing-bin expression for
+///    any other time (MPC-HM's point masses, the throughput ablation).
+///  * Backward: from the last step to step 1, fold the outcome expectation
+///    once per (action, bin of S_k), then maximize over actions for every
+///    (previous rung, bin of S_k). The root reads V[1] at S_1.
 ///
-/// The fold's bin transition (outcome time, bin) -> next bin comes from a
-/// table built at construction, one row per TTP grid time
-/// (kTtpBinMidpointsS, the only times Fugu's outcomes take); any other time
-/// (MPC-HM's point masses, the throughput ablation) has its row computed
-/// into a scratch row with the same expressions. Each row is split into
-/// three runs (detail::NextBinRuns), fixed with the row: a stall run, whose
-/// bins all land in the same next bin; a shift run, whose bins land in
-/// b + shift; and a tail gathered per bin. The value planes are
-/// [rung][bin], so the fold adds from contiguous slices of one V row and the
-/// maximization writes whole rows. Every bin still sums its outcomes in
-/// order with the same expressions, so plans are bitwise those of a per-bin
-/// gather.
+/// The value planes are [bin][rung] (detail::RungLanes), so one outcome row
+/// updates every rung of a bin with contiguous vector loads. When every
+/// rung's outcomes at a step are ascending TTP grid rows (Fugu's steps), the
+/// rows are merged across rungs in row order, each rung weighting a row it
+/// lacks by 0. Any other step folds per rung and per reachable bin. Either
+/// way every (rung, bin) adds its own outcomes in list order from +0.0 as
+/// p * (V[next] - mu * stall), and the maximization keeps ascending actions
+/// with a strict <, so plans are bitwise those of a full-lattice per-bin
+/// sweep. Adding p = 0 rows changes nothing only while values and stall
+/// costs are finite, which is why the constructor rejects a non-finite
+/// lambda or mu.
 ///
-/// The fold and the maximization (abr/mpc_sweep.hh) are compiled twice: at
-/// the baseline ISA in mpc.cc, and with -mavx2 -ffp-contract=off (no FMA) in
-/// mpc_avx2.cc. plan() runs the AVX2 copy when it was compiled in and the
-/// CPU reports AVX2, unless util::set_force_portable(true) is in effect.
-/// Both copies perform the same IEEE operations per bin in the same order,
-/// so they give the same bits; tests run both and compare
+/// The merged fold and the maximization (abr/mpc_sweep.hh) are compiled
+/// twice: at the baseline ISA in mpc.cc, and with -mavx2 -ffp-contract=off
+/// (no FMA) in mpc_avx2.cc. plan() runs the AVX2 copy when it was compiled
+/// in and the CPU reports AVX2, unless util::set_force_portable(true) is in
+/// effect. Both copies perform the same IEEE operations per lane in the same
+/// order, so they give the same bits; tests run both and compare
 /// (mpc_active_path() names the copy plan() runs).
 ///
 /// The seed's recursive, memoized value iteration is the oracle the tests
@@ -144,26 +157,56 @@ class StochasticMpc {
   }
 
  private:
+  /// A step's fold and where its reachable bins S_step sit in reachable_.
+  struct StepSweep {
+    uint32_t row_mask = 0;  ///< merged: the grid rows it reads; else 0
+    int bins_begin = 0;
+    int bins_end = 0;
+  };
+
+  [[nodiscard]] const TxTimeDistribution& distribution(const int step,
+                                                       const int rung) const {
+    return distributions_[static_cast<size_t>(step) * media::kNumRungs +
+                          static_cast<size_t>(rung)];
+  }
+
   [[nodiscard]] int buffer_to_bin(double buffer_s) const;
 
-  /// Fills table row `row` with the bin index after a chunk of `tx_time_s`
-  /// lands on each grid buffer b,
-  /// next_bin[b] = buffer_to_bin(min(max(b*bin - t, 0) + chunk, max buffer)),
-  /// and its runs.
-  void fill_next_bin_row(double tx_time_s, size_t row);
-  /// The table row of `tx_time_s`: its own row when it is a TTP grid time,
-  /// else the scratch row, refilled.
-  size_t next_bin_row(double tx_time_s);
+  /// The bin a chunk of `tx_time_s` leaves the buffer in when it starts at
+  /// `buffer_s`: buffer_to_bin(min(max(buffer_s - t, 0) + chunk, max)).
+  [[nodiscard]] int landing_bin(double buffer_s, double tx_time_s) const;
 
   /// Plan setup: cache the lookahead, issue all (step x rung)
   /// queries in one predict_batch call, prune the distributions.
   void prepare_plan(std::span<const media::ChunkOptions> lookahead,
                     TxTimePredictor& predictor);
 
+  /// The grid rows (bit per kTtpBinMidpointsS index) of step's outcomes
+  /// when every rung's outcomes are grid times in strictly ascending order,
+  /// so the step can be merged; else 0.
+  [[nodiscard]] uint32_t merged_row_mask(int step) const;
+
+  /// Fills merged_rows_ with the `row_mask` rows of a merged step, in row
+  /// order; returns how many.
+  int merge_rows(int step, uint32_t row_mask);
+
+  /// Forward pass: fills steps_ (each step's fold and its reachable bins,
+  /// from the root's landing bins on).
+  void collect_reachable(const AbrObservation& obs);
+
+  /// Ends reachable_'s current set: appends the bins marked in reached_,
+  /// ascending, clears the marks and returns the set's end.
+  int close_reachable_set();
+
+  /// The fold of a step that is not merged, into expect_ [i-th bin of
+  /// `at`]: per rung and per bin, each outcome's next bin from landing_bin.
+  void fold_per_rung(int step, const detail::SweepBins& at);
+
   /// Root maximization over the continuous (un-binned) buffer, reading
   /// step-1 values from `next_values` (the V[1] plane, or zeros when the
   /// horizon is 1). Returns the argmax rung and fills root_values_.
-  int plan_root(const AbrObservation& obs, std::span<const double> next_values);
+  int plan_root(const AbrObservation& obs,
+                std::span<const detail::RungLanes> next_values);
 
   /// QoE of choosing `version` given previous quality `prev_ssim_db`
   /// (variation term skipped when prev_ssim_db < 0) and the stall implied by
@@ -173,10 +216,8 @@ class StochasticMpc {
 
   MpcConfig config_;
   int num_bins_ = 0;
-  // [row * (num_bins_+1) + bin]: one row per kTtpBinMidpointsS time, then
-  // the scratch row for off-grid times.
+  // [row * (num_bins_+1) + bin]: one row per kTtpBinMidpointsS time.
   std::vector<uint16_t> next_bin_;
-  std::vector<detail::NextBinRuns> next_bin_runs_;  // [row], refilled with it
 
   // Per-plan scratch (kept across calls to avoid reallocation).
   std::span<const media::ChunkOptions> lookahead_;
@@ -186,12 +227,17 @@ class StochasticMpc {
   double last_plan_value_ = 0.0;
   std::vector<double> root_values_;  // [rung]
 
-  // Iterative-sweep lattice planes V[step] and V[step + 1], indexed
-  // [rung * (num_bins_+1) + buffer_bin]: the fold reads one rung's row.
-  std::vector<double> value_cur_;
-  std::vector<double> value_next_;
-  std::vector<double> expect_base_;  // [action * (num_bins_+1) + bin]
-  std::vector<double> switch_penalty_;  // [action * kNumRungs + prev_rung]
+  std::vector<StepSweep> steps_;  // [step]
+  std::vector<int> reachable_;    // every step's bins
+  std::vector<uint8_t> reached_;  // [bin]: marks of the set being collected
+  std::array<detail::MergedRow, kTtpBinMidpointsS.size()> merged_rows_{};
+  std::vector<detail::RungLanes> expect_;  // fold_per_rung's output
+  std::array<detail::RungLanes, media::kNumRungs> switch_penalty_{};  // [a]
+
+  // Lattice planes V[step] and V[step + 1], [bin][rung]; a plan writes and
+  // reads them only at its reachable bins.
+  std::vector<detail::RungLanes> value_cur_;
+  std::vector<detail::RungLanes> value_next_;
 };
 
 }  // namespace puffer::abr

@@ -2,20 +2,24 @@
 // compiled twice: by mpc.cc at the baseline ISA and by mpc_avx2.cc with
 // -mavx2 -ffp-contract=off. Only those two files include this one.
 //
+// Both loops run over the reachable bins of one step, and the rungs of a
+// bin are the lanes: a [bin][rung] row of the planes (RungLanes) is three
+// 4-double GCC vectors, which the baseline copy lowers to SSE2 pairs and
+// the AVX2 copy to single ymm operations. Plain loops over ten rungs stayed
+// scalar. Vector arithmetic is lane-wise IEEE arithmetic, so each lane
+// performs the same operations in the same order at either ISA, and without
+// contraction there is no fused multiply-add: both copies give the same
+// bits.
+//
 // Everything here has internal linkage and calls no library function, so
 // each of the two translation units keeps its own copy. An inline function
 // or template shared by both would be one ODR symbol, and the linker could
-// keep the AVX2 copy for a host without AVX2. Each loop performs the same
-// IEEE operations per bin in the same order at either ISA, and without
-// contraction there is no fused multiply-add, so both copies give the same
-// bits. The planes passed in never overlap, so the pointers are
-// __restrict: that only drops the runtime overlap checks in front of each
-// vectorized loop.
+// keep the AVX2 copy for a host without AVX2. The planes passed in never
+// overlap, so they are __restrict.
 
 #ifndef PUFFER_ABR_MPC_SWEEP_HH
 #define PUFFER_ABR_MPC_SWEEP_HH
 
-#include <cstdint>
 #include <limits>
 
 #include "abr/mpc.hh"
@@ -23,56 +27,85 @@
 namespace puffer::abr::detail {
 namespace {
 
-/// base[b] += p * (V[next_bin[b]] - mu * stall(b)) over the row's three
-/// runs: one value over the stall run, the row shifted over the shift run,
-/// and a per-bin gather only over the tail.
-void fold_outcome(double* __restrict const base,
-                  const double* __restrict const value_row,
-                  const uint16_t* const next_bin, const NextBinRuns runs,
-                  const double t, const double p, const SweepGrid& grid) {
-  // The stall cost of a bin that does not stall, as the per-bin expression
-  // computes it (mu * 0.0), so the shift run adds the same bits.
-  const double no_stall_cost = grid.mu * 0.0;
-  const double stalled_value = value_row[next_bin[0]];
-  for (int b = 0; b < runs.stall_end; b++) {
-    const double buffer_s = b * grid.bin_s;
-    base[b] += p * (stalled_value - grid.mu * (t - buffer_s));
+/// Four lanes of a RungLanes row. may_alias: the planes are doubles.
+typedef double Lanes4 __attribute__((vector_size(32), may_alias));
+constexpr int kVectors = kRungLanes / 4;
+
+const Lanes4* lanes_of(const RungLanes& row) {
+  return reinterpret_cast<const Lanes4*>(row.lane);
+}
+
+Lanes4* lanes_of(RungLanes& row) {
+  return reinterpret_cast<Lanes4*>(row.lane);
+}
+
+/// out[prev] = max over actions a, in ascending order, of
+/// switch_penalty[a][prev] + expect[a]. A value replaces the running one
+/// only when strictly larger (std::max's rule), which fixes which of two
+/// tied values (+0.0 and -0.0) is kept.
+void maximize_bin(RungLanes& out, const RungLanes& expect,
+                  const RungLanes* const switch_penalty) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  Lanes4 best[kVectors];
+  for (int v = 0; v < kVectors; v++) {
+    best[v] = Lanes4{kNegInf, kNegInf, kNegInf, kNegInf};
   }
-  for (int b = runs.stall_end; b < runs.shift_end; b++) {
-    base[b] += p * (value_row[b + runs.shift] - no_stall_cost);
+  for (int action = 0; action < media::kNumRungs; action++) {
+    const double value_of_action = expect.lane[action];
+    const Lanes4* const penalty = lanes_of(switch_penalty[action]);
+    for (int v = 0; v < kVectors; v++) {
+      const Lanes4 value = penalty[v] + value_of_action;
+      best[v] = best[v] < value ? value : best[v];
+    }
   }
-  for (int b = runs.shift_end; b < grid.bins; b++) {
-    const double buffer_s = b * grid.bin_s;
-    const double stall = t > buffer_s ? t - buffer_s : 0.0;
-    base[b] += p * (value_row[next_bin[b]] - grid.mu * stall);
+  Lanes4* const lanes = lanes_of(out);
+  for (int v = 0; v < kVectors; v++) {
+    lanes[v] = best[v];
   }
 }
 
-/// One V row per previous rung. Actions go in ascending order and a value
-/// replaces the running one only when strictly larger (std::max's rule),
-/// which fixes which of two tied values (+0.0 and -0.0) is kept.
-void maximize_rows(double* __restrict const value_cur,
-                   const double* __restrict const expect_base,
-                   const double* const switch_penalty, const int bins) {
-  constexpr int R = media::kNumRungs;
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  for (int prev = 0; prev < R; prev++) {
-    double* const out_row = value_cur + prev * bins;
-    for (int b = 0; b < bins; b++) {
-      out_row[b] = kNegInf;
-    }
-    for (int action = 0; action < R; action++) {
-      const double switch_value = switch_penalty[action * R + prev];
-      const double* const base = expect_base + action * bins;
-      for (int b = 0; b < bins; b++) {
-        const double value = switch_value + base[b];
-        out_row[b] = out_row[b] < value ? value : out_row[b];
+/// A merged step, bin by bin: every rung adds the rows in order as
+/// p * (V[next] - mu * stall) from +0.0, then the bin is maximized. A rung
+/// without an outcome on a row has p = 0 there, and adding 0 * (finite)
+/// leaves its sum unchanged.
+void sweep_rows(RungLanes* __restrict const value_cur,
+                const RungLanes* __restrict const value_next,
+                const MergedRow* const rows, const int num_rows,
+                const RungLanes* const switch_penalty, const SweepBins& at) {
+  for (int i = 0; i < at.count; i++) {
+    const int b = at.bins[i];
+    const double buffer_s = b * at.bin_s;
+    Lanes4 sum[kVectors] = {};
+    for (int r = 0; r < num_rows; r++) {
+      const MergedRow& row = rows[r];
+      const double stall =
+          row.time_s > buffer_s ? row.time_s - buffer_s : 0.0;
+      const double stall_cost = at.mu * stall;
+      const Lanes4* const p = lanes_of(row.probability);
+      const Lanes4* const value = lanes_of(value_next[row.next_bin[b]]);
+      for (int v = 0; v < kVectors; v++) {
+        sum[v] += p[v] * (value[v] - stall_cost);
       }
     }
+    RungLanes expect;
+    Lanes4* const lanes = lanes_of(expect);
+    for (int v = 0; v < kVectors; v++) {
+      lanes[v] = sum[v];
+    }
+    maximize_bin(value_cur[b], expect, switch_penalty);
   }
 }
 
-constexpr SweepKernels kSweepKernels{&fold_outcome, &maximize_rows};
+/// A step folded per rung by the caller: expect[i] holds the i-th bin's.
+void maximize(RungLanes* __restrict const value_cur,
+              const RungLanes* __restrict const expect,
+              const RungLanes* const switch_penalty, const SweepBins& at) {
+  for (int i = 0; i < at.count; i++) {
+    maximize_bin(value_cur[at.bins[i]], expect[i], switch_penalty);
+  }
+}
+
+constexpr SweepKernels kSweepKernels{&sweep_rows, &maximize};
 
 }  // namespace
 }  // namespace puffer::abr::detail

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -628,6 +629,42 @@ TEST(Mpc, BinSizeTooSmallForNextBinTableRejected) {
   MpcConfig config;
   config.buffer_bin_s = 2e-4;
   EXPECT_THROW(StochasticMpc{config}, RequirementError);
+}
+
+/// A non-finite weight would turn the merged fold's p = 0 rows into NaN,
+/// and a negative stall weight or a pruning threshold of 1 or more is
+/// meaningless: each is rejected with a message naming the field.
+TEST(Mpc, NonFiniteOrOutOfRangeConfigRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [](const MpcConfig& config, const std::string& field) {
+    try {
+      StochasticMpc mpc{config};
+    } catch (const RequirementError& error) {
+      return std::string{error.what()}.find(field) != std::string::npos;
+    }
+    return false;
+  };
+  for (const double lambda : {nan, inf, -inf}) {
+    MpcConfig config;
+    config.lambda = lambda;
+    EXPECT_TRUE(rejects(config, "lambda")) << lambda;
+  }
+  for (const double mu : {nan, inf, -inf, -1.0}) {
+    MpcConfig config;
+    config.mu = mu;
+    EXPECT_TRUE(rejects(config, "mu")) << mu;
+  }
+  for (const double prune : {nan, -1e-9, 1.0, 2.0}) {
+    MpcConfig config;
+    config.prune_probability = prune;
+    EXPECT_TRUE(rejects(config, "prune_probability")) << prune;
+  }
+  MpcConfig edges;
+  edges.lambda = -1.0;
+  edges.mu = 0.0;
+  edges.prune_probability = 0.0;
+  EXPECT_NO_THROW(StochasticMpc{edges});
 }
 
 TEST(Mpc, EmptyLookaheadRejected) {
