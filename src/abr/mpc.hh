@@ -183,7 +183,11 @@ class StochasticMpc {
 
   /// The grid rows (bit per kTtpBinMidpointsS index) of step's outcomes
   /// when every rung's outcomes are grid times in strictly ascending order,
-  /// so the step can be merged; else 0.
+  /// so the step can be merged; else 0. Merging is only a speed-up, but a
+  /// large one: with every step folded per rung (a landing-bin division per
+  /// outcome, rung and bin instead of one table row shared by the rungs),
+  /// fleet-mixed `chunks_per_s` read 34.2k against 92.3k chunks/s (medians
+  /// of 10 alternating 20 s benchmark pairs, 4-vCPU x86-64, gcc 12.2).
   [[nodiscard]] uint32_t merged_row_mask(int step) const;
 
   /// Fills merged_rows_ with the `row_mask` rows of a merged step, in row

@@ -9,7 +9,9 @@
 // scalar. Vector arithmetic is lane-wise IEEE arithmetic, so each lane
 // performs the same operations in the same order at either ISA, and without
 // contraction there is no fused multiply-add: both copies give the same
-// bits.
+// bits. Scalars are splatted and the max's select is an integer-mask blend,
+// both spelled out, so the code keeps to the vector operations GCC and
+// clang share.
 //
 // Everything here has internal linkage and calls no library function, so
 // each of the two translation units keeps its own copy. An inline function
@@ -29,7 +31,18 @@ namespace {
 
 /// Four lanes of a RungLanes row. may_alias: the planes are doubles.
 typedef double Lanes4 __attribute__((vector_size(32), may_alias));
+/// A lane comparison's result: all ones where true, zero where false.
+using Mask4 = decltype(Lanes4{} < Lanes4{});
 constexpr int kVectors = kRungLanes / 4;
+
+/// best = the lanes of `value` where best < value, else best's own: the
+/// running max's step as a bit blend, so a NaN or a tie never replaces best.
+/// (References: a 32-byte vector passed by value changes the baseline ABI.)
+void keep_larger(Lanes4& best, const Lanes4& value) {
+  const Mask4 take = best < value;
+  best = reinterpret_cast<Lanes4>((reinterpret_cast<Mask4>(best) & ~take) |
+                                  (reinterpret_cast<Mask4>(value) & take));
+}
 
 const Lanes4* lanes_of(const RungLanes& row) {
   return reinterpret_cast<const Lanes4*>(row.lane);
@@ -51,11 +64,11 @@ void maximize_bin(RungLanes& out, const RungLanes& expect,
     best[v] = Lanes4{kNegInf, kNegInf, kNegInf, kNegInf};
   }
   for (int action = 0; action < media::kNumRungs; action++) {
-    const double value_of_action = expect.lane[action];
+    const double e = expect.lane[action];
+    const Lanes4 value_of_action{e, e, e, e};
     const Lanes4* const penalty = lanes_of(switch_penalty[action]);
     for (int v = 0; v < kVectors; v++) {
-      const Lanes4 value = penalty[v] + value_of_action;
-      best[v] = best[v] < value ? value : best[v];
+      keep_larger(best[v], penalty[v] + value_of_action);
     }
   }
   Lanes4* const lanes = lanes_of(out);
@@ -80,7 +93,8 @@ void sweep_rows(RungLanes* __restrict const value_cur,
       const MergedRow& row = rows[r];
       const double stall =
           row.time_s > buffer_s ? row.time_s - buffer_s : 0.0;
-      const double stall_cost = at.mu * stall;
+      const double cost = at.mu * stall;
+      const Lanes4 stall_cost{cost, cost, cost, cost};
       const Lanes4* const p = lanes_of(row.probability);
       const Lanes4* const value = lanes_of(value_next[row.next_bin[b]]);
       for (int v = 0; v < kVectors; v++) {
