@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -318,6 +319,32 @@ void append_bits(std::string& bytes, const double value) {
   }
 }
 
+/// Checks the plan `mpc` just made against the recursive reference
+/// (tests/oracles/mpc_reference.hh), which reads the pruned distributions
+/// through last_distributions(). The two differ only by floating-point
+/// reassociation of the expectation sum, so values match to ~1e-6 and the
+/// argmax may flip only on a floating tie.
+void expect_matches_reference(const StochasticMpc& mpc,
+                              const AbrObservation& obs,
+                              const std::span<const media::ChunkOptions> lookahead,
+                              const int rung, const int trial) {
+  const oracle::ReferencePlan plan =
+      oracle::plan_reference(mpc, obs, lookahead);
+  const double tol = 1e-6 * std::max(1.0, std::abs(plan.value));
+  EXPECT_NEAR(mpc.last_plan_value(), plan.value, tol) << "trial " << trial;
+  const std::span<const double> roots = mpc.last_root_values();
+  ASSERT_EQ(roots.size(), plan.root_values.size());
+  for (size_t a = 0; a < roots.size(); a++) {
+    EXPECT_NEAR(roots[a], plan.root_values[a], tol)
+        << "trial " << trial << " action " << a;
+  }
+  if (rung != plan.rung) {
+    EXPECT_NEAR(plan.root_values[static_cast<size_t>(rung)],
+                plan.root_values[static_cast<size_t>(plan.rung)], tol)
+        << "trial " << trial << ": argmax flip without a value tie";
+  }
+}
+
 /// Pins every plan value and root value of the randomized sweep trials,
 /// bit for bit (stable_hash of sweep_trial_bits).
 constexpr uint64_t kSweepTrialsHash = 15796812151857999831ULL;
@@ -328,9 +355,7 @@ constexpr uint64_t kSweepTrialsHash = 15796812151857999831ULL;
 /// fine 0.02 s buffer grid (751 bins). Appends every trial's plan value and
 /// root values, bit for bit, to `plan_bits`. With `check_reference`, each
 /// plan must also agree with the recursive reference
-/// (tests/oracles/mpc_reference.hh). The two differ only by floating-point
-/// reassociation of the expectation sum, so values match to ~1e-6 and the
-/// argmax may flip only on a floating tie.
+/// (expect_matches_reference).
 void sweep_trial_bits(const bool check_reference, std::string& plan_bits) {
   Rng meta{909};
   for (int trial = 0; trial < 80; trial++) {
@@ -386,34 +411,12 @@ void sweep_trial_bits(const bool check_reference, std::string& plan_bits) {
 
     StochasticMpc mpc{config};
     const int iterative = mpc.plan(obs, lookahead, predictor);
-    const double iterative_value = mpc.last_plan_value();
-    const std::vector<double> iterative_roots{mpc.last_root_values().begin(),
-                                              mpc.last_root_values().end()};
-    append_bits(plan_bits, iterative_value);
-    for (const double root : iterative_roots) {
+    append_bits(plan_bits, mpc.last_plan_value());
+    for (const double root : mpc.last_root_values()) {
       append_bits(plan_bits, root);
     }
-
-    if (!check_reference) {
-      continue;
-    }
-    const oracle::ReferencePlan plan =
-        oracle::plan_reference(mpc, obs, lookahead);
-    const int reference = plan.rung;
-    const double reference_value = plan.value;
-    const std::span<const double> reference_roots = plan.root_values;
-
-    const double tol = 1e-6 * std::max(1.0, std::abs(reference_value));
-    EXPECT_NEAR(iterative_value, reference_value, tol) << "trial " << trial;
-    ASSERT_EQ(iterative_roots.size(), reference_roots.size());
-    for (size_t a = 0; a < iterative_roots.size(); a++) {
-      EXPECT_NEAR(iterative_roots[a], reference_roots[a], tol)
-          << "trial " << trial << " action " << a;
-    }
-    if (iterative != reference) {
-      EXPECT_NEAR(reference_roots[static_cast<size_t>(iterative)],
-                  reference_roots[static_cast<size_t>(reference)], tol)
-          << "trial " << trial << ": argmax flip without a value tie";
+    if (check_reference) {
+      expect_matches_reference(mpc, obs, lookahead, iterative, trial);
     }
   }
 }
@@ -475,8 +478,10 @@ TxTimeDistribution ttp_shaped(const int64_t size, const double bps,
 /// lookaheads may be shorter than the horizon, bins are 0.25 s, 0.02 s or
 /// 0.7 s, buffers sit on bin edges, at 0 and 15 s or between, and the
 /// previous SSIM is sometimes absent (< 0). Appends every plan's rung,
-/// value and root values, bit for bit, to `plan_bits`.
-void shaped_plan_bits(std::string& plan_bits) {
+/// value and root values, bit for bit, to `plan_bits`. With
+/// `check_reference`, each plan must also agree with the recursive
+/// reference, which reads the pruned distributions the plan used.
+void shaped_plan_bits(const bool check_reference, std::string& plan_bits) {
   Rng meta{3030};
   for (int trial = 0; trial < 150; trial++) {
     MpcConfig config;
@@ -528,6 +533,9 @@ void shaped_plan_bits(std::string& plan_bits) {
     for (const double root : mpc.last_root_values()) {
       append_bits(plan_bits, root);
     }
+    if (check_reference) {
+      expect_matches_reference(mpc, obs, lookahead, rung, trial);
+    }
   }
 }
 
@@ -536,12 +544,93 @@ TEST(Mpc, TtpAndHmShapedPlansArePinned) {
   std::string portable;
   {
     test::ForcePortableGuard guard;
-    shaped_plan_bits(portable);
+    shaped_plan_bits(/*check_reference=*/true, portable);
   }
   EXPECT_EQ(stable_hash(portable), kShapedPlansHash);
   std::string active;
-  shaped_plan_bits(active);
+  shaped_plan_bits(/*check_reference=*/false, active);
   EXPECT_EQ(stable_hash(active), kShapedPlansHash);
+}
+
+/// Pins the plans of PrunedAwayRungsKeepTheirFirstArgmax, bit for bit.
+constexpr uint64_t kPrunedAwayPlansHash = 453162874645259072ULL;
+
+/// Full 21-row TTP grid answers under a 0.1 prune threshold. A rung whose
+/// every outcome falls below it keeps only its first most likely outcome,
+/// with probability 1: a flat rung (every row 1/21) keeps the first row,
+/// and a rung with two equal peaks of 2/23 keeps the lower one. Other rungs
+/// are TTP-shaped and keep a few rows each, so steps mix both kinds, and
+/// some steps prune every rung away.
+TEST(Mpc, PrunedAwayRungsKeepTheirFirstArgmax) {
+  constexpr size_t kPeakRow = 4;
+  // 0: flat; 1: two equal peaks (rows kPeakRow and 11); 2: TTP-shaped.
+  const auto kind_of = [](const int step, const int64_t size) {
+    return static_cast<int>((size / 1000 + step) % 3);
+  };
+  std::string plan_bits;
+  std::array<int, 3> lists_of_kind{};
+  Rng meta{4242};
+  for (int trial = 0; trial < 24; trial++) {
+    MpcConfig config;
+    config.prune_probability = 0.1;
+    config.lambda = meta.uniform(0.0, 2.0);
+    StochasticMpc mpc{config};
+    const double bps = meta.uniform(0.3, 12.0) * 1e6 / 8.0;
+    const double spread = meta.uniform(0.2, 2.0);
+    const bool all_pruned = trial % 4 == 3;  // no TTP-shaped rung anywhere
+    ScriptedPredictor predictor{[&](const int step, const int64_t size) {
+      const int kind = all_pruned ? kind_of(step, size) % 2
+                                  : kind_of(step, size);
+      if (kind == 2) {
+        return ttp_shaped(size, bps, spread);
+      }
+      TxTimeDistribution dist;
+      for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
+        const bool peak = kind == 1 && (row == kPeakRow || row == 11);
+        dist.push_back({kTtpBinMidpointsS[row],
+                        kind == 0 ? 1.0 / 21.0 : (peak ? 2.0 : 1.0) / 23.0});
+      }
+      return dist;
+    }};
+    AbrObservation obs;
+    obs.buffer_s = meta.uniform(0.0, media::kMaxBufferS);
+    obs.prev_ssim_db = trial % 3 == 0 ? -1.0 : meta.uniform(9.0, 17.0);
+    const auto lookahead = make_lookahead(5);
+    const int rung = mpc.plan(obs, lookahead, predictor);
+    append_bits(plan_bits, rung);
+    append_bits(plan_bits, mpc.last_plan_value());
+    for (const double root : mpc.last_root_values()) {
+      append_bits(plan_bits, root);
+    }
+    expect_matches_reference(mpc, obs, lookahead, rung, trial);
+
+    const auto pruned = mpc.last_distributions();
+    ASSERT_EQ(pruned.size(), lookahead.size() * media::kNumRungs);
+    for (int step = 0; step < 5; step++) {
+      for (int r = 0; r < media::kNumRungs; r++) {
+        const int64_t size = lookahead[static_cast<size_t>(step)]
+                                 .versions[static_cast<size_t>(r)]
+                                 .size_bytes;
+        const TxTimeDistribution& dist =
+            pruned[static_cast<size_t>(step * media::kNumRungs + r)];
+        const int kind = all_pruned ? kind_of(step, size) % 2
+                                    : kind_of(step, size);
+        lists_of_kind[static_cast<size_t>(kind)]++;
+        if (kind == 2) {
+          ASSERT_FALSE(dist.empty());
+          continue;
+        }
+        ASSERT_EQ(dist.size(), 1U) << "step " << step << " rung " << r;
+        EXPECT_EQ(dist[0].time_s,
+                  kTtpBinMidpointsS[kind == 0 ? 0 : kPeakRow]);
+        EXPECT_EQ(dist[0].probability, 1.0);
+      }
+    }
+  }
+  for (const int lists : lists_of_kind) {
+    EXPECT_GE(lists, 200);
+  }
+  EXPECT_EQ(stable_hash(plan_bits), kPrunedAwayPlansHash);
 }
 
 /// buffer_to_bin's inline rounding is std::lround on every value it can
