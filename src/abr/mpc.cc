@@ -40,34 +40,6 @@ void prune_distribution(TxTimeDistribution& dist, const double min_probability) 
   }
 }
 
-/// The kTtpBinMidpointsS row whose time is exactly `tx_time_s`, or -1. The
-/// grid's times are 0.125 s, then k/2 s for k = 1..19, then 10.5 s, so the
-/// candidate row is 2t rounded and clamped to the grid (NaN goes to the last
-/// row, whose check then fails). The static_assert below pins that every
-/// grid time finds its own row.
-constexpr int grid_row(const double tx_time_s) {
-  constexpr int kLastRow = static_cast<int>(kTtpBinMidpointsS.size()) - 1;
-  const double twice = 2.0 * tx_time_s;
-  int row = kLastRow;
-  if (twice < 0.5) {
-    row = 0;
-  } else if (twice < kLastRow + 0.5) {
-    row = static_cast<int>(twice + 0.5);
-  }
-  return kTtpBinMidpointsS[static_cast<size_t>(row)] == tx_time_s ? row : -1;
-}
-
-static_assert(
-    [] {
-      for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
-        if (grid_row(kTtpBinMidpointsS[row]) != static_cast<int>(row)) {
-          return false;
-        }
-      }
-      return true;
-    }(),
-    "grid_row must find every kTtpBinMidpointsS time in its own row");
-
 /// The AVX2 sweep when it was compiled in and the CPU runs it, else nullptr.
 /// The cpuid check runs here, at the baseline ISA, once per process.
 const detail::SweepKernels* avx2_sweep() {
@@ -114,6 +86,7 @@ StochasticMpc::StochasticMpc(const MpcConfig config) : config_(config) {
           landing_bin(b * config_.buffer_bin_s, kTtpBinMidpointsS[row]));
     }
   }
+  merged_rows_.resize(static_cast<size_t>(config_.horizon) * detail::kGridRows);
   reached_.assign(bins, 0);
   value_cur_.resize(bins);
   value_next_.resize(bins);
@@ -146,64 +119,116 @@ double StochasticMpc::chunk_qoe(const double ssim_db, const double prev_ssim_db,
 
 void StochasticMpc::prepare_plan(
     const std::span<const media::ChunkOptions> lookahead,
-    TxTimePredictor& predictor) {
+    TxTimePredictor& predictor, const detail::SweepKernels& sweep) {
   require(!lookahead.empty(), "StochasticMpc::plan: empty lookahead");
   lookahead_ = lookahead;
   effective_horizon_ =
       std::min<int>(config_.horizon, static_cast<int>(lookahead.size()));
 
-  // Precompute (and prune) one distribution per (step, rung). All queries
-  // of the decision are issued in one predict_batch call so learned
-  // predictors can answer them with fused forward passes.
+  // One distribution per (step, rung). All queries of the decision are
+  // issued in one predict_batch call so learned predictors can answer them
+  // with fused forward passes.
   enumerate_tx_time_queries(lookahead, config_.horizon, queries_);
   predictor.predict_batch(queries_, distributions_);
   require(distributions_.size() == queries_.size(),
           "StochasticMpc: predictor answered the wrong number of queries");
-  for (TxTimeDistribution& dist : distributions_) {
+  for (const TxTimeDistribution& dist : distributions_) {
     require(!dist.empty(), "StochasticMpc: predictor returned empty dist");
-    prune_distribution(dist, config_.prune_probability);
+  }
+  steps_.assign(static_cast<size_t>(effective_horizon_), StepSweep{});
+  for (int step = 0; step < effective_horizon_; step++) {
+    if (is_dense(step)) {
+      steps_[static_cast<size_t>(step)].dense_rows = prune_dense(step, sweep);
+      continue;
+    }
+    for (int rung = 0; rung < media::kNumRungs; rung++) {
+      prune_distribution(
+          distributions_[static_cast<size_t>(step) * media::kNumRungs +
+                         static_cast<size_t>(rung)],
+          config_.prune_probability);
+    }
   }
 }
 
-uint32_t StochasticMpc::merged_row_mask(const int step) const {
-  constexpr int R = media::kNumRungs;
-  uint32_t mask = 0;
-  for (int action = 0; action < R; action++) {
-    int last_row = -1;
-    for (const TxTimeOutcome& outcome : distribution(step, action)) {
-      const int row = grid_row(outcome.time_s);
-      if (row <= last_row) {  // off the grid (-1), repeated or descending
-        return 0;
+bool StochasticMpc::is_dense(const int step) const {
+  for (int rung = 0; rung < media::kNumRungs; rung++) {
+    const TxTimeDistribution& dist = distribution(step, rung);
+    if (dist.size() != kTtpBinMidpointsS.size()) {
+      return false;
+    }
+    for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
+      if (dist[row].time_s != kTtpBinMidpointsS[row]) {
+        return false;
       }
-      mask |= uint32_t{1} << row;
-      last_row = row;
     }
   }
-  return mask;
+  return true;
 }
 
-int StochasticMpc::merge_rows(const int step, const uint32_t row_mask) {
+int StochasticMpc::prune_dense(const int step,
+                               const detail::SweepKernels& sweep) {
   constexpr int R = media::kNumRungs;
-  const size_t bins = static_cast<size_t>(num_bins_ + 1);
-  // slot[row]: the row's place among the mask's rows, ascending.
-  std::array<int, kTtpBinMidpointsS.size()> slot{};
-  int num_rows = 0;
-  for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
-    if ((row_mask >> row & 1U) != 0) {
-      slot[row] = num_rows;
-      merged_rows_[static_cast<size_t>(num_rows++)] = {
-          detail::RungLanes{}, kTtpBinMidpointsS[row],
-          next_bin_.data() + row * bins};
-    }
+  std::array<const TxTimeOutcome*, R> lists{};
+  for (int rung = 0; rung < R; rung++) {
+    lists[static_cast<size_t>(rung)] = distribution(step, rung).data();
   }
-  for (int action = 0; action < R; action++) {
-    for (const TxTimeOutcome& outcome : distribution(step, action)) {
-      const auto row = static_cast<size_t>(grid_row(outcome.time_s));
-      merged_rows_[static_cast<size_t>(slot[row])].probability.lane[action] =
-          outcome.probability;
+  detail::MergedRow* const rows =
+      merged_rows_.data() + static_cast<size_t>(step) * detail::kGridRows;
+  const uint32_t kept =
+      sweep.prune_grid(lists.data(), config_.prune_probability, rows);
+  // A rung that keeps nothing keeps its first most likely outcome with
+  // probability 1, as prune_distribution does.
+  for (int rung = 0; rung < R; rung++) {
+    if ((kept >> rung & 1U) != 0) {
+      continue;
     }
+    const TxTimeOutcome* const list = lists[static_cast<size_t>(rung)];
+    int best = 0;
+    for (int row = 1; row < detail::kGridRows; row++) {
+      if (list[best].probability < list[row].probability) {
+        best = row;
+      }
+    }
+    rows[best].probability.lane[rung] = 1.0;
+    rows[best].rungs |= uint32_t{1} << rung;
+  }
+  // Keep the rows some rung keeps, in row order.
+  const size_t bins = static_cast<size_t>(num_bins_ + 1);
+  int num_rows = 0;
+  for (int row = 0; row < detail::kGridRows; row++) {
+    if (rows[row].rungs == 0) {
+      continue;
+    }
+    detail::MergedRow& merged = rows[num_rows];
+    if (num_rows != row) {
+      merged = rows[row];
+    }
+    merged.time_s = kTtpBinMidpointsS[static_cast<size_t>(row)];
+    merged.next_bin = next_bin_.data() + static_cast<size_t>(row) * bins;
+    num_rows++;
   }
   return num_rows;
+}
+
+std::vector<TxTimeDistribution> StochasticMpc::last_distributions() const {
+  std::vector<TxTimeDistribution> pruned = distributions_;
+  for (int step = 0; step < effective_horizon_; step++) {
+    if (steps_[static_cast<size_t>(step)].dense_rows == 0) {
+      continue;
+    }
+    for (int rung = 0; rung < media::kNumRungs; rung++) {
+      TxTimeDistribution& dist =
+          pruned[static_cast<size_t>(step) * media::kNumRungs +
+                 static_cast<size_t>(rung)];
+      dist.clear();
+      for (const detail::MergedRow& row : merged_rows(step)) {
+        if ((row.rungs >> rung & 1U) != 0) {
+          dist.push_back({row.time_s, row.probability.lane[rung]});
+        }
+      }
+    }
+  }
+  return pruned;
 }
 
 int StochasticMpc::close_reachable_set() {
@@ -218,38 +243,38 @@ int StochasticMpc::close_reachable_set() {
 
 void StochasticMpc::collect_reachable(const AbrObservation& obs) {
   constexpr int R = media::kNumRungs;
-  const size_t bins = static_cast<size_t>(num_bins_ + 1);
-  steps_.assign(static_cast<size_t>(effective_horizon_), StepSweep{});
   reachable_.clear();
+  // The root's landing bins, read again by plan_root; S_1 is their set.
+  root_bins_.clear();
+  if (steps_[0].dense_rows != 0) {
+    for (const detail::MergedRow& row : merged_rows(0)) {
+      root_bins_.push_back(landing_bin(obs.buffer_s, row.time_s));
+    }
+  } else {
+    for (int action = 0; action < R; action++) {
+      for (const TxTimeOutcome& outcome : distribution(0, action)) {
+        root_bins_.push_back(landing_bin(obs.buffer_s, outcome.time_s));
+      }
+    }
+  }
   if (effective_horizon_ == 1) {
     return;
   }
-  // S_1: the bins the root's outcomes land in, by plan_root's expression.
-  for (int action = 0; action < R; action++) {
-    for (const TxTimeOutcome& outcome : distribution(0, action)) {
-      reached_[static_cast<size_t>(landing_bin(obs.buffer_s,
-                                               outcome.time_s))] = 1;
-    }
+  for (const int b : root_bins_) {
+    reached_[static_cast<size_t>(b)] = 1;
   }
   steps_[1].bins_end = close_reachable_set();
 
-  for (int step = 1; step < effective_horizon_; step++) {
+  // S_{step+1}: the next bins the step's fold reads, from S_step. V[horizon]
+  // = 0 everywhere, so the last step has no set to collect.
+  for (int step = 1; step + 1 < effective_horizon_; step++) {
     StepSweep& sweep = steps_[static_cast<size_t>(step)];
-    sweep.row_mask = merged_row_mask(step);
-    if (step + 1 == effective_horizon_) {
-      break;  // V[horizon] = 0 everywhere: no set to collect.
-    }
-    // S_{step+1}: the next bins the step's fold reads, from S_step.
     const auto bins_begin = reachable_.begin() + sweep.bins_begin;
     const auto bins_end = reachable_.begin() + sweep.bins_end;
-    if (sweep.row_mask != 0) {
-      for (size_t row = 0; row < kTtpBinMidpointsS.size(); row++) {
-        if ((sweep.row_mask >> row & 1U) == 0) {
-          continue;
-        }
-        const uint16_t* const next_bin = next_bin_.data() + row * bins;
+    if (sweep.dense_rows != 0) {
+      for (const detail::MergedRow& row : merged_rows(step)) {
         for (auto b = bins_begin; b != bins_end; ++b) {
-          reached_[next_bin[*b]] = 1;
+          reached_[row.next_bin[*b]] = 1;
         }
       }
     } else {
@@ -293,21 +318,34 @@ int StochasticMpc::plan_root(
     const AbrObservation& obs,
     const std::span<const detail::RungLanes> next_values) {
   // Root step: continuous buffer, previous quality from the observation.
+  const std::span<const detail::MergedRow> rows = merged_rows(0);
   int best_action = 0;
   double best_value = -std::numeric_limits<double>::infinity();
   root_values_.assign(media::kNumRungs, 0.0);
+  size_t outcome_index = 0;  // into root_bins_ when step 0 is not dense
   for (int action = 0; action < media::kNumRungs; action++) {
-    const auto& version = lookahead_[0].versions[static_cast<size_t>(action)];
-    const TxTimeDistribution& dist = distribution(0, action);
+    const double ssim_db =
+        lookahead_[0].versions[static_cast<size_t>(action)].ssim_db;
+    const auto term = [&](const double time_s, const double probability,
+                          const int bin) {
+      const double qoe =
+          chunk_qoe(ssim_db, obs.prev_ssim_db, time_s, obs.buffer_s);
+      return probability *
+             (qoe + next_values[static_cast<size_t>(bin)].lane[action]);
+    };
     double expected = 0.0;
-    for (const auto& outcome : dist) {
-      const double qoe = chunk_qoe(version.ssim_db, obs.prev_ssim_db,
-                                   outcome.time_s, obs.buffer_s);
-      const double continuation =
-          next_values[static_cast<size_t>(
-                          landing_bin(obs.buffer_s, outcome.time_s))]
-              .lane[action];
-      expected += outcome.probability * (qoe + continuation);
+    if (!rows.empty()) {
+      for (size_t i = 0; i < rows.size(); i++) {
+        if ((rows[i].rungs >> action & 1U) != 0) {
+          expected += term(rows[i].time_s, rows[i].probability.lane[action],
+                           root_bins_[i]);
+        }
+      }
+    } else {
+      for (const TxTimeOutcome& outcome : distribution(0, action)) {
+        expected += term(outcome.time_s, outcome.probability,
+                         root_bins_[outcome_index++]);
+      }
     }
     root_values_[static_cast<size_t>(action)] = expected;
     if (expected > best_value) {
@@ -322,11 +360,11 @@ int StochasticMpc::plan_root(
 int StochasticMpc::plan(const AbrObservation& obs,
                         const std::span<const media::ChunkOptions> lookahead,
                         TxTimePredictor& predictor) {
-  prepare_plan(lookahead, predictor);
+  const detail::SweepKernels& sweep = active_sweep();
+  prepare_plan(lookahead, predictor, sweep);
   collect_reachable(obs);
 
   constexpr int R = media::kNumRungs;
-  const detail::SweepKernels& sweep = active_sweep();
 
   // Backward sweep over the reachable bins. value_next_ holds V[step + 1];
   // V[effective_horizon_] = 0.
@@ -361,11 +399,10 @@ int StochasticMpc::plan(const AbrObservation& obs,
     //      E[b][a] = sum_o p_o * (V[step+1][nb][a] - mu * stall),
     //    (unlike the recursion, not again per previous rung) and maximize
     //    over actions for every previous rung.
-    if (step_sweep.row_mask != 0) {
-      const int num_rows = merge_rows(step, step_sweep.row_mask);
+    if (step_sweep.dense_rows != 0) {
       sweep.sweep_rows(value_cur_.data(), value_next_.data(),
-                       merged_rows_.data(), num_rows, switch_penalty_.data(),
-                       at);
+                       merged_rows(step).data(), step_sweep.dense_rows,
+                       switch_penalty_.data(), at);
     } else {
       fold_per_rung(step, at);
       sweep.maximize(value_cur_.data(), expect_.data(),

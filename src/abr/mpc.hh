@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,10 +48,15 @@ struct alignas(32) RungLanes {
   double lane[kRungLanes];
 };
 
-/// One TTP grid row of a merged step: its time, its next-bin table row and
-/// each rung's probability on it (0 for a rung with no outcome there).
+/// Rows of the TTP grid (kTtpBinMidpointsS): the outcomes of a dense step.
+inline constexpr int kGridRows = static_cast<int>(kTtpBinMidpointsS.size());
+
+/// One TTP grid row of a dense step: each rung's pruned probability on it
+/// (0 for a rung that does not keep the row), the rungs that keep it (bit
+/// per rung), its time and its next-bin table row.
 struct MergedRow {
   RungLanes probability;
+  uint32_t rungs = 0;
   double time_s = 0.0;
   const uint16_t* next_bin = nullptr;  ///< [bin]
 };
@@ -63,12 +69,21 @@ struct SweepBins {
   double mu = 0.0;
 };
 
-/// One copy of the backward sweep's inner loops (abr/mpc_sweep.hh). Both
-/// write value_cur[b][prev] = max over actions a, in ascending order, of
-/// switch_penalty[a][prev] + E[b][a] at every bin b of `at`.
+/// One copy of the plan's lane-wise loops (abr/mpc_sweep.hh). The two sweep
+/// loops write value_cur[b][prev] = max over actions a, in ascending order,
+/// of switch_penalty[a][prev] + E[b][a] at every bin b of `at`.
 struct SweepKernels {
-  /// A merged step: E[b][a] = sum over rows, in order from +0.0, of
-  /// p_row[a] * (value_next[next_bin_row[b]][a] - mu * stall(b)).
+  /// A dense step's prune. lists[a] is rung a's answer, the kGridRows grid
+  /// outcomes in row order. Rung a keeps an outcome when its p >=
+  /// min_probability (>= 0) and divides each kept p by their sum, added in
+  /// row order from +0.0. Writes rows[r].probability (+0.0 where a rung does
+  /// not keep row r) and rows[r].rungs for every grid row r, and returns the
+  /// rungs that keep some row (bit per rung).
+  uint32_t (*prune_grid)(const TxTimeOutcome* const* lists,
+                         double min_probability, MergedRow* rows);
+  /// A dense step: E[b][a] = sum over rows, in order from +0.0, of
+  /// p_row[a] * (value_next[next_bin_row[b]][a] - mu * stall(b)). The rows'
+  /// times ascend, as the bins do.
   void (*sweep_rows)(RungLanes* value_cur, const RungLanes* value_next,
                      const MergedRow* rows, int num_rows,
                      const RungLanes* switch_penalty, const SweepBins& at);
@@ -100,31 +115,37 @@ const SweepKernels* avx2_sweep_kernels();
 ///    S_{k+1} the set of next bins of every outcome of every rung at step k
 ///    from S_k. The next bins are exactly the ones the fold reads: a table
 ///    built at construction for the TTP grid times (kTtpBinMidpointsS, the
-///    only times Fugu's outcomes take) and the landing-bin expression for
-///    any other time (MPC-HM's point masses, the throughput ablation).
+///    only times Fugu's outcomes take), read by dense steps, and the
+///    landing-bin expression for every other step's outcomes.
 ///  * Backward: from the last step to step 1, fold the outcome expectation
 ///    once per (action, bin of S_k), then maximize over actions for every
-///    (previous rung, bin of S_k). The root reads V[1] at S_1.
+///    (previous rung, bin of S_k). The root reads V[1] at S_1, at the
+///    landing bins the forward pass computed.
 ///
 /// The value planes are [bin][rung] (detail::RungLanes), so one outcome row
-/// updates every rung of a bin with contiguous vector loads. When every
-/// rung's outcomes at a step are ascending TTP grid rows (Fugu's steps), the
-/// rows are merged across rungs in row order, each rung weighting a row it
-/// lacks by 0. Any other step folds per rung and per reachable bin. Either
-/// way every (rung, bin) adds its own outcomes in list order from +0.0 as
-/// p * (V[next] - mu * stall), and the maximization keeps ascending actions
-/// with a strict <, so plans are bitwise those of a full-lattice per-bin
-/// sweep. Adding p = 0 rows changes nothing only while values and stall
-/// costs are finite, which is why the constructor rejects a non-finite
-/// lambda or mu.
+/// updates every rung of a bin with contiguous vector loads. A step is dense
+/// when every rung answered the full TTP grid (kTtpBinMidpointsS in row
+/// order: Fugu's answers). A dense step is pruned with the rungs as lanes
+/// into merged rows: the grid rows some rung keeps, in row order, each rung
+/// weighting a row it does not keep by 0. Its fold reads one next-bin table
+/// row per merged row for all rungs, and step 0's merged rows are the
+/// root's outcomes. Any other step (MPC-HM's point masses, the
+/// point-estimate and throughput ablations) is pruned per list and folded
+/// per rung and per reachable bin. Either way every (rung, bin) adds its own
+/// outcomes in list order from +0.0 as p * (V[next] - mu * stall), and the
+/// maximization keeps ascending actions with a strict <, so plans are
+/// bitwise those of a full-lattice per-bin sweep over the pruned lists.
+/// Adding p = 0 rows changes nothing only while values and stall costs are
+/// finite, which is why the constructor rejects a non-finite lambda or mu.
 ///
-/// The merged fold and the maximization (abr/mpc_sweep.hh) are compiled
-/// twice: at the baseline ISA in mpc.cc, and with -mavx2 -ffp-contract=off
-/// (no FMA) in mpc_avx2.cc. plan() runs the AVX2 copy when it was compiled
-/// in and the CPU reports AVX2, unless util::set_force_portable(true) is in
-/// effect. Both copies perform the same IEEE operations per lane in the same
-/// order, so they give the same bits; tests run both and compare
-/// (mpc_active_path() names the copy plan() runs).
+/// The dense prune, the merged fold and the maximization (abr/mpc_sweep.hh)
+/// are compiled twice: at the baseline ISA in mpc.cc, and with -mavx2
+/// -ffp-contract=off (no FMA) in mpc_avx2.cc. plan() runs the AVX2 copy when
+/// it was compiled in and the CPU reports AVX2, unless
+/// util::set_force_portable(true) is in effect. Both copies perform the same
+/// IEEE operations per lane in the same order, so they give the same bits;
+/// tests run both and compare (mpc_active_path() names the copy plan()
+/// runs).
 ///
 /// The seed's recursive, memoized value iteration is the oracle the tests
 /// pin plan() against; it lives outside the library
@@ -151,15 +172,14 @@ class StochasticMpc {
   }
 
   /// The pruned, renormalized distributions the most recent plan used,
-  /// [step * kNumRungs + rung] (for tests/diagnostics).
-  [[nodiscard]] std::span<const TxTimeDistribution> last_distributions() const {
-    return distributions_;
-  }
+  /// [step * kNumRungs + rung] (for tests/diagnostics). A dense step's lists
+  /// are rebuilt from its merged rows on each call.
+  [[nodiscard]] std::vector<TxTimeDistribution> last_distributions() const;
 
  private:
   /// A step's fold and where its reachable bins S_step sit in reachable_.
   struct StepSweep {
-    uint32_t row_mask = 0;  ///< merged: the grid rows it reads; else 0
+    int dense_rows = 0;  ///< a dense step's merged rows; 0: fold per rung
     int bins_begin = 0;
     int bins_end = 0;
   };
@@ -176,26 +196,28 @@ class StochasticMpc {
   /// `buffer_s`: buffer_to_bin(min(max(buffer_s - t, 0) + chunk, max)).
   [[nodiscard]] int landing_bin(double buffer_s, double tx_time_s) const;
 
-  /// Plan setup: cache the lookahead, issue all (step x rung)
-  /// queries in one predict_batch call, prune the distributions.
+  /// Plan setup: cache the lookahead, issue all (step x rung) queries in
+  /// one predict_batch call, prune each dense step into its merged rows and
+  /// every other step's lists in place.
   void prepare_plan(std::span<const media::ChunkOptions> lookahead,
-                    TxTimePredictor& predictor);
+                    TxTimePredictor& predictor,
+                    const detail::SweepKernels& sweep);
 
-  /// The grid rows (bit per kTtpBinMidpointsS index) of step's outcomes
-  /// when every rung's outcomes are grid times in strictly ascending order,
-  /// so the step can be merged; else 0. Merging is only a speed-up, but a
-  /// large one: with every step folded per rung (a landing-bin division per
-  /// outcome, rung and bin instead of one table row shared by the rungs),
-  /// fleet-mixed `chunks_per_s` read 34.2k against 92.3k chunks/s (medians
-  /// of 10 alternating 20 s benchmark pairs, 4-vCPU x86-64, gcc 12.2).
-  [[nodiscard]] uint32_t merged_row_mask(int step) const;
+  /// True when every rung of `step` answered the full TTP grid.
+  [[nodiscard]] bool is_dense(int step) const;
 
-  /// Fills merged_rows_ with the `row_mask` rows of a merged step, in row
-  /// order; returns how many.
-  int merge_rows(int step, uint32_t row_mask);
+  /// A dense step's merged rows (none for a step folded per rung).
+  [[nodiscard]] std::span<const detail::MergedRow> merged_rows(
+      const int step) const {
+    return {merged_rows_.data() + static_cast<size_t>(step) * detail::kGridRows,
+            static_cast<size_t>(steps_[static_cast<size_t>(step)].dense_rows)};
+  }
 
-  /// Forward pass: fills steps_ (each step's fold and its reachable bins,
-  /// from the root's landing bins on).
+  /// Prunes dense `step` into its merged rows; returns how many.
+  int prune_dense(int step, const detail::SweepKernels& sweep);
+
+  /// Forward pass: fills root_bins_ and each step's reachable bins in
+  /// steps_, from the root's landing bins on.
   void collect_reachable(const AbrObservation& obs);
 
   /// Ends reachable_'s current set: appends the bins marked in reached_,
@@ -208,7 +230,8 @@ class StochasticMpc {
 
   /// Root maximization over the continuous (un-binned) buffer, reading
   /// step-1 values from `next_values` (the V[1] plane, or zeros when the
-  /// horizon is 1). Returns the argmax rung and fills root_values_.
+  /// horizon is 1) at root_bins_. Returns the argmax rung and fills
+  /// root_values_.
   int plan_root(const AbrObservation& obs,
                 std::span<const detail::RungLanes> next_values);
 
@@ -232,9 +255,13 @@ class StochasticMpc {
   std::vector<double> root_values_;  // [rung]
 
   std::vector<StepSweep> steps_;  // [step]
+  // [step * kGridRows + i]: a dense step's merged rows.
+  std::vector<detail::MergedRow> merged_rows_;
+  // Step 0's landing bins from the observed buffer: one per merged row of a
+  // dense step 0, else one per outcome, rung by rung.
+  std::vector<int> root_bins_;
   std::vector<int> reachable_;    // every step's bins
   std::vector<uint8_t> reached_;  // [bin]: marks of the set being collected
-  std::array<detail::MergedRow, kTtpBinMidpointsS.size()> merged_rows_{};
   std::vector<detail::RungLanes> expect_;  // fold_per_rung's output
   std::array<detail::RungLanes, media::kNumRungs> switch_penalty_{};  // [a]
 

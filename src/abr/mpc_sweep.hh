@@ -1,17 +1,18 @@
-// The backward sweep's inner loops (StochasticMpc::plan), written once and
+// The plan's lane-wise loops (StochasticMpc::plan), written once and
 // compiled twice: by mpc.cc at the baseline ISA and by mpc_avx2.cc with
 // -mavx2 -ffp-contract=off. Only those two files include this one.
 //
-// Both loops run over the reachable bins of one step, and the rungs of a
-// bin are the lanes: a [bin][rung] row of the planes (RungLanes) is three
-// 4-double GCC vectors, which the baseline copy lowers to SSE2 pairs and
-// the AVX2 copy to single ymm operations. Plain loops over ten rungs stayed
-// scalar. Vector arithmetic is lane-wise IEEE arithmetic, so each lane
-// performs the same operations in the same order at either ISA, and without
-// contraction there is no fused multiply-add: both copies give the same
-// bits. Scalars are splatted and the max's select is an integer-mask blend,
-// both spelled out, so the code keeps to the vector operations GCC and
-// clang share.
+// The dense prune runs over the grid rows of one step, the sweep's two
+// loops over the reachable bins of one step. The rungs are the lanes: a
+// grid row's probabilities and a [bin][rung] row of the planes are each a
+// RungLanes, three 4-double GCC vectors, which the baseline copy lowers to
+// SSE2 pairs and the AVX2 copy to single ymm operations. Plain loops over
+// ten rungs stayed scalar. Vector arithmetic is lane-wise IEEE arithmetic,
+// so each lane performs the same operations in the same order at either
+// ISA, and without contraction there is no fused multiply-add: both copies
+// give the same bits. Scalars are splatted and every select is an
+// integer-mask blend, both spelled out, so the code keeps to the vector
+// operations GCC and clang share.
 //
 // Everything here has internal linkage and calls no library function, so
 // each of the two translation units keeps its own copy. An inline function
@@ -34,6 +35,11 @@ typedef double Lanes4 __attribute__((vector_size(32), may_alias));
 /// A lane comparison's result: all ones where true, zero where false.
 using Mask4 = decltype(Lanes4{} < Lanes4{});
 constexpr int kVectors = kRungLanes / 4;
+
+/// kept = the lanes of `x` where `keep` is set, +0.0 elsewhere.
+void keep_or_zero(Lanes4& kept, const Lanes4& x, const Mask4& keep) {
+  kept = reinterpret_cast<Lanes4>(reinterpret_cast<Mask4>(x) & keep);
+}
 
 /// best = the lanes of `value` where best < value, else best's own: the
 /// running max's step as a bit blend, so a NaN or a tie never replaces best.
@@ -77,23 +83,81 @@ void maximize_bin(RungLanes& out, const RungLanes& expect,
   }
 }
 
-/// A merged step, bin by bin: every rung adds the rows in order as
+/// A dense step's prune: each grid row's probabilities, gathered into the
+/// lanes, are kept where p >= min_probability in a rung's lane (never in a
+/// padding lane) and summed per rung in row order from +0.0. A row a rung
+/// does not keep adds +0.0, which leaves the sum's bits unchanged: it
+/// starts at +0.0 and never becomes -0.0. Then each kept p is divided by
+/// its rung's sum.
+uint32_t prune_grid(const TxTimeOutcome* const* const lists,
+                    const double min_probability, MergedRow* const rows) {
+  Mask4 rung_lanes[kVectors];
+  for (int v = 0; v < kVectors; v++) {
+    for (int l = 0; l < 4; l++) {
+      rung_lanes[v][l] = 4 * v + l < media::kNumRungs ? -1 : 0;
+    }
+  }
+  const double t = min_probability;
+  const Lanes4 threshold{t, t, t, t};
+  Lanes4 mass[kVectors] = {};
+  uint32_t kept_any = 0;
+  for (int r = 0; r < kGridRows; r++) {
+    RungLanes& p = rows[r].probability;
+    for (int rung = 0; rung < kRungLanes; rung++) {
+      p.lane[rung] = rung < media::kNumRungs ? lists[rung][r].probability : 0.0;
+    }
+    uint32_t kept = 0;
+    const Lanes4* const lanes = lanes_of(p);
+    for (int v = 0; v < kVectors; v++) {
+      const Mask4 keep = (lanes[v] >= threshold) & rung_lanes[v];
+      Lanes4 kept_p;
+      keep_or_zero(kept_p, lanes[v], keep);
+      mass[v] += kept_p;
+      for (int l = 0; l < 4; l++) {
+        kept |= (keep[l] != 0 ? 1U : 0U) << (4 * v + l);
+      }
+    }
+    rows[r].rungs = kept;
+    kept_any |= kept;
+  }
+  for (int r = 0; r < kGridRows; r++) {
+    Lanes4* const lanes = lanes_of(rows[r].probability);
+    for (int v = 0; v < kVectors; v++) {
+      const Mask4 keep = (lanes[v] >= threshold) & rung_lanes[v];
+      keep_or_zero(lanes[v], lanes[v] / mass[v], keep);
+    }
+  }
+  return kept_any;
+}
+
+/// A dense step, bin by bin: every rung adds the rows in order as
 /// p * (V[next] - mu * stall) from +0.0, then the bin is maximized. A rung
-/// without an outcome on a row has p = 0 there, and adding 0 * (finite)
-/// leaves its sum unchanged.
+/// that does not keep a row has p = 0 there, and adding 0 * (finite)
+/// leaves its sum unchanged. A row the bin's buffer covers has no stall and
+/// adds p * V, because V - mu * (+0.0) is V - (+0.0), which is V. The rows'
+/// times and the bins ascend, so the first stalling row only moves forward.
 void sweep_rows(RungLanes* __restrict const value_cur,
                 const RungLanes* __restrict const value_next,
                 const MergedRow* const rows, const int num_rows,
                 const RungLanes* const switch_penalty, const SweepBins& at) {
+  int first_stall = 0;
   for (int i = 0; i < at.count; i++) {
     const int b = at.bins[i];
     const double buffer_s = b * at.bin_s;
+    while (first_stall < num_rows && rows[first_stall].time_s <= buffer_s) {
+      first_stall++;
+    }
     Lanes4 sum[kVectors] = {};
-    for (int r = 0; r < num_rows; r++) {
+    for (int r = 0; r < first_stall; r++) {
+      const Lanes4* const p = lanes_of(rows[r].probability);
+      const Lanes4* const value = lanes_of(value_next[rows[r].next_bin[b]]);
+      for (int v = 0; v < kVectors; v++) {
+        sum[v] += p[v] * value[v];
+      }
+    }
+    for (int r = first_stall; r < num_rows; r++) {
       const MergedRow& row = rows[r];
-      const double stall =
-          row.time_s > buffer_s ? row.time_s - buffer_s : 0.0;
-      const double cost = at.mu * stall;
+      const double cost = at.mu * (row.time_s - buffer_s);
       const Lanes4 stall_cost{cost, cost, cost, cost};
       const Lanes4* const p = lanes_of(row.probability);
       const Lanes4* const value = lanes_of(value_next[row.next_bin[b]]);
@@ -119,7 +183,7 @@ void maximize(RungLanes* __restrict const value_cur,
   }
 }
 
-constexpr SweepKernels kSweepKernels{&sweep_rows, &maximize};
+constexpr SweepKernels kSweepKernels{&prune_grid, &sweep_rows, &maximize};
 
 }  // namespace
 }  // namespace puffer::abr::detail

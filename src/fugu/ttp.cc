@@ -161,22 +161,20 @@ void ttp_distribution_into(const TtpConfig& config,
                            abr::TxTimeDistribution& out) {
   require(probs.size() == static_cast<size_t>(kTtpBins),
           "ttp_distribution_into: wrong bin count");
-  out.clear();
-  out.reserve(kTtpBins);
-  for (int bin = 0; bin < kTtpBins; bin++) {
-    double time_s;
-    if (config.target == TtpTarget::kTransmissionTime) {
-      time_s = ttp_bin_midpoint(bin);
-    } else {
-      // Throughput ablation: convert a throughput outcome to a transmission
-      // time via t = size / throughput (linear in size, which is exactly the
-      // modeling deficiency the paper calls out).
-      time_s = static_cast<double>(proposed_size_bytes) /
-               throughput_bin_midpoint_bps(bin);
-      time_s = std::clamp(time_s, 1e-3, 60.0);
+  out.resize(kTtpBins);
+  for (size_t bin = 0; bin < out.size(); bin++) {
+    out[bin] = {abr::kTtpBinMidpointsS[bin], static_cast<double>(probs[bin])};
+  }
+  if (config.target == TtpTarget::kThroughput) {
+    // Throughput ablation: convert a throughput outcome to a transmission
+    // time via t = size / throughput (linear in size, which is exactly the
+    // modeling deficiency the paper calls out).
+    for (size_t bin = 0; bin < out.size(); bin++) {
+      out[bin].time_s = std::clamp(
+          static_cast<double>(proposed_size_bytes) /
+              throughput_bin_midpoint_bps(static_cast<int>(bin)),
+          1e-3, 60.0);
     }
-    out.push_back(
-        {time_s, static_cast<double>(probs[static_cast<size_t>(bin)])});
   }
 }
 

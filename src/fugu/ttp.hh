@@ -71,8 +71,9 @@ void ttp_featurize_into(const TtpConfig& config, const TtpHistory& history,
 
 /// Convert one post-softmax bin row into a transmission-time distribution
 /// (handling the throughput-ablation conversion t = size / throughput),
-/// into `out`: cleared and refilled, keeping its capacity, so a planner's
-/// per-query distributions are reused across plans without allocating.
+/// into `out`: resized to the kTtpBins outcomes, in bin order, and
+/// overwritten, so a planner's per-query distributions are reused across
+/// plans without allocating.
 void ttp_distribution_into(const TtpConfig& config,
                            std::span<const float> probs,
                            int64_t proposed_size_bytes,

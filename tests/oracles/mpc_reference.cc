@@ -114,7 +114,9 @@ class Recursion {
 ReferencePlan plan_reference(
     const abr::StochasticMpc& mpc, const abr::AbrObservation& obs,
     const std::span<const media::ChunkOptions> lookahead) {
-  Recursion recursion{mpc.config(), lookahead, mpc.last_distributions()};
+  const std::vector<abr::TxTimeDistribution> distributions =
+      mpc.last_distributions();
+  Recursion recursion{mpc.config(), lookahead, distributions};
   ReferencePlan plan;
   plan.value = -std::numeric_limits<double>::infinity();
   for (int action = 0; action < R; action++) {
