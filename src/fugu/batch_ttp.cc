@@ -1,6 +1,7 @@
 #include "fugu/batch_ttp.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "nn/loss.hh"
 #include "util/require.hh"
@@ -17,6 +18,7 @@ size_t TtpInferenceBatch::group_for(const TtpModel& model, const int step) {
       return g;
     }
   }
+  require(network.input_size() >= 1, "TtpInferenceBatch: no input features");
   groups_.push_back(Group{});
   groups_.back().network = &network;
   groups_.back().input_dim = network.input_size();
@@ -29,6 +31,15 @@ TtpInferenceBatch::Slot TtpInferenceBatch::enqueue_row(
   Group& group = groups_[group_index];
   require(features.size() == group.input_dim,
           "TtpInferenceBatch: feature width mismatch");
+  const size_t shared = group.input_dim - 1;
+  if (group.rows_used > 0 &&
+      std::memcmp(group.staging.data() + group.staging.size() -
+                      group.input_dim,
+                  features.data(), shared * sizeof(float)) == 0) {
+    group.runs.back()++;
+  } else {
+    group.runs.push_back(1);
+  }
   group.staging.insert(group.staging.end(), features.begin(), features.end());
   const Slot slot{group_index, group.rows_used};
   group.rows_used++;
@@ -41,9 +52,8 @@ void TtpInferenceBatch::run() {
     if (group.rows_used == 0) {
       continue;
     }
-    group.input.resize_no_zero(group.rows_used, group.input_dim);
-    std::copy(group.staging.begin(), group.staging.end(), group.input.data());
-    group.network->forward(group.input, group.logits, group.scratch);
+    group.network->forward_runs(group.staging.data(), group.runs,
+                                group.logits, group.scratch);
     for (size_t r = 0; r < group.logits.rows(); r++) {
       nn::softmax_inplace(group.logits.row(r));
     }
@@ -66,6 +76,7 @@ std::span<const float> TtpInferenceBatch::probs(const Slot& slot) const {
 void TtpInferenceBatch::clear() {
   for (Group& group : groups_) {
     group.staging.clear();
+    group.runs.clear();
     group.rows_used = 0;
     group.logits.resize(0, 0);
   }

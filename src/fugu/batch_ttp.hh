@@ -15,10 +15,13 @@ namespace puffer::fugu {
 /// Coalesces TTP forward passes. Feature rows are gathered into one matrix
 /// per step-network — within one ABR decision and, in the fleet engine,
 /// across many concurrently-deciding sessions — and each group then runs a
-/// single Mlp::forward (one GEMM) instead of one matrix-vector pass per
-/// row. Row results are bit-identical to forward_one: the fused matmul
-/// accumulates every output row in the same order regardless of how many
-/// rows share the batch.
+/// single forward pass (one GEMM per layer) instead of one matrix-vector
+/// pass per row. Consecutive rows of a group that agree in every feature
+/// but the last (one decision step's rungs, which differ only in the
+/// proposed size) form a run, and the first layer multiplies a run's shared
+/// features once (Mlp::forward_runs). Row results are bit-identical to
+/// forward_one: every output row accumulates in the same order regardless
+/// of how many rows share the batch or a run.
 class TtpInferenceBatch {
  public:
   /// Where an enqueued row's answer will appear after run().
@@ -32,10 +35,13 @@ class TtpInferenceBatch {
   /// (decision, step); enqueue_row() then appends without it.
   size_t group_for(const TtpModel& model, int step);
 
-  /// Append one feature row to a resolved group (the per-row hot path).
+  /// Append one feature row to a resolved group (the per-row hot path). It
+  /// joins the group's last run when it agrees with the previous row, bit
+  /// for bit, in every feature but the last.
   Slot enqueue_row(size_t group, std::span<const float> features);
 
-  /// Run one fused forward pass per non-empty group, then softmax each row.
+  /// Run one fused forward pass per non-empty group, reading the staged
+  /// rows in place, then softmax each row.
   void run();
 
   /// Post-softmax bin probabilities of an enqueued row; valid until the
@@ -62,8 +68,8 @@ class TtpInferenceBatch {
     const nn::Mlp* network = nullptr;
     size_t input_dim = 0;
     size_t rows_used = 0;
-    std::vector<float> staging;  ///< row-major feature rows
-    nn::Matrix input;
+    std::vector<float> staging;   ///< row-major feature rows
+    std::vector<uint32_t> runs;   ///< row counts of the staged runs
     nn::Matrix logits;
     nn::Matrix scratch;
   };

@@ -44,11 +44,36 @@ void kernel_portable(const float* a, const size_t lda, const float* panel,
   }
 }
 
+/// Portable finish kernel: the same fmaf and epilogue per element.
+void finish_rows_portable(const float* prefix, const float* last_b,
+                          const float* last_a, const size_t lda,
+                          const size_t rows, float* c, const size_t ldc,
+                          const size_t nc, const float* bias,
+                          const bool relu) {
+  for (size_t r = 0; r < rows; r++) {
+    const float av = last_a[r * lda];
+    for (size_t col = 0; col < nc; col++) {
+      float v = std::fmaf(av, last_b[col], prefix[col]);
+      if (bias != nullptr) {
+        v += bias[col];
+      }
+      if (relu) {
+        v = v > 0.0f ? v : 0.0f;
+      }
+      c[r * ldc + col] = v;
+    }
+  }
+}
+
+static_assert(kRowTile == 5, "list one kernel per tile height below");
 constexpr detail::KernelTable kPortableKernels{
     {&kernel_portable<1, false>, &kernel_portable<2, false>,
-     &kernel_portable<3, false>, &kernel_portable<4, false>},
+     &kernel_portable<3, false>, &kernel_portable<4, false>,
+     &kernel_portable<5, false>},
     {&kernel_portable<1, true>, &kernel_portable<2, true>,
-     &kernel_portable<3, true>, &kernel_portable<4, true>}};
+     &kernel_portable<3, true>, &kernel_portable<4, true>,
+     &kernel_portable<5, true>},
+    &finish_rows_portable};
 
 const detail::KernelTable& active_kernels() {
   if (!util::force_portable()) {
@@ -164,6 +189,45 @@ void gemm(const Matrix& a, const PackedMatrix& b, Matrix& out,
           const Epilogue epilogue, const std::span<const float> bias) {
   require(a.cols() == b.k(), "gemm: inner dimensions must match");
   gemm(a.data(), a.cols(), a.rows(), b, out, epilogue, bias);
+}
+
+void gemm_shared_prefix(const float* a, const size_t lda,
+                        const std::span<const uint32_t> runs,
+                        const PackedMatrix& b, Matrix& out,
+                        const Epilogue epilogue,
+                        const std::span<const float> bias) {
+  const size_t k = b.k();
+  const size_t n = b.n();
+  require(k >= 1 && lda >= k, "gemm_shared_prefix: bad inner dimension");
+  if (epilogue != Epilogue::kNone) {
+    require(bias.size() == n, "gemm: bias length mismatch");
+  }
+  size_t m = 0;
+  for (const uint32_t rows : runs) {
+    m += rows;
+  }
+  out.resize_no_zero(m, n);
+  const obs::ProfScope kernel_scope{"nn.gemm"};
+  const detail::KernelTable& kernels = active_kernels();
+  const bool relu = epilogue == Epilogue::kBiasRelu;
+  for (size_t j0 = 0; j0 < n; j0 += kPanelWidth) {
+    const float* panel = b.panel(j0 / kPanelWidth);
+    const float* last_b = panel + (k - 1) * kPanelWidth;
+    const size_t nc = std::min(kPanelWidth, n - j0);
+    const float* panel_bias =
+        epilogue == Epilogue::kNone ? nullptr : bias.data() + j0;
+    size_t i0 = 0;
+    for (const uint32_t rows : runs) {
+      // The run's chain over its shared columns, p = 0..k-2, then one step
+      // per row on column k-1.
+      float prefix[kPanelWidth];
+      kernels.fn[0](a + i0 * lda, lda, panel, k - 1, prefix, kPanelWidth,
+                    kPanelWidth, nullptr, false);
+      kernels.finish_rows(prefix, last_b, a + i0 * lda + (k - 1), lda, rows,
+                          out.data() + i0 * n + j0, n, nc, panel_bias, relu);
+      i0 += rows;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define PUFFER_NN_GEMM_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,8 +34,10 @@ namespace puffer::nn {
 
 /// Columns per packed panel (the micro-kernel's N register width).
 inline constexpr size_t kPanelWidth = 16;
-/// Output rows per register tile (the micro-kernel's M width).
-inline constexpr size_t kRowTile = 4;
+/// Output rows per register tile (the micro-kernel's M width): 2 x 5
+/// accumulators, two panel vectors and a broadcast fit AVX2's 16 registers,
+/// and the TTP's 10 rows per (decision, step) are two whole tiles.
+inline constexpr size_t kRowTile = 5;
 
 /// A matrix packed for use as the B operand of gemm(): columns grouped into
 /// panels of kPanelWidth, each panel stored k-major and contiguous
@@ -86,6 +89,18 @@ void gemm(const Matrix& a, const PackedMatrix& b, Matrix& out,
           Epilogue epilogue = Epilogue::kNone,
           std::span<const float> bias = {});
 
+/// gemm() for an A whose rows come in runs that agree, bit for bit, in
+/// every column but the last (B's k-th row): the TTP's rows of one decision
+/// step differ only in the proposed chunk size. runs[i] rows form the i-th
+/// run, and the runs cover A's rows in order. Each run's shared columns are
+/// multiplied once, from its first row, and every row then finishes with
+/// one fused multiply-add on its last column. That is the same ascending
+/// chain from +0.0, so `out` is bitwise gemm()'s.
+void gemm_shared_prefix(const float* a, size_t lda,
+                        std::span<const uint32_t> runs, const PackedMatrix& b,
+                        Matrix& out, Epilogue epilogue = Epilogue::kNone,
+                        std::span<const float> bias = {});
+
 /// True when the AVX2/FMA micro-kernels were compiled in AND the running CPU
 /// supports them. The portable fallback is bit-identical either way, and
 /// util::set_force_portable(true) selects it even when SIMD is available.
@@ -108,9 +123,19 @@ using GemmKernelFn = void (*)(const float* a, size_t lda, const float* panel,
                               size_t k, float* c, size_t ldc, size_t nc,
                               const float* bias, bool relu);
 
+/// Finish kernel ABI: `rows` output rows of one panel from a shared prefix
+/// accumulator (kPanelWidth floats): c[r * ldc + col] is the epilogue of
+/// fma(last_a[r * lda], last_b[col], prefix[col]) for col < nc, with `bias`
+/// and `relu` as in GemmKernelFn; last_b is the panel's last k row.
+using FinishRowsFn = void (*)(const float* prefix, const float* last_b,
+                              const float* last_a, size_t lda, size_t rows,
+                              float* c, size_t ldc, size_t nc,
+                              const float* bias, bool relu);
+
 struct KernelTable {
   GemmKernelFn fn[kRowTile];
   GemmKernelFn fn_transposed_a[kRowTile];
+  FinishRowsFn finish_rows;
 };
 
 /// Defined in gemm_avx2.cc; returns nullptr when the AVX2/FMA kernels were

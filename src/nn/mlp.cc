@@ -8,6 +8,22 @@
 
 namespace puffer::nn {
 
+namespace {
+
+/// Where layer l of `layers` writes in a forward pass: destinations
+/// alternate so the last layer's write lands in `logits`.
+Matrix& layer_output(const size_t l, const size_t layers, Matrix& logits,
+                     Matrix& scratch) {
+  return (layers - 1 - l) % 2 == 0 ? logits : scratch;
+}
+
+/// Hidden layers end in ReLU; the output layer is linear (logits).
+Epilogue layer_epilogue(const size_t l, const size_t layers) {
+  return l + 1 < layers ? Epilogue::kBiasRelu : Epilogue::kBias;
+}
+
+}  // namespace
+
 void Gradients::zero() {
   for (auto& w : weights) {
     w.fill(0.0f);
@@ -85,15 +101,27 @@ void Mlp::forward(const Matrix& input, Matrix& logits, Matrix& scratch) const {
   require(input.cols() == input_size(), "Mlp::forward: input width mismatch");
   require(&input != &logits && &input != &scratch && &logits != &scratch,
           "Mlp::forward: input, logits and scratch must be distinct");
-  const Matrix* src = &input;
-  for (size_t l = 0; l < weights_.size(); l++) {
-    // Alternate destinations so the last layer's write lands in `logits`.
-    const size_t layers_after = weights_.size() - 1 - l;
-    Matrix* dst = (layers_after % 2 == 0) ? &logits : &scratch;
-    const Epilogue epilogue =
-        l + 1 < weights_.size() ? Epilogue::kBiasRelu : Epilogue::kBias;
-    gemm(*src, packed_[l], *dst, epilogue, biases_[l]);
-    src = dst;
+  forward_layers(0, input, logits, scratch);
+}
+
+void Mlp::forward_runs(const float* input, const std::span<const uint32_t> runs,
+                       Matrix& logits, Matrix& scratch) const {
+  require(&logits != &scratch,
+          "Mlp::forward_runs: logits and scratch must be distinct");
+  Matrix& first = layer_output(0, num_layers(), logits, scratch);
+  gemm_shared_prefix(input, input_size(), runs, packed_[0], first,
+                     layer_epilogue(0, num_layers()), biases_[0]);
+  forward_layers(1, first, logits, scratch);
+}
+
+void Mlp::forward_layers(const size_t first, const Matrix& src,
+                         Matrix& logits, Matrix& scratch) const {
+  const Matrix* input = &src;
+  for (size_t l = first; l < weights_.size(); l++) {
+    Matrix& dst = layer_output(l, num_layers(), logits, scratch);
+    gemm(*input, packed_[l], dst, layer_epilogue(l, num_layers()),
+         biases_[l]);
+    input = &dst;
   }
 }
 
@@ -119,10 +147,8 @@ void Mlp::forward_tape(const Matrix& input, Tape& tape) const {
   staged.resize_no_zero(input.rows(), input.cols());
   std::copy(input.data(), input.data() + input.size(), staged.data());
   for (size_t l = 0; l < weights_.size(); l++) {
-    const Epilogue epilogue =
-        l + 1 < weights_.size() ? Epilogue::kBiasRelu : Epilogue::kBias;
-    gemm(tape.activations[l], packed_[l], tape.activations[l + 1], epilogue,
-         biases_[l]);
+    gemm(tape.activations[l], packed_[l], tape.activations[l + 1],
+         layer_epilogue(l, num_layers()), biases_[l]);
   }
 }
 

@@ -79,6 +79,13 @@ class Mlp {
   /// size or destination buffer).
   void forward(const Matrix& input, Matrix& logits, Matrix& scratch) const;
 
+  /// forward() over `input`'s rows in place (row stride input_size()),
+  /// which come in runs that share every input but the last, as
+  /// gemm_shared_prefix takes them: the first layer multiplies each run's
+  /// shared inputs once. Per-row results are bitwise forward()'s.
+  void forward_runs(const float* input, std::span<const uint32_t> runs,
+                    Matrix& logits, Matrix& scratch) const;
+
   /// Convenience single-example inference.
   [[nodiscard]] std::vector<float> forward_one(std::span<const float> input) const;
 
@@ -120,6 +127,11 @@ class Mlp {
 
  private:
   void pack();
+
+  /// Layers `first` on, from `src` (layer first's input), ping-ponging
+  /// between `logits` and `scratch` so the last layer writes `logits`.
+  void forward_layers(size_t first, const Matrix& src, Matrix& logits,
+                      Matrix& scratch) const;
 
   std::vector<size_t> layer_sizes_;
   /// weights_[l] has shape (layer_sizes_[l] x layer_sizes_[l+1]).

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nn/gemm.hh"
@@ -181,6 +184,84 @@ TEST(Gemm, TransposedVariantsEqualFmaChainsBitwise) {
   expect_transposed_products_match_fma_chains();
 }
 
+/// `runs` of rows (m x lda) that agree in columns 0..k-2 within a run and
+/// differ in column k-1, drawn like extreme_matrix's entries (subnormals,
+/// signed zeros, large values); the columns past k are NaN, which the
+/// kernels must not read.
+Matrix shared_prefix_rows(Rng& rng, const std::vector<uint32_t>& runs,
+                          const size_t k, const size_t lda) {
+  size_t m = 0;
+  for (const uint32_t rows : runs) {
+    m += rows;
+  }
+  Matrix a{m, lda};
+  a.fill(std::numeric_limits<float>::quiet_NaN());
+  size_t row = 0;
+  for (const uint32_t rows : runs) {
+    const Matrix prefix = extreme_matrix(rng, 1, k - 1);
+    const Matrix last = extreme_matrix(rng, rows, 1);
+    for (uint32_t i = 0; i < rows; i++, row++) {
+      std::copy_n(prefix.data(), k - 1, a.data() + row * lda);
+      a.at(row, k - 1) = last.data()[i];
+    }
+  }
+  return a;
+}
+
+/// gemm_shared_prefix against gemm, bitwise, on the active kernel path:
+/// m = 1..11 (every kRowTile remainder), split into single-row runs, one
+/// run, and random run lengths; k = 1 (no shared column), 2 and 22 (the
+/// TTP's first layer); n = 1, 16, 21 (a 5-column tail panel) and 64; row
+/// strides above k; every epilogue, with -0.0 among the biases.
+void expect_shared_prefix_matches_gemm() {
+  Rng rng{31};
+  for (uint32_t m = 1; m <= 11; m++) {
+    for (int split = 0; split < 3; split++) {
+      std::vector<uint32_t> runs;
+      if (split == 0) {
+        runs.assign(m, 1);
+      } else if (split == 1) {
+        runs.push_back(m);
+      } else {
+        for (uint32_t left = m; left > 0;) {
+          const auto rows = std::min(
+              left, static_cast<uint32_t>(rng.uniform_int(1, 4)));
+          runs.push_back(rows);
+          left -= rows;
+        }
+      }
+      for (const size_t k : {1u, 2u, 22u}) {
+        for (const size_t n : {1u, 16u, 21u, 64u}) {
+          const size_t lda = k + m % 3;
+          const Matrix a = shared_prefix_rows(rng, runs, k, lda);
+          PackedMatrix packed;
+          packed.pack_from(extreme_matrix(rng, k, n));
+          std::vector<float> bias = random_bias(rng, n);
+          bias[0] = -0.0f;
+          for (const Epilogue epilogue :
+               {Epilogue::kNone, Epilogue::kBias, Epilogue::kBiasRelu}) {
+            Matrix expected;
+            Matrix actual;
+            gemm(a.data(), lda, m, packed, expected, epilogue, bias);
+            gemm_shared_prefix(a.data(), lda, runs, packed, actual, epilogue,
+                               bias);
+            EXPECT_TRUE(same_bits(actual, expected))
+                << "m " << m << " split " << split << " k " << k << " n "
+                << n << " epilogue " << static_cast<int>(epilogue) << " on "
+                << gemm_active_path();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, SharedPrefixEqualsGemmBitwise) {
+  expect_shared_prefix_matches_gemm();
+  test::ForcePortableGuard guard;
+  expect_shared_prefix_matches_gemm();
+}
+
 TEST(Gemm, FusedBiasReluMatchesUnfusedBitwise) {
   Rng rng{5};
   const Matrix a = random_matrix(rng, 6, 22);
@@ -344,6 +425,21 @@ TEST(MlpPacked, ForwardMatchesNaiveReferenceNetwork) {
   Matrix logits;
   net.forward(input, logits);
   expect_near(logits, ref, "packed forward vs naive reference");
+}
+
+/// The TTP's shape: a decision step's rows share all inputs but the
+/// proposed size, and forward_runs must give forward's bits.
+TEST(MlpPacked, ForwardRunsMatchesForwardBitwise) {
+  Rng rng{41};
+  const Mlp net{{22, 64, 64, 21}, 9};
+  const std::vector<uint32_t> runs = {10, 1, 10, 3};
+  const Matrix input = shared_prefix_rows(rng, runs, 22, 22);
+  Matrix expected;
+  Matrix actual;
+  Matrix scratch;
+  net.forward(input, expected);
+  net.forward_runs(input.data(), runs, actual, scratch);
+  EXPECT_TRUE(same_bits(actual, expected));
 }
 
 TEST(MlpPacked, UpdateRepacksPanels) {
