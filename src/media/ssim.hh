@@ -17,6 +17,15 @@ double db_to_ssim(double ssim_db);
 /// a full-ladder mean around 16-17 dB, matching Figures 3b and 1.
 double rate_quality_db(double bitrate_mbps, double complexity);
 
+/// rate_quality_db's complexity term, pow(complexity, 1.45). It depends on
+/// the content alone, so a source encoding one chunk at every rung computes
+/// it once and passes it to rate_quality_db_with_term.
+double complexity_rate_term(double complexity);
+
+/// rate_quality_db(bitrate_mbps, complexity), given
+/// complexity_rate_term(complexity); the same bits.
+double rate_quality_db_with_term(double bitrate_mbps, double complexity_term);
+
 }  // namespace puffer::media
 
 #endif  // PUFFER_MEDIA_SSIM_HH

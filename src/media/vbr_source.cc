@@ -42,6 +42,7 @@ void VbrVideoSource::extend_to(const int64_t index) {
     }
     log_complexity_.push_back(log_c);
     const double complexity = std::exp(log_c);
+    const double complexity_term = complexity_rate_term(complexity);
 
     ChunkOptions options;
     options.chunk_index = static_cast<int64_t>(chunks_.size());
@@ -59,7 +60,8 @@ void VbrVideoSource::extend_to(const int64_t index) {
       version.rung = r;
       version.size_bytes = std::max<int64_t>(static_cast<int64_t>(size), 2000);
       version.ssim_db =
-          std::clamp(rate_quality_db(actual_bitrate_mbps, complexity) +
+          std::clamp(rate_quality_db_with_term(actual_bitrate_mbps,
+                                               complexity_term) +
                          rng_.normal(0.0, kQualityNoiseSigmaDb),
                      3.0, 25.0);
       options.versions[static_cast<size_t>(r)] = version;
