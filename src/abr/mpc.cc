@@ -174,11 +174,13 @@ int StochasticMpc::prune_dense(const int step,
   }
   detail::MergedRow* const rows =
       merged_rows_.data() + static_cast<size_t>(step) * detail::kGridRows;
-  const uint32_t kept =
-      sweep.prune_grid(lists.data(), config_.prune_probability, rows);
+  uint32_t kept = 0;
+  int num_rows =
+      sweep.prune_grid(lists.data(), config_.prune_probability, rows, kept);
   // A rung that keeps nothing keeps its first most likely outcome with
-  // probability 1, as prune_distribution does.
-  for (int rung = 0; rung < R; rung++) {
+  // probability 1, as prune_distribution does. Its row joins the merged
+  // rows in row order if no other rung keeps it.
+  for (int rung = 0; rung < R && kept != (uint32_t{1} << R) - 1; rung++) {
     if ((kept >> rung & 1U) != 0) {
       continue;
     }
@@ -189,23 +191,23 @@ int StochasticMpc::prune_dense(const int step,
         best = row;
       }
     }
-    rows[best].probability.lane[rung] = 1.0;
-    rows[best].rungs |= uint32_t{1} << rung;
+    int i = 0;
+    while (i < num_rows && rows[i].grid_row < best) {
+      i++;
+    }
+    if (i == num_rows || rows[i].grid_row != best) {
+      std::copy_backward(rows + i, rows + num_rows, rows + num_rows + 1);
+      rows[i] = detail::MergedRow{};
+      rows[i].grid_row = best;
+      rows[i].time_s = kTtpBinMidpointsS[static_cast<size_t>(best)];
+      num_rows++;
+    }
+    rows[i].probability.lane[rung] = 1.0;
   }
-  // Keep the rows some rung keeps, in row order.
   const size_t bins = static_cast<size_t>(num_bins_ + 1);
-  int num_rows = 0;
-  for (int row = 0; row < detail::kGridRows; row++) {
-    if (rows[row].rungs == 0) {
-      continue;
-    }
-    detail::MergedRow& merged = rows[num_rows];
-    if (num_rows != row) {
-      merged = rows[row];
-    }
-    merged.time_s = kTtpBinMidpointsS[static_cast<size_t>(row)];
-    merged.next_bin = next_bin_.data() + static_cast<size_t>(row) * bins;
-    num_rows++;
+  for (int i = 0; i < num_rows; i++) {
+    rows[i].next_bin =
+        next_bin_.data() + static_cast<size_t>(rows[i].grid_row) * bins;
   }
   return num_rows;
 }
@@ -214,18 +216,13 @@ std::vector<TxTimeDistribution> StochasticMpc::last_distributions() const {
   std::vector<TxTimeDistribution> pruned = distributions_;
   for (int step = 0; step < effective_horizon_; step++) {
     if (steps_[static_cast<size_t>(step)].dense_rows == 0) {
-      continue;
+      continue;  // pruned in place already
     }
     for (int rung = 0; rung < media::kNumRungs; rung++) {
-      TxTimeDistribution& dist =
+      prune_distribution(
           pruned[static_cast<size_t>(step) * media::kNumRungs +
-                 static_cast<size_t>(rung)];
-      dist.clear();
-      for (const detail::MergedRow& row : merged_rows(step)) {
-        if ((row.rungs >> rung & 1U) != 0) {
-          dist.push_back({row.time_s, row.probability.lane[rung]});
-        }
-      }
+                 static_cast<size_t>(rung)],
+          config_.prune_probability);
     }
   }
   return pruned;
@@ -335,11 +332,10 @@ int StochasticMpc::plan_root(
     };
     double expected = 0.0;
     if (!rows.empty()) {
+      // A row this rung does not keep adds 0 * (finite), which is nothing.
       for (size_t i = 0; i < rows.size(); i++) {
-        if ((rows[i].rungs >> action & 1U) != 0) {
-          expected += term(rows[i].time_s, rows[i].probability.lane[action],
-                           root_bins_[i]);
-        }
+        expected += term(rows[i].time_s, rows[i].probability.lane[action],
+                         root_bins_[i]);
       }
     } else {
       for (const TxTimeOutcome& outcome : distribution(0, action)) {

@@ -52,11 +52,11 @@ struct alignas(32) RungLanes {
 inline constexpr int kGridRows = static_cast<int>(kTtpBinMidpointsS.size());
 
 /// One TTP grid row of a dense step: each rung's pruned probability on it
-/// (0 for a rung that does not keep the row), the rungs that keep it (bit
-/// per rung), its time and its next-bin table row.
+/// (0 for a rung that does not keep the row), its index in the grid, its
+/// time and its next-bin table row.
 struct MergedRow {
   RungLanes probability;
-  uint32_t rungs = 0;
+  int grid_row = 0;
   double time_s = 0.0;
   const uint16_t* next_bin = nullptr;  ///< [bin]
 };
@@ -76,11 +76,12 @@ struct SweepKernels {
   /// A dense step's prune. lists[a] is rung a's answer, the kGridRows grid
   /// outcomes in row order. Rung a keeps an outcome when its p >=
   /// min_probability (>= 0) and divides each kept p by their sum, added in
-  /// row order from +0.0. Writes rows[r].probability (+0.0 where a rung does
-  /// not keep row r) and rows[r].rungs for every grid row r, and returns the
-  /// rungs that keep some row (bit per rung).
-  uint32_t (*prune_grid)(const TxTimeOutcome* const* lists,
-                         double min_probability, MergedRow* rows);
+  /// row order from +0.0. Writes the grid rows some rung keeps to rows, in
+  /// row order (probability, +0.0 for a rung that does not keep the row;
+  /// grid_row; time_s), sets `kept` to the rungs that keep some row (bit
+  /// per rung) and returns how many rows it wrote.
+  int (*prune_grid)(const TxTimeOutcome* const* lists, double min_probability,
+                    MergedRow* rows, uint32_t& kept);
   /// A dense step: E[b][a] = sum over rows, in order from +0.0, of
   /// p_row[a] * (value_next[next_bin_row[b]][a] - mu * stall(b)). The rows'
   /// times ascend, as the bins do.
@@ -172,8 +173,8 @@ class StochasticMpc {
   }
 
   /// The pruned, renormalized distributions the most recent plan used,
-  /// [step * kNumRungs + rung] (for tests/diagnostics). A dense step's lists
-  /// are rebuilt from its merged rows on each call.
+  /// [step * kNumRungs + rung] (for tests/diagnostics). A dense step keeps
+  /// its answers as they came, so each call prunes a copy of them.
   [[nodiscard]] std::vector<TxTimeDistribution> last_distributions() const;
 
  private:

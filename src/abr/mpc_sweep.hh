@@ -12,7 +12,8 @@
 // ISA, and without contraction there is no fused multiply-add: both copies
 // give the same bits. Scalars are splatted and every select is an
 // integer-mask blend, both spelled out, so the code keeps to the vector
-// operations GCC and clang share.
+// operations GCC and clang share; the AVX copy's running max is vmaxpd,
+// which selects exactly as its blend does.
 //
 // Everything here has internal linkage and calls no library function, so
 // each of the two translation units keeps its own copy. An inline function
@@ -24,6 +25,10 @@
 #define PUFFER_ABR_MPC_SWEEP_HH
 
 #include <limits>
+
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
 
 #include "abr/mpc.hh"
 
@@ -42,12 +47,20 @@ void keep_or_zero(Lanes4& kept, const Lanes4& x, const Mask4& keep) {
 }
 
 /// best = the lanes of `value` where best < value, else best's own: the
-/// running max's step as a bit blend, so a NaN or a tie never replaces best.
+/// running max's step, so a NaN or a tie never replaces best. The AVX copy
+/// says it with vmaxpd(value, best), which is value > best ? value : best
+/// per lane, NaN and signed zeros included: one instruction where the
+/// blend takes three. The baseline copy spells the blend out.
 /// (References: a 32-byte vector passed by value changes the baseline ABI.)
 void keep_larger(Lanes4& best, const Lanes4& value) {
+#if defined(__AVX__)
+  best = reinterpret_cast<Lanes4>(_mm256_max_pd(
+      reinterpret_cast<__m256d>(value), reinterpret_cast<__m256d>(best)));
+#else
   const Mask4 take = best < value;
   best = reinterpret_cast<Lanes4>((reinterpret_cast<Mask4>(best) & ~take) |
                                   (reinterpret_cast<Mask4>(value) & take));
+#endif
 }
 
 const Lanes4* lanes_of(const RungLanes& row) {
@@ -83,51 +96,62 @@ void maximize_bin(RungLanes& out, const RungLanes& expect,
   }
 }
 
-/// A dense step's prune: each grid row's probabilities, gathered into the
-/// lanes, are kept where p >= min_probability in a rung's lane (never in a
-/// padding lane) and summed per rung in row order from +0.0. A row a rung
-/// does not keep adds +0.0, which leaves the sum's bits unchanged: it
-/// starts at +0.0 and never becomes -0.0. Then each kept p is divided by
-/// its rung's sum.
-uint32_t prune_grid(const TxTimeOutcome* const* const lists,
-                    const double min_probability, MergedRow* const rows) {
-  Mask4 rung_lanes[kVectors];
-  for (int v = 0; v < kVectors; v++) {
-    for (int l = 0; l < 4; l++) {
-      rung_lanes[v][l] = 4 * v + l < media::kNumRungs ? -1 : 0;
-    }
-  }
+/// A dense step's prune, row by row: a row's probabilities are loaded into
+/// the lanes, and a rung's lane keeps p where p >= min_probability (no
+/// padding lane ever does; a NaN p is not kept). Each rung sums its kept p
+/// in row order from +0.0; a row the rung does not keep adds +0.0, which
+/// leaves the sum's bits unchanged, since it starts at +0.0 and never
+/// becomes -0.0. A row some rung keeps is written out, and then each of
+/// those rows' kept p is divided by its rung's sum.
+int prune_grid(const TxTimeOutcome* const* const lists,
+               const double min_probability, MergedRow* const rows,
+               uint32_t& kept) {
+  static_assert(kVectors == 3 && media::kNumRungs == 10,
+                "the loads below fill rungs 0-9 and two padding lanes");
+  const Mask4 rung_lanes[kVectors] = {
+      {-1, -1, -1, -1}, {-1, -1, -1, -1}, {-1, -1, 0, 0}};
   const double t = min_probability;
   const Lanes4 threshold{t, t, t, t};
   Lanes4 mass[kVectors] = {};
-  uint32_t kept_any = 0;
+  Mask4 kept_any[kVectors] = {};
+  int num_rows = 0;
   for (int r = 0; r < kGridRows; r++) {
-    RungLanes& p = rows[r].probability;
-    for (int rung = 0; rung < kRungLanes; rung++) {
-      p.lane[rung] = rung < media::kNumRungs ? lists[rung][r].probability : 0.0;
-    }
-    uint32_t kept = 0;
-    const Lanes4* const lanes = lanes_of(p);
+    const auto p = [&](const int rung) { return lists[rung][r].probability; };
+    const Lanes4 lanes[kVectors] = {{p(0), p(1), p(2), p(3)},
+                                    {p(4), p(5), p(6), p(7)},
+                                    {p(8), p(9), 0.0, 0.0}};
+    Mask4 keep_row = {};
     for (int v = 0; v < kVectors; v++) {
       const Mask4 keep = (lanes[v] >= threshold) & rung_lanes[v];
       Lanes4 kept_p;
       keep_or_zero(kept_p, lanes[v], keep);
       mass[v] += kept_p;
-      for (int l = 0; l < 4; l++) {
-        kept |= (keep[l] != 0 ? 1U : 0U) << (4 * v + l);
-      }
+      kept_any[v] |= keep;
+      keep_row |= keep;
     }
-    rows[r].rungs = kept;
-    kept_any |= kept;
+    if ((keep_row[0] | keep_row[1] | keep_row[2] | keep_row[3]) == 0) {
+      continue;
+    }
+    MergedRow& row = rows[num_rows++];
+    Lanes4* const out = lanes_of(row.probability);
+    for (int v = 0; v < kVectors; v++) {
+      out[v] = lanes[v];
+    }
+    row.grid_row = r;
+    row.time_s = kTtpBinMidpointsS[static_cast<size_t>(r)];
   }
-  for (int r = 0; r < kGridRows; r++) {
-    Lanes4* const lanes = lanes_of(rows[r].probability);
+  for (int i = 0; i < num_rows; i++) {
+    Lanes4* const lanes = lanes_of(rows[i].probability);
     for (int v = 0; v < kVectors; v++) {
       const Mask4 keep = (lanes[v] >= threshold) & rung_lanes[v];
       keep_or_zero(lanes[v], lanes[v] / mass[v], keep);
     }
   }
-  return kept_any;
+  kept = 0;
+  for (int rung = 0; rung < media::kNumRungs; rung++) {
+    kept |= (kept_any[rung / 4][rung % 4] != 0 ? 1U : 0U) << rung;
+  }
+  return num_rows;
 }
 
 /// A dense step, bin by bin: every rung adds the rows in order as
