@@ -132,10 +132,15 @@ const SweepKernels* avx2_sweep_kernels();
 /// row per merged row for all rungs, and step 0's merged rows are the
 /// root's outcomes. Any other step (MPC-HM's point masses, the
 /// point-estimate and throughput ablations) is pruned per list and folded
-/// per rung and per reachable bin. Either way every (rung, bin) adds its own
-/// outcomes in list order from +0.0 as p * (V[next] - mu * stall), and the
-/// maximization keeps ascending actions with a strict <, so plans are
-/// bitwise those of a full-lattice per-bin sweep over the pruned lists.
+/// per rung and per reachable bin. Merging is only a speed-up, but a large
+/// one: with every step folded per rung (a landing-bin division per
+/// outcome, rung and bin instead of one table row shared by the rungs),
+/// fleet-mixed `chunks_per_s` read 34.2k against 92.3k chunks/s (medians of
+/// 10 alternating 20 s benchmark pairs, 4-vCPU x86-64, gcc 12.2). Either
+/// way every (rung, bin) adds its own outcomes in list order from +0.0 as
+/// p * (V[next] - mu * stall), and the maximization keeps ascending actions
+/// with a strict <, so plans are bitwise those of a full-lattice per-bin
+/// sweep over the pruned lists.
 /// Adding p = 0 rows changes nothing only while values and stall costs are
 /// finite, which is why the constructor rejects a non-finite lambda or mu.
 ///

@@ -324,10 +324,10 @@ void append_bits(std::string& bytes, const double value) {
 /// through last_distributions(). The two differ only by floating-point
 /// reassociation of the expectation sum, so values match to ~1e-6 and the
 /// argmax may flip only on a floating tie.
-void expect_matches_reference(const StochasticMpc& mpc,
-                              const AbrObservation& obs,
-                              const std::span<const media::ChunkOptions> lookahead,
-                              const int rung, const int trial) {
+void expect_matches_reference(
+    const StochasticMpc& mpc, const AbrObservation& obs,
+    const std::span<const media::ChunkOptions> lookahead, const int rung,
+    const int trial) {
   const oracle::ReferencePlan plan =
       oracle::plan_reference(mpc, obs, lookahead);
   const double tol = 1e-6 * std::max(1.0, std::abs(plan.value));
