@@ -18,16 +18,6 @@ namespace puffer::exp {
 
 namespace {
 
-/// Number of session plans the trial draws (paired mode replays each plan
-/// for every scheme; RCT mode assigns each plan to exactly one scheme).
-int64_t num_session_plans(const TrialConfig& config) {
-  // Clamped so a negative sessions_per_scheme yields an empty trial instead
-  // of a negative task count.
-  return std::max<int64_t>(0, config.sessions_per_scheme) *
-         (config.paired_paths ? 1
-                              : static_cast<int64_t>(config.schemes.size()));
-}
-
 // Tripwire for the field-by-field merge in append_scheme_result: if
 // ConsortCounts grows a field, this forces whoever adds it to extend the
 // merge (a missed field would silently zero it on partial-result runs only,
@@ -73,8 +63,6 @@ void append_scheme_result(SchemeResult& into, SchemeResult& from) {
 /// positional merge in ascending shard order, like the engine's).
 struct TrialMetrics {
   obs::MetricRegistry registry;
-  obs::MetricRegistry::Id plan_cache_hits;
-  obs::MetricRegistry::Id plan_cache_misses;
   obs::MetricRegistry::Id contention_offered_bytes;
   obs::MetricRegistry::Id contention_delivered_bytes;
   obs::MetricRegistry::Id contention_lost_bytes;
@@ -89,10 +77,6 @@ struct TrialMetrics {
   obs::MetricRegistry::Id faults_max_session_fallbacks;
 
   TrialMetrics() {
-    // Paired plans are colocated by shard_group, so cache behavior is a
-    // per-plan property: 1 miss + (schemes-1) hits at any shard count.
-    plan_cache_hits = registry.counter("trial.plan_cache_hits");
-    plan_cache_misses = registry.counter("trial.plan_cache_misses");
     // Per-group byte totals and fairness are properties of the groups
     // themselves — sums and multisets are partition-invariant.
     contention_offered_bytes = registry.counter("contention.offered_bytes");
@@ -120,10 +104,7 @@ struct TrialMetrics {
 /// What a fleet session owns. A base class of MeasuredSessionTask so that it
 /// is built before, and destroyed after, the SessionTask that refers to it.
 struct SessionResources {
-  // Paired-mode tasks of one plan share a single immutable SessionPlan (the
-  // sampled path trace can be ~1 MB; copying it per scheme at fleet
-  // concurrency would multiply that by the whole overlapping fleet).
-  std::shared_ptr<const SessionPlan> plan;
+  SessionPlan plan;
   std::unique_ptr<abr::AbrAlgorithm> algo;
 };
 
@@ -141,7 +122,7 @@ class MeasuredSessionTask final : private SessionResources,
                       SchemeResult& result, const Connection connection,
                       TrialMetrics& metrics)
       : SessionResources(std::move(resources)),
-        SessionTask(*SessionResources::plan, *algo, config, result,
+        SessionTask(SessionResources::plan, *algo, config, result,
                     connection),
         metrics_(metrics) {}
 
@@ -205,16 +186,6 @@ class MeasuredGroupTask final : public ContentionGroupTask {
   TrialMetrics& metrics_;
 };
 
-/// Mutable state a shard's worker owns exclusively: the paired-mode plan
-/// cache and the trial metrics. shard_group colocates a plan's per-scheme
-/// task copies on one shard, so the cache keeps its back-to-back hit
-/// pattern under sharding.
-struct ShardState {
-  int64_t cached_plan_index = -1;
-  std::shared_ptr<const SessionPlan> cached_plan;
-  TrialMetrics metrics;
-};
-
 /// Streaming ascending-order merge: shards complete sessions out of global
 /// order, but partials must fold into the TrialResult in session-index
 /// order to stay bit-identical to running them one by one. The frontier
@@ -252,13 +223,15 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   const TrialConfig& trial_config = config.trial;
   require(!trial_config.schemes.empty(),
           "run_fleet_trial: need at least one scheme");
+  require(!trial_config.paired_paths,
+          "run_fleet_trial: paired_paths is run_trial's mode (one "
+          "single-scheme trial per scheme); the fleet runs RCT trials only");
   const auto num_schemes =
       static_cast<int64_t>(trial_config.schemes.size());
-  const int64_t num_plans = num_session_plans(trial_config);
-  // Paired mode replays each plan once per scheme — each replay is its own
-  // fleet session, arriving at the plan's arrival time.
-  const int64_t num_tasks =
-      trial_config.paired_paths ? num_plans * num_schemes : num_plans;
+  // Each plan goes to one blindly drawn scheme. Clamped so a negative
+  // sessions_per_scheme yields an empty trial instead of a negative count.
+  const int64_t num_plans =
+      std::max<int64_t>(0, trial_config.sessions_per_scheme) * num_schemes;
 
   // Shared-bottleneck grouping: each run of group_size consecutive plans
   // becomes ONE engine task (a ContentionGroupTask co-simulating its
@@ -270,11 +243,6 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   const ContentionPreset& preset = contention_preset(contention.topology);
   const auto group_size = static_cast<int64_t>(contention.group_size);
   const bool grouped = group_size > 1;
-  if (grouped) {
-    require(!trial_config.paired_paths,
-            "run_fleet_trial: contention groups require an unpaired (RCT) "
-            "trial");
-  }
   const int64_t num_groups =
       grouped ? (num_plans + group_size - 1) / group_size : 0;
 
@@ -290,45 +258,33 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   Rng arrival_rng = master.split("fleet-arrivals");
   const std::vector<double> plan_arrivals =
       sim::sample_arrivals(*arrival_process, arrival_rng, num_plans);
-  std::vector<double> task_arrivals;
-  if (grouped) {
-    // One engine arrival per group, at its first member's arrival; members
-    // joining later enter the group world at their arrival offsets.
-    task_arrivals.reserve(static_cast<size_t>(num_groups));
-    for (int64_t g = 0; g < num_groups; g++) {
-      task_arrivals.push_back(
-          plan_arrivals[static_cast<size_t>(g * group_size)]);
-    }
-  } else {
-    task_arrivals.reserve(static_cast<size_t>(num_tasks));
-    for (int64_t plan = 0; plan < num_plans; plan++) {
-      const int64_t copies = trial_config.paired_paths ? num_schemes : 1;
-      for (int64_t c = 0; c < copies; c++) {
-        task_arrivals.push_back(plan_arrivals[static_cast<size_t>(plan)]);
-      }
-    }
+  // One engine arrival per group, at its first member's arrival; members
+  // joining later enter the group world at their arrival offsets.
+  std::vector<double> group_arrivals;
+  group_arrivals.reserve(static_cast<size_t>(num_groups));
+  for (int64_t g = 0; g < num_groups; g++) {
+    group_arrivals.push_back(
+        plan_arrivals[static_cast<size_t>(g * group_size)]);
   }
 
   sim::FleetConfig engine_config;
   engine_config.num_threads = trial_config.num_threads;
   engine_config.num_shards = config.num_shards;
-  // Colocate a paired plan's per-scheme task copies on one shard: they
-  // share an immutable plan, and the cache hit needs them back-to-back.
-  engine_config.shard_group = trial_config.paired_paths ? num_schemes : 1;
   engine_config.trace = config.trace;
   const sim::FleetEngine engine{engine_config};
   const int num_shards = engine.resolved_num_shards();
 
-  // Per-task partial results, folded into the TrialResult in ascending
-  // task order by the streaming frontier below — the merge order that makes
-  // the result bit-identical to running the sessions one by one. scheme_of
-  // and each partial are written by the owning shard's worker before it
-  // reports the completion under the frontier mutex, which is what makes
-  // them safe to read on whichever worker advances the frontier past them.
+  // Per-session partial results, folded into the TrialResult in ascending
+  // session order by the streaming frontier below — the merge order that
+  // makes the result bit-identical to running the sessions one by one.
+  // scheme_of and each partial are written by the owning shard's worker
+  // before it reports the completion under the frontier mutex, which is
+  // what makes them safe to read on whichever worker advances the frontier
+  // past them. Each shard's worker owns its TrialMetrics exclusively.
   std::vector<std::unique_ptr<SchemeResult>> partials(
-      static_cast<size_t>(num_tasks));
-  std::vector<size_t> scheme_of(static_cast<size_t>(num_tasks), 0);
-  std::vector<ShardState> shards(static_cast<size_t>(num_shards));
+      static_cast<size_t>(num_plans));
+  std::vector<size_t> scheme_of(static_cast<size_t>(num_plans), 0);
+  std::vector<TrialMetrics> shards(static_cast<size_t>(num_shards));
 
   FleetTrialResult result;
   result.trial.schemes = empty_scheme_results(trial_config);
@@ -338,56 +294,35 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     result.group_fairness.assign(static_cast<size_t>(num_groups), 1.0);
   }
 
-  // The per-plan draw both factories share: the plan (cached across a
-  // paired plan's per-scheme copies), the RCT scheme draw from the
-  // session's own RNG right after its plan (same position at any shard
-  // count), a fresh algorithm instance and the session's partial-result
-  // slot.
-  // Grouping changes the world the sessions run in, never which sessions
-  // exist.
+  // The per-plan draw both factories share: the plan, the RCT scheme draw
+  // from the session's own RNG right after its plan (same position at any
+  // shard count), a fresh algorithm instance and the session's
+  // partial-result slot. Grouping changes the world the sessions run in,
+  // never which sessions exist.
   const auto make_session =
-      [&](const int64_t task_index, ShardState& shard,
+      [&](const int64_t plan_index, TrialMetrics& metrics,
           const SessionTask::Connection connection) {
-        const int64_t plan_index = trial_config.paired_paths
-                                       ? task_index / num_schemes
-                                       : task_index;
         Rng session_rng = master.split(static_cast<uint64_t>(plan_index));
         SessionResources resources;
-        size_t scheme;
-        if (trial_config.paired_paths) {
-          if (plan_index != shard.cached_plan_index) {
-            shard.cached_plan = std::make_shared<const SessionPlan>(
-                make_session_plan(session_rng, users, *paths));
-            shard.cached_plan_index = plan_index;
-            shard.metrics.registry.add(shard.metrics.plan_cache_misses);
-          } else {
-            shard.metrics.registry.add(shard.metrics.plan_cache_hits);
-          }
-          resources.plan = shard.cached_plan;
-          scheme = static_cast<size_t>(task_index % num_schemes);
-        } else {
-          resources.plan = std::make_shared<const SessionPlan>(
-              make_session_plan(session_rng, users, *paths));
-          scheme = static_cast<size_t>(
-              session_rng.uniform_int(0, num_schemes - 1));
-        }
-        scheme_of[static_cast<size_t>(task_index)] = scheme;
+        resources.plan = make_session_plan(session_rng, users, *paths);
+        const auto scheme =
+            static_cast<size_t>(session_rng.uniform_int(0, num_schemes - 1));
+        scheme_of[static_cast<size_t>(plan_index)] = scheme;
         resources.algo = factory(trial_config.schemes[scheme]);
         require(resources.algo != nullptr,
                 "run_fleet_trial: factory returned null for '" +
                     trial_config.schemes[scheme] + "'");
-        auto& partial = partials[static_cast<size_t>(task_index)];
+        auto& partial = partials[static_cast<size_t>(plan_index)];
         partial = std::make_unique<SchemeResult>();
         return std::make_unique<MeasuredSessionTask>(
-            std::move(resources), trial_config, *partial, connection,
-            shard.metrics);
+            std::move(resources), trial_config, *partial, connection, metrics);
       };
 
   const auto task_factory =
-      [&](const int64_t task_index,
+      [&](const int64_t plan_index,
           const int shard_index) -> std::unique_ptr<sim::FleetTask> {
-    ShardState& shard = shards[static_cast<size_t>(shard_index)];
-    return make_session(task_index, shard, SessionTask::Connection::kPrivate);
+    return make_session(plan_index, shards[static_cast<size_t>(shard_index)],
+                        SessionTask::Connection::kPrivate);
   };
 
   // Contention factory: builds group `group_index` from its member
@@ -395,7 +330,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   const auto contention_factory =
       [&](const int64_t group_index,
           const int shard_index) -> std::unique_ptr<sim::FleetTask> {
-    ShardState& shard = shards[static_cast<size_t>(shard_index)];
+    TrialMetrics& metrics = shards[static_cast<size_t>(shard_index)];
     const int64_t begin = group_index * group_size;
     const int64_t end = std::min(num_plans, begin + group_size);
     std::vector<ContentionGroupTask::Member> members;
@@ -405,7 +340,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
       const bool use_cubic = preset.cc == ContentionCc::kMixed && p % 2 == 1;
       ContentionGroupTask::Member member;
       member.session = make_session(
-          p, shard,
+          p, metrics,
           use_cubic ? SessionTask::Connection::kSharedCubic
                     : SessionTask::Connection::kSharedBbr);
       member.arrival_offset_s = plan_arrivals[static_cast<size_t>(p)] -
@@ -448,26 +383,25 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
           }
         }
         shared_sample.trace = net::ThroughputTrace{std::move(rates), seg_s};
-        shard.metrics.registry.add(shard.metrics.faults_link_outages);
+        metrics.registry.add(metrics.faults_link_outages);
       }
     }
     return std::make_unique<MeasuredGroupTask>(
         std::move(members), contention, std::move(shared_sample),
-        result.group_fairness[static_cast<size_t>(group_index)],
-        shard.metrics);
+        result.group_fairness[static_cast<size_t>(group_index)], metrics);
   };
 
   MergeFrontier frontier;
   {
     const MutexLock lock{frontier.mutex};
-    frontier.completed.assign(static_cast<size_t>(num_tasks), 0);
+    frontier.completed.assign(static_cast<size_t>(num_plans), 0);
   }
   const auto on_complete = [&](const int64_t task_index, const int /*shard*/) {
     const MutexLock lock{frontier.mutex};
     if (grouped) {
       // One engine task covers a contiguous plan range.
       const int64_t begin = task_index * group_size;
-      const int64_t end = std::min(num_tasks, begin + group_size);
+      const int64_t end = std::min(num_plans, begin + group_size);
       for (int64_t p = begin; p < end; p++) {
         frontier.completed[static_cast<size_t>(p)] = 1;
       }
@@ -478,7 +412,7 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
     }
     frontier.unmerged_high_water =
         std::max(frontier.unmerged_high_water, frontier.unmerged);
-    while (frontier.next_to_merge < num_tasks &&
+    while (frontier.next_to_merge < num_plans &&
            frontier.completed[static_cast<size_t>(frontier.next_to_merge)] !=
                0) {
       const auto t = static_cast<size_t>(frontier.next_to_merge);
@@ -491,14 +425,14 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   };
 
   result.fleet = engine.run(
-      task_arrivals,
+      grouped ? group_arrivals : plan_arrivals,
       grouped ? sim::FleetEngine::TaskFactory{contention_factory}
               : sim::FleetEngine::TaskFactory{task_factory},
       on_complete);
   int64_t frontier_high_water = 0;
   {
     const MutexLock lock{frontier.mutex};
-    require(frontier.next_to_merge == num_tasks,
+    require(frontier.next_to_merge == num_plans,
             "run_fleet_trial: merge frontier did not drain");
     frontier_high_water = frontier.unmerged_high_water;
   }
@@ -508,8 +442,8 @@ FleetTrialResult run_fleet_trial(const FleetTrialConfig& config,
   // engine's own merge), then the run-level block.
   result.metrics = result.fleet.metrics;
   obs::MetricSnapshot trial_merged;
-  for (const ShardState& shard : shards) {
-    trial_merged.merge_from(shard.metrics.registry.snapshot());
+  for (const TrialMetrics& shard : shards) {
+    trial_merged.merge_from(shard.registry.snapshot());
   }
   result.metrics.append_from(trial_merged);
   obs::MetricRegistry run_registry;

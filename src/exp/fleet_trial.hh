@@ -13,7 +13,9 @@ namespace puffer::exp {
 /// A randomized trial executed as a fleet: sessions arrive per `arrivals`
 /// and are interleaved concurrently on one virtual timeline by
 /// sim::FleetEngine. run_trial(config) is this with arrivals so sparse that
-/// sessions run back to back.
+/// sessions run back to back. The fleet runs RCT trials only: a config with
+/// trial.paired_paths is refused, because paired replay is run_trial's one
+/// single-scheme trial per scheme.
 ///
 /// Determinism contract: sessions are mutually independent (each has its
 /// own path, TCP connection, viewer and per-session RNG), so the fleet's
@@ -39,7 +41,7 @@ struct FleetTrialConfig {
   /// historical private-path fleet. group_size > 1 co-simulates each run of
   /// `group_size` consecutive sessions behind one shared link as a single
   /// fleet task, so the bitwise shard/thread-invariance contract holds
-  /// unchanged; requires an unpaired (RCT) trial.
+  /// unchanged.
   ContentionSpec contention;
   /// Optional virtual-time trace sink, forwarded to the engine (see
   /// sim::FleetConfig::trace). Does not perturb results.
@@ -53,7 +55,7 @@ struct FleetTrialResult {
   /// contention group, indexed by group. Empty otherwise.
   std::vector<double> group_fairness;
   /// Combined sim-plane snapshot: the engine's merged metrics, then the
-  /// trial layer's (plan cache, contention bytes/fairness, faults),
+  /// trial layer's (contention bytes/fairness, faults),
   /// then run-level gauges (merge-frontier high-water — the one
   /// scheduling-dependent entry, excluded from determinism comparisons).
   obs::MetricSnapshot metrics;

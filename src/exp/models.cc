@@ -16,6 +16,26 @@ namespace {
 constexpr int kTtpDays = 4;
 constexpr int kTtpSessionsPerDay = 160;
 
+/// The TTP trained on `family`'s sessions, cached as
+/// ttp_<stem>_v3_<seed>.bin in the model cache.
+std::shared_ptr<const fugu::TtpModel> get_scenario_ttp(
+    const std::string& family, const std::string& stem, const uint64_t seed) {
+  const fugu::TtpConfig config;
+  const std::string path = model_cache_dir() + "/ttp_" + stem + "_v3_" +
+                           std::to_string(seed) + ".bin";
+  if (auto cached = try_load_ttp(config, path)) {
+    return std::make_shared<const fugu::TtpModel>(std::move(*cached));
+  }
+  fugu::TtpTrainConfig train_config;
+  train_config.epochs = 8;
+  train_config.max_examples_per_step = 60000;
+  fugu::TtpModel model = train_ttp_on_scenario(
+      net::ScenarioSpec{family}, config, train_config, kTtpDays,
+      kTtpSessionsPerDay, seed);
+  save_ttp(model, path);
+  return std::make_shared<const fugu::TtpModel>(std::move(model));
+}
+
 }  // namespace
 
 std::string model_cache_dir() {
@@ -28,37 +48,11 @@ std::string model_cache_dir() {
 }
 
 std::shared_ptr<const fugu::TtpModel> get_insitu_ttp(const uint64_t seed) {
-  const fugu::TtpConfig config;
-  const std::string path =
-      model_cache_dir() + "/ttp_insitu_v3_" + std::to_string(seed) + ".bin";
-  if (auto cached = try_load_ttp(config, path)) {
-    return std::make_shared<const fugu::TtpModel>(std::move(*cached));
-  }
-  fugu::TtpTrainConfig train_config;
-  train_config.epochs = 8;
-  train_config.max_examples_per_step = 60000;
-  fugu::TtpModel model = train_ttp_on_scenario(
-      net::ScenarioSpec{"puffer"}, config, train_config, kTtpDays,
-      kTtpSessionsPerDay, seed);
-  save_ttp(model, path);
-  return std::make_shared<const fugu::TtpModel>(std::move(model));
+  return get_scenario_ttp("puffer", "insitu", seed);
 }
 
 std::shared_ptr<const fugu::TtpModel> get_emulation_ttp(const uint64_t seed) {
-  const fugu::TtpConfig config;
-  const std::string path =
-      model_cache_dir() + "/ttp_emulation_v3_" + std::to_string(seed) + ".bin";
-  if (auto cached = try_load_ttp(config, path)) {
-    return std::make_shared<const fugu::TtpModel>(std::move(*cached));
-  }
-  fugu::TtpTrainConfig train_config;
-  train_config.epochs = 8;
-  train_config.max_examples_per_step = 60000;
-  fugu::TtpModel model = train_ttp_on_scenario(
-      net::ScenarioSpec{"fcc-emulation"}, config, train_config,
-      kTtpDays, kTtpSessionsPerDay, seed);
-  save_ttp(model, path);
-  return std::make_shared<const fugu::TtpModel>(std::move(model));
+  return get_scenario_ttp("fcc-emulation", "emulation", seed);
 }
 
 std::shared_ptr<const nn::Mlp> get_pensieve_actor(const uint64_t seed) {

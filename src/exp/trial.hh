@@ -32,7 +32,9 @@ struct TrialConfig {
   uint64_t seed = 1;
   /// Paired mode: every scheme sees the same sequence of sessions (paths,
   /// users, videos). This is what emulators allow and real RCTs cannot do
-  /// (section 5.3) — used for the Figure 11 emulation panel.
+  /// (section 5.3) — used for the Figure 11 emulation panel. run_trial
+  /// runs it as one single-scheme RCT trial per scheme on this seed;
+  /// run_fleet_trial refuses it.
   bool paired_paths = false;
   /// Collect per-chunk transfer logs for TTP training.
   bool collect_logs = false;
@@ -88,7 +90,8 @@ struct TrialResult {
 /// Run a randomized controlled trial: sessions are blindly assigned to
 /// schemes, streamed over sampled paths with sampled viewer behaviour, and
 /// accounted per Figure A1. Runs on the fleet engine: run_fleet_trial of
-/// back_to_back(config).
+/// back_to_back(config), or with paired_paths one such run per scheme, each
+/// with that scheme alone, as jobs of one ThreadPool::run.
 TrialResult run_trial(const TrialConfig& config,
                       const SchemeArtifacts& artifacts);
 

@@ -297,7 +297,6 @@ void run_shard(const std::span<const double> arrivals,
 
 FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
   require(config_.num_shards >= 0, "FleetEngine: num_shards must be >= 0");
-  require(config_.shard_group >= 1, "FleetEngine: shard_group must be >= 1");
 }
 
 int FleetEngine::resolved_num_threads() const {
@@ -310,8 +309,7 @@ int FleetEngine::resolved_num_shards() const {
 }
 
 int FleetEngine::shard_of(const int64_t session_index) const {
-  return static_cast<int>((session_index / config_.shard_group) %
-                          resolved_num_shards());
+  return static_cast<int>(session_index % resolved_num_shards());
 }
 
 FleetRunStats FleetEngine::run(const std::span<const double> arrivals,

@@ -97,20 +97,14 @@ struct FleetConfig {
   /// value yields bit-identical per-session results: tasks are independent
   /// and results land in pre-indexed slots.
   int num_threads = 1;
-  /// Event-queue shards. Sessions are assigned to shards by session index
-  /// (see shard_group); each shard owns its own event queue, virtual clock,
-  /// and TTP coalescing window, and runs serially on one worker. 0 = one
-  /// shard per resolved worker thread. Per-session results are bit-identical
-  /// at any shard count; the batching *counters* (gemm_calls,
-  /// coalesced_rows, inline_decisions) legitimately depend on shard-local
-  /// batch membership and match only between runs with equal shard counts.
+  /// Event-queue shards. Session s runs on shard s % num_shards; each shard
+  /// owns its own event queue, virtual clock, and TTP coalescing window, and
+  /// runs serially on one worker. 0 = one shard per resolved worker thread.
+  /// Per-session results are bit-identical at any shard count; the batching
+  /// *counters* (gemm_calls, coalesced_rows, inline_decisions) legitimately
+  /// depend on shard-local batch membership and match only between runs
+  /// with equal shard counts.
   int num_shards = 1;
-  /// Consecutive sessions per shard-assignment block:
-  /// shard_of(s) = (s / shard_group) % num_shards. Callers that create
-  /// session groups back-to-back (paired trials create one task per scheme
-  /// per plan) set this to the group size so a group's tasks — which share
-  /// an immutable plan — land on one shard and can share its cache.
-  int64_t shard_group = 1;
   /// Optional virtual-time trace sink. Each shard buffers its events
   /// privately (arrivals, decision batches, queue-depth counters, all
   /// stamped in virtual time) and run() splices the buffers into this

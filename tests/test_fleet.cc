@@ -423,45 +423,39 @@ TEST(FleetTrial, MatchesSequentialBaselineInRctMode) {
   EXPECT_GT(fleet.fleet.virtual_duration_s, 0.0);
 }
 
-TEST(FleetTrial, MatchesSequentialBaselineInPairedMode) {
-  exp::FleetTrialConfig config = fleet_config();
-  config.trial.paired_paths = true;
-  config.trial.sessions_per_scheme = 4;
-  const exp::TrialResult sequential =
-      run_sessions_in_order(config.trial, fleet_factory());
-  const exp::FleetTrialResult fleet =
-      exp::run_fleet_trial(config, fleet_factory());
-  expect_identical(sequential, fleet.trial);
-  // One engine task per (plan, scheme) copy.
-  EXPECT_EQ(metric_value(fleet.metrics, "fleet.arrivals"),
-            static_cast<int64_t>(config.trial.schemes.size()) *
-                config.trial.sessions_per_scheme);
-  for (const int threads : {1, 3}) {
-    config.trial.num_threads = threads;
-    expect_identical(sequential, exp::run_trial(config.trial, fleet_factory()));
-  }
-}
-
-/// run_trial's fleet run: kBackToBackShardsPerThread shards per worker (4
-/// at one thread, 12 at three), bit-identical to the serial oracle
-/// in RCT and paired mode, where shard_group colocates each plan's copies.
-TEST(FleetTrial, BackToBackRunsFourShardsPerThread) {
-  for (const bool paired : {false, true}) {
-    SCOPED_TRACE(paired ? "paired" : "rct");
-    exp::TrialConfig trial = fleet_config().trial;
-    trial.paired_paths = paired;
+/// Paired replay is run_trial's one single-scheme trial per scheme on one
+/// seed, bit-identical to the serial oracle replaying each plan for every
+/// scheme at any thread count — also with fewer plans than shards, which
+/// leaves some of each trial's shards empty.
+TEST(FleetTrial, PairedRunTrialMatchesSequentialBaseline) {
+  exp::TrialConfig trial = fleet_config().trial;
+  trial.paired_paths = true;
+  for (const int plans : {4, 1}) {
+    trial.sessions_per_scheme = plans;
     const exp::TrialResult sequential =
         run_sessions_in_order(trial, fleet_factory());
     for (const int threads : {1, 3}) {
       trial.num_threads = threads;
-      const exp::FleetTrialConfig config = exp::back_to_back(trial);
-      EXPECT_EQ(config.num_shards, 4 * threads);
-      const exp::FleetTrialResult fleet =
-          exp::run_fleet_trial(config, fleet_factory());
-      EXPECT_EQ(fleet.fleet.num_shards, config.num_shards);
-      EXPECT_EQ(fleet.fleet.num_workers, threads);
-      expect_identical(sequential, fleet.trial);
+      expect_identical(sequential, exp::run_trial(trial, fleet_factory()));
     }
+  }
+}
+
+/// run_trial's fleet run: kBackToBackShardsPerThread shards per worker (4
+/// at one thread, 12 at three), bit-identical to the serial oracle.
+TEST(FleetTrial, BackToBackRunsFourShardsPerThread) {
+  exp::TrialConfig trial = fleet_config().trial;
+  const exp::TrialResult sequential =
+      run_sessions_in_order(trial, fleet_factory());
+  for (const int threads : {1, 3}) {
+    trial.num_threads = threads;
+    const exp::FleetTrialConfig config = exp::back_to_back(trial);
+    EXPECT_EQ(config.num_shards, 4 * threads);
+    const exp::FleetTrialResult fleet =
+        exp::run_fleet_trial(config, fleet_factory());
+    EXPECT_EQ(fleet.fleet.num_shards, config.num_shards);
+    EXPECT_EQ(fleet.fleet.num_workers, threads);
+    expect_identical(sequential, fleet.trial);
   }
 }
 
@@ -529,27 +523,6 @@ TEST(FleetTrial, BitIdenticalAcrossShardCounts) {
                        sharded.fleet.load.points()[i].time_s);
       EXPECT_EQ(one.fleet.load.points()[i].level,
                 sharded.fleet.load.points()[i].level);
-    }
-  }
-}
-
-/// Paired mode under sharding: shard_group colocates a plan's per-scheme
-/// task copies on one shard (they share an immutable plan), and the merged
-/// trial stays bit-identical to the serial oracle — also with fewer plans
-/// than shards or workers, which leaves some shards empty.
-TEST(FleetTrial, PairedModeBitIdenticalAcrossShardCounts) {
-  exp::FleetTrialConfig config = fleet_config();
-  config.trial.paired_paths = true;
-  config.trial.num_threads = 4;
-  for (const int plans : {4, 1}) {
-    config.trial.sessions_per_scheme = plans;
-    const exp::TrialResult sequential =
-        run_sessions_in_order(config.trial, fleet_factory());
-    for (const int shards : {1, 2, 4, 8}) {
-      config.num_shards = shards;
-      const exp::FleetTrialResult fleet =
-          exp::run_fleet_trial(config, fleet_factory());
-      expect_identical(sequential, fleet.trial);
     }
   }
 }
@@ -714,14 +687,20 @@ TEST(FleetTrial, ContentionGroupShapeAndFairness) {
   }
 }
 
-/// Contention grouping is RCT-only: the paired-replay design would put the
-/// same plan's per-scheme copies behind one bottleneck, which is neither the
-/// paired contract nor a meaningful RCT.
-TEST(FleetTrial, ContentionRejectsPairedMode) {
-  exp::FleetTrialConfig config = contention_config("edge", 2);
-  config.trial.paired_paths = true;
-  EXPECT_THROW(static_cast<void>(exp::run_fleet_trial(config, fleet_factory())),
-               RequirementError);
+/// The fleet runs RCT trials only: it refuses paired_paths on private paths
+/// and behind shared bottlenecks alike (where the paired design would also
+/// put one plan's per-scheme copies behind one link), and names run_trial,
+/// which runs paired replay.
+TEST(FleetTrial, RejectsPairedMode) {
+  for (exp::FleetTrialConfig config :
+       {fleet_config(), contention_config("edge", 2)}) {
+    config.trial.paired_paths = true;
+    test::expect_rejected(
+        [&] {
+          static_cast<void>(exp::run_fleet_trial(config, fleet_factory()));
+        },
+        {"paired_paths", "run_trial"});
+  }
 }
 
 /// A topology is a row of the preset table; anything else is refused with
@@ -763,7 +742,7 @@ TEST(FleetTrial, MetricSnapshotsBitIdenticalAcrossShardAndThreadMatrix) {
     // Spot-check that the snapshot actually carries the engine and trial
     // planes before comparing: an empty-vs-empty EQ would prove nothing.
     ASSERT_NE(baseline.metrics.find("fleet.decisions"), nullptr);
-    ASSERT_NE(baseline.metrics.find("trial.plan_cache_misses"), nullptr);
+    ASSERT_NE(baseline.metrics.find("faults.session_aborts"), nullptr);
     if (shards == 1) {
       invariant_baseline = baseline.metrics.deterministic_view(false);
       ASSERT_FALSE(invariant_baseline.metrics.empty());
